@@ -93,7 +93,7 @@ def record_timing(
     untouched.  ``events`` is the DES event count of one harness pass
     (see :func:`count_engine_events`); ``None`` omits counting.
     ``extra`` merges additional bench-specific counters into the record
-    (e.g. the sweep service's slab traffic) without widening the shared
+    (e.g. the sweep service's point counts) without widening the shared
     schema — reserved keys cannot be overridden.
     """
     path = request.config.getoption("--bench-json", default=None)

@@ -1,16 +1,10 @@
-"""Sweep-service benches (the PR-10 trajectory artifact).
+"""Sweep-service bench (the PR-10 trajectory artifact).
 
-Times the layered execution service on its two signature paths and,
-with ``--bench-json``, records them plus the slab's traffic counters:
-
-* **warm-cache sweep latency** — a sweep whose every point is a cache
-  hit should be an I/O-bound skim of JSON entries, a couple of
-  milliseconds for the standard registry points; this is the number
-  that makes ``--resume`` of a mostly-finished sweep instant;
-* **sharded dispatch with the result slab** — a ``--jobs 2 --shards 2``
-  sweep over a warm cache, recording ``pickle_bytes_avoided`` (report
-  bytes that rode the shared-memory slab instead of the pool's pickle
-  pipe) and the steal count.
+Times the **warm-cache sweep latency** of the layered execution service
+and, with ``--bench-json``, records it: a sweep whose every point is a
+cache hit should be an I/O-bound skim of JSON entries, a couple of
+milliseconds for the standard registry points; this is the number that
+makes ``--resume`` of a mostly-finished sweep instant.
 
 CI runs this module with ``--bench-json=BENCH_pr10.json`` and uploads
 the file, so sweep-dispatch overhead has a machine-readable history.
@@ -23,7 +17,6 @@ import pytest
 from benchmarks.conftest import record_timing
 from repro.experiments.registry import get_spec
 from repro.experiments.runner import run_points
-from repro.experiments.service import SweepService
 
 
 def _points():
@@ -59,32 +52,3 @@ def test_bench_warm_cache_sweep(request, benchmark, warm_cache):
         extra={"points": len(points), "cached": len(points)},
     )
 
-
-def test_bench_sharded_slab_sweep(request, benchmark, warm_cache):
-    points = _points()
-    stats = {}
-
-    def sweep():
-        service = SweepService(jobs=2, shards=2, cache_dir=warm_cache)
-        results = service.run(points)
-        stats["last"] = service.stats
-        return results
-
-    results = benchmark.pedantic(sweep, rounds=3, iterations=1)
-    assert all(r.ok and r.cached for r in results)
-    last = stats["last"]
-    # The slab carried the report bytes: the pool's pickle pipe moved
-    # only the tiny control tuples.
-    assert last.slab_points == len(points)
-    assert last.pickle_bytes_avoided > 0
-    benchmark.extra_info["slab_points"] = last.slab_points
-    benchmark.extra_info["pickle_bytes_avoided"] = last.pickle_bytes_avoided
-    record_timing(
-        request, benchmark, "service[jobs2-shards2]", "engine",
-        extra={
-            "points": len(points),
-            "slab_points": last.slab_points,
-            "pickle_bytes_avoided": last.pickle_bytes_avoided,
-            "steals": last.steals,
-        },
-    )

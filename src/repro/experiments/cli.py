@@ -1,15 +1,14 @@
 """Command-line entry point: ``repro-experiments [ids...]``.
 
 Runs the requested experiments (default: all) through the layered sweep
-service — parallel across ``--jobs`` processes, optionally partitioned
-over ``--shards`` independent worker pools (per-point ``--timeout``,
-crash isolation, ``--retries`` with backoff), served from the
-content-addressed result cache unless ``--no-cache`` — and prints
-either ASCII reports or ``--json`` machine output.  Progress is
-journaled next to the cache so an interrupted sweep can continue with
-``--resume``; two subcommands operate on that journal:
+service — parallel across ``--jobs`` processes of one supervised pool
+(per-point ``--timeout``, crash isolation, ``--retries`` with backoff),
+served from the content-addressed result cache unless ``--no-cache`` —
+and prints either ASCII reports or ``--json`` machine output.  Progress
+is journaled next to the cache so an interrupted sweep can continue
+with ``--resume``; two subcommands operate on that journal:
 
-* ``repro-experiments status <journal>`` — per-shard and per-experiment
+* ``repro-experiments status <journal>`` — overall and per-experiment
   progress of an (interrupted) sweep, with ``--partial`` rendering the
   merged reports recoverable from the result cache so far;
 * ``repro-experiments compact <journal>`` — rewrite the append-only
@@ -78,15 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs", "-j", type=int, default=1, metavar="N",
         help="run (experiment, scenario) points across N processes",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help=(
-            "partition the sweep across N independent worker pools "
-            "(deterministic hash-sharding on the scenario hash, with work "
-            "stealing); a crashed or stuck worker takes down only its own "
-            "shard's pool (default: 1)"
-        ),
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -185,7 +175,7 @@ def _status_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments status",
         description=(
-            "Report per-shard and per-experiment progress of an "
+            "Report overall and per-experiment progress of an "
             "(interrupted) sweep from its journal; --partial additionally "
             "renders the merged reports recoverable from the result cache "
             "so far."
@@ -231,37 +221,25 @@ def _status_main(argv: List[str]) -> int:
             st["finished"] += 1
         elif i in state.failed:
             st["failed"] += 1
-    shard_progress = state.shard_progress()
 
     if args.as_json:
         print(json.dumps({
             "journal": str(args.journal),
             "code_version": state.code_version,
             "jobs": state.jobs,
-            "shards": state.shard_count,
             "points": total,
             "finished": finished,
             "failed": failed,
             "running": running,
             "pending": pending,
-            "shard_progress": {str(k): v for k, v in shard_progress.items()},
             "experiments": per_exp,
         }, indent=2))
     else:
         print(
             f"sweep: {total} point(s), {finished} finished, {failed} failed, "
             f"{running} started-unfinished, {pending} pending "
-            f"(code {state.code_version}, jobs {state.jobs}, "
-            f"shards {state.shard_count})"
+            f"(code {state.code_version}, jobs {state.jobs})"
         )
-        for shard in sorted(shard_progress):
-            st = shard_progress[shard]
-            label = f"shard {shard}" if shard >= 0 else "not started"
-            print(
-                f"  {label}: {st['points']} point(s), "
-                f"{st['finished']} finished, {st['failed']} failed, "
-                f"{st['running']} running"
-            )
         for exp_id, st in per_exp.items():
             print(
                 f"  {exp_id}: {st['finished']}/{st['points']} finished"
@@ -373,9 +351,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.timeout is not None and args.timeout <= 0:
         print("--timeout must be positive", file=sys.stderr)
         return 2
-    if args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return 2
 
     if args.resume is not None:
         # The journal *is* the sweep definition: mixing it with a fresh
@@ -462,7 +437,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     service = SweepService(
         jobs=args.jobs,
-        shards=args.shards,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         timeout=args.timeout,

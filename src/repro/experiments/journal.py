@@ -18,8 +18,8 @@ interleaved; a crash mid-write can at worst tear the final line, which
 Record shapes::
 
     {"event": "sweep", "points": [{"exp_id": ..., "scenario": {...}}, ...],
-     "code_version": "...", "jobs": N, "shards": S}
-    {"event": "start",  "index": i, "exp_id": ..., "attempt": n, "shard": s}
+     "code_version": "...", "jobs": N}
+    {"event": "start",  "index": i, "exp_id": ..., "attempt": n}
     {"event": "finish", "index": i, "exp_id": ..., "attempts": n,
      "cached": bool}
     {"event": "fail",   "index": i, "exp_id": ..., "attempt": n,
@@ -28,6 +28,8 @@ Record shapes::
 A journal may hold several ``sweep`` headers (each resume appends a new
 one); the **last** header defines the point list, and only records after
 it count — earlier generations are history, kept for forensics.
+Fields a reader does not know are ignored, so journals written by
+older versions, which carried more fields, still load and resume.
 :func:`compact_journal` rewrites a grown journal down to that live
 state: the last header plus one final record per point.
 """
@@ -111,7 +113,6 @@ class SweepJournal:
         points: Sequence[Tuple[str, Scenario]],
         code_version: str,
         jobs: int,
-        shards: int = 1,
     ) -> None:
         self._write(
             {
@@ -121,16 +122,13 @@ class SweepJournal:
                 ],
                 "code_version": code_version,
                 "jobs": jobs,
-                "shards": shards,
             }
         )
 
-    def point_start(
-        self, index: int, exp_id: str, attempt: int, shard: int = 0
-    ) -> None:
+    def point_start(self, index: int, exp_id: str, attempt: int) -> None:
         self._write(
             {"event": "start", "index": index, "exp_id": exp_id,
-             "attempt": attempt, "shard": shard}
+             "attempt": attempt}
         )
 
     def point_finish(
@@ -171,42 +169,12 @@ class JournalState:
     finished: Set[int] = field(default_factory=set)
     failed: Dict[int, str] = field(default_factory=dict)  # index -> kind
     started: Set[int] = field(default_factory=set)
-    shards: Dict[int, int] = field(default_factory=dict)  # index -> shard
     jobs: Optional[int] = None  # sweep header's --jobs
-    shard_count: int = 1  # sweep header's --shards
 
     @property
     def unfinished(self) -> List[int]:
         """Point indices resume must execute (everything not finished)."""
         return [i for i in range(len(self.points)) if i not in self.finished]
-
-    def shard_progress(self) -> Dict[int, Dict[str, int]]:
-        """Per-shard progress counters (the ``status`` subcommand's view).
-
-        A point counts toward the shard of its *latest* start record —
-        work stealing may move a point between shards mid-sweep, and the
-        stealing shard is the one that actually ran it.  Points never
-        started yet count toward their hash-assigned shard unknowably,
-        so they are reported under shard ``-1`` ("not started").
-        """
-        progress: Dict[int, Dict[str, int]] = {}
-
-        def bucket(shard: int) -> Dict[str, int]:
-            return progress.setdefault(
-                shard, {"points": 0, "finished": 0, "failed": 0, "running": 0}
-            )
-
-        for index in range(len(self.points)):
-            shard = self.shards.get(index, -1)
-            st = bucket(shard)
-            st["points"] += 1
-            if index in self.finished:
-                st["finished"] += 1
-            elif index in self.failed:
-                st["failed"] += 1
-            elif index in self.started:
-                st["running"] += 1
-        return progress
 
 
 def _read_records(path: Path) -> List[Tuple[str, Dict[str, Any]]]:
@@ -258,8 +226,6 @@ def load_journal(path: Path) -> JournalState:
     state = JournalState(code_version=header.get("code_version"))
     jobs = header.get("jobs")
     state.jobs = jobs if isinstance(jobs, int) else None
-    shard_count = header.get("shards")
-    state.shard_count = shard_count if isinstance(shard_count, int) else 1
     try:
         state.points = [
             (p["exp_id"], Scenario.from_dict(p["scenario"]))
@@ -277,9 +243,6 @@ def load_journal(path: Path) -> JournalState:
             continue  # stale/foreign record: ignore rather than die
         if event == "start":
             state.started.add(index)
-            shard = rec.get("shard")
-            if isinstance(shard, int):
-                state.shards[index] = shard
         elif event == "finish":
             state.finished.add(index)
             state.failed.pop(index, None)
@@ -295,7 +258,7 @@ def compact_journal(path: Path) -> Tuple[int, int]:
     every resume appends a fresh header plus the whole replay.  Only the
     *last* sweep header and each point's latest state matter for resume,
     so compaction keeps exactly that: the last header, then per point
-    its last ``start`` record (shard attribution) and its final outcome
+    its last ``start`` record and its final outcome
     (last ``finish``, else last ``fail``), in original order.
     Superseded attempt records, earlier generations and a torn final
     line are dropped.  The rewrite goes through a temp file +

@@ -7,11 +7,10 @@ report merging.  That machinery now lives in
 
 * :mod:`~repro.experiments.service.queue` — sweep points as schedulable
   jobs with explicit states;
-* :mod:`~repro.experiments.service.scheduler` — the shard scheduler
-  owning the retry/timeout/crash-blame policy;
-* :mod:`~repro.experiments.service.workers` — the process-pool worker
-  fleet and the shared-memory result slab (plus ``execute_point``, the
-  single driver entry);
+* :mod:`~repro.experiments.service.scheduler` — the scheduler owning
+  the retry/timeout/crash-blame policy;
+* :mod:`~repro.experiments.service.workers` — the supervised process
+  pool (plus ``execute_point``, the single driver entry);
 * :mod:`~repro.experiments.service.aggregate` — the streaming report
   aggregator.
 
@@ -20,8 +19,8 @@ The public names that generations of callers import from here —
 ``merge_experiment``, ``run_experiment``, ``run_all``, the ``KIND_*``
 failure kinds — keep their exact signatures and semantics; they
 delegate into the service.  New code should import from
-:mod:`repro.experiments.service` directly (and may use its extras:
-``shards``, streaming aggregation, sweep stats).
+:mod:`repro.experiments.service` directly (and may use its extra:
+streaming aggregation).
 
 The failure-semantics contract is documented in ``docs/experiments.md``.
 """
@@ -78,7 +77,6 @@ def run_points(
     timeout: Optional[float] = None,
     retry: Optional[RetryPolicy] = None,
     journal: Optional[SweepJournal] = None,
-    shards: int = 1,
 ) -> List[PointResult]:
     """Execute points (optionally across a supervised pool), in input order.
 
@@ -88,12 +86,10 @@ def run_points(
     path, even for ``jobs=1``); ``retry`` defaults to
     ``RetryPolicy(max_attempts=3)`` retrying crashes/timeouts/transient
     failures; ``journal`` receives start/finish/fail records as they
-    happen (see :mod:`repro.experiments.journal`); ``shards`` partitions
-    the sweep across independent worker pools (see
-    :class:`repro.experiments.service.ShardScheduler`).
+    happen (see :mod:`repro.experiments.journal`).
     """
     service = SweepService(
-        jobs=jobs, shards=shards, use_cache=use_cache, cache_dir=cache_dir,
+        jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
         timeout=timeout, retry=retry, journal=journal,
     )
     return service.run(points)

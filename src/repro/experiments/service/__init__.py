@@ -1,18 +1,15 @@
-"""Layered sweep service: queue → shard scheduler → worker pool → aggregator.
+"""Layered sweep service: queue → scheduler → worker pool → aggregator.
 
 The execution path of the experiment pipeline, decomposed into four
 explicit seams (each its own module):
 
 * :mod:`~repro.experiments.service.queue` — sweep points as schedulable
-  :class:`Job` units with ``pending/claimed/done/failed`` states, fed
-  from the registry or replayed from a sweep journal;
-* :mod:`~repro.experiments.service.scheduler` — the
-  :class:`ShardScheduler`, partitioning the queue across N worker
-  shards (deterministic hash-sharding on the scenario hash, work
-  stealing for stragglers) and owning the retry/timeout/blame policy;
-* :mod:`~repro.experiments.service.workers` — the process-pool worker
-  fleet plus the shared-memory :class:`ResultSlab` workers publish
-  finished reports into by point-ID (no per-point pickle round-trip);
+  :class:`Job` units with ``pending/claimed/done/failed`` states;
+* :mod:`~repro.experiments.service.scheduler` — the :class:`Scheduler`,
+  dispatching ready jobs in input order to one supervised worker pool
+  and owning the retry/timeout/blame policy;
+* :mod:`~repro.experiments.service.workers` — the process pool and
+  :func:`execute_point`, the single driver entry;
 * :mod:`~repro.experiments.service.aggregate` — the streaming
   :class:`ReportAggregator`, folding settled points into per-experiment
   reports incrementally (partial reports on demand).
@@ -25,6 +22,7 @@ cache/claim machinery both paths share lives in
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -37,20 +35,14 @@ from repro.experiments.service.queue import (
     Job,
     JobQueue,
     PointResult,
-    shard_of,
 )
 from repro.experiments.service.scheduler import (
     NO_RETRY,
     RetryPolicy,
-    ShardScheduler,
-    SweepStats,
+    Scheduler,
     run_serial,
 )
-from repro.experiments.service.workers import (
-    ResultSlab,
-    WorkerPool,
-    execute_point,
-)
+from repro.experiments.service.workers import WorkerPool, execute_point
 
 __all__ = [
     "ExperimentError",
@@ -59,17 +51,28 @@ __all__ = [
     "NO_RETRY",
     "PointResult",
     "ReportAggregator",
-    "ResultSlab",
     "RetryPolicy",
-    "ShardScheduler",
+    "Scheduler",
     "SweepService",
     "SweepStats",
     "WorkerPool",
     "execute_point",
     "merge_experiment",
     "run_serial",
-    "shard_of",
 ]
+
+
+@dataclass(frozen=True)
+class SweepStats:
+    """Counters a single pool never moves off 0.
+
+    Their only reader is ``perfbench/tracer.py``, which reports them per
+    sweep; they go once the benchmark stops asking for them.
+    """
+
+    steals: int = 0
+    slab_points: int = 0
+    pickle_bytes_avoided: int = 0
 
 
 class SweepService:
@@ -77,16 +80,14 @@ class SweepService:
 
     The composition root of the service layers.  ``run`` executes a
     point list exactly like the historical ``runner.run_points`` —
-    results in input order, identical reports for any ``jobs``/
-    ``shards`` setting — while exposing the streaming ``aggregator``
-    (partial reports, execution counters) and the scheduler ``stats``
-    (steals, slab traffic) afterwards.
+    results in input order, identical reports for any ``jobs`` setting —
+    while exposing the streaming ``aggregator`` (partial reports,
+    execution counters) afterwards.
     """
 
     def __init__(
         self,
         jobs: int = 1,
-        shards: int = 1,
         use_cache: bool = True,
         cache_dir: Optional[Path] = None,
         timeout: Optional[float] = None,
@@ -95,57 +96,38 @@ class SweepService:
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
         self.jobs = jobs
-        self.shards = shards
         self.use_cache = use_cache
         self.cache_dir = cache_dir
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.journal = journal
         self.aggregator = ReportAggregator()
-        self.stats = SweepStats(shards=shards)
+        self.stats = SweepStats()
 
     def run(self, points: Sequence[Tuple[str, Scenario]]) -> List[PointResult]:
-        """Execute points (optionally across sharded pools), in input order."""
+        """Execute points (serially or on the supervised pool), in input order."""
         points = list(points)
-        # A sweep never runs more shards than points; the clamp also
-        # keeps single-point sweeps on the serial path.
-        nshards = max(1, min(self.shards, len(points)))
-        queue = JobQueue.from_points(points, shards=nshards)
-        return self.run_queue(queue)
-
-    def run_queue(self, queue: JobQueue) -> List[PointResult]:
-        """Execute a pre-built queue (the resume/replay entry)."""
-        points = [(job.exp_id, job.scenario) for job in queue.jobs]
         if self.journal is not None:
-            self.journal.sweep_start(
-                points, cache.code_version(), self.jobs, shards=queue.shards
-            )
+            self.journal.sweep_start(points, cache.code_version(), self.jobs)
         if not points:
             return []
-        if self.timeout is None and queue.shards == 1 and (
-            self.jobs == 1 or len(points) == 1
-        ):
+        queue = JobQueue.from_points(points)
+        if self.timeout is None and (self.jobs == 1 or len(points) == 1):
             return run_serial(
                 queue, use_cache=self.use_cache, cache_dir=self.cache_dir,
                 retry=self.retry, journal=self.journal,
                 on_result=self.aggregator.add,
             )
-        scheduler = ShardScheduler(
+        return Scheduler(
             queue,
             jobs=self.jobs,
-            shards=queue.shards,
             use_cache=self.use_cache,
             cache_dir=self.cache_dir,
             timeout=self.timeout,
             retry=self.retry,
             journal=self.journal,
             on_result=self.aggregator.add,
-        )
-        results = scheduler.run()
-        self.stats = scheduler.stats
-        return results
+        ).run()

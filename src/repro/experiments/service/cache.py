@@ -5,14 +5,15 @@ The cache layer of the sweep service.  A finished report is stored under
 package changes :func:`code_version` and therefore every key, so the
 cache can never serve results produced by different code.
 
-Many writers may race on one key (shared cache dir, duplicated points
-across sweeps, several sweep shards).  A claim file, created with
-``O_EXCL`` next to the entry, elects the single computing writer;
-everyone else waits for the published result.  Claims are advisory: a
-claim whose owning pid is dead (worker crash) or older than the TTL is
-*taken over*, and a waiter that exhausts its patience computes anyway —
-duplicate work is always preferred over a deadlock.  Corrupt entries
-are quarantined to ``*.corrupt`` (warned once), never re-parsed forever.
+Many writers may race on one key (shared cache dir, pool workers,
+duplicated points across simultaneous sweeps).  A claim file, linked
+into place exclusively next to the entry, elects the single computing
+writer; everyone else waits for the published result.  Claims are
+advisory: a claim whose owning pid is dead (worker crash) or older than
+the TTL is *taken over*, and a waiter that exhausts its patience
+computes anyway — duplicate work is always preferred over a deadlock.
+Corrupt entries are quarantined to ``*.corrupt`` (warned once), never
+re-parsed forever.
 """
 
 from __future__ import annotations
@@ -151,21 +152,35 @@ _CLAIM_POLL_S = 0.02
 
 
 class CacheClaim:
-    """Advisory ``O_EXCL`` claim electing one computing writer per key."""
+    """Advisory exclusive claim electing one computing writer per key."""
 
     def __init__(self, entry_path: Path):
         self.path = entry_path.with_name(entry_path.name + ".claim")
         self.held = False
 
     def acquire(self) -> bool:
+        """Take the claim; False when a rival already holds it.
+
+        The claim's JSON is written to a temp file first and then
+        hard-linked into place, which fails if the claim exists (the
+        same exclusivity as ``O_EXCL``).  A rival therefore never reads
+        a claim that exists but is still empty, which ``is_stale`` would
+        take for a torn file and take over.
+        """
         try:
-            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+            fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
+        except OSError:
+            return True  # unwritable dir: run uncoordinated (store will warn)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump({"pid": os.getpid(), "time": time.time()}, fh)
+            os.link(tmp, self.path)
         except FileExistsError:
             return False
         except OSError:
-            return True  # unwritable dir: run uncoordinated (store will warn)
-        with os.fdopen(fd, "w") as fh:
-            json.dump({"pid": os.getpid(), "time": time.time()}, fh)
+            return True  # no hard links here: run uncoordinated
+        finally:
+            os.unlink(tmp)
         self.held = True
         return True
 
@@ -208,7 +223,9 @@ def await_claimed_result(
     """Wait for a rival claimant to publish; returns (report, we_claimed).
 
     Polls until the result appears, the claim goes stale (dead owner ->
-    takeover), or patience runs out (compute anyway, unclaimed).
+    takeover), or patience runs out (compute anyway, unclaimed).  After
+    winning the claim the entry is read once more: the holder may have
+    published and released between our last miss and our acquire.
     """
     deadline = time.monotonic() + _CLAIM_WAIT_S
     while time.monotonic() < deadline:
@@ -216,15 +233,15 @@ def await_claimed_result(
         if report is not None:
             return report, False
         if not claim.path.exists():
-            # Holder released without publishing (its point failed):
-            # contend for the claim ourselves.
+            # Holder released without publishing (its point failed), or
+            # published just now: contend for the claim ourselves.
             if claim.acquire():
-                return None, True
+                return cache_load(path), True
             continue
         if claim.is_stale():
             claim.takeover()
             if claim.acquire():
-                return None, True
+                return cache_load(path), True
             continue
         time.sleep(_CLAIM_POLL_S)
     return None, False

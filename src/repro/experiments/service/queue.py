@@ -1,12 +1,10 @@
 """Job queue: sweep points as schedulable units with explicit states.
 
 The bottom layer of the sweep service.  A :class:`JobQueue` holds one
-:class:`Job` per (experiment, scenario) point — fed from the registry's
-point lists or replayed from a sweep journal — and tracks each through
+:class:`Job` per (experiment, scenario) point and tracks each through
 the ``pending -> claimed -> done | failed`` lifecycle.  Jobs carry their
-shard assignment (deterministic hash-sharding on the scenario's content
-hash), readiness time (retry backoff), and supervision counters; the
-:class:`~repro.experiments.service.scheduler.ShardScheduler` owns *when*
+readiness time (retry backoff) and supervision counters; the
+:class:`~repro.experiments.service.scheduler.Scheduler` owns *when*
 those fields change, the queue owns *what* is true right now.
 
 Failure kinds (``KIND_*``) and the per-point outcome record
@@ -16,10 +14,9 @@ Failure kinds (``KIND_*``) and the per-point outcome record
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.base import ExperimentReport
-from repro.experiments.journal import JournalState
 from repro.experiments.scenario import Scenario
 
 __all__ = [
@@ -27,7 +24,6 @@ __all__ = [
     "Job",
     "JobQueue",
     "PointResult",
-    "shard_of",
     "KIND_ERROR",
     "KIND_TRANSIENT",
     "KIND_CRASH",
@@ -92,18 +88,6 @@ class PointResult:
         return max(0, self.attempts - 1)
 
 
-def shard_of(scenario: Scenario, shards: int) -> int:
-    """Deterministic shard assignment: hash-shard on the scenario hash.
-
-    The content hash is already a uniform digest of the canonical
-    scenario form, so taking it mod ``shards`` spreads points evenly and
-    reproducibly — the same sweep always shards the same way.
-    """
-    if shards <= 1:
-        return 0
-    return int(scenario.content_hash, 16) % shards
-
-
 @dataclass
 class Job:
     """One sweep point moving through the queue's lifecycle."""
@@ -111,7 +95,6 @@ class Job:
     index: int
     exp_id: str
     scenario: Scenario
-    shard: int = 0
     state: str = PENDING
     attempt: int = 1  # next attempt number to dispatch
     ready_at: float = 0.0  # monotonic time before which we must not resubmit
@@ -130,33 +113,14 @@ class Job:
 
 
 class JobQueue:
-    """All jobs of one sweep, indexable by position and queryable by shard."""
+    """All jobs of one sweep, indexable by input position."""
 
-    def __init__(self, jobs: Sequence[Job], shards: int = 1):
+    def __init__(self, jobs: Sequence[Job]):
         self.jobs: List[Job] = list(jobs)
-        self.shards = max(1, shards)
 
     @classmethod
-    def from_points(
-        cls, points: Sequence[Tuple[str, Scenario]], shards: int = 1
-    ) -> "JobQueue":
-        return cls(
-            [
-                Job(i, exp_id, scen, shard=shard_of(scen, shards))
-                for i, (exp_id, scen) in enumerate(points)
-            ],
-            shards=shards,
-        )
-
-    @classmethod
-    def from_journal(cls, state: JournalState, shards: int = 1) -> "JobQueue":
-        """Rebuild a queue from a parsed sweep journal (resume path).
-
-        Every point is queued as pending — finished points re-execute as
-        cache hits, which is how resume recovers their reports without
-        re-invoking drivers.
-        """
-        return cls.from_points(state.points, shards=shards)
+    def from_points(cls, points: Sequence[Tuple[str, Scenario]]) -> "JobQueue":
+        return cls([Job(i, exp_id, scen) for i, (exp_id, scen) in enumerate(points)])
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -170,20 +134,14 @@ class JobQueue:
     def unsettled(self) -> int:
         return sum(1 for job in self.jobs if not job.settled)
 
-    def ready(self, shard: int, now: float) -> List[Job]:
-        """Dispatchable jobs of ``shard``, in input order."""
+    def ready(self, now: float) -> List[Job]:
+        """Dispatchable jobs, in input order."""
         return [
-            job
-            for job in self.jobs
-            if job.state == PENDING and job.shard == shard and job.ready_at <= now
+            job for job in self.jobs if job.state == PENDING and job.ready_at <= now
         ]
 
-    def pending(self, shard: Optional[int] = None) -> List[Job]:
-        return [
-            job
-            for job in self.jobs
-            if job.state == PENDING and (shard is None or job.shard == shard)
-        ]
+    def pending(self) -> List[Job]:
+        return [job for job in self.jobs if job.state == PENDING]
 
     def results(self) -> List[PointResult]:
         """Settled results in input order (the sweep's merge order)."""
@@ -205,28 +163,3 @@ class JobQueue:
     def fail(self, job: Job, result: PointResult) -> None:
         job.state = FAILED
         job.result = result
-
-    def steal(self, to_shard: int, now: float) -> Optional[Job]:
-        """Reassign one ready job from the most-backlogged other shard.
-
-        Work stealing for stragglers: a shard that drained its own
-        partition takes the *last* ready job (coldest work) from the
-        shard with the largest pending backlog.  Returns the reassigned
-        job, or ``None`` when no other shard has dispatchable work.
-        """
-        donors: Dict[int, List[Job]] = {}
-        for job in self.jobs:
-            if (
-                job.state == PENDING
-                and job.shard != to_shard
-                and job.ready_at <= now
-            ):
-                donors.setdefault(job.shard, []).append(job)
-        if not donors:
-            return None
-        # Largest backlog first; ties break toward the lowest shard id so
-        # stealing is deterministic given the queue state.
-        donor = max(donors, key=lambda s: (len(donors[s]), -s))
-        job = donors[donor][-1]
-        job.shard = to_shard
-        return job

@@ -1,35 +1,27 @@
-"""Shard scheduler: retry/timeout/blame policy over N worker shards.
+"""Scheduler: retry/timeout/blame policy over one supervised worker pool.
 
-The policy layer of the sweep service.  A :class:`ShardScheduler` drives
-a :class:`~repro.experiments.service.queue.JobQueue` to completion over
-one or more *shards* — each shard owns its own
-:class:`~repro.experiments.service.workers.WorkerPool`, so a worker
-death or stuck worker takes down exactly one shard's pool while the
-others keep running.  Jobs are pre-partitioned across shards by
-deterministic hash-sharding on the scenario hash; a shard that drains
-its partition steals ready jobs from the most-backlogged sibling, so a
-straggler shard cannot serialize the sweep.
+The policy layer of the sweep service.  A :class:`Scheduler` drives a
+:class:`~repro.experiments.service.queue.JobQueue` to completion on one
+:class:`~repro.experiments.service.workers.WorkerPool`, dispatching
+ready jobs in input order.
 
-Supervision invariants (per shard, generalized from the original
-single-pool runner):
+Supervision invariants:
 
-* at most ``workers`` futures are in flight per shard, so every
-  in-flight future is actually *running* — which is what lets the
-  per-point deadline start at submit time;
-* a ``BrokenProcessPool`` affects only that shard's in-flight points
-  (finished futures keep their results) and restarts that shard's pool;
-* crash *attribution* is exact: when several points were in flight on
-  the broken shard, the executor cannot say whose worker died, so none
-  is charged an attempt — all casualties become **suspects** and re-run
-  one at a time on their shard.  A point that breaks the pool while
-  running alone is unambiguously the culprit: it is charged a ``crash``
-  attempt and retried/failed under the policy.  Suspect isolation
-  pauses only the affected shard; siblings (and work stealing by them)
-  continue;
-* a future past its deadline kills that shard's pool (a stuck worker
-  cannot be cancelled), records a timeout for that point — the expired
-  future is known, so timeout attribution is always exact — and
-  requeues innocent in-flight victims without charging them.
+* at most ``workers`` futures are in flight, so every in-flight future
+  is actually *running* — which is what lets the per-point deadline
+  start at submit time;
+* a ``BrokenProcessPool`` affects only the in-flight points (finished
+  futures keep their results) and restarts the pool;
+* crash *attribution* is exact: when several points were in flight, the
+  executor cannot say whose worker died, so none is charged an attempt
+  — all casualties become **suspects** and re-run one at a time, with
+  normal dispatch paused.  A point that breaks the pool while running
+  alone is unambiguously the culprit: it is charged a ``crash`` attempt
+  and retried/failed under the policy;
+* a future past its deadline kills the pool (a stuck worker cannot be
+  cancelled), records a timeout for that point — the expired future is
+  known, so timeout attribution is always exact — and requeues innocent
+  in-flight victims without charging them.
 """
 
 from __future__ import annotations
@@ -39,7 +31,7 @@ import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -55,18 +47,12 @@ from repro.experiments.service.queue import (
     JobQueue,
     PointResult,
 )
-from repro.experiments.service.workers import (
-    ResultSlab,
-    WorkerPool,
-    WorkItem,
-    execute_point,
-)
+from repro.experiments.service.workers import WorkerPool, WorkItem, execute_point
 
 __all__ = [
     "NO_RETRY",
     "RetryPolicy",
-    "ShardScheduler",
-    "SweepStats",
+    "Scheduler",
     "run_serial",
 ]
 
@@ -119,41 +105,13 @@ class RetryPolicy:
 NO_RETRY = RetryPolicy(max_attempts=1)
 
 
-@dataclass
-class SweepStats:
-    """Observability counters for one scheduled sweep."""
-
-    shards: int = 1
-    steals: int = 0
-    crashes: int = 0
-    timeouts: int = 0
-    slab_points: int = 0  # reports that rode the shared-memory slab
-    pickle_bytes_avoided: int = 0  # report bytes kept off the result pipe
-
-
-class _Shard:
-    """One shard's runtime: its pool, in-flight futures, crash suspects."""
-
-    __slots__ = ("id", "workers", "pool", "inflight", "suspects")
-
-    def __init__(self, shard_id: int, workers: int):
-        self.id = shard_id
-        self.workers = workers
-        self.pool = WorkerPool(workers)
-        self.inflight: Dict[Future, Tuple[Job, Optional[float]]] = {}
-        # Crash suspects awaiting a solo (attributable) re-run; while
-        # this queue is non-empty, this shard's normal dispatch pauses.
-        self.suspects: List[Job] = []
-
-
-class ShardScheduler:
-    """Drive a job queue to completion across sharded worker pools."""
+class Scheduler:
+    """Drive a job queue to completion on one supervised worker pool."""
 
     def __init__(
         self,
         queue: JobQueue,
         jobs: int = 1,
-        shards: int = 1,
         use_cache: bool = True,
         cache_dir: Optional[Path] = None,
         timeout: Optional[float] = None,
@@ -163,27 +121,25 @@ class ShardScheduler:
     ):
         self.queue = queue
         self.jobs = jobs
-        self.shards = max(1, shards)
         self.use_cache = use_cache
         self.cache_dir = cache_dir
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.journal = journal
         self.on_result = on_result
-        self.stats = SweepStats(shards=self.shards)
-        self._slab: Optional[ResultSlab] = None
         self._version: Optional[str] = None
         self._plan_json: Optional[str] = None
+        self._inflight: Dict[Future, Tuple[Job, Optional[float]]] = {}
+        # Crash suspects awaiting a solo (attributable) re-run; while
+        # this list is non-empty, normal dispatch pauses.
+        self._suspects: List[Job] = []
 
     # -- lifecycle transitions ------------------------------------------
 
-    def _submit(self, shard: _Shard, job: Job) -> None:
+    def _submit(self, pool: WorkerPool, job: Job) -> None:
         self.queue.claim(job)
         if self.journal is not None:
-            self.journal.point_start(
-                job.index, job.exp_id, job.attempt, shard=shard.id
-            )
-        slab = self._slab
+            self.journal.point_start(job.index, job.exp_id, job.attempt)
         item = WorkItem(
             exp_id=job.exp_id,
             scenario=job.scenario.to_dict(),
@@ -192,16 +148,12 @@ class ShardScheduler:
             code_version=self._version,
             attempt=job.attempt,
             plan_json=self._plan_json,
-            index=job.index,
-            slab_name=slab.name if slab is not None else None,
-            slab_slots=slab.slots if slab is not None else 0,
-            slab_slot_bytes=slab.slot_bytes if slab is not None else 0,
         )
-        fut = shard.pool.submit(item)
+        fut = pool.submit(item)
         deadline = (
             time.monotonic() + self.timeout if self.timeout is not None else None
         )
-        shard.inflight[fut] = (job, deadline)
+        self._inflight[fut] = (job, deadline)
 
     def _finish(self, job: Job, result: PointResult) -> None:
         result.attempts = job.attempt
@@ -218,10 +170,8 @@ class ShardScheduler:
     def _fail(self, job: Job, kind: str, error: str) -> None:
         if kind == KIND_CRASH:
             job.crashes += 1
-            self.stats.crashes += 1
         elif kind == KIND_TIMEOUT:
             job.timeouts += 1
-            self.stats.timeouts += 1
         if self.journal is not None:
             self.journal.point_fail(job.index, job.exp_id, job.attempt, kind, error)
         if self.retry.should_retry(kind, job.attempt):
@@ -242,8 +192,8 @@ class ShardScheduler:
 
         A ``BrokenProcessPool`` outcome does *not* judge the point here —
         whether it is charged as the culprit or spared as a casualty
-        depends on how many futures were in flight on its shard, which
-        only the main loop knows.
+        depends on how many futures were in flight, which only the main
+        loop knows.
         """
         try:
             reply = fut.result()
@@ -262,62 +212,37 @@ class ShardScheduler:
         if reply.error is not None:
             self._fail(job, reply.error_kind or KIND_ERROR, reply.error)
             return False
-        if reply.slab_bytes > 0:
-            taken = self._slab.take(job.index) if self._slab is not None else None
-            if taken is None:
-                raise RuntimeError(
-                    f"worker published {job.exp_id} (point {job.index}) to the "
-                    "result slab but the slot is empty: slab bookkeeping is "
-                    "corrupt"
-                )
-            data, _ = taken
-            report = ExperimentReport.from_json(data.decode("utf-8"))
-            self.stats.slab_points += 1
-            self.stats.pickle_bytes_avoided += reply.slab_bytes
-        else:
-            report = ExperimentReport.from_json(reply.report_json or "")
         self._finish(
             job,
-            PointResult(job.exp_id, job.scenario, report=report,
+            PointResult(job.exp_id, job.scenario,
+                        report=ExperimentReport.from_json(reply.report_json or ""),
                         cached=reply.cached),
         )
         return False
 
     # -- main-loop helpers ----------------------------------------------
 
-    def _dispatch(self, shard: _Shard, now: float) -> None:
+    def _dispatch(self, pool: WorkerPool, now: float) -> None:
         # Suspect isolation takes priority: while crash suspects exist,
-        # exactly one runs at a time on this shard (so a repeat crash is
-        # attributable) and this shard's normal dispatch pauses.
-        if shard.suspects:
-            if not shard.inflight and shard.suspects[0].ready_at <= now:
-                self._submit(shard, shard.suspects.pop(0))
+        # exactly one runs at a time (so a repeat crash is attributable)
+        # and normal dispatch pauses.
+        if self._suspects:
+            if not self._inflight and self._suspects[0].ready_at <= now:
+                self._submit(pool, self._suspects.pop(0))
             return
-        free = shard.workers - len(shard.inflight)
-        if free <= 0:
-            return
-        for job in self.queue.ready(shard.id, now)[:free]:
-            self._submit(shard, job)
-        # Work stealing: this shard's partition is drained (or backing
-        # off) but it still has idle workers — take ready jobs from the
-        # most-backlogged sibling.  Stealing from a suspect-paused shard
-        # is safe: attribution is per *pool*, and the stolen job runs on
-        # this shard's pool.
-        while len(shard.inflight) < shard.workers:
-            job = self.queue.steal(shard.id, now)
-            if job is None:
-                break
-            self.stats.steals += 1
-            self._submit(shard, job)
+        free = pool.max_workers - len(self._inflight)
+        if free > 0:
+            for job in self.queue.ready(now)[:free]:
+                self._submit(pool, job)
 
     def _handle_broken(
-        self, shard: _Shard, casualties: List[Job], now: float
+        self, pool: WorkerPool, casualties: List[Job], now: float
     ) -> None:
-        # The shard's pool is dead.  Drain the rest: futures that
-        # finished before the crash still carry real results.
-        wait(list(shard.inflight), timeout=5.0)
-        for fut, (job, _) in list(shard.inflight.items()):
-            del shard.inflight[fut]
+        # The pool is dead.  Drain the rest: futures that finished
+        # before the crash still carry real results.
+        wait(list(self._inflight), timeout=5.0)
+        for fut, (job, _) in list(self._inflight.items()):
+            del self._inflight[fut]
             if not fut.done() or self._consume(fut, job):
                 casualties.append(job)
         if len(casualties) == 1:
@@ -335,32 +260,32 @@ class ShardScheduler:
             # crash (if any) is attributable.
             for job in casualties:
                 job.ready_at = now
-                shard.suspects.append(job)
-            shard.suspects.sort(key=lambda j: j.index)
-        shard.pool.restart()
+                self._suspects.append(job)
+            self._suspects.sort(key=lambda j: j.index)
+        pool.restart()
 
-    def _handle_timeouts(self, shard: _Shard, now: float) -> None:
+    def _handle_timeouts(self, pool: WorkerPool, now: float) -> None:
         # Deadline enforcement: a stuck worker cannot be cancelled, so
-        # the shard's pool dies with it and innocents are requeued (same
-        # attempt — they did nothing wrong).
+        # the pool dies with it and innocents are requeued (same attempt
+        # — they did nothing wrong).
         expired = [
             (fut, job)
-            for fut, (job, dl) in shard.inflight.items()
+            for fut, (job, dl) in self._inflight.items()
             if dl is not None and now >= dl and not fut.done()
         ]
         if not expired:
             return
         assert self.timeout is not None
         for fut, job in expired:
-            del shard.inflight[fut]
+            del self._inflight[fut]
             self._fail(
                 job, KIND_TIMEOUT,
                 f"point {job.exp_id} [{job.scenario.describe()}] exceeded the "
                 f"{self.timeout:g}s wall-clock timeout on attempt "
                 f"{job.attempt}",
             )
-        for fut, (job, _) in list(shard.inflight.items()):
-            del shard.inflight[fut]
+        for fut, (job, _) in list(self._inflight.items()):
+            del self._inflight[fut]
             if not fut.done():
                 # Innocent victim of the pool teardown: requeue at the
                 # same attempt.
@@ -369,20 +294,14 @@ class ShardScheduler:
                 # The pool also broke under this future (crash and
                 # timeout in the same round): treat as a suspect.
                 job.ready_at = now
-                shard.suspects.append(job)
-        shard.pool.restart()
+                self._suspects.append(job)
+        pool.restart()
 
-    def _next_wake(self, shards: List[_Shard]) -> Optional[float]:
+    def _next_wake(self) -> Optional[float]:
         """Earliest time anything becomes dispatchable (nothing in flight)."""
-        wakes: List[float] = []
-        for shard in shards:
-            if shard.suspects:
-                wakes.extend(j.ready_at for j in shard.suspects)
-        # Pending jobs only matter if some shard is free to run (or
-        # steal) them; a suspect-paused shard dispatches nothing else.
-        if any(not shard.suspects for shard in shards):
-            wakes.extend(j.ready_at for j in self.queue.pending())
-        return min(wakes) if wakes else None
+        # Pending jobs only matter once no suspect pauses dispatch.
+        waiting = self._suspects or self.queue.pending()
+        return min((j.ready_at for j in waiting), default=None)
 
     # -- entry -----------------------------------------------------------
 
@@ -394,87 +313,50 @@ class ShardScheduler:
         plan = faults.active_plan()
         self._plan_json = plan.to_json() if plan is not None else None
 
-        total_workers = max(1, min(self.jobs, len(q.jobs)))
-        nshards = min(self.shards, len(q.jobs))
-        # Split the worker budget across shards (every shard gets at
-        # least one even when oversubscribed).
-        base, rem = divmod(total_workers, nshards)
-        shards = [
-            _Shard(s, max(1, base + (1 if s < rem else 0)))
-            for s in range(nshards)
-        ]
-        try:
-            self._slab = ResultSlab(len(q.jobs))
-        except (OSError, ValueError):
-            self._slab = None  # no shared memory here: pickle everything
-
+        pool = WorkerPool(max(1, min(self.jobs, len(q.jobs))))
         try:
             while q.unsettled:
                 now = time.monotonic()
-                for shard in shards:
-                    self._dispatch(shard, now)
-                owners: Dict[Future, _Shard] = {
-                    fut: shard for shard in shards for fut in shard.inflight
-                }
-                if not owners:
+                self._dispatch(pool, now)
+                if not self._inflight:
                     # Everything runnable is backing off; sleep to the
                     # nearest wake-up.
-                    wake = self._next_wake(shards)
+                    wake = self._next_wake()
                     if wake is not None:
                         time.sleep(max(0.0, wake - time.monotonic()))
                     continue
 
                 # Wake on the first completion, the earliest deadline, or
                 # the earliest backoff expiry — whichever comes first.
-                horizon: List[float] = []
-                for shard in shards:
-                    horizon.extend(
-                        dl - now
-                        for (_, dl) in shard.inflight.values()
-                        if dl is not None
-                    )
-                    horizon.extend(
-                        j.ready_at - now
-                        for j in shard.suspects
-                        if j.ready_at > now
-                    )
                 # Only *future* backoff expiries matter here: a pending
                 # point that is already ready just needs a worker slot,
                 # which only a completion can free — so it must not clamp
                 # the wait to zero.
+                horizon = [
+                    dl - now for (_, dl) in self._inflight.values() if dl is not None
+                ]
                 horizon.extend(
                     j.ready_at - now
-                    for j in self.queue.pending()
+                    for j in self._suspects + q.pending()
                     if j.ready_at > now
                 )
                 wait_for = max(0.0, min(horizon)) if horizon else None
                 done, _ = wait(
-                    list(owners), timeout=wait_for, return_when=FIRST_COMPLETED
+                    list(self._inflight), timeout=wait_for,
+                    return_when=FIRST_COMPLETED,
                 )
 
-                broken: Dict[int, List[Job]] = {}
+                casualties: List[Job] = []
                 for fut in done:
-                    shard = owners[fut]
-                    job, _ = shard.inflight.pop(fut)
+                    job, _ = self._inflight.pop(fut)
                     if self._consume(fut, job):
-                        broken.setdefault(shard.id, []).append(job)
-                if broken:
-                    now = time.monotonic()
-                    for shard in shards:
-                        if shard.id in broken:
-                            self._handle_broken(shard, broken[shard.id], now)
+                        casualties.append(job)
+                if casualties:
+                    self._handle_broken(pool, casualties, time.monotonic())
                     continue
-
-                now = time.monotonic()
-                for shard in shards:
-                    self._handle_timeouts(shard, now)
+                self._handle_timeouts(pool, time.monotonic())
         finally:
-            for shard in shards:
-                shard.pool.shutdown()
-            if self._slab is not None:
-                self._slab.close()
-                self._slab.unlink()
-                self._slab = None
+            pool.shutdown()
 
         return q.results()
 
@@ -501,8 +383,7 @@ def run_serial(
     for job in queue.jobs:
         while True:
             if journal is not None:
-                journal.point_start(job.index, job.exp_id, job.attempt,
-                                    shard=job.shard)
+                journal.point_start(job.index, job.exp_id, job.attempt)
             res = execute_point(
                 job.exp_id, job.scenario, use_cache=use_cache,
                 cache_dir=cache_dir, attempt=job.attempt,

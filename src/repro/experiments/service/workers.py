@@ -1,35 +1,29 @@
-"""Worker fleet: process pool + shared-memory result slab + driver entry.
+"""Worker fleet: the supervised process pool and the driver entry.
 
-The execution layer of the sweep service.  Three pieces live here:
+The execution layer of the sweep service.  Two pieces live here:
 
 * :func:`execute_point` — the single place a driver is invoked.  Serial
   runs, pool workers, the CLI and the registry all come through here, so
   caching and error capture behave identically everywhere.
-* :class:`WorkerPool` — the process-pool fleet one scheduler shard owns.
+* :class:`WorkerPool` — the process pool the scheduler supervises.
   This is the **only** module allowed to construct a
   ``ProcessPoolExecutor`` (lint rule SAN109 enforces it), so pool
   lifecycle quirks — submit racing a worker death, killing a pool whose
-  workers are stuck — are handled once.
-* :class:`ResultSlab` — a Synkhronos-style tagged shared-memory segment.
-  The parent creates one slab per sweep with a fixed slot per point-ID;
-  workers attach by name (once per process, cached) and publish the
-  finished report's bytes into their point's slot instead of pickling it
-  back through the result pipe.  The future's completion is the
-  synchronization point: the parent only reads a slot after the worker's
-  (tiny) control tuple arrives, so slots never need locks.  Oversized
-  reports fall back to the pickle channel transparently.
+  workers are stuck, workers outliving a killed parent — are handled
+  once.
 """
 
 from __future__ import annotations
 
-import struct
+import os
 import sys
+import threading
+import time
 import traceback
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.experiments import faults
 from repro.experiments.base import ExperimentReport
@@ -44,7 +38,6 @@ from repro.experiments.service.queue import (
 )
 
 __all__ = [
-    "ResultSlab",
     "WorkItem",
     "WorkerPool",
     "WorkerReply",
@@ -112,17 +105,20 @@ def execute_point(
     claim: Optional[cache.CacheClaim] = None
     if use_cache:
         report = cache.cache_load(path)
+        if report is None:
+            claim = cache.CacheClaim(path)
+            if claim.acquire():
+                # A rival may have published and released the claim
+                # between our miss and our acquire: look once more.
+                report = cache.cache_load(path)
+            else:
+                report, _ = cache.await_claimed_result(path, claim)
         if report is not None:
+            if claim is not None:
+                claim.release()
             return PointResult(
                 exp_id, scenario, report=report, cached=True, attempts=attempt
             )
-        claim = cache.CacheClaim(path)
-        if not claim.acquire():
-            report, _ = cache.await_claimed_result(path, claim)
-            if report is not None:
-                return PointResult(
-                    exp_id, scenario, report=report, cached=True, attempts=attempt
-                )
     try:
         try:
             faults.apply_driver_faults(exp_id, desc, attempt)
@@ -169,106 +165,6 @@ def execute_point(
             claim.release()
 
 
-# -- shared-memory result slab -------------------------------------------
-
-# Per-slot header: status byte (0 empty, 1 published), cached flag,
-# 2 reserved bytes, little-endian u32 payload length.
-_SLOT_HEADER = struct.Struct("<BBxxI")
-DEFAULT_SLOT_BYTES = 1 << 16  # 64 KiB of payload per point
-
-
-class ResultSlab:
-    """Tagged shared-memory segment of per-point result slots.
-
-    The parent creates the slab (``name=None``) sized to the sweep's
-    point count; workers attach to the same tag with
-    ``ResultSlab(slots, slot_bytes, name=...)``.  Exactly one worker
-    writes a given slot per attempt, and the parent reads it only after
-    that worker's future resolves — the pipe carries the 'published'
-    signal, the slab carries the bytes.
-    """
-
-    def __init__(self, slots: int, slot_bytes: int = DEFAULT_SLOT_BYTES,
-                 name: Optional[str] = None):
-        self.slots = slots
-        self.slot_bytes = slot_bytes
-        self._stride = _SLOT_HEADER.size + slot_bytes
-        size = max(1, self.slots * self._stride)
-        if name is None:
-            self._shm = shared_memory.SharedMemory(create=True, size=size)
-            self._shm.buf[: self.slots * self._stride] = bytes(
-                self.slots * self._stride
-            )
-            self._owner = True
-        else:
-            self._shm = shared_memory.SharedMemory(name=name)
-            self._owner = False
-
-    @property
-    def name(self) -> str:
-        """The tag workers attach by."""
-        return self._shm.name
-
-    def publish(self, index: int, data: bytes, cached: bool) -> bool:
-        """Write one point's report bytes; False when the slot is too small."""
-        if not 0 <= index < self.slots or len(data) > self.slot_bytes:
-            return False
-        base = index * self._stride
-        body = base + _SLOT_HEADER.size
-        self._shm.buf[body: body + len(data)] = data
-        # Header written after the payload: a reader that sees status=1
-        # (it only looks after the worker's future resolved) is guaranteed
-        # the full payload is in place.
-        self._shm.buf[base: base + _SLOT_HEADER.size] = _SLOT_HEADER.pack(
-            1, 1 if cached else 0, len(data)
-        )
-        return True
-
-    def take(self, index: int) -> Optional[Tuple[bytes, bool]]:
-        """Read one published slot: (payload, cached), or None if empty."""
-        if not 0 <= index < self.slots:
-            return None
-        base = index * self._stride
-        status, cached, length = _SLOT_HEADER.unpack(
-            bytes(self._shm.buf[base: base + _SLOT_HEADER.size])
-        )
-        if status != 1 or length > self.slot_bytes:
-            return None
-        body = base + _SLOT_HEADER.size
-        return bytes(self._shm.buf[body: body + length]), bool(cached)
-
-    def close(self) -> None:
-        try:
-            self._shm.close()
-        except OSError:
-            pass
-
-    def unlink(self) -> None:
-        """Destroy the segment (parent only; workers just close)."""
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except OSError:
-                pass
-
-
-# One cached attachment per (process, tag): a pool worker runs many
-# points of the same sweep, so it attaches once and keeps the mapping
-# until process exit.
-_SLAB_CACHE: Dict[str, ResultSlab] = {}
-
-
-def _attach_slab(name: str, slots: int, slot_bytes: int) -> Optional[ResultSlab]:
-    slab = _SLAB_CACHE.get(name)
-    if slab is None:
-        try:
-            slab = ResultSlab(slots, slot_bytes, name=name)
-        except (OSError, ValueError):
-            return None  # slab gone (parent tore down): fall back to pickle
-        _SLAB_CACHE[name] = slab
-    return slab
-
-
 # -- pool entry ----------------------------------------------------------
 
 
@@ -292,22 +188,17 @@ class WorkItem:
     code_version: Optional[str] = None
     attempt: int = 1
     plan_json: Optional[str] = None
-    index: int = 0
-    slab_name: Optional[str] = None
-    slab_slots: int = 0
-    slab_slot_bytes: int = 0
 
 
 @dataclass(frozen=True)
 class WorkerReply:
-    """Control-channel result: tiny when the report rode the slab."""
+    """Picklable pool result: the report travels as its JSON form."""
 
     exp_id: str
     report_json: Optional[str] = None
     error: Optional[str] = None
     cached: bool = False
     error_kind: Optional[str] = None
-    slab_bytes: int = 0  # >0: report published to the slab slot instead
 
 
 def worker_main(item: WorkItem) -> WorkerReply:
@@ -331,31 +222,51 @@ def worker_main(item: WorkItem) -> WorkerReply:
         )
     # Ship the JSON form: ExperimentReport is plain data either way, and
     # JSON keeps the parent <-> worker contract identical to the cache.
-    report_json = result.report.to_json()
-    if item.slab_name is not None:
-        slab = _attach_slab(item.slab_name, item.slab_slots, item.slab_slot_bytes)
-        data = report_json.encode("utf-8")
-        if slab is not None and slab.publish(item.index, data, result.cached):
-            return WorkerReply(
-                result.exp_id, cached=result.cached, slab_bytes=len(data)
-            )
-    return WorkerReply(result.exp_id, report_json=report_json, cached=result.cached)
+    return WorkerReply(
+        result.exp_id, report_json=result.report.to_json(), cached=result.cached
+    )
 
 
-# -- the pool fleet ------------------------------------------------------
+# -- the pool ------------------------------------------------------------
+
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker once its parent process is gone.
+
+    A worker holds its own end of the call-queue pipe, so a parent killed
+    with SIGKILL never gives it EOF and it would idle forever.  A daemon
+    thread notices the re-parenting instead.  The parent at start-up is
+    the pool's creator under ``fork`` and ``spawn`` (under ``forkserver``
+    it is the server, which exits with the creator).
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
 class WorkerPool:
-    """One shard's process pool, with crash-tolerant submit and teardown.
+    """The sweep's process pool, with crash-tolerant submit and teardown.
 
     The only construction site for ``ProcessPoolExecutor`` in the
-    codebase (SAN109): schedulers ask for a pool of ``max_workers`` and
-    get submit/kill/restart semantics that survive worker death.
+    codebase (SAN109): the scheduler asks for a pool of ``max_workers``
+    and gets submit/kill/restart semantics that survive worker death.
     """
 
     def __init__(self, max_workers: int):
         self.max_workers = max_workers
-        self._pool = ProcessPoolExecutor(max_workers=max_workers)
+        self._pool = self._new_pool()
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.max_workers, initializer=_exit_with_parent
+        )
 
     def submit(self, item: WorkItem) -> Future:
         """Submit one work item; recycles the pool if a worker just died."""
@@ -383,7 +294,7 @@ class WorkerPool:
 
     def restart(self) -> None:
         self.kill()
-        self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+        self._pool = self._new_pool()
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=False, cancel_futures=True)

@@ -35,7 +35,8 @@ SAN108    ``run(detect_deadlock=False)`` outside ``repro.sim`` — turning
           reintroduces the bare hang the sanitizer exists to kill.
 SAN109    direct ``ProcessPoolExecutor(...)`` construction outside
           ``repro.experiments.service.workers`` — pool lifecycle (crash
-          blame, restart, slab attach) is owned by the worker layer;
+          blame, restart, exit with a killed parent) is owned by the
+          worker layer;
           ad-hoc pools bypass the sweep service's supervision.
 ========  ==============================================================
 

@@ -102,50 +102,93 @@ class TestChaosCacheWrite:
         assert not list(tmp_path.glob("table4-*.json"))
 
 
+def _live_group_members(pgid):
+    """Pids of the live (non-zombie) processes in process group ``pgid``."""
+    proc_root = Path("/proc")
+    if not proc_root.is_dir():
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    members = []
+    for stat in proc_root.glob("[0-9]*/stat"):
+        try:
+            # "pid (comm) state ppid pgrp ...": comm may hold spaces.
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(stat.parent.name))
+    return members
+
+
+def _sigkill_mid_sweep(tmp_path):
+    """SIGKILL a ``--jobs 2`` sweep once its two table5 points finished.
+
+    The sweep's table4 points hang on an injected 60s delay.  The CLI
+    runs in its own session, so its pool workers share its process
+    group; they must all be gone within 10 s of the kill, because an
+    orphaned worker notices its dead parent and exits.
+    """
+    journal = tmp_path / "sweep-journal.jsonl"
+    plan = FaultPlan((
+        FaultRule(kind="delay", match="table4", delay=60.0, attempts=9),
+    ))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["REPRO_EXPERIMENTS_CACHE"] = str(tmp_path)
+    env["REPRO_FAULT_PLAN"] = plan.to_json()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.experiments.cli",
+         "table5", "table4", "--json", "--jobs", "2",
+         "--cache-dir", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        finished = 0
+        while time.monotonic() < deadline:
+            if journal.exists():
+                finished = sum(
+                    1 for line in journal.read_text().splitlines()
+                    if '"finish"' in line
+                )
+                if finished >= 2:  # both table5 points landed
+                    break
+            if proc.poll() is not None:
+                pytest.fail(
+                    "sweep exited before it could be killed: "
+                    + proc.communicate()[1].decode(errors="replace")
+                )
+            time.sleep(0.05)
+        assert finished >= 2, "table5 points never finished"
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+
+        deadline = time.monotonic() + 10
+        while _live_group_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert _live_group_members(proc.pid) == [], (
+            "pool workers outlived the SIGKILLed sweep"
+        )
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30)
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    return journal
+
+
 class TestChaosKillMidSweepThenResume:
     def test_sigkilled_sweep_resumes_only_unfinished(self, tmp_path):
-        # The sweep's table4 points hang on an injected 60s delay while
-        # the table5 points finish; SIGKILL the whole CLI once the journal
-        # shows the first finishes, then resume without the fault plan.
-        journal = tmp_path / "sweep-journal.jsonl"
-        plan = FaultPlan((
-            FaultRule(kind="delay", match="table4", delay=60.0, attempts=9),
-        ))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
-        env["REPRO_EXPERIMENTS_CACHE"] = str(tmp_path)
-        env["REPRO_FAULT_PLAN"] = plan.to_json()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.experiments.cli",
-             "table5", "table4", "--json", "--jobs", "2",
-             "--cache-dir", str(tmp_path)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        try:
-            deadline = time.monotonic() + 60
-            finished = 0
-            while time.monotonic() < deadline:
-                if journal.exists():
-                    finished = sum(
-                        1 for line in journal.read_text().splitlines()
-                        if '"finish"' in line
-                    )
-                    if finished >= 2:  # both table5 points landed
-                        break
-                if proc.poll() is not None:
-                    pytest.fail(
-                        "sweep exited before it could be killed: "
-                        + proc.communicate()[1].decode(errors="replace")
-                    )
-                time.sleep(0.05)
-            assert finished >= 2, "table5 points never finished"
-            proc.send_signal(signal.SIGKILL)
-            proc.wait(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30)
-
+        # SIGKILL the whole CLI once the journal shows the first
+        # finishes, then resume without the fault plan.
+        journal = _sigkill_mid_sweep(tmp_path)
         resumed = _run_cli(
             ["--resume", str(journal), "--json", "--cache-dir", str(tmp_path)],
             None, tmp_path,
@@ -163,64 +206,18 @@ class TestChaosKillMidSweepThenResume:
 
 
 class TestChaosKillMidSweepThenStatus:
-    def test_sigkilled_sharded_sweep_reports_progress_and_partials(
-        self, tmp_path
-    ):
-        # Streaming-aggregation acceptance: SIGKILL a sharded sweep
-        # mid-flight, then `status` must report per-shard progress from
-        # the journal alone, and `status --partial` must render a merged
-        # report from the finished points' cache entries.
-        journal = tmp_path / "sweep-journal.jsonl"
-        plan = FaultPlan((
-            FaultRule(kind="delay", match="table4", delay=60.0, attempts=9),
-        ))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
-        env["REPRO_EXPERIMENTS_CACHE"] = str(tmp_path)
-        env["REPRO_FAULT_PLAN"] = plan.to_json()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.experiments.cli",
-             "table5", "table4", "--json", "--jobs", "2", "--shards", "2",
-             "--cache-dir", str(tmp_path)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        try:
-            deadline = time.monotonic() + 60
-            finished = 0
-            while time.monotonic() < deadline:
-                if journal.exists():
-                    finished = sum(
-                        1 for line in journal.read_text().splitlines()
-                        if '"finish"' in line
-                    )
-                    if finished >= 2:  # both table5 points landed
-                        break
-                if proc.poll() is not None:
-                    pytest.fail(
-                        "sweep exited before it could be killed: "
-                        + proc.communicate()[1].decode(errors="replace")
-                    )
-                time.sleep(0.05)
-            assert finished >= 2, "table5 points never finished"
-            proc.send_signal(signal.SIGKILL)
-            proc.wait(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30)
-
+    def test_sigkilled_sweep_reports_progress_and_partials(self, tmp_path):
+        # Streaming-aggregation acceptance: SIGKILL a sweep mid-flight,
+        # then `status` must report progress from the journal alone, and
+        # `status --partial` must render a merged report from the
+        # finished points' cache entries.
+        journal = _sigkill_mid_sweep(tmp_path)
         status = _run_cli(["status", str(journal), "--json"], None, tmp_path)
         assert status.returncode == 0, status.stderr
         payload = json.loads(status.stdout)
-        assert payload["shards"] == 2
+        assert payload["jobs"] == 2
         assert payload["finished"] >= 2
         assert payload["experiments"]["table5"]["finished"] == 2
-        # Per-shard attribution survives the kill: every finish is
-        # accounted to the shard whose pool ran it.
-        shard_finished = sum(
-            s["finished"] for s in payload["shard_progress"].values()
-        )
-        assert shard_finished == payload["finished"]
 
         partial = _run_cli(
             ["status", str(journal), "--partial", "--cache-dir",

@@ -1,7 +1,7 @@
 """Multi-writer stress tests for the O_EXCL cache claim/publish protocol.
 
 Many genuinely concurrent *processes* race on one cache key — the
-shared-cache scenario the claim protocol exists for (sweep shards,
+shared-cache scenario the claim protocol exists for (pool workers,
 duplicated points across simultaneous sweeps, one cache dir on a shared
 filesystem).  The invariants pinned here:
 
@@ -14,6 +14,10 @@ filesystem).  The invariants pinned here:
   files remain;
 * **dead-claim takeover** — a claim whose owner pid is gone does not
   wedge the key: the next racer takes the claim over and computes.
+
+The process races are probabilistic; :class:`TestClaimWindows` replays
+the two interleavings that once let a second racer compute, one step at
+a time.
 """
 
 from __future__ import annotations
@@ -161,3 +165,50 @@ class TestDeadClaimTakeover:
         # A vanished claim means "released", not "stale".
         claim_path.unlink()
         assert not claim.is_stale()
+
+
+class TestClaimWindows:
+    """Deterministic replays of the interleavings behind duplicate computes."""
+
+    def test_claim_is_never_visible_before_its_content(
+        self, tmp_path, monkeypatch
+    ):
+        # A rival polling while the claim is being written must see it
+        # either absent or complete: an empty claim file reads as torn,
+        # and a torn claim is taken over although its owner is alive.
+        entry = cache.cache_path(tmp_path, EXP, SCEN)
+        rival = cache.CacheClaim(entry)
+        seen = []
+        real_dump = json.dump
+
+        def dump_and_let_rival_look(obj, fh, *args, **kwargs):
+            seen.append(rival.is_stale())
+            return real_dump(obj, fh, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump_and_let_rival_look)
+        claim = cache.CacheClaim(entry)
+        assert claim.acquire()
+        assert seen == [False]
+        assert not rival.is_stale() and not rival.acquire()
+        claim.release()
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_entry_published_between_miss_and_acquire_is_served(
+        self, tmp_path, monkeypatch
+    ):
+        # The winner publishes and releases its claim after our cache
+        # miss but before our acquire: the acquire succeeds, and the
+        # point must still be served from the cache, not recomputed.
+        winner = execute_point(EXP, SCEN, use_cache=False)
+        entry = cache.cache_path(tmp_path, EXP, SCEN)
+        real_acquire = cache.CacheClaim.acquire
+
+        def acquire_after_winner(claim):
+            cache.cache_store(entry, winner.report)
+            return real_acquire(claim)
+
+        monkeypatch.setattr(cache.CacheClaim, "acquire", acquire_after_winner)
+        res = execute_point(EXP, SCEN, use_cache=True, cache_dir=tmp_path)
+        assert res.ok and res.cached
+        assert res.report.to_json() == winner.report.to_json()
+        assert list(tmp_path.glob("*.claim")) == []

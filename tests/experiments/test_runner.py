@@ -221,7 +221,7 @@ class TestWorkerCodeVersion:
         # jobs=2 engages the supervised pool path; run in-process (futures
         # resolve at submit time) to observe the payload.
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 pass
 
             def submit(self, fn, payload):

@@ -1,35 +1,33 @@
-"""Tests for the layered sweep service: queue, shards, slab, aggregator.
+"""Tests for the layered sweep service: queue, pool, aggregator, journal.
 
 The service decomposes the old monolithic runner into four seams
 (``queue -> scheduler -> workers -> aggregate``); these tests pin each
-seam's contract in isolation plus the cross-layer invariants: sharded
-execution produces byte-identical reports to serial, work stealing is
-deterministic, the shared-memory slab round-trips report bytes, and the
-``status``/``compact`` subcommands read/rewrite the journal faithfully.
+seam's contract in isolation plus the cross-layer invariants: pooled
+execution produces byte-identical reports to serial, and the
+``status``/``compact`` subcommands read/rewrite the journal faithfully
+(including journals written by older versions).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
-from repro.experiments import registry
 from repro.experiments.cli import main
 from repro.experiments.journal import (
     SweepJournal,
     compact_journal,
     load_journal,
 )
-from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.scenario import Scenario
 from repro.experiments.service import (
     JobQueue,
     ReportAggregator,
-    ResultSlab,
     SweepService,
-    shard_of,
+    SweepStats,
+    cache,
+    execute_point,
 )
 from repro.experiments.service.queue import (
     CLAIMED,
@@ -55,29 +53,12 @@ def _result(exp_id, scen, ok=True):
     return PointResult(exp_id, scen, error="boom", error_kind="error")
 
 
-class TestShardOf:
-    def test_deterministic_and_in_range(self):
-        for _, scen in POINTS:
-            s = shard_of(scen, 3)
-            assert 0 <= s < 3
-            assert shard_of(scen, 3) == s  # stable across calls
-
-    def test_single_shard_is_zero(self):
-        assert shard_of(POINTS[0][1], 1) == 0
-        assert shard_of(POINTS[0][1], 0) == 0
-
-    def test_matches_content_hash(self):
-        scen = POINTS[0][1]
-        assert shard_of(scen, 5) == int(scen.content_hash, 16) % 5
-
-
 class TestJobQueue:
-    def test_from_points_assigns_shards(self):
-        q = JobQueue.from_points(POINTS, shards=3)
+    def test_from_points_keeps_input_order(self):
+        q = JobQueue.from_points(POINTS)
         assert len(q) == 4
-        for job, (exp_id, scen) in zip(q, POINTS):
-            assert job.exp_id == exp_id
-            assert job.shard == shard_of(scen, 3)
+        for i, (job, (exp_id, scen)) in enumerate(zip(q, POINTS)):
+            assert (job.index, job.exp_id, job.scenario) == (i, exp_id, scen)
             assert job.state == PENDING
 
     def test_lifecycle_transitions(self):
@@ -93,13 +74,13 @@ class TestJobQueue:
         assert q.jobs[1].state == FAILED
         assert q.unsettled == 2
 
-    def test_ready_respects_backoff_and_shard(self):
-        q = JobQueue.from_points(POINTS, shards=1)
+    def test_ready_respects_backoff(self):
+        q = JobQueue.from_points(POINTS)
         q.jobs[0].ready_at = 100.0
-        ready = q.ready(0, now=50.0)
+        ready = q.ready(now=50.0)
         assert q.jobs[0] not in ready
         assert q.jobs[1] in ready
-        assert q.ready(0, now=150.0)[0] is q.jobs[0]  # input order
+        assert q.ready(now=150.0)[0] is q.jobs[0]  # input order
 
     def test_results_in_input_order(self):
         q = JobQueue.from_points(POINTS)
@@ -111,95 +92,15 @@ class TestJobQueue:
     def test_from_journal_queues_everything_pending(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         journal = SweepJournal(path)
-        journal.sweep_start(POINTS, "cafecafecafecafe", jobs=2, shards=2)
-        journal.point_start(0, "table4", 1, shard=1)
+        journal.sweep_start(POINTS, "cafecafecafecafe", jobs=2)
+        journal.point_start(0, "table4", 1)
         journal.point_finish(0, "table4", 1, cached=False)
         journal.close()
-        q = JobQueue.from_journal(load_journal(path), shards=2)
+        q = JobQueue.from_points(load_journal(path).points)
         # Finished points re-enter as pending: resume recovers their
         # reports through the cache, not by trusting the journal.
         assert all(job.state == PENDING for job in q)
         assert [(j.exp_id, j.scenario) for j in q] == POINTS
-
-
-class TestWorkSteal:
-    def _queue(self, shards_of_jobs):
-        """Queue with explicit shard assignments (bypasses hashing)."""
-        q = JobQueue.from_points(
-            [POINTS[i % len(POINTS)] for i in range(len(shards_of_jobs))],
-            shards=max(shards_of_jobs) + 1,
-        )
-        for job, shard in zip(q.jobs, shards_of_jobs):
-            job.shard = shard
-        return q
-
-    def test_steals_last_job_of_most_backlogged_shard(self):
-        q = self._queue([1, 1, 1, 2])
-        job = q.steal(to_shard=0, now=0.0)
-        assert job is q.jobs[2]  # last (coldest) job of shard 1's backlog
-        assert job.shard == 0
-
-    def test_tie_breaks_toward_lowest_shard_id(self):
-        q = self._queue([2, 2, 1, 1])
-        job = q.steal(to_shard=0, now=0.0)
-        assert job is q.jobs[3]  # shard 1 wins the tie over shard 2
-
-    def test_nothing_to_steal(self):
-        q = self._queue([0, 0])
-        assert q.steal(to_shard=0, now=0.0) is None  # own shard exempt
-        q2 = self._queue([1])
-        q2.claim(q2.jobs[0])
-        assert q2.steal(to_shard=0, now=0.0) is None  # claimed exempt
-
-    def test_backoff_jobs_not_stealable(self):
-        q = self._queue([1])
-        q.jobs[0].ready_at = 100.0
-        assert q.steal(to_shard=0, now=50.0) is None
-        assert q.steal(to_shard=0, now=150.0) is q.jobs[0]
-
-
-class TestResultSlab:
-    def test_publish_take_roundtrip(self):
-        slab = ResultSlab(slots=4, slot_bytes=64)
-        try:
-            assert slab.take(1) is None  # unpublished slot
-            assert slab.publish(1, b'{"exp_id": "table4"}', cached=True)
-            data, cached = slab.take(1)
-            assert data == b'{"exp_id": "table4"}' and cached is True
-            assert slab.take(0) is None  # neighbours untouched
-        finally:
-            slab.close()
-            slab.unlink()
-
-    def test_oversize_payload_rejected(self):
-        slab = ResultSlab(slots=1, slot_bytes=8)
-        try:
-            assert not slab.publish(0, b"x" * 9, cached=False)
-            assert slab.take(0) is None
-        finally:
-            slab.close()
-            slab.unlink()
-
-    def test_out_of_range_index_rejected(self):
-        slab = ResultSlab(slots=2, slot_bytes=8)
-        try:
-            assert not slab.publish(2, b"x", cached=False)
-            assert slab.take(-1) is None
-        finally:
-            slab.close()
-            slab.unlink()
-
-    def test_worker_attaches_by_name(self):
-        parent = ResultSlab(slots=2, slot_bytes=32)
-        try:
-            attached = ResultSlab(2, 32, name=parent.name)
-            assert attached.publish(0, b"payload", cached=False)
-            attached.close()
-            data, cached = parent.take(0)
-            assert data == b"payload" and cached is False
-        finally:
-            parent.close()
-            parent.unlink()
 
 
 class TestAggregator:
@@ -225,85 +126,119 @@ class TestAggregator:
         assert stats["points"] == 2 and stats["failed"] == 1
 
 
-class TestShardedSweep:
-    """Cross-layer invariant: sharding never changes the answer."""
+class TestPooledSweep:
+    """Cross-layer invariant: the pool never changes the answer."""
 
-    def test_sharded_run_matches_serial(self, tmp_path):
+    def test_pooled_run_matches_serial(self, tmp_path):
         from repro.experiments.runner import run_points
 
         serial = run_points(POINTS, cache_dir=tmp_path / "a")
-        sharded = run_points(
-            POINTS, jobs=2, shards=2, cache_dir=tmp_path / "b"
-        )
-        assert [r.ok for r in sharded] == [True] * len(POINTS)
-        for a, b in zip(serial, sharded):
+        pooled = run_points(POINTS, jobs=2, cache_dir=tmp_path / "b")
+        assert [r.ok for r in pooled] == [True] * len(POINTS)
+        for a, b in zip(serial, pooled):
             assert a.exp_id == b.exp_id
             assert a.report.to_json() == b.report.to_json()
 
     def test_service_stats_and_streaming_aggregator(self, tmp_path):
-        service = SweepService(jobs=2, shards=2, cache_dir=tmp_path)
+        service = SweepService(jobs=2, cache_dir=tmp_path)
         results = service.run(POINTS)
         assert all(r.ok for r in results)
         # Every settled point was streamed into the aggregator...
         assert len(service.aggregator) == len(POINTS)
         reports = service.aggregator.reports(["table4", "table5"])
         assert [r.exp_id for r in reports] == ["table4", "table5"]
-        # ...and the slab carried the report bytes (no pickle round-trip).
-        assert service.stats.shards == 2
-        assert service.stats.slab_points > 0
-        assert service.stats.pickle_bytes_avoided > 0
+        # ...and the stats a benchmark reads stay at zero.
+        assert service.stats == SweepStats()
 
-    def test_shards_clamped_to_point_count(self, tmp_path):
-        service = SweepService(jobs=4, shards=16, cache_dir=tmp_path)
+    def test_workers_clamped_to_point_count(self, tmp_path):
+        service = SweepService(jobs=4, cache_dir=tmp_path)
         results = service.run(POINTS[:2])
         assert all(r.ok for r in results)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="jobs"):
             SweepService(jobs=0)
-        with pytest.raises(ValueError, match="shards"):
-            SweepService(shards=0)
         with pytest.raises(ValueError, match="timeout"):
             SweepService(timeout=0)
 
-    def test_cli_rejects_bad_shards(self, capsys):
-        assert main(["table4", "--shards", "0"]) == 2
-        assert "--shards" in capsys.readouterr().err
 
+class TestLegacyShardedJournal:
+    """Journals from the version with hash-sharded pools still work.
 
-class TestJournalSharding:
-    def test_shard_recorded_and_bucketed(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        journal = SweepJournal(path)
-        journal.sweep_start(POINTS, "v", jobs=2, shards=2)
-        journal.point_start(0, "table4", 1, shard=0)
-        journal.point_finish(0, "table4", 1, cached=False)
-        journal.point_start(1, "table4", 1, shard=1)
-        journal.point_fail(1, "table4", 1, "crash", "died")
-        journal.point_start(2, "table5", 1, shard=1)
-        journal.close()
+    That version wrote ``"shards": S`` into the sweep header and
+    ``"shard": s`` into every start record.  Readers ignore both fields,
+    and compaction keeps those lines byte for byte.
+    """
+
+    def _legacy_journal(self, tmp_path):
+        """Point 0 finished (and cached); point 1 started twice, unfinished."""
+        cache_dir = tmp_path / "cache"
+        points = [(e, s) for e, s in POINTS if e == "table4"]
+        assert execute_point("table4", points[0][1], cache_dir=cache_dir).ok
+        records = [
+            {"event": "sweep", "code_version": cache.code_version(),
+             "jobs": 2, "shards": 2,
+             "points": [{"exp_id": e, "scenario": s.to_dict()}
+                        for e, s in points]},
+            {"event": "start", "index": 0, "exp_id": "table4", "attempt": 1,
+             "shard": 1},
+            {"event": "finish", "index": 0, "exp_id": "table4", "attempts": 1,
+             "cached": False},
+            {"event": "start", "index": 1, "exp_id": "table4", "attempt": 1,
+             "shard": 0},
+            {"event": "start", "index": 1, "exp_id": "table4", "attempt": 2,
+             "shard": 1},
+        ]
+        path = cache_dir / "sweep-journal.jsonl"
+        path.write_text(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        )
+        return path, cache_dir, points
+
+    def test_loads_and_reports_status(self, tmp_path, capsys):
+        path, cache_dir, points = self._legacy_journal(tmp_path)
         state = load_journal(path)
-        assert state.shard_count == 2 and state.jobs == 2
-        assert state.shards == {0: 0, 1: 1, 2: 1}
-        progress = state.shard_progress()
-        assert progress[0] == {
-            "points": 1, "finished": 1, "failed": 0, "running": 0
-        }
-        assert progress[1] == {
-            "points": 2, "finished": 0, "failed": 1, "running": 1
-        }
-        # Point 3 never started: reported under the "not started" bucket.
-        assert progress[-1]["points"] == 1
+        assert state.points == points
+        assert state.jobs == 2
+        assert state.finished == {0} and state.started == {0, 1}
+        assert state.unfinished == [1]
 
-    def test_steal_attribution_follows_latest_start(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        journal = SweepJournal(path)
-        journal.sweep_start(POINTS[:1], "v", jobs=2, shards=2)
-        journal.point_start(0, "table4", 1, shard=1)
-        journal.point_start(0, "table4", 2, shard=0)  # stolen, re-run
-        journal.point_finish(0, "table4", 2, cached=False)
-        journal.close()
-        assert load_journal(path).shards == {0: 0}
+        assert main(["status", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "2 point(s), 1 finished, 0 failed, 1 started-unfinished" in out
+        assert "jobs 2" in out
+        assert "table4: 1/2 finished" in out
+
+        assert main(["status", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["points"], payload["finished"], payload["running"]) == (
+            2, 1, 1,
+        )
+        assert payload["jobs"] == 2
+
+        assert main(["status", str(path), "--partial",
+                     "--cache-dir", str(cache_dir)]) == 0
+        assert "(partial: 1/2 point(s) finished)" in capsys.readouterr().out
+
+    def test_resumes_and_compacts(self, tmp_path, capsys):
+        path, cache_dir, _ = self._legacy_journal(tmp_path)
+        before_state = load_journal(path)
+        before, after = compact_journal(path)
+        assert (before, after) == (5, 4)  # the superseded start is gone
+        assert load_journal(path) == before_state
+        # Surviving legacy lines are kept byte for byte.
+        assert '"shard": 1' in path.read_text()
+
+        rc = main(["--resume", str(path), "--json",
+                   "--cache-dir", str(cache_dir)])
+        out, err = capsys.readouterr()
+        assert rc == 0, err
+        assert "2 point(s), 1 already finished, 1 to execute" in err
+        [report] = json.loads(out)
+        assert report["exp_id"] == "table4"
+        assert report["execution"]["cached"] == 1
+        assert report["execution"]["failed"] == 0
+        assert load_journal(path).finished == {0, 1}
 
 
 class TestCompaction:
@@ -312,21 +247,21 @@ class TestCompaction:
         # An abandoned first generation, then the live one with retries.
         journal.sweep_start(POINTS, "v1", jobs=1)
         journal.point_start(0, "table4", 1)
-        journal.sweep_start(POINTS, "v2", jobs=2, shards=2)
-        journal.point_start(0, "table4", 1, shard=0)
+        journal.sweep_start(POINTS, "v2", jobs=2)
+        journal.point_start(0, "table4", 1)
         journal.point_fail(0, "table4", 1, "timeout", "slow")
-        journal.point_start(0, "table4", 2, shard=1)
+        journal.point_start(0, "table4", 2)
         journal.point_finish(0, "table4", 2, cached=False)
-        journal.point_start(1, "table4", 1, shard=1)
+        journal.point_start(1, "table4", 1)
         journal.point_fail(1, "table4", 1, "crash", "died")
-        journal.point_start(2, "table5", 1, shard=0)
+        journal.point_start(2, "table5", 1)
         journal.close()
         return path
 
     def _state_key(self, state):
         return (
             state.points, state.code_version, state.finished, state.failed,
-            state.started, state.shards, state.jobs, state.shard_count,
+            state.started, state.jobs,
         )
 
     def test_compaction_preserves_resume_state(self, tmp_path):
@@ -389,8 +324,8 @@ class TestStatusSubcommand:
         """A sweep journal that looks mid-flight: 1 finished, 1 pending."""
         path = tmp_path / "sweep.jsonl"
         journal = SweepJournal(path)
-        journal.sweep_start(POINTS[:2], "deadbeefdeadbeef", jobs=2, shards=2)
-        journal.point_start(0, "table4", 1, shard=0)
+        journal.sweep_start(POINTS[:2], "deadbeefdeadbeef", jobs=2)
+        journal.point_start(0, "table4", 1)
         journal.point_finish(0, "table4", 1, cached=False)
         journal.close()
         return path
@@ -399,10 +334,9 @@ class TestStatusSubcommand:
         path = self._interrupted_journal(tmp_path)
         assert main(["status", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "2 point(s), 1 finished" in out
-        assert "shards 2" in out
-        assert "shard 0: 1 point(s), 1 finished" in out
-        assert "not started: 1 point(s)" in out
+        assert "2 point(s), 1 finished, 0 failed, 0 started-unfinished" in out
+        assert "1 pending" in out
+        assert "jobs 2" in out
         assert "table4: 1/2 finished" in out
 
     def test_status_json(self, tmp_path, capsys):
@@ -412,8 +346,7 @@ class TestStatusSubcommand:
         assert payload["points"] == 2
         assert payload["finished"] == 1
         assert payload["pending"] == 1
-        assert payload["shards"] == 2
-        assert payload["shard_progress"]["0"]["finished"] == 1
+        assert payload["jobs"] == 2
         assert payload["experiments"]["table4"]["points"] == 2
 
     def test_status_bad_journal(self, tmp_path, capsys):
