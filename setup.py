@@ -20,7 +20,6 @@ setup(
     python_requires=">=3.10",
     install_requires=[
         "numpy",
-        "networkx",
     ],
     entry_points={
         "console_scripts": [

@@ -22,37 +22,42 @@ Quickstart::
 
     env = KernelEnv.cooperative(V100, blocks_per_sm=2, threads_per_block=256)
     print(this_grid(env).sync_latency_ns() / 1e3, "us per grid.sync()")
+
+The names below are imported on first access (PEP 562), so ``import
+repro`` — which every ``repro.*`` import runs first — loads no simulator.
 """
 
-from repro.core import (
-    KernelEnv,
-    coalesced_threads,
-    this_grid,
-    this_multi_grid,
-    this_thread_block,
-    tiled_partition,
-)
-from repro.cudasim import CudaRuntime, LaunchConfig, NullKernel, SleepKernel, WorkKernel
-from repro.sim import DGX1_V100, P100, P100_PCIE_NODE, V100, Node
+from importlib import import_module
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "V100",
-    "P100",
-    "DGX1_V100",
-    "P100_PCIE_NODE",
-    "Node",
-    "CudaRuntime",
-    "LaunchConfig",
-    "NullKernel",
-    "SleepKernel",
-    "WorkKernel",
-    "KernelEnv",
-    "tiled_partition",
-    "coalesced_threads",
-    "this_thread_block",
-    "this_grid",
-    "this_multi_grid",
-    "__version__",
-]
+# Public name -> the module it is imported from on first access.
+_EXPORTS = {
+    "V100": "repro.sim.arch",
+    "P100": "repro.sim.arch",
+    "DGX1_V100": "repro.sim.arch",
+    "P100_PCIE_NODE": "repro.sim.arch",
+    "Node": "repro.sim.node",
+    "CudaRuntime": "repro.cudasim",
+    "LaunchConfig": "repro.cudasim",
+    "NullKernel": "repro.cudasim",
+    "SleepKernel": "repro.cudasim",
+    "WorkKernel": "repro.cudasim",
+    "KernelEnv": "repro.core",
+    "tiled_partition": "repro.core",
+    "coalesced_threads": "repro.core",
+    "this_thread_block": "repro.core",
+    "this_grid": "repro.core",
+    "this_multi_grid": "repro.core",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
+    return getattr(import_module(module), name)

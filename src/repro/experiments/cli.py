@@ -41,7 +41,6 @@ from repro.experiments.scenario import apply_overrides
 from repro.experiments.service import RetryPolicy, SweepService
 from repro.experiments.service.cache import cache_load, default_cache_dir
 from repro.sanitize import SANITIZE_MODES
-from repro.sim.backends import BACKEND_CHOICES
 
 __all__ = ["main"]
 
@@ -315,10 +314,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"available: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
 
-    if args.backend is not None and args.backend not in BACKEND_CHOICES:
-        print(f"unknown backend: {args.backend}", file=sys.stderr)
-        print(f"available: {', '.join(BACKEND_CHOICES)}", file=sys.stderr)
-        return 2
+    if args.backend is not None:
+        from repro.sim.backends import BACKEND_CHOICES
+
+        if args.backend not in BACKEND_CHOICES:
+            print(f"unknown backend: {args.backend}", file=sys.stderr)
+            print(f"available: {', '.join(BACKEND_CHOICES)}", file=sys.stderr)
+            return 2
 
     if args.sanitize is not None and args.sanitize not in SANITIZE_MODES:
         print(f"unknown sanitize mode: {args.sanitize}", file=sys.stderr)

@@ -12,7 +12,7 @@ from typing import Optional
 from repro.cudasim.runtime import CudaRuntime
 from repro.experiments.base import ExperimentReport
 from repro.experiments.paper_data import FIG9_US, TABLE1_NS
-from repro.experiments.scenario import PAPER_SCENARIO, Scenario
+from repro.experiments.scenario import PAPER_SCENARIO, TABLE1_SCENARIO, Scenario
 from repro.microbench.implicit import (
     cpu_side_barrier_overhead,
     measure_kernel_total_latency,
@@ -23,9 +23,6 @@ from repro.sync import MultiGridGroup
 from repro.viz.tables import render_table
 
 __all__ = ["run_table1", "run_fig9"]
-
-# Table I is published for the V100 / DGX-1 platform only.
-TABLE1_SCENARIO = Scenario(gpus=("V100",))
 
 
 def run_table1(scenario: Optional[Scenario] = None) -> ExperimentReport:

@@ -23,7 +23,12 @@ from repro.experiments.paper_data import (
     FIG9_US,
     TABLE2,
 )
-from repro.experiments.scenario import PAPER_SCENARIO, Scenario
+from repro.experiments.scenario import (
+    FIG7_SCENARIO,
+    PAPER_SCENARIO,
+    SYNC_METHODS_SCENARIOS,
+    Scenario,
+)
 from repro.viz.heatmap import render_heatmap, render_heatmap_pair
 from repro.viz.tables import render_table
 
@@ -35,9 +40,6 @@ __all__ = [
     "run_fig8",
     "run_sync_methods",
 ]
-
-# Fig 7 runs on the dual-P100 PCIe box, not the default DGX-1.
-FIG7_SCENARIO = Scenario(gpus=("P100",), node="P100x2")
 
 
 def _strategy_args(scenario: Scenario):
@@ -299,16 +301,6 @@ def run_fig8(
 # ---------------------------------------------------------------------------
 # Strategy-sweep experiment: the paper's three multi-device methods priced
 # per barrier round on one node, across GPU counts.
-
-# Per-GPU default scenarios: the V100 sweep runs on the DGX-1 cube-mesh,
-# the P100 sweep on the dual-P100 PCIe box — the two machines the paper
-# actually compares methods on.  Topology overrides (`--scenario
-# interconnect=nvswitch` / `ring`, `node=DGX2`) re-run the same sweep on
-# the other fabrics.
-SYNC_METHODS_SCENARIOS = (
-    Scenario(gpus=("V100",)),
-    Scenario(gpus=("P100",), node="P100x2"),
-)
 
 # Launch configuration of the swept barrier (Fig 9's fastest multi-grid
 # series); override with extra.blocks_per_sm / extra.threads_per_block.

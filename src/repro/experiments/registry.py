@@ -7,6 +7,11 @@ the driver's work factors cleanly (one point per GPU), so the runner can
 execute and cache the points independently; ``run_all --jobs N`` gets its
 parallelism from exactly this split.
 
+Drivers are named by module and function (:class:`LazyDriver`) and
+imported on their first call, so building the registry — and with it
+listing experiments or serving a sweep from the result cache — imports
+no driver, no simulator and no numpy.
+
 ``run_experiment`` / ``run_all`` delegate to :mod:`repro.experiments.runner`
 — the **single entry path** that owns per-point error handling and the
 content-addressed result cache.  Nothing calls a driver directly anymore.
@@ -14,33 +19,26 @@ content-addressed result cache.  Nothing calls a driver directly anymore.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from importlib import import_module
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.base import ExperimentReport
-from repro.experiments.exp_divergence import run_divergence
-from repro.experiments.exp_launch import TABLE1_SCENARIO, run_fig9, run_table1
-from repro.experiments.exp_model import run_table3, run_table4, run_validation
-from repro.experiments.exp_pitfalls import run_deadlock, run_fig18
-from repro.experiments.exp_reduction import run_fig15, run_fig16, run_table5, run_table6
-from repro.experiments.exp_sanitize import run_pitfalls_sanitized
-from repro.experiments.exp_sync import (
+from repro.experiments.scenario import (
     FIG7_SCENARIO,
+    PAPER_SCENARIO,
     SYNC_METHODS_SCENARIOS,
-    run_fig4,
-    run_fig5,
-    run_fig7,
-    run_fig8,
-    run_sync_methods,
-    run_table2,
+    TABLE1_SCENARIO,
+    Scenario,
 )
-from repro.experiments.scenario import PAPER_SCENARIO, Scenario
-from repro.experiments.summary import run_summary
 
 __all__ = [
     "ExperimentSpec",
     "EXPERIMENTS",
+    "LazyDriver",
     "get_spec",
+    "load_drivers",
     "known_tags",
     "filter_by_tags",
     "run_experiment",
@@ -50,6 +48,20 @@ __all__ = [
 # One scenario per paper GPU: the work of a dual-architecture driver factors
 # into independent, individually-cacheable points.
 _PER_GPU = (Scenario(gpus=("V100",)), Scenario(gpus=("P100",)))
+
+
+@dataclass(frozen=True)
+class LazyDriver:
+    """A driver named by module and function, imported on its first call."""
+
+    module: str
+    name: str
+
+    def load(self) -> Callable[..., ExperimentReport]:
+        return getattr(import_module(self.module), self.name)
+
+    def __call__(self, *args: Any, **kwargs: Any) -> ExperimentReport:
+        return self.load()(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -74,40 +86,46 @@ class ExperimentSpec:
 
 _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
-        "table1", "Launch overhead / null-kernel latency (V100)", run_table1,
+        "table1", "Launch overhead / null-kernel latency (V100)",
+        LazyDriver("repro.experiments.exp_launch", "run_table1"),
         default_scenarios=(TABLE1_SCENARIO,),
         tags=("launch", "single-gpu", "smoke"),
     ),
     ExperimentSpec(
-        "table2", "Warp-level synchronization (V100 + P100)", run_table2,
+        "table2", "Warp-level synchronization (V100 + P100)",
+        LazyDriver("repro.experiments.exp_sync", "run_table2"),
         default_scenarios=_PER_GPU, tags=("warp", "sync", "single-gpu"),
         tolerance=0.05,
     ),
     ExperimentSpec(
-        "fig4", "Block synchronization scaling", run_fig4,
+        "fig4", "Block synchronization scaling",
+        LazyDriver("repro.experiments.exp_sync", "run_fig4"),
         default_scenarios=_PER_GPU, tags=("block", "sync", "single-gpu"),
         tolerance=0.05,
     ),
     ExperimentSpec(
-        "fig5", "Grid synchronization heat-maps", run_fig5,
+        "fig5", "Grid synchronization heat-maps",
+        LazyDriver("repro.experiments.exp_sync", "run_fig5"),
         default_scenarios=_PER_GPU, tags=("grid", "sync", "heatmap"),
         backends=("engine", "analytic"),
     ),
     ExperimentSpec(
-        "fig7", "Multi-grid synchronization (P100 x PCIe)", run_fig7,
+        "fig7", "Multi-grid synchronization (P100 x PCIe)",
+        LazyDriver("repro.experiments.exp_sync", "run_fig7"),
         default_scenarios=(FIG7_SCENARIO,),
         tags=("multigrid", "sync", "multi-gpu", "pcie"),
         backends=("engine", "analytic"),
     ),
     ExperimentSpec(
-        "fig8", "Multi-grid synchronization (V100 DGX-1)", run_fig8,
+        "fig8", "Multi-grid synchronization (V100 DGX-1)",
+        LazyDriver("repro.experiments.exp_sync", "run_fig8"),
         default_scenarios=(Scenario(gpus=("V100",)),),
         tags=("multigrid", "sync", "multi-gpu", "nvlink", "smoke"),
         backends=("engine", "analytic"),
     ),
     ExperimentSpec(
         "fig9", "Implicit vs CPU-side vs multi-grid barriers across DGX-1",
-        run_fig9,
+        LazyDriver("repro.experiments.exp_launch", "run_fig9"),
         default_scenarios=(Scenario(gpus=("V100",)),),
         tags=("launch", "multigrid", "multi-gpu"),
         backends=("engine", "analytic"),
@@ -115,58 +133,66 @@ _SPECS: List[ExperimentSpec] = [
     ExperimentSpec(
         "sync_methods",
         "Multi-device synchronization methods: strategy sweep",
-        run_sync_methods,
+        LazyDriver("repro.experiments.exp_sync", "run_sync_methods"),
         default_scenarios=SYNC_METHODS_SCENARIOS,
         tags=("sync", "multigrid", "multi-gpu", "strategy", "smoke"),
         backends=("engine", "analytic"),
     ),
     ExperimentSpec(
-        "table3", "Projected concurrency (Little's law)", run_table3,
+        "table3", "Projected concurrency (Little's law)",
+        LazyDriver("repro.experiments.exp_model", "run_table3"),
         default_scenarios=_PER_GPU, tags=("model", "single-gpu"),
         tolerance=0.03,
     ),
     ExperimentSpec(
-        "table4", "Predicted worker switching points", run_table4,
+        "table4", "Predicted worker switching points",
+        LazyDriver("repro.experiments.exp_model", "run_table4"),
         default_scenarios=_PER_GPU, tags=("model", "single-gpu", "smoke"),
     ),
     ExperimentSpec(
-        "table5", "Latency to sum 32 doubles per warp method", run_table5,
+        "table5", "Latency to sum 32 doubles per warp method",
+        LazyDriver("repro.experiments.exp_reduction", "run_table5"),
         default_scenarios=_PER_GPU, tags=("reduction", "warp", "smoke"),
     ),
     ExperimentSpec(
-        "fig15", "Single-GPU reduction latency vs size", run_fig15,
+        "fig15", "Single-GPU reduction latency vs size",
+        LazyDriver("repro.experiments.exp_reduction", "run_fig15"),
         default_scenarios=_PER_GPU, tags=("reduction", "single-gpu"),
     ),
     ExperimentSpec(
-        "table6", "Reduction bandwidth (GB/s)", run_table6,
+        "table6", "Reduction bandwidth (GB/s)",
+        LazyDriver("repro.experiments.exp_reduction", "run_table6"),
         default_scenarios=_PER_GPU, tags=("reduction", "single-gpu"),
         tolerance=0.03,
     ),
     ExperimentSpec(
-        "fig16", "Multi-GPU reduction throughput (DGX-1)", run_fig16,
+        "fig16", "Multi-GPU reduction throughput (DGX-1)",
+        LazyDriver("repro.experiments.exp_reduction", "run_fig16"),
         default_scenarios=(Scenario(gpus=("V100",)),),
         tags=("reduction", "multi-gpu"),
     ),
     ExperimentSpec(
-        "fig18", "Warp-barrier blocking behaviour", run_fig18,
+        "fig18", "Warp-barrier blocking behaviour",
+        LazyDriver("repro.experiments.exp_pitfalls", "run_fig18"),
         default_scenarios=_PER_GPU, tags=("pitfall", "warp"),
     ),
     ExperimentSpec(
         "divergence", "Divergence-heavy barrier-delimited phases",
-        run_divergence,
+        LazyDriver("repro.experiments.exp_divergence", "run_divergence"),
         default_scenarios=_PER_GPU, tags=("warp", "divergence", "smoke"),
         # No published anchor: the rows are booleans auditing the SIMT
         # fast path's re-convergence plus unanchored phase costs.
         tolerance=None,
     ),
     ExperimentSpec(
-        "deadlock", "Partial-group synchronization outcomes", run_deadlock,
+        "deadlock", "Partial-group synchronization outcomes",
+        LazyDriver("repro.experiments.exp_pitfalls", "run_deadlock"),
         default_scenarios=_PER_GPU, tags=("pitfall", "deadlock", "smoke"),
     ),
     ExperimentSpec(
         "pitfalls_sanitized",
         "Sync pitfalls diagnosed by repro.sanitize",
-        run_pitfalls_sanitized,
+        LazyDriver("repro.experiments.exp_sanitize", "run_pitfalls_sanitized"),
         default_scenarios=_PER_GPU,
         tags=("pitfall", "sanitizer", "smoke"),
         # Boolean did-the-checker-fire rows; no published numeric anchor.
@@ -174,11 +200,12 @@ _SPECS: List[ExperimentSpec] = [
     ),
     ExperimentSpec(
         "validation", "Measurement-method cross-validation (Section IX-D)",
-        run_validation,
+        LazyDriver("repro.experiments.exp_model", "run_validation"),
         default_scenarios=_PER_GPU, tags=("methodology", "smoke"),
     ),
     ExperimentSpec(
-        "table8", "Summary of observations (Table VIII)", run_summary,
+        "table8", "Summary of observations (Table VIII)",
+        LazyDriver("repro.experiments.summary", "run_summary"),
         default_scenarios=(PAPER_SCENARIO,), tags=("summary",),
     ),
 ]
@@ -195,6 +222,20 @@ def get_spec(exp_id: str) -> ExperimentSpec:
         raise ValueError(
             f"unknown experiment {exp_id!r}; available: {sorted(EXPERIMENTS)}"
         ) from None
+
+
+def load_drivers(exp_ids: Iterable[str]) -> None:
+    """Import the driver modules of ``exp_ids`` now instead of on first call.
+
+    The pool path calls this before it forks, so every worker inherits
+    the modules (and numpy) instead of importing them once per worker.
+    Wrapped drivers (``functools.wraps``) are unwrapped first; drivers
+    swapped for plain callables have nothing to import.
+    """
+    for exp_id in dict.fromkeys(exp_ids):
+        driver = inspect.unwrap(get_spec(exp_id).driver)
+        if isinstance(driver, LazyDriver):
+            driver.load()
 
 
 def known_tags() -> Tuple[str, ...]:

@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.arch import (
     GPU_REGISTRY,
@@ -30,12 +30,16 @@ from repro.sim.arch import (
     get_node_spec,
 )
 from repro.sim.interconnect import INTERCONNECT_KINDS, build_interconnect
-from repro.sim.node import Node
-from repro.sync.strategies import STRATEGY_KINDS
+
+if TYPE_CHECKING:
+    from repro.sim.node import Node
 
 __all__ = [
     "Scenario",
     "PAPER_SCENARIO",
+    "TABLE1_SCENARIO",
+    "FIG7_SCENARIO",
+    "SYNC_METHODS_SCENARIOS",
     "canonicalize_extra_value",
     "parse_override",
     "apply_overrides",
@@ -165,11 +169,14 @@ class Scenario:
                 )
             ),
         )
-        if self.sync_strategy is not None and self.sync_strategy not in STRATEGY_KINDS:
-            raise ValueError(
-                f"unknown sync_strategy {self.sync_strategy!r}; "
-                f"available: {', '.join(STRATEGY_KINDS)}"
-            )
+        if self.sync_strategy is not None:
+            from repro.sync.strategies import STRATEGY_KINDS
+
+            if self.sync_strategy not in STRATEGY_KINDS:
+                raise ValueError(
+                    f"unknown sync_strategy {self.sync_strategy!r}; "
+                    f"available: {', '.join(STRATEGY_KINDS)}"
+                )
         if self.backend is not None:
             from repro.sim.backends import BACKEND_CHOICES
 
@@ -237,6 +244,8 @@ class Scenario:
 
     def build_node(self, gpu_count: Optional[int] = None) -> Node:
         """Instantiate the node (optionally with fewer GPUs than the spec)."""
+        from repro.sim.node import Node
+
         return Node(self.node_spec(), gpu_count=gpu_count)
 
     def sweep_counts(self, default: Sequence[int]) -> Tuple[int, ...]:
@@ -357,6 +366,22 @@ class Scenario:
 # The paper's default machine room: measure both GPUs, multi-GPU work on
 # the DGX-1, every sweep at its published points.
 PAPER_SCENARIO = Scenario()
+
+# Table I is published for the V100 / DGX-1 platform only.
+TABLE1_SCENARIO = Scenario(gpus=("V100",))
+
+# Fig 7 runs on the dual-P100 PCIe box, not the default DGX-1.
+FIG7_SCENARIO = Scenario(gpus=("P100",), node="P100x2")
+
+# Per-GPU default scenarios of the strategy sweep: the V100 sweep runs on
+# the DGX-1 cube-mesh, the P100 sweep on the dual-P100 PCIe box — the two
+# machines the paper actually compares methods on.  Topology overrides
+# (`--scenario interconnect=nvswitch` / `ring`, `node=DGX2`) re-run the
+# same sweep on the other fabrics.
+SYNC_METHODS_SCENARIOS = (
+    Scenario(gpus=("V100",)),
+    Scenario(gpus=("P100",), node="P100x2"),
+)
 
 
 # -- CLI overrides -------------------------------------------------------

@@ -38,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.experiments import faults
 from repro.experiments.base import ExperimentReport
 from repro.experiments.journal import SweepJournal
+from repro.experiments.registry import load_drivers
 from repro.experiments.service import cache
 from repro.experiments.service.queue import (
     KIND_CRASH,
@@ -313,6 +314,9 @@ class Scheduler:
         plan = faults.active_plan()
         self._plan_json = plan.to_json() if plan is not None else None
 
+        # Drivers are imported on first call; import this sweep's now, so
+        # the forked workers inherit them instead of each importing numpy.
+        load_drivers(job.exp_id for job in q.jobs)
         pool = WorkerPool(max(1, min(self.jobs, len(q.jobs))))
         try:
             while q.unsettled:

@@ -1,124 +1,7 @@
-"""GPU simulator substrate: engine, clocks, architectures, devices, nodes."""
+"""GPU simulator substrate: engine, clocks, architectures, devices, nodes.
 
-from repro.sim.arch import (
-    DGX1_V100,
-    GPU_REGISTRY,
-    NODE_REGISTRY,
-    P100,
-    P100_PCIE_NODE,
-    V100,
-    GPUSpec,
-    NodeSpec,
-    get_gpu_spec,
-    get_node_spec,
-)
-from repro.sim.clock import HostClock, SMClock
-from repro.sim.device import Device, GridSyncResult, grid_sync_latency_ns, simulate_grid_sync
-from repro.sim.engine import (
-    AllOf,
-    DeadlockError,
-    Engine,
-    Process,
-    Resource,
-    Signal,
-    SimulationError,
-    Timeout,
-)
-from repro.sim.exec_block import BlockBarrier, BlockExecutor
-from repro.sim.exec_thread import (
-    ThreadCtx,
-    UnsupportedInstruction,
-    WarpExecutor,
-    WarpRunResult,
-)
-from repro.sim.interconnect import (
-    Interconnect,
-    build_dgx1_nvlink,
-    build_interconnect,
-    build_pcie,
-)
-from repro.sim.memory import HBM, DeviceBuffer, L2AtomicUnit, RaceRecord, SharedMemory
-from repro.sim.node import (
-    MultiGridSyncResult,
-    Node,
-    cross_gpu_latency_ns,
-    multigrid_local_latency_ns,
-    simulate_multigrid_sync,
-)
-from repro.sim.occupancy import (
-    OccupancyResult,
-    active_warps_per_sm,
-    blocks_per_sm,
-    max_cooperative_blocks,
-)
-from repro.sim.sm import (
-    BlockSyncResult,
-    WarpSyncThroughputResult,
-    block_sync_latency_cycles,
-    simulate_block_sync,
-    simulate_warp_sync_throughput,
-)
-
-__all__ = [
-    # engine
-    "Engine",
-    "Process",
-    "Signal",
-    "Timeout",
-    "AllOf",
-    "Resource",
-    "DeadlockError",
-    "SimulationError",
-    # clocks
-    "SMClock",
-    "HostClock",
-    # arch
-    "GPUSpec",
-    "NodeSpec",
-    "V100",
-    "P100",
-    "DGX1_V100",
-    "P100_PCIE_NODE",
-    "GPU_REGISTRY",
-    "NODE_REGISTRY",
-    "get_gpu_spec",
-    "get_node_spec",
-    # occupancy
-    "OccupancyResult",
-    "blocks_per_sm",
-    "max_cooperative_blocks",
-    "active_warps_per_sm",
-    # memory
-    "SharedMemory",
-    "L2AtomicUnit",
-    "HBM",
-    "DeviceBuffer",
-    "RaceRecord",
-    # executors & SM
-    "WarpExecutor",
-    "WarpRunResult",
-    "BlockExecutor",
-    "BlockBarrier",
-    "ThreadCtx",
-    "UnsupportedInstruction",
-    "BlockSyncResult",
-    "WarpSyncThroughputResult",
-    "block_sync_latency_cycles",
-    "simulate_block_sync",
-    "simulate_warp_sync_throughput",
-    # device / node
-    "Device",
-    "GridSyncResult",
-    "grid_sync_latency_ns",
-    "simulate_grid_sync",
-    "Node",
-    "MultiGridSyncResult",
-    "multigrid_local_latency_ns",
-    "cross_gpu_latency_ns",
-    "simulate_multigrid_sync",
-    # interconnect
-    "Interconnect",
-    "build_dgx1_nvlink",
-    "build_pcie",
-    "build_interconnect",
-]
+Import from the submodules (``repro.sim.arch``, ``repro.sim.engine``,
+``repro.sim.node``, ...): the package itself loads nothing, so code that
+only needs, say, the architecture specs or the interconnect does not pay
+for the engine and numpy.
+"""

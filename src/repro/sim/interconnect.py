@@ -2,9 +2,10 @@
 
 The paper attributes its multi-grid synchronization plateaus (2–5 GPUs vs
 6–8 GPUs, Fig 8/9) to "the internal NVLink network structure of DGX-1".
-We encode the actual DGX-1 (V100) NVLink hybrid cube-mesh as a
-:mod:`networkx` graph and derive hop counts from it, so the plateau
-structure *emerges from the topology* rather than being tabulated.
+We encode the actual DGX-1 (V100) NVLink hybrid cube-mesh as a link list,
+keep it as adjacency sets, and derive hop counts from it by breadth-first
+search, so the plateau structure *emerges from the topology* rather than
+being tabulated.
 
 DGX-1 NVLink link list (Nvidia DGX-1 system architecture whitepaper)::
 
@@ -21,9 +22,8 @@ introduces 2-hop members — exactly where the paper's latency jumps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-import networkx as nx
+from itertools import combinations
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 __all__ = [
     "Interconnect",
@@ -36,9 +36,9 @@ __all__ = [
     "INTERCONNECT_KINDS",
 ]
 
-# Hybrid cube-mesh of the V100 DGX-1 (single-link edges; the doubled links
-# inside a quad affect bandwidth, not barrier hop count, so they are
-# represented by an edge attribute instead of parallel edges).
+# Hybrid cube-mesh of the V100 DGX-1, one entry per connected GPU pair
+# (the doubled links inside a quad affect bandwidth, not barrier hop
+# count, so they are not listed twice).
 DGX1_NVLINK_LINKS: Tuple[Tuple[int, int], ...] = (
     (0, 1), (0, 2), (0, 3), (0, 4),
     (1, 2), (1, 3), (1, 5),
@@ -58,20 +58,41 @@ class LinkSpec:
     bandwidth_gbps: float
 
 
-class Interconnect:
-    """A GPU-to-GPU network with hop and bandwidth queries."""
+def _bfs(adj: Dict[int, Set[int]], src: int) -> Dict[int, int]:
+    """Hop count from ``src`` to every GPU reachable from it."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
 
-    def __init__(self, name: str, graph: nx.Graph, link: LinkSpec):
-        if graph.number_of_nodes() == 0:
-            raise ValueError("interconnect graph must not be empty")
+
+class Interconnect:
+    """A network of GPUs ``0..gpu_count-1`` with hop and bandwidth queries."""
+
+    def __init__(
+        self, name: str, gpu_count: int, pairs: Iterable[Tuple[int, int]],
+        link: LinkSpec,
+    ):
+        if gpu_count < 1:
+            raise ValueError("interconnect must have at least one GPU")
         self.name = name
-        self.graph = graph
         self.link = link
-        self._hops = dict(nx.all_pairs_shortest_path_length(graph))
+        self._adj: Dict[int, Set[int]] = {g: set() for g in range(gpu_count)}
+        for a, b in pairs:
+            self._adj[a].add(b)
+            self._adj[b].add(a)
+        self._hops = {g: _bfs(self._adj, g) for g in self._adj}
 
     @property
     def gpu_count(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self._adj)
 
     def hops(self, src: int, dst: int) -> int:
         """Shortest hop count between two GPUs (0 for src == dst)."""
@@ -82,7 +103,7 @@ class Interconnect:
 
     def max_hops_from(self, leader: int, members: Sequence[int]) -> int:
         """Maximum hop distance from ``leader`` to any member GPU."""
-        if leader not in self.graph:
+        if leader not in self._adj:
             raise ValueError(f"GPU {leader} not in {self.name}")
         return max((self.hops(leader, m) for m in members), default=0)
 
@@ -91,7 +112,7 @@ class Interconnect:
         return [m for m in members if self.hops(leader, m) >= 2]
 
     def neighbors(self, gpu: int) -> List[int]:
-        return sorted(self.graph.neighbors(gpu))
+        return sorted(self._adj[gpu])
 
     def peer_transfer_ns(self, src: int, dst: int, nbytes: int) -> float:
         """Time to move ``nbytes`` from ``src`` to ``dst`` (store-and-forward
@@ -106,19 +127,19 @@ class Interconnect:
         return f"Interconnect({self.name!r}, gpus={self.gpu_count})"
 
 
-def build_dgx1_nvlink() -> Interconnect:
-    """The 8-GPU DGX-1 NVLink hybrid cube-mesh.
+def build_dgx1_nvlink(gpu_count: int = 8) -> Interconnect:
+    """The DGX-1 NVLink hybrid cube-mesh, or its sub-mesh of GPUs ``0..n-1``.
 
-    NVLink 2.0: ~25 GB/s per direction per link; intra-quad GPU pairs with
-    doubled links get a ``double`` edge attribute.  One-hop latency ~1.3 us
+    NVLink 2.0: ~25 GB/s per direction per link.  One-hop latency ~1.3 us
     for a flag round-trip under barrier conditions (folded into the
     cross-GPU calibration; the LinkSpec latency is the raw write latency).
     """
-    g = nx.Graph()
-    g.add_nodes_from(range(8))
-    for a, b in DGX1_NVLINK_LINKS:
-        g.add_edge(a, b, double=(a // 4 == b // 4))
-    return Interconnect("dgx1-nvlink", g, LinkSpec(latency_ns=700.0, bandwidth_gbps=25.0))
+    if gpu_count > 8:
+        raise ValueError(f"DGX-1 has 8 GPUs, requested {gpu_count}")
+    pairs = [(a, b) for a, b in DGX1_NVLINK_LINKS if max(a, b) < gpu_count]
+    return Interconnect(
+        "dgx1-nvlink", gpu_count, pairs, LinkSpec(latency_ns=700.0, bandwidth_gbps=25.0)
+    )
 
 
 def build_nvswitch(gpu_count: int = 16) -> Interconnect:
@@ -135,8 +156,10 @@ def build_nvswitch(gpu_count: int = 16) -> Interconnect:
         raise ValueError("gpu_count must be >= 1")
     if gpu_count > 16:
         raise ValueError(f"NVSwitch backplane tops out at 16 GPUs, requested {gpu_count}")
-    g: nx.Graph = nx.complete_graph(gpu_count)  # n nodes even when n == 1
-    return Interconnect("nvswitch", g, LinkSpec(latency_ns=900.0, bandwidth_gbps=25.0))
+    return Interconnect(
+        "nvswitch", gpu_count, combinations(range(gpu_count), 2),
+        LinkSpec(latency_ns=900.0, bandwidth_gbps=25.0),
+    )
 
 
 def build_ring(gpu_count: int = 8) -> Interconnect:
@@ -148,14 +171,10 @@ def build_ring(gpu_count: int = 8) -> Interconnect:
     """
     if gpu_count < 1:
         raise ValueError("gpu_count must be >= 1")
-    g = nx.Graph()
-    g.add_nodes_from(range(gpu_count))
-    if gpu_count == 2:
-        g.add_edge(0, 1)
-    elif gpu_count > 2:
-        for i in range(gpu_count):
-            g.add_edge(i, (i + 1) % gpu_count)
-    return Interconnect("ring", g, LinkSpec(latency_ns=700.0, bandwidth_gbps=25.0))
+    pairs = [(i, (i + 1) % gpu_count) for i in range(gpu_count)] if gpu_count > 1 else []
+    return Interconnect(
+        "ring", gpu_count, pairs, LinkSpec(latency_ns=700.0, bandwidth_gbps=25.0)
+    )
 
 
 def build_pcie(gpu_count: int = 2) -> Interconnect:
@@ -167,11 +186,10 @@ def build_pcie(gpu_count: int = 2) -> Interconnect:
     """
     if gpu_count < 1:
         raise ValueError("gpu_count must be >= 1")
-    g = nx.complete_graph(gpu_count) if gpu_count > 1 else nx.Graph([(0, 0)])
-    if gpu_count == 1:
-        g = nx.Graph()
-        g.add_node(0)
-    return Interconnect("pcie", g, LinkSpec(latency_ns=1900.0, bandwidth_gbps=11.0))
+    return Interconnect(
+        "pcie", gpu_count, combinations(range(gpu_count), 2),
+        LinkSpec(latency_ns=1900.0, bandwidth_gbps=11.0),
+    )
 
 
 # Topology kinds accepted by :func:`build_interconnect` (and therefore by
@@ -182,13 +200,7 @@ INTERCONNECT_KINDS = ("nvlink-cube-mesh", "nvswitch", "ring", "pcie")
 def build_interconnect(kind: str, gpu_count: int) -> Interconnect:
     """Factory used by :class:`repro.sim.node.Node`."""
     if kind == "nvlink-cube-mesh":
-        ic = build_dgx1_nvlink()
-        if gpu_count > ic.gpu_count:
-            raise ValueError(f"DGX-1 has 8 GPUs, requested {gpu_count}")
-        if gpu_count < ic.gpu_count:
-            sub = ic.graph.subgraph(range(gpu_count)).copy()
-            return Interconnect("dgx1-nvlink", sub, ic.link)
-        return ic
+        return build_dgx1_nvlink(gpu_count)
     if kind == "nvswitch":
         return build_nvswitch(gpu_count)
     if kind == "ring":

@@ -219,3 +219,49 @@ class TestFactory:
         large = ic.peer_transfer_ns(0, 1, 1_000_000)
         assert large > small
         assert ic.peer_transfer_ns(0, 0, 10**6) == 0.0
+
+
+def _reference_hops(kind, n):
+    """All-pairs hop table computed independently of the BFS."""
+    if kind == "ring":
+        return [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)]
+    # nvswitch and pcie: every distinct pair one hop.
+    d = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+    if kind == "nvlink-cube-mesh":
+        # Floyd-Warshall over the DGX-1 links among the GPUs present.
+        d = [[0 if i == j else float("inf") for j in range(n)] for i in range(n)]
+        for a, b in DGX1_NVLINK_LINKS:
+            if a < n and b < n:
+                d[a][b] = d[b][a] = 1
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
+
+
+# Every GPU count each builder accepts; ring and PCIe have no upper bound,
+# so they are checked up to the largest node (16 GPUs).
+_EVERY_TOPOLOGY = (
+    [("nvlink-cube-mesh", n) for n in range(1, 9)]
+    + [(kind, n) for kind in ("nvswitch", "ring", "pcie") for n in range(1, 17)]
+)
+
+
+class TestHopTable:
+    """Pins every hop count of every topology to an independent reference."""
+
+    @pytest.mark.parametrize("kind,n", _EVERY_TOPOLOGY)
+    def test_all_pairs_match_reference(self, kind, n):
+        ic = build_interconnect(kind, n)
+        assert ic.gpu_count == n
+        table = [[ic.hops(i, j) for j in range(n)] for i in range(n)]
+        assert table == _reference_hops(kind, n)
+
+    @pytest.mark.parametrize("kind,n", _EVERY_TOPOLOGY)
+    def test_neighbors_sorted_one_hop_list(self, kind, n):
+        ic = build_interconnect(kind, n)
+        for g in range(n):
+            nbrs = ic.neighbors(g)
+            assert isinstance(nbrs, list) and nbrs == sorted(nbrs)
+            assert nbrs == [h for h in range(n) if ic.hops(g, h) == 1]
