@@ -1,7 +1,7 @@
 """Ablation benchmarks: remove one modelled mechanism at a time and show
 the corresponding paper artifact degrades.
 
-These justify the three structural design choices DESIGN.md calls out:
+These justify three structural choices of the calibrated model:
 
 * the L2 atomic *contention* term (quadratic blocks/SM) in grid sync,
 * the NVLink *two-hop penalty* behind the Fig 8/9 plateaus,

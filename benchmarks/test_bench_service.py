@@ -16,7 +16,7 @@ import pytest
 
 from benchmarks.conftest import record_timing
 from repro.experiments.registry import get_spec
-from repro.experiments.runner import run_points
+from repro.experiments.service import SweepService
 
 
 def _points():
@@ -33,7 +33,7 @@ def _points():
 def warm_cache(tmp_path):
     """A cache directory primed with every bench point's entry."""
     points = _points()
-    results = run_points(points, cache_dir=tmp_path)
+    results = SweepService(cache_dir=tmp_path).run(points)
     assert all(r.ok for r in results)
     return tmp_path
 
@@ -42,7 +42,7 @@ def test_bench_warm_cache_sweep(request, benchmark, warm_cache):
     points = _points()
 
     def sweep():
-        return run_points(points, cache_dir=warm_cache)
+        return SweepService(cache_dir=warm_cache).run(points)
 
     results = benchmark.pedantic(sweep, rounds=5, iterations=1)
     assert all(r.cached for r in results)

@@ -28,7 +28,7 @@ def barrier_shootout() -> None:
     rows = []
     for n in (1, 2, 4, 5, 6, 8):
         env = KernelEnv.multi_device(node, 1, 256, gpu_ids=range(n))
-        mgrid_us = this_multi_grid(env).sync_latency_ns() / 1e3
+        mgrid_us = this_multi_grid(env).latency_model() / 1e3
         cpu_us = cpu_side_barrier_overhead(DGX1_V100, n).mean / 1e3
         md_us = measure_launch_overhead(
             lambda n=n: CudaRuntime.for_node(DGX1_V100, gpu_count=n),

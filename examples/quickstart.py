@@ -34,12 +34,15 @@ def sync_cost_ladder() -> None:
     node = Node(DGX1_V100)
     menv = KernelEnv.multi_device(node, blocks_per_sm=2, threads_per_block=256)
 
+    def cycles(group) -> float:
+        return V100.ns_to_cycles(group.latency_model())
+
     rows = [
-        ["tile<32>.sync()", tiled_partition(env, 32).sync_latency_cycles(), "cycles"],
-        ["coalesced(16).sync()", coalesced_threads(env, 16).sync_latency_cycles(), "cycles"],
-        ["block.sync()  (8 warps)", this_thread_block(env).sync_latency_cycles(), "cycles"],
-        ["grid.sync()   (2 blk/SM)", this_grid(env).sync_latency_ns() / 1e3, "us"],
-        ["multi_grid.sync() (8 GPUs)", this_multi_grid(menv).sync_latency_ns() / 1e3, "us"],
+        ["tile<32>.sync()", cycles(tiled_partition(env, 32)), "cycles"],
+        ["coalesced(16).sync()", cycles(coalesced_threads(env, 16)), "cycles"],
+        ["block.sync()  (8 warps)", cycles(this_thread_block(env)), "cycles"],
+        ["grid.sync()   (2 blk/SM)", this_grid(env).latency_model() / 1e3, "us"],
+        ["multi_grid.sync() (8 GPUs)", this_multi_grid(menv).latency_model() / 1e3, "us"],
     ]
     print(render_table(["synchronization", "cost", "unit"], rows,
                        title="V100 synchronization ladder"))
@@ -47,7 +50,7 @@ def sync_cost_ladder() -> None:
 
 def explicit_vs_implicit_barrier() -> None:
     env = KernelEnv.cooperative(V100, blocks_per_sm=2, threads_per_block=256)
-    grid_sync_us = this_grid(env).sync_latency_ns() / 1e3
+    grid_sync_us = this_grid(env).latency_model() / 1e3
 
     implicit = measure_kernel_total_latency(
         lambda: CudaRuntime.single_gpu(V100, seed=1)

@@ -21,7 +21,7 @@ Quickstart::
     from repro import V100, KernelEnv, this_grid
 
     env = KernelEnv.cooperative(V100, blocks_per_sm=2, threads_per_block=256)
-    print(this_grid(env).sync_latency_ns() / 1e3, "us per grid.sync()")
+    print(this_grid(env).latency_model() / 1e3, "us per grid.sync()")
 
 The names below are imported on first access (PEP 562), so ``import
 repro`` — which every ``repro.*`` import runs first — loads no simulator.

@@ -21,12 +21,7 @@ from repro.core.characterize import (
 )
 from repro.core.groups import (
     VALID_TILE_SIZES,
-    CoalescedGroup,
-    GridGroup,
     KernelEnv,
-    MultiGridGroup,
-    ThreadBlockGroup,
-    ThreadBlockTile,
     coalesced_threads,
     this_grid,
     this_multi_grid,
@@ -61,11 +56,6 @@ __all__ = [
     "advise_multi_gpu",
     # groups
     "KernelEnv",
-    "ThreadBlockTile",
-    "CoalescedGroup",
-    "ThreadBlockGroup",
-    "GridGroup",
-    "MultiGridGroup",
     "tiled_partition",
     "coalesced_threads",
     "this_thread_block",

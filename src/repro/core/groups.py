@@ -4,13 +4,14 @@ Mirrors CUDA's ``cooperative_groups`` namespace over the simulator::
 
     env = KernelEnv.cooperative(V100, blocks_per_sm=2, threads_per_block=256)
     grid = this_grid(env)
-    t = grid.sync_latency_ns()        # cost model
-    grid.sync_simulated()             # DES protocol run
+    t = grid.latency_model()          # cost model, ns per sync
+    grid.simulate()                   # DES protocol run
 
-    tile = tiled_partition(env, 32)
-    instr = tile.sync()               # instruction for thread-level kernels
-
-Hierarchy and constraints follow the paper:
+The factories validate the launch the way CUDA does and return the
+:mod:`repro.sync` scopes (``WarpGroup``, ``BlockGroup``, ``GridGroup``,
+``MultiGridGroup``) — the same hierarchy ``CudaRuntime.this_grid`` /
+``this_multi_grid`` build on a shared engine.  Hierarchy and
+constraints follow the paper:
 
 * **tile / coalesced groups** only synchronize within a warp in CUDA 10
   (Section III-A) — ``tiled_partition`` rejects sizes above 32;
@@ -29,26 +30,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from repro import sync as engine_sync
-from repro.cudasim import instructions as ins
 from repro.cudasim.errors import CooperativeLaunchTooLarge, CudaError, InvalidConfiguration
 from repro.sim.arch import GPUSpec
-from repro.sim.device import grid_sync_latency_ns
-from repro.sim.node import (
-    Node,
-    cross_gpu_latency_ns,
-    multigrid_local_latency_ns,
-)
+from repro.sim.node import Node
 from repro.sim.occupancy import max_cooperative_blocks
-from repro.sim.sm import block_sync_latency_cycles
+from repro.sync import BlockGroup, GridGroup, MultiGridGroup, WarpGroup
 
 __all__ = [
     "KernelEnv",
-    "ThreadBlockTile",
-    "CoalescedGroup",
-    "ThreadBlockGroup",
-    "GridGroup",
-    "MultiGridGroup",
     "tiled_partition",
     "coalesced_threads",
     "this_thread_block",
@@ -129,186 +118,48 @@ class KernelEnv:
         return self.blocks_per_sm * self.spec.sm_count
 
 
-class ThreadBlockTile:
-    """``cg::thread_block_tile<Size>`` — a static warp-level partition."""
-
-    def __init__(self, env: KernelEnv, size: int):
-        if size not in VALID_TILE_SIZES:
-            raise InvalidConfiguration(
-                f"tile size must be one of {VALID_TILE_SIZES} "
-                "(CUDA 10 tiles only synchronize within a warp, Section III-A)"
-            )
-        self.env = env
-        self.size = size
-
-    def sync(self) -> ins.WarpSync:
-        """Instruction performing the tile's barrier (for thread kernels)."""
-        return ins.WarpSync(kind="tile", group_size=self.size)
-
-    def shfl_down(self, value: float, delta: int) -> ins.ShuffleDown:
-        """Instruction performing ``shfl_down`` within the tile."""
-        return ins.ShuffleDown(value=value, delta=delta, kind="tile", width=self.size)
-
-    def sync_latency_cycles(self) -> float:
-        """Calibrated latency of one tile sync (Table II row)."""
-        return self.env.spec.warp_sync.tile_latency
-
-    @property
-    def blocks_all_threads(self) -> bool:
-        """Whether this barrier actually holds threads (false on Pascal)."""
-        return self.env.spec.warp_sync.blocking
-
-
-class CoalescedGroup:
-    """``cg::coalesced_threads()`` — the currently-active lanes."""
-
-    def __init__(self, env: KernelEnv, size: int = 32):
-        if not (1 <= size <= 32):
-            raise InvalidConfiguration("coalesced group size must be in [1, 32]")
-        self.env = env
-        self.size = size
-
-    def sync(self) -> ins.WarpSync:
-        return ins.WarpSync(kind="coalesced", group_size=self.size)
-
-    def shfl_down(self, value: float, delta: int) -> ins.ShuffleDown:
-        return ins.ShuffleDown(
-            value=value, delta=delta, kind="coalesced", width=self.size
-        )
-
-    def sync_latency_cycles(self) -> float:
-        """Calibrated latency: V100 fast-paths the full-warp case (Table II)."""
-        ws = self.env.spec.warp_sync
-        if self.size >= self.env.spec.warp_size:
-            return ws.coalesced_full_latency
-        return ws.coalesced_partial_latency
-
-    @property
-    def blocks_all_threads(self) -> bool:
-        return self.env.spec.warp_sync.blocking
-
-
-class ThreadBlockGroup:
-    """``cg::this_thread_block()`` — block-level barrier (syncthreads)."""
-
-    def __init__(self, env: KernelEnv):
-        self.env = env
-
-    def sync_latency_cycles(self) -> float:
-        """One block sync over this launch's warps/block (Table IV model)."""
-        return block_sync_latency_cycles(self.env.spec, self.env.warps_per_block)
-
-    def sync_latency_ns(self) -> float:
-        return self.env.spec.cycles_to_ns(self.sync_latency_cycles())
-
-    @property
-    def size(self) -> int:
-        return self.env.threads_per_block
-
-
-class GridGroup:
-    """``cg::this_grid()`` — device-wide barrier.
-
-    Only valid under a cooperative launch; the traditional ``<<<>>>``
-    launch cannot create one (Section III-A.3).
-    """
-
-    def __init__(self, env: KernelEnv):
-        if env.launch_kind not in ("cooperative", "multi_device"):
-            raise CudaError(
-                "grid group requires cudaLaunchCooperativeKernel "
-                "(launched traditionally here)"
-            )
-        self.env = env
-
-    @property
-    def size(self) -> int:
-        return self.env.total_blocks * self.env.threads_per_block
-
-    def sync_latency_ns(self) -> float:
-        """Closed-form cost model (Fig 5 fit)."""
-        return grid_sync_latency_ns(
-            self.env.spec, self.env.blocks_per_sm, self.env.threads_per_block
-        )
-
-    def sync_simulated(self, n_syncs: int = 1,
-                       participating_blocks: Optional[int] = None):
-        """Run the DES barrier protocol; deadlocks on partial participation."""
-        return engine_sync.GridGroup(
-            self.env.spec,
-            self.env.blocks_per_sm,
-            self.env.threads_per_block,
-        ).simulate(n_syncs=n_syncs, participating_blocks=participating_blocks)
-
-
-class MultiGridGroup:
-    """``cg::this_multi_grid()`` — multi-GPU barrier.
-
-    Only valid under ``cudaLaunchCooperativeKernelMultiDevice``.
-    """
-
-    def __init__(self, env: KernelEnv):
-        if env.launch_kind != "multi_device":
-            raise CudaError(
-                "multi-grid group requires cudaLaunchCooperativeKernelMultiDevice"
-            )
-        assert env.node is not None
-        self.env = env
-        self.node = env.node
-
-    @property
-    def num_grids(self) -> int:
-        return len(self.env.gpu_ids)
-
-    def sync_latency_ns(self) -> float:
-        """Closed-form cost model: local phase + topology-dependent cross phase."""
-        local = multigrid_local_latency_ns(
-            self.node.spec, self.env.blocks_per_sm, self.env.threads_per_block
-        )
-        cross = cross_gpu_latency_ns(
-            self.node.spec,
-            self.node.interconnect,
-            self.env.gpu_ids,
-            self.env.blocks_per_sm,
-        )
-        return local + cross
-
-    def sync_simulated(self, n_syncs: int = 1,
-                       participating_gpus: Optional[Sequence[int]] = None,
-                       full_local_participation: bool = True):
-        """Run the DES barrier protocol; deadlocks on any partial participation."""
-        return engine_sync.MultiGridGroup(
-            self.node,
-            self.env.blocks_per_sm,
-            self.env.threads_per_block,
-            gpu_ids=self.env.gpu_ids,
-            full_local_participation=full_local_participation,
-        ).simulate(n_syncs=n_syncs, participating_gpus=participating_gpus)
-
-
 # -- factory functions mirroring the CUDA namespace -------------------------
 
 
-def tiled_partition(env: KernelEnv, size: int) -> ThreadBlockTile:
+def tiled_partition(env: KernelEnv, size: int) -> WarpGroup:
     """``cg::tiled_partition<size>(cg::this_thread_block())``."""
-    return ThreadBlockTile(env, size)
+    if size not in VALID_TILE_SIZES:
+        raise InvalidConfiguration(
+            f"tile size must be one of {VALID_TILE_SIZES} "
+            "(CUDA 10 tiles only synchronize within a warp, Section III-A)"
+        )
+    return WarpGroup(env.spec, size, "tile")
 
 
-def coalesced_threads(env: KernelEnv, size: int = 32) -> CoalescedGroup:
+def coalesced_threads(env: KernelEnv, size: int = 32) -> WarpGroup:
     """``cg::coalesced_threads()`` with ``size`` currently-active lanes."""
-    return CoalescedGroup(env, size)
+    if not (1 <= size <= 32):
+        raise InvalidConfiguration("coalesced group size must be in [1, 32]")
+    return WarpGroup(env.spec, size, "coalesced")
 
 
-def this_thread_block(env: KernelEnv) -> ThreadBlockGroup:
-    """``cg::this_thread_block()``."""
-    return ThreadBlockGroup(env)
+def this_thread_block(env: KernelEnv) -> BlockGroup:
+    """``cg::this_thread_block()`` — the block's warps (``__syncthreads``)."""
+    return BlockGroup(env.spec, env.warps_per_block)
 
 
 def this_grid(env: KernelEnv) -> GridGroup:
     """``cg::this_grid()`` — raises unless cooperatively launched."""
-    return GridGroup(env)
+    if env.launch_kind not in ("cooperative", "multi_device"):
+        raise CudaError(
+            "grid group requires cudaLaunchCooperativeKernel "
+            "(launched traditionally here)"
+        )
+    return GridGroup(env.spec, env.blocks_per_sm, env.threads_per_block)
 
 
 def this_multi_grid(env: KernelEnv) -> MultiGridGroup:
     """``cg::this_multi_grid()`` — raises unless multi-device launched."""
-    return MultiGridGroup(env)
+    if env.launch_kind != "multi_device":
+        raise CudaError(
+            "multi-grid group requires cudaLaunchCooperativeKernelMultiDevice"
+        )
+    assert env.node is not None
+    return MultiGridGroup(
+        env.node, env.blocks_per_sm, env.threads_per_block, gpu_ids=env.gpu_ids
+    )

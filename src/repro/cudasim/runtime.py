@@ -197,21 +197,23 @@ class CudaRuntime:
         accepts a kind string (``"cooperative"``/``"atomic"``/``"cpu"``)
         or a strategy instance; ``strategy_knobs`` tunes a kind string.
         """
-        from repro.sync import this_grid
+        from repro.sync import GridGroup
 
-        return this_grid(self, blocks_per_sm, threads_per_block,
-                         device=device, strategy=strategy,
-                         strategy_knobs=strategy_knobs)
+        return GridGroup(self.device(device).spec, blocks_per_sm,
+                         threads_per_block, engine=self.engine,
+                         strategy=strategy, strategy_knobs=strategy_knobs)
 
     def this_multi_grid(self, blocks_per_sm: int, threads_per_block: int,
                         devices: Optional[Sequence[int]] = None, strategy=None,
                         strategy_knobs=None):
-        """``cg::this_multi_grid()``: multi-device group over this node."""
-        from repro.sync import this_multi_grid
+        """``cg::this_multi_grid()``: multi-device group over this node
+        (default: every GPU), with ``strategy``/``strategy_knobs`` as in
+        :meth:`this_grid`."""
+        from repro.sync import MultiGridGroup
 
-        return this_multi_grid(self, blocks_per_sm, threads_per_block,
-                               gpu_ids=devices, strategy=strategy,
-                               strategy_knobs=strategy_knobs)
+        return MultiGridGroup(self.node, blocks_per_sm, threads_per_block,
+                              gpu_ids=devices, engine=self.engine,
+                              strategy=strategy, strategy_knobs=strategy_knobs)
 
     # -- synchronization -------------------------------------------------------
 

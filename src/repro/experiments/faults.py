@@ -5,7 +5,7 @@ dying mid-point, a driver hanging past the sweep timeout, a point that
 fails transiently for its first N attempts, a cache write that errors —
 can be triggered *on purpose* through a :class:`FaultPlan`, so the
 crash-isolation / timeout / retry / claim-takeover machinery in
-:mod:`repro.experiments.runner` is testable without races or luck.
+:mod:`repro.experiments.service` is testable without races or luck.
 
 A plan is a sequence of :class:`FaultRule` entries.  Each rule names the
 fault ``kind`` plus a match predicate (experiment-id glob, scenario

@@ -3,18 +3,19 @@
 Each entry is an :class:`ExperimentSpec`: a driver plus the default
 scenarios it runs against, a title, tags, and the reproduction tolerance
 the CLI enforces.  Default scenarios are split per architecture wherever
-the driver's work factors cleanly (one point per GPU), so the runner can
-execute and cache the points independently; ``run_all --jobs N`` gets its
-parallelism from exactly this split.
+the driver's work factors cleanly (one point per GPU), so the sweep
+service can execute and cache the points independently; ``run_all
+--jobs N`` gets its parallelism from exactly this split.
 
 Drivers are named by module and function (:class:`LazyDriver`) and
 imported on their first call, so building the registry — and with it
 listing experiments or serving a sweep from the result cache — imports
 no driver, no simulator and no numpy.
 
-``run_experiment`` / ``run_all`` delegate to :mod:`repro.experiments.runner`
-— the **single entry path** that owns per-point error handling and the
-content-addressed result cache.  Nothing calls a driver directly anymore.
+Experiments run through :mod:`repro.experiments.service` (``run_all``,
+``run_experiment``, ``SweepService``) — the **single entry path** that
+owns per-point error handling and the content-addressed result cache.
+Nothing calls a driver directly.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ __all__ = [
     "load_drivers",
     "known_tags",
     "filter_by_tags",
-    "run_experiment",
-    "run_all",
 ]
 
 # One scenario per paper GPU: the work of a dual-architecture driver factors
@@ -259,28 +258,3 @@ def filter_by_tags(ids: Sequence[str], tags: Sequence[str]) -> List[str]:
     wanted = set(tags)
     return [i for i in ids if wanted & set(EXPERIMENTS[i].tags)]
 
-
-def run_experiment(
-    exp_id: str,
-    scenarios: Optional[Sequence[Scenario]] = None,
-    use_cache: bool = False,
-) -> ExperimentReport:
-    """Run one experiment by id through the runner's single entry path.
-
-    Caching defaults off here (the historical in-process behaviour);
-    the CLI and ``run_all`` turn it on.
-    """
-    from repro.experiments import runner
-
-    return runner.run_experiment(exp_id, scenarios=scenarios, use_cache=use_cache)
-
-
-def run_all(
-    ids: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    use_cache: bool = False,
-) -> List[ExperimentReport]:
-    """Run experiments in paper order (optionally parallel, see runner)."""
-    from repro.experiments import runner
-
-    return runner.run_all(ids=ids, jobs=jobs, use_cache=use_cache)

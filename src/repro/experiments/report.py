@@ -1,7 +1,7 @@
 """Generate EXPERIMENTS.md: the paper-vs-measured record for every artifact.
 
 ``python -m repro.experiments.report [path] [--jobs N]`` runs the full
-registry through the experiment runner (parallel + cached like the CLI)
+registry through the sweep service (parallel + cached like the CLI)
 and writes a markdown report with one section per table/figure, comparison
 tables, and the rendered ASCII artifacts.  Sections render from the same
 JSON-able report structures the cache and ``--json`` output carry, so a
@@ -24,8 +24,8 @@ _HEADER = """\
 
 Reproduction record for every table and figure of *"A Study of Single and
 Multi-device Synchronization Methods in Nvidia GPUs"* (Zhang et al., 2020),
-regenerated on the simulated P100 / V100 / DGX-1 machines (see DESIGN.md
-for the substitution rationale and calibration policy).
+regenerated on the simulated P100 / V100 / DGX-1 machines (see
+docs/calibration.md for where each calibration constant comes from).
 
 Regenerate with:
 
@@ -85,9 +85,9 @@ def experiments_markdown(
 ) -> str:
     """Render the full markdown document (runs the registry by default)."""
     if reports is None:
-        from repro.experiments import runner
+        from repro.experiments.service import run_all
 
-        reports = runner.run_all(jobs=jobs, use_cache=use_cache)
+        reports = run_all(jobs=jobs, use_cache=use_cache)
     parts = [_HEADER]
     overall = [r.mean_rel_err for r in reports if r.mean_rel_err is not None]
     parts.append(

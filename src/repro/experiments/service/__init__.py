@@ -14,10 +14,10 @@ explicit seams (each its own module):
   :class:`ReportAggregator`, folding settled points into per-experiment
   reports incrementally (partial reports on demand).
 
-:class:`SweepService` composes the four; the historical
-:mod:`repro.experiments.runner` module is a thin facade over it.  The
-cache/claim machinery both paths share lives in
-:mod:`~repro.experiments.service.cache`.
+:class:`SweepService` composes the four, and :func:`run_all` /
+:func:`run_experiment` run registry experiments through it and merge
+their reports.  The cache/claim machinery the serial and pooled paths
+share lives in :mod:`~repro.experiments.service.cache`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
+from repro.experiments.base import ExperimentReport
 from repro.experiments.journal import SweepJournal
+from repro.experiments.registry import EXPERIMENTS, get_spec
 from repro.experiments.scenario import Scenario
 from repro.experiments.service import cache
 from repro.experiments.service.aggregate import ReportAggregator, merge_experiment
@@ -58,6 +60,8 @@ __all__ = [
     "WorkerPool",
     "execute_point",
     "merge_experiment",
+    "run_all",
+    "run_experiment",
     "run_serial",
 ]
 
@@ -79,10 +83,9 @@ class SweepService:
     """One sweep, end to end: build the queue, schedule it, aggregate it.
 
     The composition root of the service layers.  ``run`` executes a
-    point list exactly like the historical ``runner.run_points`` —
-    results in input order, identical reports for any ``jobs`` setting —
-    while exposing the streaming ``aggregator`` (partial reports,
-    execution counters) afterwards.
+    point list — results in input order, identical reports for any
+    ``jobs`` setting — and leaves the streaming ``aggregator`` (partial
+    reports, execution counters) behind for the caller.
     """
 
     def __init__(
@@ -131,3 +134,47 @@ class SweepService:
             journal=self.journal,
             on_result=self.aggregator.add,
         ).run()
+
+
+def run_all(
+    ids: Optional[Sequence[str]] = None,
+    jobs: int = 1,
+    use_cache: bool = False,
+    cache_dir: Optional[Path] = None,
+    scenarios: Optional[Sequence[Scenario]] = None,
+) -> List[ExperimentReport]:
+    """Run experiments (default: the whole registry) in the given order
+    and return one merged report each.
+
+    ``scenarios`` overrides every selected experiment's default
+    scenarios.  The result cache is off unless ``use_cache`` is set.
+    Any failed point raises :class:`ExperimentError` once the sweep has
+    settled.
+    """
+    selected = list(ids) if ids is not None else list(EXPERIMENTS)
+    points: List[Tuple[str, Scenario]] = []
+    for exp_id in selected:
+        scens = get_spec(exp_id).default_scenarios if scenarios is None else scenarios
+        if not scens:
+            raise ValueError(f"no reports to merge for {exp_id!r}: no scenarios")
+        points.extend((exp_id, scen) for scen in scens)
+    service = SweepService(jobs=jobs, use_cache=use_cache, cache_dir=cache_dir)
+    failures = [r for r in service.run(points) if not r.ok]
+    if failures:
+        raise ExperimentError(failures)
+    return service.aggregator.reports(selected)
+
+
+def run_experiment(
+    exp_id: str,
+    scenarios: Optional[Sequence[Scenario]] = None,
+    jobs: int = 1,
+    use_cache: bool = False,
+    cache_dir: Optional[Path] = None,
+) -> ExperimentReport:
+    """Run one experiment over its default (or the given) scenarios."""
+    [report] = run_all(
+        [exp_id], jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
+        scenarios=scenarios,
+    )
+    return report

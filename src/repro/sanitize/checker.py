@@ -320,7 +320,7 @@ def render_findings(findings: List[Finding]) -> List[str]:
 class SanitizerSession:
     """Scoped installation of the sync monitor + the mode's checks.
 
-    Usage (what :func:`repro.experiments.runner.execute_point` does when
+    Usage (what :func:`repro.experiments.service.execute_point` does when
     a scenario carries ``sanitize=...``)::
 
         with SanitizerSession("full") as sess:

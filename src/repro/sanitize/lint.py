@@ -15,9 +15,6 @@ SAN102    ``yield Timeout(...)`` constructed inline inside ``repro.sync``
           code — scope/strategy delays must flow through the strategy
           cost model (named ``Timeout`` constants or strategy methods),
           not ad-hoc literals.
-SAN103    import or use of the deprecated ``simulate_grid_sync`` /
-          ``simulate_multigrid_sync`` shims (superseded by the scope
-          classes; kept only for the pinned passthrough tests).
 SAN104    wall-clock reads (``time.time``, ``perf_counter``,
           ``datetime.now``, ``time.sleep``) inside experiment drivers —
           driver output must be a pure function of the scenario or the
@@ -75,10 +72,6 @@ RULES: Dict[str, Tuple[str, str]] = {
         "raw 'yield Timeout(...)' in sync scope/strategy code",
         "docs/sanitize.md#san102",
     ),
-    "SAN103": (
-        "deprecated simulate_grid_sync/simulate_multigrid_sync shim",
-        "docs/sanitize.md#san103",
-    ),
     "SAN104": (
         "wall-clock/nondeterminism in an experiment driver",
         "docs/sanitize.md#san104",
@@ -110,7 +103,6 @@ _SYNC_CALL_NAMES = ("arrive", "wait", "sync")
 _SYNC_CALL_EXEMPT_RECEIVERS = frozenset(
     {"os", "time", "signal", "subprocess", "proc", "pool", "executor"}
 )
-_DEPRECATED_SHIMS = frozenset({"simulate_grid_sync", "simulate_multigrid_sync"})
 _WALL_CLOCK = {
     "time": {"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
              "perf_counter_ns", "sleep"},
@@ -296,27 +288,6 @@ class _Checker(ast.NodeVisitor):
                 "SAN102", node,
                 "inline 'yield Timeout(...)' bypasses the strategy cost "
                 "model; use a named Timeout constant or strategy method",
-            )
-        self.generic_visit(node)
-
-    # -- SAN103 (deprecated shims) ----------------------------------------
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        for alias in node.names:
-            if alias.name in _DEPRECATED_SHIMS:
-                self._add(
-                    "SAN103", node,
-                    f"'{alias.name}' is a deprecated shim; use the scope "
-                    f"classes (GridGroup/MultiGridGroup) instead",
-                )
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr in _DEPRECATED_SHIMS:
-            self._add(
-                "SAN103", node,
-                f"'{node.attr}' is a deprecated shim; use the scope "
-                f"classes (GridGroup/MultiGridGroup) instead",
             )
         self.generic_visit(node)
 

@@ -5,7 +5,8 @@ calibration blocks, each annotated with its source:
 
 * ``[T1]`` .. ``[T8]``  — Tables I–VIII of Zhang et al. 2020.
 * ``[F4]`` .. ``[F18]`` — Figures of the paper (values fit by least squares
-  against the published heat-maps; the fits are derived in DESIGN.md §5).
+  against the published heat-maps; ``docs/calibration.md`` lists each fit
+  and the experiments that read it).
 * ``[V100-WP]`` / ``[P100-WP]`` — Nvidia whitepapers (SM counts, occupancy
   limits, theoretical bandwidth).
 
@@ -107,7 +108,7 @@ class GridSyncCalib:
     The atomic service time degrades linearly with the number of
     outstanding blocks (L2 contention), giving the quadratic block term the
     heat-maps show at 32 blocks/SM.  Relative least-squares fit over every
-    populated [F5] cell (b = blocks/SM, w = warps/SM; DESIGN.md §5):
+    populated [F5] cell (b = blocks/SM, w = warps/SM; docs/calibration.md):
 
     V100: T(us) = 0.904 + 0.4174*b + 0.00494*b^2 + 0.0265*w   (mean err 4.4%)
     P100: T(us) = 1.032 + 0.5376*b + 0.01118*b^2 + 0.0212*w   (mean err 5.1%)
@@ -132,7 +133,7 @@ class MultiGridLocalCalib:
     Multi-grid sync is grid sync plus system-scope memory fences; the
     release wavefront's flag traffic contends quadratically in the warp
     count, which dominates the V100 panel.  Relative least-squares fit over
-    the 1-GPU panels (b = blocks/SM, w = warps/SM; DESIGN.md §5):
+    the 1-GPU panels (b = blocks/SM, w = warps/SM; docs/calibration.md):
 
     V100: T(us) = 0.859 + 0.4363*b + 0.0576*w + 0.00323*w^2      (mean 3.6%)
     P100: T(us) = 0.847 + 0.4636*b + 0.0209*w + 0.00296*b*w
@@ -642,7 +643,7 @@ DGX1_V100 = NodeSpec(
     gpu_count=8,
     interconnect="nvlink-cube-mesh",
     cross_gpu=CrossGpuCalib(
-        base_ns=4830.0,  # [F8] fit (DESIGN.md §5)
+        base_ns=4830.0,  # [F8] fit (docs/calibration.md)
         per_gpu_ns=193.0,
         hop2_penalty_ns=10490.0,
         per_2hop_gpu_ns=960.0,

@@ -1,24 +1,20 @@
 """Whole-GPU device model: device state and the grid-sync cost model.
 
-The grid barrier's DES protocol now lives in
-:class:`repro.sync.GridGroup` (the cooperative-groups-style API);
-:func:`simulate_grid_sync` remains as a deprecated shim delegating there.
-The closed-form latency model :func:`grid_sync_latency_ns` stays here —
+The grid barrier's DES protocol lives in :class:`repro.sync.GridGroup`;
+the closed-form latency model :func:`grid_sync_latency_ns` stays here —
 it is the Fig 5 fit, not a protocol.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.sim.arch import GPUSpec
-from repro.sim.engine import Engine
 from repro.sim.memory import DeviceBuffer, HBM
 from repro.sim.occupancy import blocks_per_sm as occ_blocks_per_sm
 
-__all__ = ["Device", "GridSyncResult", "simulate_grid_sync", "grid_sync_latency_ns"]
+__all__ = ["Device", "GridSyncResult", "grid_sync_latency_ns"]
 
 
 @dataclass(frozen=True)
@@ -49,7 +45,7 @@ def grid_sync_latency_ns(
     ``T = base + total_blocks * atomic_service(b) + warps_per_sm * release``
     — the relative least-squares fit to the Fig 5 heat-maps, where the L2
     atomic service time degrades linearly in the outstanding block count.
-    The DES protocol in :func:`simulate_grid_sync` reproduces this
+    The DES protocol in :class:`repro.sync.GridGroup` reproduces this
     structurally.
     """
     gs = spec.grid_sync
@@ -65,47 +61,6 @@ def grid_sync_latency_ns(
         gs.base_ns
         + total_blocks * gs.atomic_service_ns(blocks_per_sm, spec.sm_count)
         + warps_per_sm * gs.per_warp_release_ns
-    )
-
-
-def simulate_grid_sync(
-    spec: GPUSpec,
-    blocks_per_sm: int,
-    threads_per_block: int,
-    n_syncs: int = 1,
-    participating_blocks: Optional[int] = None,
-    engine: Optional[Engine] = None,
-    sm_count: Optional[int] = None,
-    strategy=None,
-    strategy_knobs=None,
-    backend=None,
-) -> GridSyncResult:
-    """Deprecated shim over :class:`repro.sync.GridGroup`.
-
-    The four-step grid-barrier protocol (and its pluggable strategy
-    variants) lives in :mod:`repro.sync`; this wrapper reproduces the
-    historical one-shot signature, event-for-event.
-
-    .. deprecated::
-        Use ``GridGroup(spec, blocks_per_sm, threads_per_block).simulate()``
-        or ``CudaRuntime.this_grid(...)`` instead.
-    """
-    warnings.warn(
-        "simulate_grid_sync is deprecated; use repro.sync.GridGroup "
-        "(or CudaRuntime.this_grid) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.sync import GridGroup
-
-    if n_syncs < 1:
-        raise ValueError("n_syncs must be >= 1")
-    group = GridGroup(
-        spec, blocks_per_sm, threads_per_block, engine=engine, sm_count=sm_count,
-        strategy=strategy, strategy_knobs=strategy_knobs, backend=backend,
-    )
-    return group.simulate(
-        n_syncs=n_syncs, participating_blocks=participating_blocks
     )
 
 

@@ -4,23 +4,20 @@ The multi-grid barrier (``multi_grid.sync()``) has two phases — a
 per-GPU **local phase** (grid barrier with system-scope fences) and a
 topology-dependent **cross-GPU phase** (leader flag exchange over the
 interconnect; the DGX-1 cube-mesh's two-hop members create the paper's
-2–5 vs 6–8 GPU plateaus, Figs 8/9).  The DES protocol now lives in
-:class:`repro.sync.MultiGridGroup`; :func:`simulate_multigrid_sync`
-remains as a deprecated shim delegating there.  The closed-form phase
-models (:func:`multigrid_local_latency_ns`, :func:`cross_gpu_latency_ns`)
-stay here — they are the Figs 7/8 fits, not protocols.
+2–5 vs 6–8 GPU plateaus, Figs 8/9).  The DES protocol lives in
+:class:`repro.sync.MultiGridGroup`; the closed-form phase models
+(:func:`multigrid_local_latency_ns`, :func:`cross_gpu_latency_ns`) stay
+here — they are the Figs 7/8 fits, not protocols.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence
 
 from repro.sim.arch import NodeSpec
 from repro.sim.device import Device
-from repro.sim.engine import Engine
 from repro.sim.interconnect import Interconnect, build_interconnect
 from repro.sim.occupancy import blocks_per_sm as occ_blocks_per_sm
 
@@ -29,7 +26,6 @@ __all__ = [
     "MultiGridSyncResult",
     "multigrid_local_latency_ns",
     "cross_gpu_latency_ns",
-    "simulate_multigrid_sync",
 ]
 
 
@@ -97,7 +93,7 @@ def multigrid_local_latency_ns(
 
     ``T = base + pb*b + pw*w + pbw*b*w + pw2*w^2`` with ``b`` = blocks/SM
     and ``w`` = warps/SM (relative LSQ fit to the 1-GPU panels of Figs 7/8;
-    DESIGN.md §5).
+    docs/calibration.md).
     """
     gpu = spec.gpu
     occ = occ_blocks_per_sm(gpu, threads_per_block)
@@ -151,48 +147,3 @@ def _cross_gpu_latency_cached(
         t += cg.hop2_penalty_ns + cg.per_2hop_gpu_ns * n_2hop
     t += cg.release_coef_ns * (blocks_per_sm**cg.release_exponent - 1.0)
     return t
-
-
-def simulate_multigrid_sync(
-    node: Node,
-    blocks_per_sm: int,
-    threads_per_block: int,
-    gpu_ids: Optional[Sequence[int]] = None,
-    n_syncs: int = 1,
-    participating_gpus: Optional[Sequence[int]] = None,
-    full_local_participation: bool = True,
-    engine: Optional[Engine] = None,
-    strategy=None,
-    strategy_knobs=None,
-    backend=None,
-) -> MultiGridSyncResult:
-    """Deprecated shim over :class:`repro.sync.MultiGridGroup`.
-
-    The two-phase multi-grid protocol (and its pluggable strategy
-    variants) lives in :mod:`repro.sync`; this wrapper reproduces the
-    historical one-shot signature, event-for-event.
-
-    .. deprecated::
-        Use ``MultiGridGroup(node, ...).simulate()`` or
-        ``CudaRuntime.this_multi_grid(...)`` instead.
-    """
-    warnings.warn(
-        "simulate_multigrid_sync is deprecated; use repro.sync.MultiGridGroup "
-        "(or CudaRuntime.this_multi_grid) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.sync import MultiGridGroup
-
-    group = MultiGridGroup(
-        node,
-        blocks_per_sm,
-        threads_per_block,
-        gpu_ids=gpu_ids,
-        engine=engine,
-        strategy=strategy,
-        strategy_knobs=strategy_knobs,
-        full_local_participation=full_local_participation,
-        backend=backend,
-    )
-    return group.simulate(n_syncs=n_syncs, participating_gpus=participating_gpus)

@@ -12,13 +12,6 @@ See ``docs/sync.md`` for the API reference and the scope/strategy
 matrix mapped to the paper's taxonomy.
 """
 
-from repro.sync.factory import (
-    cpu_barrier_team,
-    this_block,
-    this_grid,
-    this_multi_grid,
-    this_warp,
-)
 from repro.sync.groups import (
     STRATEGY_KNOB_KEYS,
     BlockGroup,
@@ -56,10 +49,4 @@ __all__ = [
     "GridGroup",
     "MultiGridGroup",
     "HostBarrierGroup",
-    # factories
-    "this_warp",
-    "this_block",
-    "this_grid",
-    "this_multi_grid",
-    "cpu_barrier_team",
 ]

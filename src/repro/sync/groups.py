@@ -18,11 +18,10 @@ MultiGridGroup  GPUs of one multi-device    CooperativeBarrier over the
 HostBarrierGroup host threads (one per GPU) CpuBarrier
 =============== =========================== ==========================
 
-``GridGroup`` and ``MultiGridGroup`` run exactly the DES protocols that
-previously lived in ``sim/device.py::simulate_grid_sync`` and
-``sim/node.py::simulate_multigrid_sync`` (which now deprecate into thin
-shims over these classes): the per-member event sequences are identical,
-so every regenerated table and figure is byte-for-byte unchanged.
+``GridGroup.simulate()`` and ``MultiGridGroup.simulate()`` return the
+``GridSyncResult`` / ``MultiGridSyncResult`` records of
+:mod:`repro.sim.device` / :mod:`repro.sim.node`, whose closed-form fits
+(``latency_model``) they reproduce structurally.
 """
 
 from __future__ import annotations
@@ -537,6 +536,9 @@ class MultiGridGroup(BarrierScope):
         ids = tuple(gpu_ids) if gpu_ids is not None else tuple(range(node.gpu_count))
         if not ids:
             raise ValueError("gpu_ids must not be empty")
+        repeated = sorted({g for g in ids if ids.count(g) > 1})
+        if repeated:
+            raise ValueError(f"gpu_ids repeat GPU(s) {repeated}: {list(ids)}")
         for g in ids:
             node.device(g)  # validates range
         self.node = node

@@ -6,7 +6,7 @@ whenever a driver failure or a tolerance breach sets exit code 1, the
 merged report — with every successful point's rows — is still written to
 stdout as valid JSON, and diagnostics go to stderr only.  This is the
 ``keep partial results on failure`` path promised by
-:func:`repro.experiments.runner.merge_experiment`.
+:func:`repro.experiments.service.merge_experiment`.
 """
 
 from __future__ import annotations

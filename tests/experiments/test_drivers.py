@@ -1,8 +1,7 @@
 """End-to-end checks on the heavier experiment drivers.
 
 These run the full sweeps once each and assert the paper's qualitative
-claims plus quantitative error bounds — the acceptance criteria from
-DESIGN.md §6.
+claims plus quantitative error bounds against its published values.
 """
 
 from __future__ import annotations

@@ -8,12 +8,8 @@ import pytest
 
 from repro.experiments.base import ComparisonRow, ExperimentReport
 from repro.experiments.cli import main
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    filter_by_tags,
-    known_tags,
-    run_experiment,
-)
+from repro.experiments.registry import EXPERIMENTS, filter_by_tags, known_tags
+from repro.experiments.service import run_experiment
 
 
 class TestReport:

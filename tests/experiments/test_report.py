@@ -34,7 +34,7 @@ class TestMarkdown:
     def test_header_documents_regeneration(self):
         md = experiments_markdown(_fake_reports())
         assert "repro-experiments" in md
-        assert "DESIGN.md" in md
+        assert "docs/calibration.md" in md
 
 
 class TestWriteFile:

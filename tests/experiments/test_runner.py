@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import runner
-from repro.experiments.service import cache as service_cache
-from repro.experiments.service import workers as service_workers
 from repro.experiments.registry import EXPERIMENTS, get_spec
 from repro.experiments.scenario import Scenario
+from repro.experiments.service import (
+    ExperimentError,
+    SweepService,
+    execute_point,
+    run_all,
+    run_experiment,
+)
+from repro.experiments.service import cache as service_cache
+from repro.experiments.service import workers as service_workers
 
 # A fast subset covering single- and multi-GPU drivers.
 FAST_IDS = ["table1", "table4", "fig8", "deadlock"]
@@ -21,10 +27,10 @@ def cache_dir(tmp_path):
 
 class TestCodeVersion:
     def test_stable_within_process(self):
-        assert runner.code_version() == runner.code_version()
+        assert service_cache.code_version() == service_cache.code_version()
 
     def test_is_hex_digest(self):
-        v = runner.code_version()
+        v = service_cache.code_version()
         assert len(v) == 16
         int(v, 16)
 
@@ -32,44 +38,44 @@ class TestCodeVersion:
 class TestExecutePoint:
     def test_runs_and_stamps_scenario(self, cache_dir):
         scen = Scenario(gpus=("V100",))
-        res = runner.execute_point("table4", scen, cache_dir=cache_dir)
+        res = execute_point("table4", scen, cache_dir=cache_dir)
         assert res.ok and not res.cached
         assert res.report.scenario == scen.to_dict()
 
     def test_cache_round_trip_is_lossless(self, cache_dir):
         scen = Scenario(gpus=("V100",))
-        fresh = runner.execute_point("table4", scen, cache_dir=cache_dir)
-        hit = runner.execute_point("table4", scen, cache_dir=cache_dir)
+        fresh = execute_point("table4", scen, cache_dir=cache_dir)
+        hit = execute_point("table4", scen, cache_dir=cache_dir)
         assert hit.cached
         assert hit.report == fresh.report
         assert hit.report.render() == fresh.report.render()
 
     def test_no_cache_bypasses_store_and_load(self, cache_dir):
         scen = Scenario(gpus=("V100",))
-        runner.execute_point("table4", scen, use_cache=False, cache_dir=cache_dir)
+        execute_point("table4", scen, use_cache=False, cache_dir=cache_dir)
         assert not cache_dir.exists()  # nothing stored
-        res = runner.execute_point("table4", scen, use_cache=False, cache_dir=cache_dir)
+        res = execute_point("table4", scen, use_cache=False, cache_dir=cache_dir)
         assert not res.cached
 
     def test_cache_key_includes_scenario_hash(self, cache_dir):
-        runner.execute_point("table4", Scenario(gpus=("V100",)), cache_dir=cache_dir)
-        runner.execute_point("table4", Scenario(gpus=("P100",)), cache_dir=cache_dir)
+        execute_point("table4", Scenario(gpus=("V100",)), cache_dir=cache_dir)
+        execute_point("table4", Scenario(gpus=("P100",)), cache_dir=cache_dir)
         assert len(list(cache_dir.glob("table4-*.json"))) == 2
 
     def test_cache_key_includes_code_version(self, cache_dir, monkeypatch):
         scen = Scenario(gpus=("V100",))
-        runner.execute_point("table4", scen, cache_dir=cache_dir)
+        execute_point("table4", scen, cache_dir=cache_dir)
         monkeypatch.setattr(service_cache, "_CODE_VERSION", "deadbeefdeadbeef")
-        res = runner.execute_point("table4", scen, cache_dir=cache_dir)
+        res = execute_point("table4", scen, cache_dir=cache_dir)
         assert not res.cached  # old entry invisible under the new version
 
     @pytest.mark.parametrize("garbage", ["{not json", "[1, 2, 3]", '{"a": 1}'])
     def test_corrupt_cache_entry_recomputed(self, cache_dir, garbage):
         scen = Scenario(gpus=("V100",))
-        first = runner.execute_point("table4", scen, cache_dir=cache_dir)
+        first = execute_point("table4", scen, cache_dir=cache_dir)
         [path] = list(cache_dir.glob("table4-*.json"))
         path.write_text(garbage)
-        res = runner.execute_point("table4", scen, cache_dir=cache_dir)
+        res = execute_point("table4", scen, cache_dir=cache_dir)
         assert res.ok and not res.cached
         assert res.report == first.report
 
@@ -84,7 +90,7 @@ class TestExecutePoint:
         monkeypatch.setitem(
             registry.EXPERIMENTS, "table4", replace(get_spec("table4"), driver=boom)
         )
-        res = runner.execute_point("table4", Scenario(gpus=("V100",)), cache_dir=cache_dir)
+        res = execute_point("table4", Scenario(gpus=("V100",)), cache_dir=cache_dir)
         assert not res.ok
         assert "driver exploded" in res.error
         # failures are never cached
@@ -92,7 +98,7 @@ class TestExecutePoint:
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(ValueError, match="unknown experiment"):
-            runner.execute_point("nope", Scenario())
+            execute_point("nope", Scenario())
 
 
 class TestRunPoints:
@@ -100,9 +106,9 @@ class TestRunPoints:
         points = [
             (e, s) for e in FAST_IDS for s in EXPERIMENTS[e].default_scenarios
         ]
-        serial = runner.run_points(points, jobs=1, use_cache=False)
-        parallel = runner.run_points(points, jobs=2, use_cache=True, cache_dir=cache_dir)
-        cached = runner.run_points(points, jobs=1, use_cache=True, cache_dir=cache_dir)
+        serial = SweepService(jobs=1, use_cache=False).run(points)
+        parallel = SweepService(jobs=2, use_cache=True, cache_dir=cache_dir).run(points)
+        cached = SweepService(jobs=1, use_cache=True, cache_dir=cache_dir).run(points)
         assert all(r.cached for r in cached)
         for a, b, c in zip(serial, parallel, cached):
             assert a.report == b.report == c.report
@@ -115,17 +121,17 @@ class TestRunPoints:
             ("table1", Scenario(gpus=("V100",))),
             ("table4", Scenario(gpus=("V100",))),
         ]
-        results = runner.run_points(points, jobs=2, cache_dir=cache_dir)
+        results = SweepService(jobs=2, cache_dir=cache_dir).run(points)
         assert [(r.exp_id, r.scenario) for r in results] == points
 
     def test_invalid_jobs(self):
         with pytest.raises(ValueError):
-            runner.run_points([], jobs=0)
+            SweepService(jobs=0)
 
 
 class TestExperimentApi:
     def test_run_experiment_merges_default_scenarios(self, cache_dir):
-        rep = runner.run_experiment("table4", cache_dir=cache_dir)
+        rep = run_experiment("table4", cache_dir=cache_dir)
         labels = [r.label for r in rep.rows]
         assert any(l.startswith("V100") for l in labels)
         assert any(l.startswith("P100") for l in labels)
@@ -133,13 +139,13 @@ class TestExperimentApi:
         assert len(rep.scenario["points"]) == 2
 
     def test_run_experiment_custom_scenario(self, cache_dir):
-        rep = runner.run_experiment(
+        rep = run_experiment(
             "table4", scenarios=[Scenario(gpus=("P100",))], cache_dir=cache_dir
         )
         assert all(r.label.startswith("P100") for r in rep.rows)
 
     def test_run_all_paper_order_and_selection(self, cache_dir):
-        reps = runner.run_all(ids=["table4", "table1"], cache_dir=cache_dir)
+        reps = run_all(ids=["table4", "table1"], cache_dir=cache_dir)
         assert [r.exp_id for r in reps] == ["table4", "table1"]
 
     def test_run_all_aggregates_failures(self, cache_dir, monkeypatch):
@@ -153,32 +159,41 @@ class TestExperimentApi:
         monkeypatch.setitem(
             registry.EXPERIMENTS, "table4", replace(get_spec("table4"), driver=boom)
         )
-        with pytest.raises(runner.ExperimentError, match="kaput"):
-            runner.run_all(ids=["table4"], cache_dir=cache_dir)
+        with pytest.raises(ExperimentError, match="kaput"):
+            run_all(ids=["table4"], cache_dir=cache_dir)
 
     def test_registry_delegates_to_runner(self):
-        """registry.run_all and run_experiment share the single entry path."""
-        from repro.experiments import registry
-
+        """run_experiment and run_all share the single entry path."""
         from repro.experiments.service import scheduler as service_scheduler
 
         calls = []
-        orig = runner.execute_point
 
         def spy(exp_id, scenario, **kw):
             calls.append(exp_id)
-            return orig(exp_id, scenario, **kw)
+            return execute_point(exp_id, scenario, **kw)
 
         import unittest.mock as mock
 
         # The serial path resolves execute_point through the scheduler
-        # module, which is where registry.* must end up.
+        # module, which is where both must end up.
         with mock.patch.object(
             service_scheduler, "execute_point", side_effect=spy
         ):
-            registry.run_experiment("table4")
-            registry.run_all(ids=["table1"])
+            run_experiment("table4")
+            run_all(ids=["table1"])
         assert calls == ["table4", "table4", "table1"]
+
+    def test_empty_scenario_list_rejected_before_dispatch(self, monkeypatch):
+        from repro.experiments.service import scheduler as service_scheduler
+
+        def never(*args, **kw):  # pragma: no cover - the assertion
+            raise AssertionError("nothing may be dispatched")
+
+        monkeypatch.setattr(service_scheduler, "execute_point", never)
+        with pytest.raises(ValueError, match="no reports to merge for 'table4'"):
+            run_all(ids=["table4"], scenarios=[])
+        with pytest.raises(ValueError, match="no reports to merge for 'table4'"):
+            run_experiment("table4", scenarios=[])
 
 
 class TestWorkerCodeVersion:
@@ -238,17 +253,17 @@ class TestWorkerCodeVersion:
         monkeypatch.setattr(service_workers, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(service_workers, "worker_main", fake_worker)
         points = [("table4", Scenario(gpus=("V100",))), ("table4", Scenario(gpus=("P100",)))]
-        results = runner.run_points(points, jobs=2, cache_dir=cache_dir)
+        results = SweepService(jobs=2, cache_dir=cache_dir).run(points)
         assert all(r.ok for r in results)
-        assert captured["version"] == runner.code_version()
+        assert captured["version"] == service_cache.code_version()
 
 
 class TestCanonicalExtrasShareCache:
     def test_equivalent_extra_spellings_hit_one_entry(self, cache_dir):
         a = Scenario(gpus=("V100",), extras=(("knob", "10"),))
         b = Scenario(gpus=("V100",), extras=(("knob", "010"),))
-        first = runner.execute_point("table4", a, cache_dir=cache_dir)
-        second = runner.execute_point("table4", b, cache_dir=cache_dir)
+        first = execute_point("table4", a, cache_dir=cache_dir)
+        second = execute_point("table4", b, cache_dir=cache_dir)
         assert not first.cached and second.cached
         assert len(list(cache_dir.glob("table4-*.json"))) == 1
 
@@ -256,7 +271,7 @@ class TestCanonicalExtrasShareCache:
 class TestCodeVersionMemoized:
     def test_source_walk_happens_at_most_once_per_process(self, monkeypatch):
         """The source-tree hash is expensive (every repro/**/*.py); the
-        runner must compute it once per process, not once per entry."""
+        sweep service must compute it once per process, not once per entry."""
         from pathlib import Path
 
         monkeypatch.setattr(service_cache, "_CODE_VERSION", None)
@@ -268,8 +283,8 @@ class TestCodeVersionMemoized:
             return real_rglob(self, pattern)
 
         monkeypatch.setattr(Path, "rglob", counting_rglob)
-        v1 = runner.code_version()
-        v2 = runner.code_version()
+        v1 = service_cache.code_version()
+        v2 = service_cache.code_version()
         service_cache.cache_path(Path("/tmp/c"), "table4", Scenario(gpus=("V100",)))
         service_cache.cache_path(Path("/tmp/c"), "table4", Scenario(gpus=("P100",)))
         assert v1 == v2
@@ -291,11 +306,11 @@ class TestBackendCacheIsolation:
         assert len(paths) == 3
 
     def test_analytic_run_does_not_poison_default_cache(self, cache_dir):
-        ana = runner.execute_point(
+        ana = execute_point(
             "fig8", Scenario(gpus=("V100",), backend="analytic"),
             cache_dir=cache_dir,
         )
-        default = runner.execute_point(
+        default = execute_point(
             "fig8", Scenario(gpus=("V100",)), cache_dir=cache_dir
         )
         assert ana.ok and default.ok
@@ -306,7 +321,7 @@ class TestBackendCacheIsolation:
         assert ana.report.rows == default.report.rows
 
     def test_engine_only_experiment_notes_fallback(self, cache_dir):
-        res = runner.execute_point(
+        res = execute_point(
             "table4", Scenario(gpus=("V100",), backend="analytic"),
             cache_dir=cache_dir,
         )

@@ -1,6 +1,6 @@
 """Tests for the layered sweep service: queue, pool, aggregator, journal.
 
-The service decomposes the old monolithic runner into four seams
+The service decomposes sweep execution into four seams
 (``queue -> scheduler -> workers -> aggregate``); these tests pin each
 seam's contract in isolation plus the cross-layer invariants: pooled
 execution produces byte-identical reports to serial, and the
@@ -130,10 +130,8 @@ class TestPooledSweep:
     """Cross-layer invariant: the pool never changes the answer."""
 
     def test_pooled_run_matches_serial(self, tmp_path):
-        from repro.experiments.runner import run_points
-
-        serial = run_points(POINTS, cache_dir=tmp_path / "a")
-        pooled = run_points(POINTS, jobs=2, cache_dir=tmp_path / "b")
+        serial = SweepService(cache_dir=tmp_path / "a").run(POINTS)
+        pooled = SweepService(jobs=2, cache_dir=tmp_path / "b").run(POINTS)
         assert [r.ok for r in pooled] == [True] * len(POINTS)
         for a, b in zip(serial, pooled):
             assert a.exp_id == b.exp_id
@@ -407,30 +405,3 @@ class TestResumeWithBackend:
         assert rc == 2
         assert "--backend" not in capsys.readouterr().err
 
-
-class TestFacadeSignatures:
-    """The runner facade keeps the public API generations of callers use."""
-
-    def test_public_names_still_importable(self):
-        from repro.experiments.runner import (  # noqa: F401
-            NO_RETRY,
-            ExperimentError,
-            PointResult,
-            RetryPolicy,
-            execute_point,
-            merge_experiment,
-            run_all,
-            run_experiment,
-            run_points,
-        )
-
-    def test_run_points_signature_unchanged(self):
-        import inspect
-
-        from repro.experiments.runner import run_points
-
-        params = list(inspect.signature(run_points).parameters)
-        assert params[:7] == [
-            "points", "jobs", "use_cache", "cache_dir", "timeout", "retry",
-            "journal",
-        ]

@@ -3,8 +3,8 @@
 Every failure is injected deterministically through
 :mod:`repro.experiments.faults`; nothing here depends on races or luck.
 The fork start method (Linux default) lets programmatic plans reach pool
-workers, and the runner additionally ships the active plan inside each
-worker payload, so these tests hold under ``spawn`` too.
+workers, and the sweep service additionally ships the active plan inside
+each worker payload, so these tests hold under ``spawn`` too.
 """
 
 from __future__ import annotations
@@ -16,16 +16,23 @@ import time
 
 import pytest
 
-from repro.experiments import faults, runner
-from repro.experiments.service import cache as service_cache
+from repro.experiments import faults
 from repro.experiments.faults import FaultRule
 from repro.experiments.journal import SweepJournal, load_journal
 from repro.experiments.scenario import Scenario
+from repro.experiments.service import NO_RETRY, RetryPolicy, SweepService, execute_point
+from repro.experiments.service import cache as service_cache
+from repro.experiments.service.queue import (
+    KIND_CRASH,
+    KIND_ERROR,
+    KIND_TIMEOUT,
+    KIND_TRANSIENT,
+)
 
 V100 = Scenario(gpus=("V100",))
 P100 = Scenario(gpus=("P100",))
 
-FAST = runner.RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
+FAST = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
 
 
 @pytest.fixture(autouse=True)
@@ -43,28 +50,28 @@ def cache_dir(tmp_path):
 
 class TestRetryPolicy:
     def test_default_retries_transient_kinds_only(self):
-        policy = runner.RetryPolicy()
-        for kind in (runner.KIND_CRASH, runner.KIND_TIMEOUT, runner.KIND_TRANSIENT):
+        policy = RetryPolicy()
+        for kind in (KIND_CRASH, KIND_TIMEOUT, KIND_TRANSIENT):
             assert policy.is_retryable(kind)
-        assert not policy.is_retryable(runner.KIND_ERROR)
+        assert not policy.is_retryable(KIND_ERROR)
 
     def test_should_retry_respects_max_attempts(self):
-        policy = runner.RetryPolicy(max_attempts=2)
-        assert policy.should_retry(runner.KIND_CRASH, 1)
-        assert not policy.should_retry(runner.KIND_CRASH, 2)
+        policy = RetryPolicy(max_attempts=2)
+        assert policy.should_retry(KIND_CRASH, 1)
+        assert not policy.should_retry(KIND_CRASH, 2)
 
     def test_custom_retryable_predicate(self):
-        policy = runner.RetryPolicy(retryable=lambda kind: True)
-        assert policy.should_retry(runner.KIND_ERROR, 1)
+        policy = RetryPolicy(retryable=lambda kind: True)
+        assert policy.should_retry(KIND_ERROR, 1)
 
     def test_backoff_is_exponential_and_capped(self):
-        policy = runner.RetryPolicy(base_delay=0.1, max_delay=0.3, jitter=0.0)
+        policy = RetryPolicy(base_delay=0.1, max_delay=0.3, jitter=0.0)
         assert policy.backoff(1) == pytest.approx(0.1)
         assert policy.backoff(2) == pytest.approx(0.2)
         assert policy.backoff(4) == pytest.approx(0.3)  # capped
 
     def test_jitter_is_deterministic_and_bounded(self):
-        policy = runner.RetryPolicy(base_delay=0.1, jitter=0.5)
+        policy = RetryPolicy(base_delay=0.1, jitter=0.5)
         a = policy.backoff(1, key="table4/abc")
         b = policy.backoff(1, key="table4/abc")
         other = policy.backoff(1, key="fig8/def")
@@ -74,10 +81,10 @@ class TestRetryPolicy:
 
     def test_max_attempts_must_be_positive(self):
         with pytest.raises(ValueError):
-            runner.RetryPolicy(max_attempts=0)
+            RetryPolicy(max_attempts=0)
 
     def test_no_retry_is_single_attempt(self):
-        assert runner.NO_RETRY.max_attempts == 1
+        assert NO_RETRY.max_attempts == 1
 
 
 class TestCrashIsolation:
@@ -88,10 +95,9 @@ class TestCrashIsolation:
         with faults.injected(
             FaultRule(kind="kill", match="table4", scenario="P100", attempts=1)
         ):
-            results = runner.run_points(
-                [("table4", V100), ("table4", P100), ("table1", V100)],
+            results = SweepService(
                 jobs=2, cache_dir=cache_dir, retry=FAST,
-            )
+            ).run([("table4", V100), ("table4", P100), ("table1", V100)])
         assert all(r.ok for r in results)
         assert sum(r.crashes for r in results) >= 1
         crashed = [r for r in results if r.crashes]
@@ -104,11 +110,10 @@ class TestCrashIsolation:
         with faults.injected(
             FaultRule(kind="kill", match="table4", attempts=99)
         ):
-            results = runner.run_points(
-                [("table1", V100), ("table4", V100)],
+            results = SweepService(
                 jobs=2, cache_dir=cache_dir,
-                retry=runner.RetryPolicy(max_attempts=2, base_delay=0.01),
-            )
+                retry=RetryPolicy(max_attempts=2, base_delay=0.01),
+            ).run([("table1", V100), ("table4", V100)])
         by_id = {r.exp_id: r for r in results}
         assert by_id["table1"].ok
         # Suspect isolation: the innocent sibling is never charged a
@@ -116,7 +121,7 @@ class TestCrashIsolation:
         assert by_id["table1"].crashes == 0
         dead = by_id["table4"]
         assert not dead.ok
-        assert dead.error_kind == runner.KIND_CRASH
+        assert dead.error_kind == KIND_CRASH
         assert dead.attempts == 2 and dead.crashes == 2
 
     def test_serial_jobs1_survives_kill_fault(self, cache_dir):
@@ -125,58 +130,55 @@ class TestCrashIsolation:
         with faults.injected(
             FaultRule(kind="kill", match="table4", attempts=1)
         ):
-            results = runner.run_points(
-                [("table4", V100)], jobs=1, cache_dir=cache_dir, retry=FAST,
-            )
+            results = SweepService(
+                jobs=1, cache_dir=cache_dir, retry=FAST,
+            ).run([("table4", V100)])
         assert results[0].ok and results[0].attempts == 2
 
 
 class TestFlakyRetry:
     def test_twice_flaky_point_completes_on_third_attempt(self, cache_dir):
         with faults.injected(FaultRule(kind="flaky", match="table4", attempts=2)):
-            results = runner.run_points(
-                [("table4", V100)], jobs=1, cache_dir=cache_dir, retry=FAST,
-            )
+            results = SweepService(
+                jobs=1, cache_dir=cache_dir, retry=FAST,
+            ).run([("table4", V100)])
         assert results[0].ok
         assert results[0].attempts == 3
         assert results[0].retries == 2
 
     def test_flaky_in_pool_workers(self, cache_dir):
         with faults.injected(FaultRule(kind="flaky", match="table4", attempts=1)):
-            results = runner.run_points(
-                [("table4", V100), ("table4", P100)],
+            results = SweepService(
                 jobs=2, cache_dir=cache_dir, retry=FAST,
-            )
+            ).run([("table4", V100), ("table4", P100)])
         assert all(r.ok for r in results)
         assert all(r.attempts == 2 for r in results)
 
     def test_no_retry_surfaces_transient_failure(self, cache_dir):
         with faults.injected(FaultRule(kind="flaky", match="table4", attempts=2)):
-            results = runner.run_points(
-                [("table4", V100)], jobs=1, cache_dir=cache_dir,
-                retry=runner.NO_RETRY,
-            )
+            results = SweepService(
+                jobs=1, cache_dir=cache_dir, retry=NO_RETRY,
+            ).run([("table4", V100)])
         assert not results[0].ok
-        assert results[0].error_kind == runner.KIND_TRANSIENT
+        assert results[0].error_kind == KIND_TRANSIENT
         assert results[0].attempts == 1
 
 
 class TestFailFast:
     def test_deterministic_error_never_retried(self, cache_dir):
         with faults.injected(FaultRule(kind="error", match="table4", attempts=99)):
-            results = runner.run_points(
-                [("table4", V100)], jobs=1, cache_dir=cache_dir, retry=FAST,
-            )
+            results = SweepService(
+                jobs=1, cache_dir=cache_dir, retry=FAST,
+            ).run([("table4", V100)])
         assert not results[0].ok
-        assert results[0].error_kind == runner.KIND_ERROR
+        assert results[0].error_kind == KIND_ERROR
         assert results[0].attempts == 1  # failed fast
 
     def test_deterministic_error_fails_fast_in_pool(self, cache_dir):
         with faults.injected(FaultRule(kind="error", match="table4", attempts=99)):
-            results = runner.run_points(
-                [("table4", V100), ("table1", V100)],
+            results = SweepService(
                 jobs=2, cache_dir=cache_dir, retry=FAST,
-            )
+            ).run([("table4", V100), ("table1", V100)])
         by_id = {r.exp_id: r for r in results}
         assert not by_id["table4"].ok and by_id["table4"].attempts == 1
         assert by_id["table1"].ok
@@ -190,11 +192,10 @@ class TestTimeout:
             FaultRule(kind="delay", match="table4", delay=30.0, attempts=1)
         ):
             t0 = time.monotonic()
-            results = runner.run_points(
-                [("table4", V100)], jobs=2, cache_dir=cache_dir,
-                timeout=0.8,
-                retry=runner.RetryPolicy(max_attempts=2, base_delay=0.01),
-            )
+            results = SweepService(
+                jobs=2, cache_dir=cache_dir, timeout=0.8,
+                retry=RetryPolicy(max_attempts=2, base_delay=0.01),
+            ).run([("table4", V100)])
             elapsed = time.monotonic() - t0
         assert results[0].ok
         assert results[0].timeouts == 1
@@ -205,12 +206,11 @@ class TestTimeout:
         with faults.injected(
             FaultRule(kind="delay", match="table4", delay=30.0, attempts=99)
         ):
-            results = runner.run_points(
-                [("table4", V100)], jobs=1, cache_dir=cache_dir,
-                timeout=0.5, retry=runner.NO_RETRY,
-            )
+            results = SweepService(
+                jobs=1, cache_dir=cache_dir, timeout=0.5, retry=NO_RETRY,
+            ).run([("table4", V100)])
         assert not results[0].ok
-        assert results[0].error_kind == runner.KIND_TIMEOUT
+        assert results[0].error_kind == KIND_TIMEOUT
         assert "wall-clock timeout" in results[0].error
 
     def test_timeout_forces_pool_even_for_jobs1(self, cache_dir):
@@ -219,24 +219,23 @@ class TestTimeout:
         with faults.injected(
             FaultRule(kind="delay", match="table4", delay=30.0, attempts=1)
         ):
-            results = runner.run_points(
-                [("table4", V100)], jobs=1, cache_dir=cache_dir,
-                timeout=0.8,
-                retry=runner.RetryPolicy(max_attempts=2, base_delay=0.01),
-            )
+            results = SweepService(
+                jobs=1, cache_dir=cache_dir, timeout=0.8,
+                retry=RetryPolicy(max_attempts=2, base_delay=0.01),
+            ).run([("table4", V100)])
         assert results[0].ok and results[0].timeouts == 1
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ValueError, match="timeout"):
-            runner.run_points([("table4", V100)], timeout=0.0)
+            SweepService(timeout=0.0)
 
 
 class TestQuarantine:
     def test_corrupt_entry_quarantined_and_warned_once(self, cache_dir, capsys):
-        first = runner.execute_point("table4", V100, cache_dir=cache_dir)
+        first = execute_point("table4", V100, cache_dir=cache_dir)
         [path] = list(cache_dir.glob("table4-*.json"))
         path.write_text("{definitely not json")
-        res = runner.execute_point("table4", V100, cache_dir=cache_dir)
+        res = execute_point("table4", V100, cache_dir=cache_dir)
         assert res.ok and not res.cached
         assert res.report == first.report
         # The bad bytes moved aside (recomputed once, not re-parsed forever)
@@ -248,12 +247,12 @@ class TestQuarantine:
 
     def test_quarantined_entry_not_reparsed(self, cache_dir, capsys, monkeypatch):
         monkeypatch.setattr(service_cache, "_QUARANTINE_WARNED", set())
-        runner.execute_point("table4", V100, cache_dir=cache_dir)
+        execute_point("table4", V100, cache_dir=cache_dir)
         [path] = list(cache_dir.glob("table4-*.json"))
         path.write_text("{broken")
-        runner.execute_point("table4", V100, cache_dir=cache_dir)
+        execute_point("table4", V100, cache_dir=cache_dir)
         capsys.readouterr()
-        res = runner.execute_point("table4", V100, cache_dir=cache_dir)
+        res = execute_point("table4", V100, cache_dir=cache_dir)
         assert res.cached  # healthy entry back in place
         assert "corrupt" not in capsys.readouterr().err
 
@@ -277,7 +276,7 @@ class TestCacheClaims:
         # Pid far above pid_max: provably not a live process.
         claim_file.write_text(json.dumps({"pid": 2**22 + 12345, "time": time.time()}))
         t0 = time.monotonic()
-        res = runner.execute_point("table4", scen, cache_dir=tmp_path)
+        res = execute_point("table4", scen, cache_dir=tmp_path)
         assert res.ok and not res.cached
         assert time.monotonic() - t0 < 5.0  # takeover, not a TTL wait
         assert not claim_file.exists()
@@ -292,7 +291,7 @@ class TestCacheClaims:
         # A rival (simulated by this very process: live pid) holds the
         # claim; a second writer must wait and then consume the published
         # report instead of recomputing.
-        fresh = runner.execute_point("table4", V100, cache_dir=cache_dir)
+        fresh = execute_point("table4", V100, cache_dir=cache_dir)
         path = service_cache.cache_path(tmp_path, "table4", V100)
         tmp_path.mkdir(exist_ok=True)
         claim_file = path.with_name(path.name + ".claim")
@@ -306,19 +305,19 @@ class TestCacheClaims:
         thread = threading.Thread(target=publish)
         thread.start()
         t0 = time.monotonic()
-        res = runner.execute_point("table4", V100, cache_dir=tmp_path)
+        res = execute_point("table4", V100, cache_dir=tmp_path)
         thread.join()
         assert res.ok and res.cached
         assert res.report == fresh.report
         assert time.monotonic() - t0 >= 0.25  # actually waited
 
     def test_claims_cleaned_up_after_success(self, cache_dir):
-        runner.execute_point("table4", V100, cache_dir=cache_dir)
+        execute_point("table4", V100, cache_dir=cache_dir)
         assert not list(cache_dir.glob("*.claim"))
 
     def test_failed_point_releases_claim(self, cache_dir):
         with faults.injected(FaultRule(kind="error", match="table4")):
-            runner.execute_point("table4", V100, cache_dir=cache_dir)
+            execute_point("table4", V100, cache_dir=cache_dir)
         assert not list(cache_dir.glob("*.claim"))
 
 
@@ -326,21 +325,20 @@ class TestJournalIntegration:
     def test_run_points_journals_progress(self, cache_dir, tmp_path):
         journal = SweepJournal(tmp_path / "sweep.jsonl")
         points = [("table4", V100), ("table4", P100)]
-        runner.run_points(points, jobs=1, cache_dir=cache_dir, journal=journal)
+        SweepService(jobs=1, cache_dir=cache_dir, journal=journal).run(points)
         journal.close()
         state = load_journal(tmp_path / "sweep.jsonl")
         assert state.points == points
         assert state.finished == {0, 1}
         assert state.unfinished == []
-        assert state.code_version == runner.code_version()
+        assert state.code_version == service_cache.code_version()
 
     def test_failures_and_retries_are_journaled(self, cache_dir, tmp_path):
         journal = SweepJournal(tmp_path / "sweep.jsonl")
         with faults.injected(FaultRule(kind="flaky", match="table4", attempts=1)):
-            runner.run_points(
-                [("table4", V100)], jobs=1, cache_dir=cache_dir,
-                retry=FAST, journal=journal,
-            )
+            SweepService(
+                jobs=1, cache_dir=cache_dir, retry=FAST, journal=journal,
+            ).run([("table4", V100)])
         journal.close()
         records = [
             json.loads(line)
@@ -353,7 +351,7 @@ class TestJournalIntegration:
     def test_pool_path_journals_too(self, cache_dir, tmp_path):
         journal = SweepJournal(tmp_path / "sweep.jsonl")
         points = [("table4", V100), ("table4", P100), ("table1", V100)]
-        runner.run_points(points, jobs=2, cache_dir=cache_dir, journal=journal)
+        SweepService(jobs=2, cache_dir=cache_dir, journal=journal).run(points)
         journal.close()
         state = load_journal(tmp_path / "sweep.jsonl")
         assert state.finished == {0, 1, 2}
@@ -362,10 +360,8 @@ class TestJournalIntegration:
 class TestSupervisedEquivalence:
     def test_supervised_results_match_serial(self, cache_dir):
         points = [("table4", V100), ("table4", P100), ("table1", V100)]
-        serial = runner.run_points(points, jobs=1, use_cache=False)
-        supervised = runner.run_points(
-            points, jobs=2, use_cache=False, timeout=120.0,
-        )
+        serial = SweepService(jobs=1, use_cache=False).run(points)
+        supervised = SweepService(jobs=2, use_cache=False, timeout=120.0).run(points)
         for a, b in zip(serial, supervised):
             assert a.report == b.report
             assert a.report.render() == b.report.render()

@@ -53,19 +53,6 @@ class TestSAN102:
         assert _rules("def f():\n    yield Timeout(5.0)\n", SRC) == []
 
 
-class TestSAN103:
-    def test_fires_on_import(self):
-        src = "from repro.sim import simulate_grid_sync\n"
-        assert _rules(src, TEST) == ["SAN103"]
-
-    def test_fires_on_attribute_use(self):
-        src = "import repro.sim as sim\nr = sim.simulate_multigrid_sync(n, 1, 32)\n"
-        assert "SAN103" in _rules(src, TEST)
-
-    def test_quiet_on_scope_classes(self):
-        assert _rules("from repro.sync.groups import GridGroup\n", TEST) == []
-
-
 class TestSAN104:
     def test_fires_on_wall_clock_in_driver(self):
         src = "import time\ndef run_x(s):\n    t = time.time()\n"
@@ -170,7 +157,7 @@ class TestSAN109:
 
 class TestInfrastructure:
     def test_rule_catalog_is_complete(self):
-        assert set(RULES) == {f"SAN10{i}" for i in range(1, 10)}
+        assert set(RULES) == {f"SAN10{i}" for i in (1, 2, 4, 5, 6, 7, 8, 9)}
         for summary, anchor in RULES.values():
             assert summary and anchor.startswith("docs/sanitize.md#")
 

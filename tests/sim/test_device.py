@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.paper_data import FIG5_GRID_SYNC_US
-from repro.sim.device import Device, grid_sync_latency_ns, simulate_grid_sync
+from repro.sim.device import Device, grid_sync_latency_ns
 from repro.sim.engine import DeadlockError
 from repro.sync import GridGroup
 
@@ -108,41 +108,3 @@ class TestDevice:
         dev = Device(v100, 0)
         assert dev.can_access(dev.alloc((4,)))
 
-
-class TestDeprecatedShim:
-    def test_simulate_grid_sync_warns_and_delegates(self, spec):
-        with pytest.warns(DeprecationWarning, match="repro.sync.GridGroup"):
-            old = simulate_grid_sync(spec, 2, 128, n_syncs=2)
-        assert old == _grid_sync(spec, 2, 128, n_syncs=2)
-
-
-class TestDeprecatedShimStrategy:
-    def test_warning_stacklevel_points_at_caller(self, spec):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            simulate_grid_sync(spec, 1, 128)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert dep, "shim must emit a DeprecationWarning"
-        # stacklevel=2 attributes the warning to this file (the caller),
-        # not to sim/device.py — that is what makes the migration hint
-        # actionable in a real code base.
-        assert dep[0].filename == __file__
-
-    def test_shim_matches_scope_under_non_default_strategy(self, spec):
-        from repro.sim.engine import Engine
-
-        eng_old = Engine()
-        with pytest.warns(DeprecationWarning):
-            old = simulate_grid_sync(
-                spec, 2, 128, n_syncs=2, engine=eng_old,
-                strategy="atomic", strategy_knobs={"poll_ns": 200.0},
-            )
-        eng_new = Engine()
-        new = _grid_sync(
-            spec, 2, 128, n_syncs=2, engine=eng_new,
-            strategy="atomic", strategy_knobs={"poll_ns": 200.0},
-        )
-        assert old == new
-        assert eng_old.event_count == eng_new.event_count

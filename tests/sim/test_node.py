@@ -7,12 +7,7 @@ import pytest
 
 from repro.experiments.paper_data import FIG7_MULTIGRID_P100_US, FIG8_MULTIGRID_V100_US
 from repro.sim.engine import DeadlockError
-from repro.sim.node import (
-    Node,
-    cross_gpu_latency_ns,
-    multigrid_local_latency_ns,
-    simulate_multigrid_sync,
-)
+from repro.sim.node import Node, cross_gpu_latency_ns, multigrid_local_latency_ns
 from repro.sync import MultiGridGroup
 
 
@@ -157,42 +152,3 @@ class TestMultiGridSimulation:
         with pytest.raises(ValueError):
             _mgrid_sync(Node(dgx1), 1, 64, gpu_ids=[])
 
-
-class TestDeprecatedShim:
-    def test_simulate_multigrid_sync_warns_and_delegates(self, dgx1):
-        node = Node(dgx1)
-        with pytest.warns(DeprecationWarning, match="repro.sync.MultiGridGroup"):
-            old = simulate_multigrid_sync(node, 1, 128, gpu_ids=range(3), n_syncs=2)
-        assert old == _mgrid_sync(Node(dgx1), 1, 128, gpu_ids=range(3), n_syncs=2)
-
-
-class TestDeprecatedShimStrategy:
-    def test_warning_stacklevel_points_at_caller(self, dgx1):
-        import warnings
-
-        node = Node(dgx1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            simulate_multigrid_sync(node, 1, 128, gpu_ids=range(2))
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert dep, "shim must emit a DeprecationWarning"
-        assert dep[0].filename == __file__
-
-    def test_shim_matches_scope_under_non_default_strategy(self, dgx1):
-        from repro.sim.engine import Engine
-
-        eng_old = Engine()
-        with pytest.warns(DeprecationWarning):
-            old = simulate_multigrid_sync(
-                Node(dgx1), 1, 128, gpu_ids=range(4), n_syncs=2,
-                engine=eng_old, strategy="atomic",
-                strategy_knobs={"workload_util": 0.5},
-            )
-        eng_new = Engine()
-        new = _mgrid_sync(
-            Node(dgx1), 1, 128, gpu_ids=range(4), n_syncs=2,
-            engine=eng_new, strategy="atomic",
-            strategy_knobs={"workload_util": 0.5},
-        )
-        assert old == new
-        assert eng_old.event_count == eng_new.event_count

@@ -176,6 +176,14 @@ class TestMultiGridGroup:
                 participating_gpus=[0, 7]
             )
 
+    def test_duplicate_gpu_ids_rejected(self):
+        # A repeated id would count one GPU twice: the counter expects
+        # more arrivals than there are members, and the cross phase is
+        # priced for a GPU that is not there.
+        node = Node(DGX1_V100, gpu_count=4)
+        with pytest.raises(ValueError, match=r"repeat GPU\(s\) \[0\]"):
+            MultiGridGroup(node, 1, 128, gpu_ids=[0, 0, 1])
+
 
 class TestHostBarrierGroup:
     def test_rounds_and_cost(self):
@@ -259,6 +267,11 @@ class TestRuntimeFactories:
     def test_this_multi_grid_device_subset(self):
         rt = CudaRuntime.for_node(DGX1_V100, gpu_count=4)
         assert rt.this_multi_grid(1, 128, devices=[0, 2]).gpu_ids == (0, 2)
+
+    def test_this_multi_grid_rejects_duplicate_devices(self):
+        rt = CudaRuntime.for_node(DGX1_V100, gpu_count=4)
+        with pytest.raises(ValueError, match=r"repeat GPU\(s\) \[1\]"):
+            rt.this_multi_grid(1, 128, devices=[1, 1])
 
     def test_this_grid_validates_co_residency(self):
         rt = CudaRuntime.single_gpu(V100)

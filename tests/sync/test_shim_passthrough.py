@@ -1,71 +1,26 @@
-"""Parametrized kwarg-passthrough parity for the deprecation shims.
+"""Kwarg-passthrough parity for the runtime's cooperative-groups shims.
 
-``simulate_grid_sync`` / ``simulate_multigrid_sync`` promise to reproduce
-the :mod:`repro.sync` scopes event-for-event.  That only holds if every
-constructor kwarg — strategy kind, strategy knobs, a fully constructed
-strategy carrying an injected :class:`~repro.sim.memory.MemoryChannel`,
-engines, participation controls — is forwarded rather than silently
-dropped.  These tests pin the contract two ways: structurally (the shim
-signature covers every scope-constructor kwarg) and behaviourally (shim
+``CudaRuntime.this_grid`` / ``CudaRuntime.this_multi_grid`` are thin
+shims over the :mod:`repro.sync` scopes: they bind the runtime's engine
+and the device spec (or node) and forward everything else.  They only
+reproduce the scopes event-for-event if every strategy argument —
+strategy kind, strategy knobs, a fully constructed strategy carrying an
+injected :class:`~repro.sim.memory.MemoryChannel`, the device subset —
+is forwarded rather than silently dropped.  These tests pin that: shim
 and scope produce equal results and event counts for each strategy
-configuration).
+configuration.
 """
 
 from __future__ import annotations
 
-import inspect
-import warnings
-
 import pytest
 
-from repro.sim.device import simulate_grid_sync
+from repro.cudasim import CudaRuntime
 from repro.sim.engine import DeadlockError, Engine
 from repro.sim.memory import MemoryChannel
-from repro.sim.node import Node, simulate_multigrid_sync
+from repro.sim.node import Node
 from repro.sync import GridGroup, MultiGridGroup
 from repro.sync.strategies import SoftwareAtomicBarrier
-
-
-def _shim_grid(spec, *args, **kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return simulate_grid_sync(spec, *args, **kw)
-
-
-def _shim_multigrid(node, *args, **kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return simulate_multigrid_sync(node, *args, **kw)
-
-
-class TestSignatureCoverage:
-    """Every scope-constructor kwarg must exist on its shim."""
-
-    @pytest.mark.parametrize(
-        "shim, scope, positional",
-        [
-            (
-                simulate_grid_sync,
-                GridGroup,
-                {"spec", "blocks_per_sm", "threads_per_block"},
-            ),
-            (
-                simulate_multigrid_sync,
-                MultiGridGroup,
-                {"node", "blocks_per_sm", "threads_per_block"},
-            ),
-        ],
-    )
-    def test_shim_accepts_every_scope_kwarg(self, shim, scope, positional):
-        scope_params = set(inspect.signature(scope.__init__).parameters) - {
-            "self"
-        }
-        shim_params = set(inspect.signature(shim).parameters)
-        dropped = scope_params - positional - shim_params
-        assert not dropped, (
-            f"{shim.__name__} silently drops scope kwarg(s) {sorted(dropped)}"
-        )
-
 
 # Valid (strategy, knobs) configurations per scope.  Knob sets are the
 # ones each scope's builder actually reads — unread knobs are rejected by
@@ -99,22 +54,22 @@ MULTIGRID_CONFIGS = [
 class TestGridShimParity:
     @pytest.mark.parametrize("strategy, knobs", GRID_CONFIGS)
     def test_strategy_and_knobs_forwarded(self, spec, strategy, knobs):
-        eng_old, eng_new = Engine(), Engine()
-        old = _shim_grid(
-            spec, 2, 128, n_syncs=2, engine=eng_old,
-            strategy=strategy, strategy_knobs=knobs,
-        )
-        new = GridGroup(
-            spec, 2, 128, engine=eng_new,
+        rt = CudaRuntime.single_gpu(spec)
+        shim = rt.this_grid(
+            2, 128, strategy=strategy, strategy_knobs=knobs
+        ).simulate(n_syncs=2)
+        engine = Engine()
+        scope = GridGroup(
+            spec, 2, 128, engine=engine,
             strategy=strategy, strategy_knobs=knobs,
         ).simulate(n_syncs=2)
-        assert old == new
-        assert eng_old.event_count == eng_new.event_count
+        assert shim == scope
+        assert rt.engine.event_count == engine.event_count
 
     def test_constructed_strategy_with_channel_forwarded(self, spec):
         # Channel injection travels inside a ready-made strategy instance;
         # the shim must hand the instance through untouched.
-        def build(engine):
+        def build():
             return SoftwareAtomicBarrier(
                 expected=2 * spec.sm_count,
                 atomic_service_ns=4.0,
@@ -122,26 +77,17 @@ class TestGridShimParity:
                 channel=MemoryChannel(read_ns=1.0, workload_util=0.5),
             )
 
-        eng_old, eng_new = Engine(), Engine()
-        old = _shim_grid(
-            spec, 2, 128, engine=eng_old, strategy=build(eng_old)
-        )
-        new = GridGroup(
-            spec, 2, 128, engine=eng_new, strategy=build(eng_new)
-        ).simulate()
-        assert old == new
-        assert eng_old.event_count == eng_new.event_count
-
-    def test_sm_count_and_participation_forwarded(self, spec):
-        old = _shim_grid(spec, 1, 64, sm_count=4)
-        new = GridGroup(spec, 1, 64, sm_count=4).simulate()
-        assert old == new
-        with pytest.raises(DeadlockError):
-            _shim_grid(spec, 1, 64, sm_count=4, participating_blocks=2)
+        rt = CudaRuntime.single_gpu(spec)
+        shim = rt.this_grid(2, 128, strategy=build()).simulate()
+        engine = Engine()
+        scope = GridGroup(spec, 2, 128, engine=engine, strategy=build()).simulate()
+        assert shim == scope
+        assert rt.engine.event_count == engine.event_count
 
     def test_bad_knobs_rejected_identically(self, spec):
+        rt = CudaRuntime.single_gpu(spec)
         with pytest.raises(ValueError, match="no effect"):
-            _shim_grid(spec, 1, 64, strategy="cpu", strategy_knobs={"poll_ns": 1.0})
+            rt.this_grid(1, 64, strategy="cpu", strategy_knobs={"poll_ns": 1.0})
         with pytest.raises(ValueError, match="no effect"):
             GridGroup(spec, 1, 64, strategy="cpu", strategy_knobs={"poll_ns": 1.0})
 
@@ -149,22 +95,19 @@ class TestGridShimParity:
 class TestMultiGridShimParity:
     @pytest.mark.parametrize("strategy, knobs", MULTIGRID_CONFIGS)
     def test_strategy_and_knobs_forwarded(self, dgx1, strategy, knobs):
-        node = Node(dgx1, gpu_count=4)
-        eng_old, eng_new = Engine(), Engine()
-        old = _shim_multigrid(
-            node, 1, 32, n_syncs=2, engine=eng_old,
-            strategy=strategy, strategy_knobs=knobs,
-        )
-        new = MultiGridGroup(
-            node, 1, 32, engine=eng_new,
+        rt = CudaRuntime.for_node(dgx1, gpu_count=4)
+        shim = rt.this_multi_grid(
+            1, 32, strategy=strategy, strategy_knobs=knobs
+        ).simulate(n_syncs=2)
+        engine = Engine()
+        scope = MultiGridGroup(
+            Node(dgx1, gpu_count=4), 1, 32, engine=engine,
             strategy=strategy, strategy_knobs=knobs,
         ).simulate(n_syncs=2)
-        assert old == new
-        assert eng_old.event_count == eng_new.event_count
+        assert shim == scope
+        assert rt.engine.event_count == engine.event_count
 
     def test_constructed_strategy_with_channel_forwarded(self, dgx1):
-        node = Node(dgx1, gpu_count=3)
-
         def build():
             return SoftwareAtomicBarrier(
                 expected=3,
@@ -174,22 +117,18 @@ class TestMultiGridShimParity:
                 flag_rtt_ns=100.0,
             )
 
-        old = _shim_multigrid(node, 1, 32, strategy=build())
-        new = MultiGridGroup(node, 1, 32, strategy=build()).simulate()
-        assert old == new
+        rt = CudaRuntime.for_node(dgx1, gpu_count=3)
+        shim = rt.this_multi_grid(1, 32, strategy=build()).simulate()
+        scope = MultiGridGroup(Node(dgx1, gpu_count=3), 1, 32, strategy=build()).simulate()
+        assert shim == scope
 
     def test_gpu_ids_and_participation_forwarded(self, dgx1):
-        node = Node(dgx1)
-        old = _shim_multigrid(node, 1, 32, gpu_ids=(0, 2, 5))
-        new = MultiGridGroup(node, 1, 32, gpu_ids=(0, 2, 5)).simulate()
-        assert old == new
-        assert old.gpu_ids == (0, 2, 5)
+        rt = CudaRuntime.for_node(dgx1)
+        shim = rt.this_multi_grid(1, 32, devices=(0, 2, 5)).simulate()
+        scope = MultiGridGroup(Node(dgx1), 1, 32, gpu_ids=(0, 2, 5)).simulate()
+        assert shim == scope
+        assert shim.gpu_ids == (0, 2, 5)
         with pytest.raises(DeadlockError):
-            _shim_multigrid(
-                node, 1, 32, gpu_ids=(0, 1, 2), participating_gpus=(0, 1)
+            rt.this_multi_grid(1, 32, devices=(0, 1, 2)).simulate(
+                participating_gpus=(0, 1)
             )
-
-    def test_full_local_participation_forwarded(self, dgx1):
-        node = Node(dgx1, gpu_count=2)
-        with pytest.raises(DeadlockError):
-            _shim_multigrid(node, 1, 32, full_local_participation=False)

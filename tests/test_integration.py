@@ -109,7 +109,7 @@ class TestAdvisorDrivenWorkflow:
                             barriers_per_launch=50)
         assert "grid.sync" in adv.recommendation
         env = KernelEnv.cooperative(V100, 2, 256)
-        sim = this_grid(env).sync_simulated(n_syncs=3)
+        sim = this_grid(env).simulate(n_syncs=3)
         # The advisor's per-barrier estimate matches the simulated barrier.
         assert sim.latency_per_sync_ns * 50 == pytest.approx(
             adv.estimated_cost_ns, rel=0.10

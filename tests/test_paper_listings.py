@@ -2,7 +2,7 @@
 implementation in this library.
 
 The paper's figures 3, 6, 10-14, 17 and 19 are code listings rather than
-data; DESIGN.md promises each one a behavioural counterpart.  These tests
+data; each has a behavioural counterpart in the simulator.  These tests
 execute that counterpart end-to-end.
 """
 
