@@ -1,132 +1,19 @@
-"""Benchmark E-ENG: engine scheduling-core throughput.
+"""E-ENG: the simulation engine's fast paths on the workloads they serve.
 
-Unlike the E-* paper benchmarks (which time a figure/table *regeneration*),
-these measure the simulation engine itself — the hot path every
-reproduction runs through.  Events/sec for the dominant event classes are
-attached to ``benchmark.extra_info`` so regressions of the ready-queue /
-allocation-free-resume fast paths show up in the JSON artifact.
-
-Seed-engine reference numbers (recorded in ROADMAP.md): the zero-delay
-resume microbenchmark must stay >= 3x the seed's ~0.65M events/s.
+Each check pins a fast path every reproduction runs through: the fused
+grid-barrier member process, the SIMT converged mode across barrier
+loops and its re-fuse after divergence, and the end-to-end Fig 4 / Fig 5
+regenerations on the event engine.  Engine throughput (events/ms) is
+measured by perfbench (``--trace 1`` reports ``engine.events_per_ms``).
 """
 
 from __future__ import annotations
 
-from repro.sim.engine import Engine, Resource, Signal, Timeout
-
-_N_RESUME = 100_000
-_N_CHAIN = 50_000
-_N_PROCS = 1_000
-_N_ROUNDS = 20
-
-
-def _zero_delay_resume() -> int:
-    """One process spinning on zero-delay timeouts: the resume fast path.
-
-    Uses the hoisted-Timeout idiom (immutable, reusable) so the measurement
-    is engine overhead, not caller-side allocation.
-    """
-    eng = Engine()
-    tick = Timeout(0.0)
-
-    def proc():
-        for _ in range(_N_RESUME):
-            yield tick
-
-    eng.run_process(proc())
-    return eng.event_count
-
-
-def _zero_delay_pingpong() -> int:
-    """Two runnable processes alternating: exercises the ready deque
-    (the trampoline only applies to a sole runnable process)."""
-    eng = Engine()
-
-    def proc():
-        for _ in range(_N_RESUME // 2):
-            yield Timeout(0.0)
-
-    eng.process(proc(), name="a")
-    eng.process(proc(), name="b")
-    eng.run()
-    return eng.event_count
-
-
-def _signal_chain() -> int:
-    """Signal fire -> waiter resume chain (barrier release pattern)."""
-    eng = Engine()
-    sigs = [Signal(eng, name=f"s{i}") for i in range(_N_CHAIN)]
-
-    def waiter(i):
-        yield sigs[i]
-        if i + 1 < _N_CHAIN:
-            sigs[i + 1].fire()
-
-    for i in range(_N_CHAIN):
-        eng.process(waiter(i), name=f"w{i}")
-    sigs[0].fire()
-    eng.run()
-    return eng.event_count
-
-
-def _signal_fanout() -> int:
-    """One signal fired into thousands of waiters (release wavefront).
-
-    Exercises the batched-fire path: the fire enqueues a single batch
-    record instead of one resume record per waiter.
-    """
-    eng = Engine()
-    n_waiters = 10_000
-    rounds = 10
-    sigs = [Signal(eng, name=f"round{r}") for r in range(rounds)]
-
-    def waiter():
-        for r in range(rounds):
-            yield sigs[r]
-
-    for i in range(n_waiters):
-        eng.process(waiter(), name=f"w{i}")
-
-    def firer():
-        for r in range(rounds):
-            yield Timeout(1.0)
-            sigs[r].fire()
-
-    eng.process(firer(), name="firer")
-    eng.run()
-    return eng.event_count
-
-
-def _grid_sync_group() -> int:
-    """Full grid-barrier protocol through the repro.sync scope API.
-
-    2 blocks/SM x 256 threads on the V100 (160 block processes, serialized
-    L2 atomics, per-SM release ports) for 4 rounds — the event mix behind
-    every Fig 5 cell, now with the arrive/wait generator indirection of
-    the cooperative-groups-style scopes on the path.
-    """
-    from repro.sim.arch import V100
-    from repro.sync import GridGroup
-
-    group = GridGroup(V100, blocks_per_sm=2, threads_per_block=256)
-    group.simulate(n_syncs=4)
-    return group.engine.event_count
-
-
-def _grid_sync_group_atomic() -> int:
-    """Same grid-barrier event mix through the SoftwareAtomicBarrier's
-    contention-model path (per-wait detection-lag Timeouts priced off the
-    shared MemoryChannel) — the composable, non-fused strategy path."""
-    from repro.sim.arch import V100
-    from repro.sync import GridGroup
-
-    group = GridGroup(
-        V100, blocks_per_sm=2, threads_per_block=256,
-        strategy="atomic", strategy_knobs={"workload_util": 0.25},
-    )
-    group.simulate(n_syncs=4)
-    return group.engine.event_count
-
+from repro.cudasim import instructions as ins
+from repro.experiments.exp_sync import run_fig4, run_fig5
+from repro.sim.arch import V100
+from repro.sim.exec_block import BlockExecutor
+from repro.sync import CooperativeBarrier, GridGroup
 
 _SIMT_ROUNDS = 40
 
@@ -138,9 +25,6 @@ def _simt_barrier_loop():
     must execute converged (one Timeout / one rendezvous wait per warp),
     never falling back to per-lane processes.
     """
-    from repro.cudasim import instructions as ins
-    from repro.sim.arch import V100
-    from repro.sim.exec_block import BlockExecutor
 
     def program(ctx):
         for _ in range(_SIMT_ROUNDS):
@@ -148,22 +32,17 @@ def _simt_barrier_loop():
             yield ins.ChainStep(count=2)
             yield ins.BlockSync()
 
-    ex = BlockExecutor(V100, nthreads=256)
-    result = ex.run(program)
-    return ex.engine.event_count, result
+    return BlockExecutor(V100, nthreads=256).run(program)
 
 
 def _simt_divergence_barrier_loop():
-    """Fig-4-shaped divergence-after-barrier workload (the re-fuse bench).
+    """Fig-4-shaped divergence-after-barrier workload.
 
     Every 4th phase runs a uniform divergent ladder with a per-lane tail;
     the following ``__syncthreads`` is the reconvergence rendezvous.  The
     warp scheduler must re-fuse there instead of staying thread-precise
     for the rest of the kernel.
     """
-    from repro.cudasim import instructions as ins
-    from repro.sim.arch import V100
-    from repro.sim.exec_block import BlockExecutor
 
     def program(ctx):
         for r in range(_SIMT_ROUNDS):
@@ -173,130 +52,42 @@ def _simt_divergence_barrier_loop():
                 yield ins.Compute(2.0 + ctx.lane % 3)
             yield ins.BlockSync()
 
-    ex = BlockExecutor(V100, nthreads=256)
-    result = ex.run(program)
-    return ex.engine.event_count, result
+    return BlockExecutor(V100, nthreads=256).run(program)
 
 
-def _resource_contention() -> int:
-    """FIFO resource under heavy contention (atomic-port pattern)."""
-    eng = Engine()
-    res = Resource(eng, capacity=2, name="port")
-
-    def proc():
-        for _ in range(_N_ROUNDS):
-            yield res.acquire()
-            yield Timeout(1.0)
-            res.release()
-
-    for i in range(_N_PROCS):
-        eng.process(proc(), name=f"p{i}")
-    eng.run()
-    return eng.event_count
-
-
-def _events_per_sec(benchmark, events: int) -> None:
-    stats = getattr(benchmark, "stats", None)
-    if stats is None:  # --benchmark-disable smoke mode
-        return
-    mean = stats.stats.mean
-    if mean:
-        benchmark.extra_info["events_per_sec"] = round(events / mean)
-    benchmark.extra_info["events"] = events
-
-
-def test_bench_engine_zero_delay_resume(benchmark):
-    events = benchmark(_zero_delay_resume)
-    _events_per_sec(benchmark, events)
-
-
-def test_bench_engine_zero_delay_pingpong(benchmark):
-    events = benchmark(_zero_delay_pingpong)
-    _events_per_sec(benchmark, events)
-
-
-def test_bench_engine_signal_chain(benchmark):
-    events = benchmark(_signal_chain)
-    _events_per_sec(benchmark, events)
-
-
-def test_bench_engine_signal_fanout(benchmark):
-    """Batched Signal.fire over 10k waiters x 10 rounds (events/s entry)."""
-    events = benchmark(_signal_fanout)
-    _events_per_sec(benchmark, events)
-
-
-def test_bench_engine_resource_contention(benchmark):
-    events = benchmark(_resource_contention)
-    _events_per_sec(benchmark, events)
-
-
-def test_bench_engine_sync_grid_group(benchmark):
-    """repro.sync GridGroup barrier rounds (events/s entry)."""
-    # Guard: the contention-model plumbing must not knock the default
-    # cooperative strategy off the fused _member_proc fast path — the
-    # preconditions the fused generator checks are pinned here, next to
-    # the number they protect.
-    from repro.sim.arch import V100
-    from repro.sync import CooperativeBarrier, GridGroup
-
+def test_bench_engine_sync_grid_group():
+    """The contention-model plumbing must not knock the default
+    cooperative strategy off the fused ``_member_proc`` fast path: the
+    preconditions the fused generator checks are pinned here."""
     group = GridGroup(V100, blocks_per_sm=2, threads_per_block=256)
     assert group.strategy.__class__ is CooperativeBarrier
     assert group.strategy._counter_port is not None
-
-    events = benchmark(_grid_sync_group)
-    _events_per_sec(benchmark, events)
+    assert group.simulate(n_syncs=4).total_ns > 0
 
 
-def test_bench_engine_sync_grid_group_atomic(benchmark):
-    """GridGroup under the contended SoftwareAtomicBarrier (events/s entry)."""
-    events = benchmark(_grid_sync_group_atomic)
-    _events_per_sec(benchmark, events)
-
-
-def test_bench_engine_simt_barrier_loop(benchmark):
-    """Converged barrier-loop phases (events/s entry).
-
-    Guard: the Fig-4 shape must never de-fuse — a regression back to
-    per-lane fallback multiplies the event count by the warp width and
-    fails here loudly instead of silently slowing the paper regens.
-    """
-    events, result = benchmark(_simt_barrier_loop)
+def test_bench_engine_simt_barrier_loop():
+    """The Fig-4 shape must never de-fuse — a regression back to
+    per-lane fallback multiplies the event count by the warp width."""
+    result = _simt_barrier_loop()
     assert result.fused_rounds > 0
     assert result.defuse_count == 0
-    _events_per_sec(benchmark, events)
 
 
-def test_bench_engine_simt_divergence_refuse(benchmark):
-    """Divergence-after-barrier re-convergence (events/s entry).
-
-    Guard: the fused-rounds counter must stay nonzero *after* the first
+def test_bench_engine_simt_divergence_refuse():
+    """The fused-rounds counter must stay nonzero *after* the first
     divergent phase (the warps re-fused at the barrier join) and every
     divergent phase must produce a re-fuse — 8 warps x 10 phases.  A
-    regression to PR 1's permanent fallback zeroes refuse_count and
-    fails this assertion rather than just losing the speedup.
-    """
-    events, result = benchmark(_simt_divergence_barrier_loop)
+    regression to a permanent fallback zeroes ``refuse_count``."""
+    result = _simt_divergence_barrier_loop()
     assert result.fused_rounds > 0
     assert result.refuse_count == 8 * len(range(0, _SIMT_ROUNDS, 4))
-    _events_per_sec(benchmark, events)
 
 
-def test_bench_engine_end_to_end_fig4(benchmark):
-    """End-to-end experiment regeneration time (engine-dominated)."""
-    from benchmarks.conftest import attach_report
-    from repro.experiments.exp_sync import run_fig4
-
-    report = benchmark.pedantic(run_fig4, rounds=3, iterations=1)
-    attach_report(benchmark, report)
-    assert report.mean_rel_err < 0.05
+def test_bench_engine_end_to_end_fig4():
+    """Fig 4 regenerated end to end (engine-dominated)."""
+    assert run_fig4().mean_rel_err < 0.05
 
 
-def test_bench_engine_end_to_end_fig5(benchmark):
+def test_bench_engine_end_to_end_fig5():
     """Grid-sync heat-map regeneration: L2 atomic Resource contention."""
-    from benchmarks.conftest import attach_report
-    from repro.experiments.exp_sync import run_fig5
-
-    report = benchmark.pedantic(run_fig5, rounds=3, iterations=1)
-    attach_report(benchmark, report)
-    assert report.mean_rel_err < 0.10
+    assert run_fig5().mean_rel_err < 0.10

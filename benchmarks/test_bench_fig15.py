@@ -1,14 +1,12 @@
-"""Benchmark E-F15: regenerate Fig 15 (reduction latency vs size)."""
+"""E-F15: regenerate Fig 15 (reduction latency vs size) and check its claims."""
 
 from __future__ import annotations
 
-from benchmarks.conftest import attach_report
 from repro.experiments.exp_reduction import run_fig15
 
 
-def test_bench_fig15_reduction_latency_curves(benchmark):
-    report = benchmark.pedantic(run_fig15, rounds=1, iterations=1)
-    attach_report(benchmark, report)
+def test_bench_fig15_reduction_latency_curves():
+    report = run_fig15()
     bool_rows = [r for r in report.rows if r.unit == "bool"]
     assert bool_rows and all(r.measured == 1.0 for r in bool_rows)
     bw_rows = [r for r in report.rows if r.unit == "GB/s"]

@@ -1,14 +1,12 @@
-"""Benchmark E-F18: regenerate Fig 18 (warp-barrier blocking traces)."""
+"""E-F18: regenerate Fig 18 (warp-barrier blocking traces) and check its shape."""
 
 from __future__ import annotations
 
-from benchmarks.conftest import attach_report
 from repro.experiments.exp_pitfalls import run_fig18
 
 
-def test_bench_fig18_blocking_traces(benchmark):
-    report = benchmark.pedantic(run_fig18, rounds=5, iterations=1)
-    attach_report(benchmark, report)
+def test_bench_fig18_blocking_traces():
+    report = run_fig18()
     rows = {r.label: r.measured for r in report.rows}
     assert rows["V100 barrier blocks all threads"] == 1.0
     assert rows["P100 barrier blocks all threads"] == 0.0

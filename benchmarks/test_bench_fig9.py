@@ -1,16 +1,12 @@
-"""Benchmark E-F9: regenerate Fig 9 (barrier methods across the DGX-1)."""
+"""E-F9: regenerate Fig 9 (barrier methods across the DGX-1) and check its shape."""
 
 from __future__ import annotations
 
-from benchmarks.conftest import attach_report
 from repro.experiments.exp_launch import run_fig9
 
 
-def test_bench_fig9_multi_gpu_barriers(benchmark):
-    report = benchmark.pedantic(
-        lambda: run_fig9(gpu_counts=(1, 2, 4, 5, 6, 8)), rounds=1, iterations=1
-    )
-    attach_report(benchmark, report)
+def test_bench_fig9_multi_gpu_barriers():
+    report = run_fig9(gpu_counts=(1, 2, 4, 5, 6, 8))
     assert report.mean_rel_err < 0.08
     vals = {r.label: r.measured for r in report.rows}
     # Multi-device launch overhead explodes with GPU count while the

@@ -1,27 +1,23 @@
-"""Benchmark E-SAN: sanitizer overhead guards.
-
-Two contracts, pinned next to the numbers they protect:
+"""Sanitizer contracts on the grid barrier.
 
 1. **Zero cost when disabled.**  With no monitor installed the hooks are
    one module-attribute load + ``is None`` test per call site, and the
-   default GridGroup stays on the fused ``_member_proc`` fast path — the
-   sanitized-off barrier loop must be indistinguishable from the
-   pre-sanitizer engine (``test_bench_engine_sync_grid_group`` is the
-   same workload; both land in the ``--bench-json`` record).
+   default GridGroup stays on its fused ``_member_proc`` fast path.
 
 2. **Observational purity when enabled.**  Monitoring must not change
    what the simulation computes: the instrumented composable path and
-   the unmonitored fused path produce byte-identical timing results.
-   The sanitizer is a tracer, never an actor.
+   the unmonitored fused path dispatch the same events to the same
+   clock.  The sanitizer is a tracer, never an actor.
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import record_timing
 from repro.sanitize import SanitizerSession
 from repro.sanitize import events as ev
 from repro.sim.arch import V100
+from repro.sim.engine import DeadlockError
 from repro.sync import GridGroup
+from repro.sync.scope import BarrierScope
 
 _N_SYNCS = 4
 
@@ -32,72 +28,49 @@ def _grid_sync(n_syncs: int = _N_SYNCS):
     return result, group.engine.event_count
 
 
-def test_bench_sanitize_off_overhead(request, benchmark):
-    """Sanitizer-off grid barrier rounds (events/s entry).
+def test_bench_sanitize_off_overhead(monkeypatch):
+    """No monitor is installed by default, and the disabled hooks leave
+    the default grid barrier on the fused path: the hook-bearing
+    composable ``BarrierScope._member_proc`` is never entered."""
+    assert ev.MONITOR is None, "a sanitizer monitor leaked into the session"
+    composable = BarrierScope._member_proc
+    calls = []
 
-    Guard: no monitor may be installed by default, and the disabled
-    hooks must leave the default strategy on the fused fast path — the
-    event count matches the pre-sanitizer bench exactly.
-    """
-    assert ev.MONITOR is None, "a sanitizer monitor leaked into the bench"
+    def counting(self, *args):
+        calls.append(args[0])
+        return composable(self, *args)
 
+    monkeypatch.setattr(BarrierScope, "_member_proc", counting)
     result, events = _grid_sync()
     assert result.total_ns > 0
-
-    (_, bench_events) = benchmark(_grid_sync)
-    assert bench_events == events
-    stats = getattr(benchmark, "stats", None)
-    if stats is not None:
-        benchmark.extra_info["events"] = bench_events
-        mean = stats.stats.mean
-        if mean:
-            benchmark.extra_info["events_per_sec"] = round(bench_events / mean)
-    record_timing(request, benchmark, "sanitize_grid[off]", "engine", bench_events)
+    assert calls == []
+    assert _grid_sync()[1] == events
 
 
-def test_bench_sanitize_full_observational_purity(request, benchmark):
-    """Monitored grid barrier rounds (events/s entry).
-
-    Guard: a full-mode session must not perturb the simulated clock —
-    the monitored run's timing result equals the unmonitored one, and
-    the stream actually recorded the barrier protocol.
-    """
-    baseline, _ = _grid_sync()
-
-    def monitored():
-        with SanitizerSession("full") as session:
-            result, events = _grid_sync()
-        return result, events, session
-
-    result, events, session = benchmark(monitored)
+def test_bench_sanitize_full_observational_purity():
+    """A full-mode session must not perturb the simulated clock: the
+    monitored run equals the unmonitored one in time and events, and
+    the stream actually recorded the barrier protocol."""
+    baseline, baseline_events = _grid_sync()
+    with SanitizerSession("full") as session:
+        result, events = _grid_sync()
+    assert ev.MONITOR is None  # session unwound
     assert result.total_ns == baseline.total_ns
     assert result.total_blocks == baseline.total_blocks
-    assert session.findings() == []
+    assert events == baseline_events
     arrivals = session.monitor.events_of("arrive")
     assert len(arrivals) == baseline.total_blocks * _N_SYNCS
-    assert ev.MONITOR is None  # session unwound
-    record_timing(request, benchmark, "sanitize_grid[full]", "engine", events)
+    assert session.findings() == []
 
 
-def test_bench_sanitize_partial_diagnosis(request, benchmark):
-    """Time-to-diagnosis for the partial-participation pitfall.
-
-    The pre-sanitizer pipeline hung here; now the cost of the full
-    diagnosis (DeadlockError + divergence findings) is itself a tracked
-    number.
-    """
-    from repro.sim.engine import DeadlockError
-
-    def diagnose():
-        with SanitizerSession("synccheck") as session:
-            group = GridGroup(V100, 1, 64, sm_count=4)
-            try:
-                group.simulate(participating_blocks=2)
-            except DeadlockError:
-                pass
-        return session.findings()
-
-    findings = benchmark(diagnose)
-    rules = {f.rule for f in findings}
+def test_bench_sanitize_partial_diagnosis():
+    """The partial-participation pitfall is diagnosed, not hung on:
+    the deadlock comes with divergence and blame findings."""
+    with SanitizerSession("synccheck") as session:
+        group = GridGroup(V100, 1, 64, sm_count=4)
+        try:
+            group.simulate(participating_blocks=2)
+        except DeadlockError:
+            pass
+    rules = {f.rule for f in session.findings()}
     assert "SYNC-DIVERGENCE" in rules and "DEADLOCK-BLAME" in rules
-    record_timing(request, benchmark, "sanitize_pitfall[synccheck]", "engine", None)

@@ -347,6 +347,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         _list_experiments(ids)
         return 0
 
+    if args.jobs < 1:
+        print("--jobs must be >= 1", file=sys.stderr)
+        return 2
     if args.retries < 0:
         print("--retries must be >= 0", file=sys.stderr)
         return 2

@@ -32,7 +32,7 @@ Regenerate with:
 ```bash
 repro-experiments            # full report to stdout
 python -m repro.experiments.report EXPERIMENTS.md
-pytest benchmarks/ --benchmark-only   # timed regeneration, one bench per artifact
+python3 perfbench/run.py --workload registry-cold   # timed, outputs checked
 ```
 
 Absolute agreement is expected here because the substrate is calibrated to

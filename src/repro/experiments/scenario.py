@@ -160,6 +160,15 @@ class Scenario:
         object.__setattr__(self, "gpus", tuple(n.upper() for n in self.gpus))
         object.__setattr__(self, "node", _canonical_node_name(self.node))
         object.__setattr__(self, "gpu_counts", tuple(int(n) for n in self.gpu_counts))
+        # A repeated entry would run (and average in) the same rows twice
+        # and give an equivalent scenario a second cache entry.
+        for field_name in ("gpus", "gpu_counts"):
+            values = getattr(self, field_name)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(
+                    f"{field_name} repeat {repeated}: {list(values)}"
+                )
         object.__setattr__(
             self,
             "extras",

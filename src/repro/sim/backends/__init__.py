@@ -1,8 +1,7 @@
 """Simulation execution backends behind one dispatcher.
 
-A :class:`~repro.sim.backends.base.SimBackend` turns a barrier scope and
-a round count into a :class:`~repro.sync.scope.ScopeRun`.  Two
-implementations ship:
+:func:`dispatch` turns a barrier scope and a round count into a
+:class:`~repro.sync.scope.ScopeRun` on one of two paths:
 
 * ``engine`` — the event-precise discrete-event engine (the default;
   byte-identical to the pre-backend pipeline), and
@@ -13,28 +12,17 @@ Dispatch rules, the eligibility matrix and the closed-form derivations
 are documented in ``docs/backends.md``.
 """
 
-from repro.sim.backends.analytic import AnalyticBackend
+from repro.sim.backends.analytic import ANALYTIC, AnalyticBackend
 from repro.sim.backends.base import (
     BACKEND_CHOICES,
-    BACKEND_KINDS,
-    BACKENDS,
-    SimBackend,
     dispatch,
-    get_backend,
-    register_backend,
     reset_fallback_warnings,
 )
-from repro.sim.backends.engine import EngineBackend
 
 __all__ = [
+    "ANALYTIC",
     "BACKEND_CHOICES",
-    "BACKEND_KINDS",
-    "BACKENDS",
-    "SimBackend",
-    "EngineBackend",
     "AnalyticBackend",
     "dispatch",
-    "get_backend",
-    "register_backend",
     "reset_fallback_warnings",
 ]

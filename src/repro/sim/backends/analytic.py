@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim.backends.base import register_backend
 from repro.sync.strategies import (
     BarrierStrategy,
     CooperativeBarrier,
@@ -51,7 +50,7 @@ from repro.sync.strategies import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sync.scope import BarrierScope, ScopeRun
 
-__all__ = ["AnalyticBackend"]
+__all__ = ["ANALYTIC", "AnalyticBackend"]
 
 #: Strategy classes whose counting/release protocol has an exact closed
 #: form.  Exact types only — a subclass may override arrive/wait.
@@ -121,8 +120,6 @@ def _staggered_release(
 
 class AnalyticBackend:
     """Numpy/closed-form execution of eligible barrier workloads."""
-
-    name = "analytic"
 
     # -- eligibility ------------------------------------------------------
 
@@ -321,4 +318,5 @@ class AnalyticBackend:
         scope.engine.now = final_ns
 
 
-register_backend(AnalyticBackend())
+#: The instance :func:`repro.sim.backends.dispatch` runs.
+ANALYTIC = AnalyticBackend()

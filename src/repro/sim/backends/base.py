@@ -1,4 +1,4 @@
-"""The ``SimBackend`` protocol, registry, and the per-run dispatcher.
+"""The per-run backend dispatcher.
 
 A backend executes barrier rounds for a scope.  The contract mirrors
 :meth:`repro.sync.scope.BarrierScope.run_rounds`: given a scope, a round
@@ -9,10 +9,12 @@ downstream of a simulation cannot tell which backend produced it.
 
 Dispatch is by name:
 
-* ``"engine"`` — always run the discrete-event engine.
+* ``"engine"`` — always run the discrete-event engine
+  (:meth:`~repro.sync.scope.BarrierScope._run_rounds_engine`).
 * ``"analytic"`` — run the closed forms when the workload is eligible
-  (see :meth:`SimBackend.ineligible_reason`); ineligible workloads fall
-  back to the engine with a single warning per (scope type, reason).
+  (see :meth:`~repro.sim.backends.analytic.AnalyticBackend.ineligible_reason`);
+  ineligible workloads fall back to the engine with a single warning
+  per (scope type, reason).
 * ``"auto"`` — analytic when eligible, engine otherwise, silently.
 
 Unknown names raise, listing the valid set — the same loud-failure
@@ -22,80 +24,21 @@ contract as scenario overrides.
 from __future__ import annotations
 
 import warnings
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Optional,
-    Protocol,
-    Sequence,
-    Set,
-    Tuple,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Set, Tuple
+
+from repro.sim.backends.analytic import ANALYTIC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sync.scope import BarrierScope, ScopeRun
 
 __all__ = [
-    "BACKEND_KINDS",
     "BACKEND_CHOICES",
-    "BACKENDS",
-    "SimBackend",
     "dispatch",
-    "get_backend",
-    "register_backend",
     "reset_fallback_warnings",
 ]
 
-#: Concrete backend implementations, in preference order.
-BACKEND_KINDS: Tuple[str, ...] = ("engine", "analytic")
-
 #: Names the ``backend`` knob accepts (``auto`` = analytic when eligible).
 BACKEND_CHOICES: Tuple[str, ...] = ("engine", "analytic", "auto")
-
-
-@runtime_checkable
-class SimBackend(Protocol):
-    """Structural interface of one execution backend."""
-
-    #: Registry name (``"engine"``, ``"analytic"``, ...).
-    name: str
-
-    def ineligible_reason(
-        self, scope: "BarrierScope", n_syncs: int, members: Sequence[int]
-    ) -> Optional[str]:
-        """``None`` when this backend can run the workload exactly;
-        otherwise a human-readable reason for the dispatcher's fallback."""
-        ...
-
-    def run_rounds(
-        self,
-        scope: "BarrierScope",
-        n_syncs: int,
-        members: Tuple[int, ...],
-        collect_trace: bool = True,
-    ) -> "ScopeRun":
-        ...
-
-
-BACKENDS: Dict[str, SimBackend] = {}
-
-
-def register_backend(backend: SimBackend) -> SimBackend:
-    """Add a backend to the registry (last registration of a name wins)."""
-    BACKENDS[backend.name] = backend
-    return backend
-
-
-def get_backend(name: str) -> SimBackend:
-    """Look up a concrete backend by name; unknown names fail loudly."""
-    try:
-        return BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; available: "
-            f"{', '.join(BACKEND_CHOICES)}"
-        ) from None
 
 
 # One fallback warning per (scope type, reason) per process: a heat-map
@@ -116,24 +59,18 @@ def dispatch(
     choice: str,
     collect_trace: bool = True,
 ) -> "ScopeRun":
-    """Resolve a backend choice for one run and execute it.
-
-    ``choice`` is a name from :data:`BACKEND_CHOICES` or a ready-made
-    :class:`SimBackend` instance (runs unconditionally, no fallback).
-    """
-    if not isinstance(choice, str):
-        return choice.run_rounds(scope, n_syncs, members, collect_trace)
+    """Resolve a backend name from :data:`BACKEND_CHOICES` for one run
+    and execute it."""
     if choice == "engine":
-        return BACKENDS["engine"].run_rounds(scope, n_syncs, members, collect_trace)
+        return scope._run_rounds_engine(n_syncs, members)
     if choice not in BACKEND_CHOICES:
         raise ValueError(
             f"unknown backend {choice!r}; available: "
             f"{', '.join(BACKEND_CHOICES)}"
         )
-    analytic = BACKENDS["analytic"]
-    reason = analytic.ineligible_reason(scope, n_syncs, members)
+    reason = ANALYTIC.ineligible_reason(scope, n_syncs, members)
     if reason is None:
-        return analytic.run_rounds(scope, n_syncs, members, collect_trace)
+        return ANALYTIC.run_rounds(scope, n_syncs, members, collect_trace)
     if choice == "analytic":
         key = (type(scope).__name__, reason)
         if key not in _FALLBACK_WARNED:
@@ -144,4 +81,4 @@ def dispatch(
                 RuntimeWarning,
                 stacklevel=3,
             )
-    return BACKENDS["engine"].run_rounds(scope, n_syncs, members, collect_trace)
+    return scope._run_rounds_engine(n_syncs, members)

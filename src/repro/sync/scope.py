@@ -233,7 +233,8 @@ class BarrierScope:
         self, n_syncs: int, ids: Tuple[int, ...]
     ) -> ScopeRun:
         """The event-precise driver: one process per member on the shared
-        engine.  Backends call this; it is the pre-backend code path,
+        engine.  The backend dispatcher calls this for ``engine`` and for
+        every analytic fallback; it is the pre-backend code path,
         unchanged."""
         trace: Dict[Tuple[int, int], float] = {}
         t0 = self.engine.now

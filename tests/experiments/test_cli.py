@@ -290,3 +290,23 @@ class TestSupervisionUsage:
     def test_nonpositive_timeout_rejected(self, capsys):
         assert main(["table4", "--timeout", "0"]) == 2
         assert "--timeout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_rejected(self, jobs, capsys):
+        assert main(["table4", "--jobs", jobs, "--no-cache"]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
+class TestScenarioUsage:
+    @pytest.mark.parametrize(
+        "exp_id, override",
+        [
+            ("table4", "gpus=V100,V100"),
+            ("table4", "gpus=V100,v100"),
+            ("fig8", "gpu_counts=2,2"),
+        ],
+    )
+    def test_repeated_entries_rejected(self, exp_id, override, capsys):
+        assert main([exp_id, "--no-cache", "--scenario", override]) == 2
+        err = capsys.readouterr().err
+        assert "bad --scenario override" in err and "repeat" in err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.experiments.scenario import (
@@ -47,6 +49,21 @@ class TestConstruction:
     )
     def test_invalid_rejected_at_construction(self, kwargs):
         with pytest.raises(ValueError):
+            Scenario(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"gpus": ("V100", "V100")}, "gpus repeat ['V100']"),
+            ({"gpus": ("V100", "P100", "v100")}, "gpus repeat ['V100']"),
+            ({"gpu_counts": (2, 4, 2)}, "gpu_counts repeat [2]"),
+        ],
+        ids=["gpus", "gpus-case-variant", "gpu_counts"],
+    )
+    def test_repeated_entries_rejected(self, kwargs, message):
+        # Repeats would double-count rows and split one scenario's cache
+        # identity; case variants of a GPU name are the same GPU.
+        with pytest.raises(ValueError, match=re.escape(message)):
             Scenario(**kwargs)
 
     def test_buildable_cross_field_combinations_accepted(self):

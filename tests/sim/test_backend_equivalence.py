@@ -23,9 +23,8 @@ from hypothesis import strategies as st
 from repro.experiments.scenario import Scenario
 from repro.sim.arch import get_gpu_spec
 from repro.sim.backends import (
+    ANALYTIC,
     BACKEND_CHOICES,
-    BACKENDS,
-    get_backend,
     reset_fallback_warnings,
 )
 from repro.sim.engine import Engine
@@ -56,7 +55,7 @@ def assert_identical(make_group, n_syncs, members=None):
     g_eng = make_group()
     r_eng = g_eng.run_rounds(n_syncs, members=members, backend="engine")
     g_ana = make_group()
-    reason = BACKENDS["analytic"].ineligible_reason(
+    reason = ANALYTIC.ineligible_reason(
         g_ana, n_syncs, tuple(members) if members is not None else tuple(range(g_ana.size))
     )
     assert reason is None, f"expected eligible, got: {reason}"
@@ -208,24 +207,24 @@ class TestEligibilityAndFallback:
             pass
 
         g = WarpGroup(V100, 8, strategy=TweakedBarrier(8, 10.0))
-        reason = BACKENDS["analytic"].ineligible_reason(g, 1, tuple(range(8)))
+        reason = ANALYTIC.ineligible_reason(g, 1, tuple(range(8)))
         assert reason is not None and "strategy" in reason
 
     def test_partial_members_are_ineligible(self):
         g = WarpGroup(V100, 8)
-        reason = BACKENDS["analytic"].ineligible_reason(g, 1, (0, 1, 2))
+        reason = ANALYTIC.ineligible_reason(g, 1, (0, 1, 2))
         assert reason is not None
 
     def test_grid_permuted_members_are_ineligible(self):
         g = GridGroup(V100, 1, 32)
         members = tuple(reversed(range(g.total_blocks)))
-        assert BACKENDS["analytic"].ineligible_reason(g, 1, members)
+        assert ANALYTIC.ineligible_reason(g, 1, members)
 
     def test_busy_engine_is_ineligible(self):
         eng = Engine()
         eng.process(iter([]), name="other-work")
         g = WarpGroup(V100, 8, engine=eng)
-        reason = BACKENDS["analytic"].ineligible_reason(g, 1, tuple(range(8)))
+        reason = ANALYTIC.ineligible_reason(g, 1, tuple(range(8)))
         assert reason is not None and "engine" in reason
 
     def test_ineligible_falls_back_with_single_warning(self):
@@ -270,11 +269,8 @@ class TestEligibilityAndFallback:
         g = WarpGroup(V100, 8)
         with pytest.raises(ValueError, match="engine, analytic, auto"):
             g.run_rounds(1, backend="bogus")
-        with pytest.raises(ValueError, match="engine, analytic, auto"):
-            get_backend("bogus")
 
     def test_registry_names(self):
-        assert set(BACKENDS) == {"engine", "analytic"}
         assert BACKEND_CHOICES == ("engine", "analytic", "auto")
 
 
