@@ -5,23 +5,16 @@ from repro.cudasim.errors import (
     CudaError,
     InvalidConfiguration,
     InvalidDevice,
-    PeerAccessError,
 )
-from repro.cudasim.events import CudaEvent, EventApi
 from repro.cudasim.kernel import Kernel, LaunchConfig, NullKernel, SleepKernel, WorkKernel
-from repro.cudasim.memcpy import MemcpyApi
 from repro.cudasim.runtime import CudaRuntime
 from repro.cudasim.stream import LaunchRecord, Stream
 
 __all__ = [
-    "CudaEvent",
-    "EventApi",
-    "MemcpyApi",
     "CudaError",
     "InvalidConfiguration",
     "CooperativeLaunchTooLarge",
     "InvalidDevice",
-    "PeerAccessError",
     "Kernel",
     "LaunchConfig",
     "NullKernel",

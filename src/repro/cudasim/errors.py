@@ -7,7 +7,6 @@ __all__ = [
     "InvalidConfiguration",
     "CooperativeLaunchTooLarge",
     "InvalidDevice",
-    "PeerAccessError",
 ]
 
 
@@ -32,7 +31,3 @@ class CooperativeLaunchTooLarge(CudaError):
 
 class InvalidDevice(CudaError):
     """Device ordinal out of range (``cudaErrorInvalidDevice``)."""
-
-
-class PeerAccessError(CudaError):
-    """Kernel touched a peer buffer without peer access enabled."""

@@ -9,8 +9,7 @@ durations used here.)
 ``duration_ns(device, config)`` returns the kernel's *execution latency*,
 excluding all launch machinery — the paper's "Kernel Execution Latency"
 term (Section IV).  ``on_complete`` runs the functional body when the
-kernel retires, so data effects land in device buffers at the simulated
-completion time.
+kernel retires, so data effects land at the simulated completion time.
 """
 
 from __future__ import annotations

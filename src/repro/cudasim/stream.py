@@ -55,11 +55,6 @@ class Stream:
 
     # -- pipeline queries --------------------------------------------------
 
-    @property
-    def pipeline_end_ns(self) -> float:
-        """Completion time of the last enqueued kernel (or now if idle)."""
-        return self._pipeline_end_ns if self._pipeline_end_ns is not None else self.engine.now
-
     def earliest_start(
         self, enqueue_done_ns: float, calib: LaunchCalib, n_gpus: int = 1
     ) -> float:

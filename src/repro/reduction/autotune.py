@@ -21,7 +21,6 @@ from typing import Optional
 from repro.core.perfmodel import WorkerConfig, choose_workers, scenario_sync_cycles
 from repro.microbench.intra_sm import measure_shared_bandwidth
 from repro.sim.arch import GPUSpec
-from repro.util.units import KB
 
 __all__ = ["ReductionPlan", "choose_warp_or_thread", "choose_block_width", "recommend"]
 

@@ -90,7 +90,6 @@ def reduce_multigrid(
     """Fig 13: persistent multi-device kernel with multi-grid barriers."""
     n = gpu_count if gpu_count is not None else node_spec.gpu_count
     node = Node(node_spec, gpu_count=n)
-    node.enable_all_peer_access()
     gpu = node_spec.gpu
     nbytes = _nbytes(data)
     expected = _expected_sum(data)
@@ -143,7 +142,6 @@ def reduce_cpu_barrier(
     """
     n = gpu_count if gpu_count is not None else node_spec.gpu_count
     rt = CudaRuntime.for_node(node_spec, gpu_count=n, seed=seed)
-    rt.node.enable_all_peer_access()
     gpu = node_spec.gpu
     nbytes = _nbytes(data)
     expected = _expected_sum(data)

@@ -165,8 +165,9 @@ class SyncMonitor:
     The monitor is installed globally (:func:`install`) for the duration
     of a sanitized run; every hook resolves object identities to stable
     small integers (scope ids, memory ids) so the recorded stream is plain
-    data the happens-before analysis can replay without holding the
-    simulation alive.
+    data the happens-before analysis can replay.  The monitor holds each
+    numbered object until it is dropped, so within one session no two
+    objects ever share an id.
 
     ``capture_memory`` gates the per-access shared-memory hooks — the
     ``synccheck`` mode leaves them off so barrier-protocol checking does
@@ -183,7 +184,10 @@ class SyncMonitor:
         self.events: List[SyncEvent] = []
         self.dropped = 0
         self.scopes: Dict[int, ScopeInfo] = {}
-        #: id(scope object) -> scope_id (objects stay alive while recorded).
+        #: Every object whose ``id()`` is recorded below, held so that no
+        #: later object can reuse its address and inherit its identity.
+        self._pinned: List[Any] = []
+        #: id(scope object) -> scope_id.
         self._scope_ids: Dict[int, int] = {}
         #: id(release Signal) -> (scope_id, round_index), for blame mapping.
         self._round_signals: Dict[int, Tuple[int, int]] = {}
@@ -227,6 +231,7 @@ class SyncMonitor:
             return existing
         sid = len(self.scopes)
         self._scope_ids[id(scope)] = sid
+        self._pinned.append(scope)
         try:
             size = int(scope.size)
         except (AttributeError, NotImplementedError):
@@ -249,6 +254,7 @@ class SyncMonitor:
         if mid is None:
             mid = len(self._mem_ids)
             self._mem_ids[id(mem)] = mid
+            self._pinned.append(mem)
         return mid
 
     def round_of_signal(self, signal_id: int) -> Optional[Tuple[int, int]]:
@@ -261,6 +267,7 @@ class SyncMonitor:
         """A scope lazily created ``rnd`` (its release signal now exists)."""
         sid = self.scope_id(scope)
         self._round_signals[id(rnd.release)] = (sid, rnd.index)
+        self._pinned.append(rnd.release)
         self._emit(
             SyncEvent("round", scope=sid, round=rnd.index, data=rnd.release.name)
         )
@@ -325,6 +332,7 @@ class SyncMonitor:
             target = getattr(proc, "_waiting_on", None)
             kind, name = _wait_target(target)
             waiters.append((proc.name, kind, name, id(target)))
+            self._pinned.append(target)
         waiters.sort()
         self.deadlocks.append(waiters)
         self._emit(

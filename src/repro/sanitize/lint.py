@@ -39,8 +39,12 @@ SAN109    direct ``ProcessPoolExecutor(...)`` construction outside
 
 Baseline workflow: ``lint-baseline.json`` (repo root) holds fingerprints
 of accepted pre-existing violations; CI fails only on *new* ones.
+Each file is named by its POSIX path relative to the baseline file's
+directory, however it was spelled on the command line; that one path
+scopes the path-based rules, is rendered, and is fingerprinted.
 Fingerprints hash (rule, path, stripped source line) — not line numbers —
-so unrelated edits above a baselined line do not invalidate it.
+so unrelated edits above a baselined line do not invalidate it, and
+neither does linting from another directory.
 
 Exit codes: 0 clean (or all violations baselined), 1 new violations,
 2 usage error.
@@ -52,6 +56,7 @@ import argparse
 import ast
 import hashlib
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -370,11 +375,17 @@ def _iter_py_files(paths: Iterable[str]) -> Iterator[Path]:
             yield p
 
 
-def lint_paths(paths: Iterable[str]) -> List[LintViolation]:
-    """Lint every ``*.py`` file under ``paths`` (files or directories)."""
+def lint_paths(paths: Iterable[str], root: Path = Path(".")) -> List[LintViolation]:
+    """Lint every ``*.py`` file under ``paths`` (files or directories).
+
+    Each file is linted under its POSIX path relative to ``root``, so
+    rule scopes, fingerprints and rendered locations do not depend on how
+    the path was spelled or where the linter was run from.
+    """
     violations: List[LintViolation] = []
+    base = root.resolve()
     for file in _iter_py_files(paths):
-        rel = file.as_posix()
+        rel = Path(os.path.relpath(file.resolve(), base)).as_posix()
         violations.extend(lint_source(file.read_text(encoding="utf-8"), rel))
     return violations
 
@@ -462,7 +473,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{rule}  {summary}  [{anchor}]")
         return 0
 
-    violations = lint_paths(args.paths)
+    violations = lint_paths(args.paths, root=args.baseline.parent)
 
     if args.write_baseline:
         write_baseline(args.baseline, violations)

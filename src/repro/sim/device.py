@@ -8,10 +8,9 @@ it is the Fig 5 fit, not a protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.sim.arch import GPUSpec
-from repro.sim.memory import DeviceBuffer, HBM
+from repro.sim.memory import HBM
 from repro.sim.occupancy import blocks_per_sm as occ_blocks_per_sm
 
 __all__ = ["Device", "GridSyncResult", "grid_sync_latency_ns"]
@@ -65,39 +64,16 @@ def grid_sync_latency_ns(
 
 
 class Device:
-    """One simulated GPU: spec + memory system + allocation table.
+    """One simulated GPU: spec, ordinal and HBM streaming model.
 
     The runtime (:mod:`repro.cudasim`) owns streams and launches; the
-    device owns state that persists across kernels — global memory buffers
-    and the bandwidth model used by the reduction workloads.
+    device owns the bandwidth model used by the reduction workloads.
     """
 
     def __init__(self, spec: GPUSpec, index: int = 0):
         self.spec = spec
         self.index = index
         self.hbm = HBM(spec.hbm)
-        self.buffers: Dict[str, DeviceBuffer] = {}
-        self.peer_accessible: set[int] = {index}
-
-    def alloc(self, shape, dtype=None, name: str = "") -> DeviceBuffer:
-        """Allocate a device buffer (numpy-backed)."""
-        import numpy as np
-
-        buf = DeviceBuffer(self.index, shape, dtype or np.float64, name)
-        self.buffers[buf.name] = buf
-        return buf
-
-    def free(self, buf: DeviceBuffer) -> None:
-        self.buffers.pop(buf.name, None)
-
-    def enable_peer_access(self, other_index: int) -> None:
-        """Allow kernels on this device to address ``other_index``'s memory
-        (GPUDirect peer access — the mechanism the multi-GPU reduction's
-        explicit variant relies on, Section VII-E)."""
-        self.peer_accessible.add(other_index)
-
-    def can_access(self, buf: DeviceBuffer) -> bool:
-        return buf.device_index in self.peer_accessible
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Device({self.spec.name}, index={self.index})"

@@ -279,24 +279,6 @@ class Signal:
                 for proc in waiters:
                     ready.append((next(seq), proc, value))
 
-    def reset(self, name: Optional[str] = None) -> "Signal":
-        """Re-arm a fired signal for another round (reusable-signal pattern).
-
-        Only legal once every waiter has been woken.  Callbacks are cleared
-        too — they already ran for the previous round, and refiring them on
-        the next round would replay stale side effects.
-        """
-        if self._waiters:
-            raise SimulationError(
-                f"cannot reset signal {self.name!r} with waiters pending"
-            )
-        self.fired = False
-        self.value = None
-        self.callbacks.clear()
-        if name is not None:
-            self.name = name
-        return self
-
     def _subscribe(self, proc: "Process") -> bool:
         """Register ``proc`` as a waiter.
 

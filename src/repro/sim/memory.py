@@ -1,10 +1,10 @@
-"""Memory system models: shared memory, L2 atomics, HBM, device buffers.
+"""Memory system models: shared memory, L2 atomics, HBM.
 
 Three distinct concerns live here:
 
-* **Functional state** — :class:`SharedMemory` and :class:`DeviceBuffer`
-  hold real numpy data so the reduction case study computes *actual sums*
-  and the no-sync race produces *actually wrong* answers.
+* **Functional state** — :class:`SharedMemory` holds real numpy data so
+  the reduction case study computes *actual sums* and the no-sync race
+  produces *actually wrong* answers.
 * **Visibility semantics** — :class:`SharedMemory` implements the
   pending/committed model the paper's Table V hinges on: a plain store is
   not visible to *other* threads until a synchronization (or the program
@@ -21,7 +21,7 @@ Three distinct concerns live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List, Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "SharedMemory",
     "L2AtomicUnit",
     "HBM",
-    "DeviceBuffer",
     "MemoryChannel",
     "MAX_WORKLOAD_UTIL",
     "RaceRecord",
@@ -292,35 +291,3 @@ class HBM:
     @property
     def theory_gbps(self) -> float:
         return self.calib.theory_gbps
-
-
-class DeviceBuffer:
-    """A global-memory allocation on one device (numpy-backed)."""
-
-    _next_id = 0
-
-    def __init__(self, device_index: int, shape, dtype=np.float64, name: str = ""):
-        self.device_index = device_index
-        self.data = np.zeros(shape, dtype=dtype)
-        DeviceBuffer._next_id += 1
-        self.name = name or f"buf{DeviceBuffer._next_id}"
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.data.nbytes)
-
-    def copy_from_host(self, array: np.ndarray) -> None:
-        if array.shape != self.data.shape:
-            raise ValueError(
-                f"shape mismatch: buffer {self.data.shape} vs host {array.shape}"
-            )
-        self.data[...] = array
-
-    def to_host(self) -> np.ndarray:
-        return self.data.copy()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DeviceBuffer({self.name!r}, dev={self.device_index}, "
-            f"shape={self.data.shape}, dtype={self.data.dtype})"
-        )

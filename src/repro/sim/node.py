@@ -51,7 +51,7 @@ class MultiGridSyncResult:
 
 
 class Node:
-    """A multi-GPU server: devices, interconnect, peer-access matrix."""
+    """A multi-GPU server: devices and the interconnect between them."""
 
     def __init__(self, spec: NodeSpec, gpu_count: Optional[int] = None):
         n = gpu_count if gpu_count is not None else spec.gpu_count
@@ -74,12 +74,6 @@ class Node:
             raise ValueError(
                 f"GPU {index} out of range [0,{self.gpu_count})"
             ) from None
-
-    def enable_all_peer_access(self) -> None:
-        """Enable peer access between every device pair (DGX-style)."""
-        for a in self.devices:
-            for b in self.devices:
-                a.enable_peer_access(b.index)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.spec.name!r}, gpus={self.gpu_count})"

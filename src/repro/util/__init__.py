@@ -1,32 +1,14 @@
 """Small shared utilities: units, formatting, deterministic RNG plumbing."""
 
 from repro.util.rng import derive_seed, make_rng
-from repro.util.units import (
-    GB,
-    KB,
-    MB,
-    bytes_per_ns_to_gbps,
-    cycles_to_ns,
-    gbps_to_bytes_per_ns,
-    ns_to_cycles,
-    ns_to_s,
-    ns_to_us,
-    s_to_ns,
-    us_to_ns,
-)
+from repro.util.units import GB, KB, MB, cycles_to_ns, ns_to_cycles
 
 __all__ = [
     "KB",
     "MB",
     "GB",
-    "ns_to_us",
-    "us_to_ns",
-    "ns_to_s",
-    "s_to_ns",
     "cycles_to_ns",
     "ns_to_cycles",
-    "gbps_to_bytes_per_ns",
-    "bytes_per_ns_to_gbps",
     "make_rng",
     "derive_seed",
 ]

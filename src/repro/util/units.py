@@ -14,26 +14,6 @@ MB: int = 1024 * 1024
 GB: int = 1024 * 1024 * 1024
 
 
-def ns_to_us(ns: float) -> float:
-    """Nanoseconds to microseconds."""
-    return ns / 1e3
-
-
-def us_to_ns(us: float) -> float:
-    """Microseconds to nanoseconds."""
-    return us * 1e3
-
-
-def ns_to_s(ns: float) -> float:
-    """Nanoseconds to seconds."""
-    return ns / 1e9
-
-
-def s_to_ns(s: float) -> float:
-    """Seconds to nanoseconds."""
-    return s * 1e9
-
-
 def cycles_to_ns(cycles: float, freq_mhz: float) -> float:
     """Convert device cycles to nanoseconds at ``freq_mhz``."""
     if freq_mhz <= 0:
@@ -46,13 +26,3 @@ def ns_to_cycles(ns: float, freq_mhz: float) -> float:
     if freq_mhz <= 0:
         raise ValueError(f"frequency must be positive, got {freq_mhz}")
     return ns * freq_mhz / 1e3
-
-
-def gbps_to_bytes_per_ns(gbps: float) -> float:
-    """GB/s (decimal GB, as in vendor specs) to bytes per nanosecond."""
-    return gbps
-
-
-def bytes_per_ns_to_gbps(bpn: float) -> float:
-    """Bytes per nanosecond to GB/s (decimal GB, as in vendor specs)."""
-    return bpn

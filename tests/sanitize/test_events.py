@@ -78,6 +78,19 @@ class TestScopeRegistration:
         b = GridGroup(V100, 1, 64, sm_count=2)
         assert mon.scope_id(a) != mon.scope_id(b)
 
+    def test_freed_scope_id_is_never_reused(self):
+        # Each group is dropped before the next is built, so CPython is
+        # free to hand the next one the same address.  A scope that
+        # inherited an old scope's id would also inherit its round-0
+        # arrivals and read as a double arrive.
+        from repro.sanitize.checker import SanitizerSession
+
+        with SanitizerSession("full") as sess:
+            for _ in range(20):
+                GridGroup(V100, 1, 64).simulate(n_syncs=1)
+        assert sess.findings() == []
+        assert len(sess.monitor.scopes) == 20
+
 
 class TestRoundSignalMap:
     def test_round_maps_release_signal(self):

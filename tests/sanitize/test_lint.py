@@ -227,6 +227,34 @@ class TestCli:
         assert main([str(f), "--baseline", str(baseline), "--write-baseline"]) == 0
         assert main([str(f), "--baseline", str(baseline)]) == 0
 
+    def test_baseline_matches_however_paths_are_spelled(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Files are named relative to the baseline's directory, so the
+        baseline matches and the ``src/repro/``-scoped SAN107 fires
+        however the path is spelled and wherever the linter runs."""
+        tree = tmp_path / "tree"
+        pkg = tree / "src" / "repro"
+        pkg.mkdir(parents=True)
+        (pkg / "mod.py").write_text("try:\n    pass\nexcept Exception:\n    pass\n")
+        monkeypatch.chdir(tree)
+        assert main(["src", "--baseline", "baseline.json", "--write-baseline"]) == 0
+        assert "wrote 1 accepted" in capsys.readouterr().err
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        absolute = [str(tree / "src"), "--baseline", str(tree / "baseline.json")]
+        assert main(absolute) == 0
+        monkeypatch.chdir(pkg)
+        argv = ["mod.py", "--baseline", "../../baseline.json", "--format", "json"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--no-baseline"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [(v["rule"], v["path"]) for v in payload] == [
+            ("SAN107", "src/repro/mod.py")
+        ]
+
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
@@ -240,10 +268,7 @@ class TestRepoIsClean:
         from pathlib import Path
 
         root = Path(__file__).resolve().parents[2]
-        violations = lint_paths([str(root / "src"), str(root / "tests")])
-        # Re-key paths relative to the repo root, as CI invokes it.
-        for v in violations:
-            v.path = v.path.replace(str(root) + "/", "")
+        violations = lint_paths([str(root / "src"), str(root / "tests")], root=root)
         baseline = load_baseline(root / "lint-baseline.json")
         fresh = filter_baselined(violations, baseline)
         assert fresh == [], "\n".join(v.render() for v in fresh)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.paper_data import FIG5_GRID_SYNC_US
-from repro.sim.device import Device, grid_sync_latency_ns
+from repro.sim.device import grid_sync_latency_ns
 from repro.sim.engine import DeadlockError
 from repro.sync import GridGroup
 
@@ -87,24 +87,3 @@ class TestGridSyncSimulation:
         assert r.total_blocks == 2 * spec.sm_count
         assert r.warps_per_sm == 8
         assert r.latency_per_sync_us == pytest.approx(r.latency_per_sync_ns / 1e3)
-
-
-class TestDevice:
-    def test_alloc_and_free(self, v100):
-        dev = Device(v100, index=0)
-        buf = dev.alloc((128,), name="x")
-        assert "x" in dev.buffers
-        dev.free(buf)
-        assert "x" not in dev.buffers
-
-    def test_peer_access_gating(self, v100):
-        d0, d1 = Device(v100, 0), Device(v100, 1)
-        remote = d1.alloc((4,))
-        assert not d0.can_access(remote)
-        d0.enable_peer_access(1)
-        assert d0.can_access(remote)
-
-    def test_own_buffers_always_accessible(self, v100):
-        dev = Device(v100, 0)
-        assert dev.can_access(dev.alloc((4,)))
-

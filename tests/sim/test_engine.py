@@ -632,30 +632,6 @@ class TestScheduleFire:
         with pytest.raises(ValueError):
             eng.schedule_fire(-1.0, eng.signal("s"))
 
-    def test_signal_reset_rearms(self):
-        eng = Engine()
-        sig = eng.signal("s")
-        sig.fire(1)
-        sig.reset()
-        assert not sig.fired
-        sig.fire(2)
-        assert sig.value == 2
-
-    def test_signal_reset_with_waiters_rejected(self):
-        eng = Engine()
-        sig = eng.signal("s")
-
-        def waiter():
-            yield sig
-
-        eng.process(waiter(), name="w")
-        eng.schedule(1.0, lambda: None)
-        eng.run(until=0.5, detect_deadlock=False)
-        with pytest.raises(SimulationError, match="reset"):
-            sig.reset()
-        sig.fire()
-        eng.run()
-
 
 class TestWakeAt:
     """Absolute-time wakeups: the SIMT fast path lands on lane-locally

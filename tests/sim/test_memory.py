@@ -1,14 +1,13 @@
-"""Tests for the memory system: visibility model, atomics, HBM, buffers."""
+"""Tests for the memory system: visibility model, atomics, HBM."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Engine
-from repro.sim.memory import HBM, DeviceBuffer, L2AtomicUnit, SharedMemory
+from repro.sim.memory import HBM, L2AtomicUnit, SharedMemory
 
 
 class TestSharedMemoryVisibility:
@@ -142,25 +141,3 @@ class TestHBM:
         # 1 GB at ~865 GB/s is ~1.24 ms.
         t = HBM(v100.hbm).transfer_ns(10**9, "implicit")
         assert 1.1e6 < t < 1.3e6
-
-
-class TestDeviceBuffer:
-    def test_roundtrip(self):
-        buf = DeviceBuffer(0, (16,))
-        host = np.arange(16, dtype=np.float64)
-        buf.copy_from_host(host)
-        np.testing.assert_array_equal(buf.to_host(), host)
-
-    def test_to_host_is_a_copy(self):
-        buf = DeviceBuffer(0, (4,))
-        out = buf.to_host()
-        out[:] = 9.0
-        assert buf.data.sum() == 0.0
-
-    def test_shape_mismatch_rejected(self):
-        buf = DeviceBuffer(0, (4,))
-        with pytest.raises(ValueError, match="shape"):
-            buf.copy_from_host(np.zeros(5))
-
-    def test_nbytes(self):
-        assert DeviceBuffer(0, (100,)).nbytes == 800

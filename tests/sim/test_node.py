@@ -35,12 +35,6 @@ class TestNode:
         with pytest.raises(ValueError):
             node.device(2)
 
-    def test_enable_all_peer_access(self, dgx1):
-        node = Node(dgx1, gpu_count=3)
-        node.enable_all_peer_access()
-        buf = node.device(2).alloc((4,))
-        assert node.device(0).can_access(buf)
-
 
 class TestLocalPhase:
     def test_one_gpu_multigrid_equals_local(self, dgx1):

@@ -1,102 +1,16 @@
 """End-to-end integration scenarios across the whole stack.
 
-Each test is a miniature application: host threads choreographing kernels,
-events, copies and barriers on the simulated machines — the way a real
-user of the library composes the pieces.
+Each test is a miniature application: an advisor recommendation checked
+against the simulated barrier it recommends, or two timing methods
+cross-checked where their domains overlap — the way a real user of the
+library composes the pieces.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.cudasim import (
-    CudaRuntime,
-    EventApi,
-    LaunchConfig,
-    MemcpyApi,
-    NullKernel,
-    WorkKernel,
-)
-from repro.host.openmp import OmpTeam
 from repro.sim.arch import DGX1_V100, V100
-
-
-class TestEventTimedReduction:
-    """Time a reduction with CUDA events instead of the host clock."""
-
-    def test_event_timing_matches_host_timing(self):
-        from repro.reduction.device import _partials, make_input
-
-        rt = CudaRuntime.single_gpu(V100, host_jitter_ns=0.0)
-        ev = EventApi(rt)
-        data = make_input(8 * 1024 * 1024, seed=9)
-        n_blocks = 160
-        dev = rt.device(0)
-        eps = V100.launch_calib("traditional").exec_null_ns
-        k1 = WorkKernel(eps + dev.hbm.transfer_ns(data.nbytes), name="sum")
-        k2 = WorkKernel(eps + 1000.0, name="final")
-        cfg = LaunchConfig(n_blocks, 256)
-
-        def host():
-            yield from rt.launch(NullKernel(), LaunchConfig(1, 32))
-            yield from rt.device_synchronize()
-            e0, e1 = ev.create(), ev.create()
-            yield from ev.record(e0)
-            yield from rt.launch(k1, cfg)
-            yield from rt.launch(k2, LaunchConfig(1, 1024))
-            yield from ev.record(e1)
-            yield from rt.device_synchronize()
-            return ev.elapsed_ms(e0, e1)
-
-        elapsed_ms = rt.run_host(host())
-        # Device-side window excludes api/sync costs but includes both
-        # kernels and the inter-kernel machinery: ~bandwidth time + ~10 us.
-        bw_ms = dev.hbm.transfer_ns(data.nbytes) / 1e6
-        assert bw_ms < elapsed_ms < bw_ms + 0.05
-
-
-class TestMultiGpuGatherWithCopies:
-    """Fig 14's gather loop, driven through the real MemcpyApi."""
-
-    def test_four_gpu_tree_gather(self):
-        n = 4
-        rt = CudaRuntime.for_node(DGX1_V100, gpu_count=n, host_jitter_ns=0.0)
-        rt.node.enable_all_peer_access()
-        mc = MemcpyApi(rt)
-        team = OmpTeam(rt, n_threads=n)
-
-        rng = np.random.default_rng(4)
-        shards = [rng.uniform(size=64) for _ in range(n)]
-        partial_bufs = [rt.device(i).alloc((1,), name=f"p{i}") for i in range(n)]
-        scratch = [rt.device(i).alloc((1,), name=f"s{i}") for i in range(n)]
-
-        def worker(tid):
-            # Local sum lands in partial_bufs[tid] at kernel completion.
-            def body(device, config, tid=tid):
-                partial_bufs[tid].data[0] = shards[tid].sum()
-
-            k = WorkKernel(5000.0, name=f"sum{tid}", body=body)
-            yield from rt.launch(k, LaunchConfig(2, 128), device=tid)
-            yield from rt.device_synchronize(device=tid)
-            yield from team.barrier(tid)
-
-            # Gather step 1: 2,3 -> 0,1 ; step 2: 1 -> 0.
-            active = n
-            while active > 1:
-                half = active // 2
-                if half <= tid < active:
-                    yield from mc.peer(scratch[tid - half], partial_bufs[tid])
-                yield from rt.device_synchronize(device=tid)
-                yield from team.barrier(tid)
-                if tid < half:
-                    partial_bufs[tid].data[0] += scratch[tid].data[0]
-                yield from team.barrier(tid)
-                active = half
-
-        team.run(worker)
-        expected = sum(s.sum() for s in shards)
-        assert partial_bufs[0].data[0] == pytest.approx(expected)
 
 
 class TestAdvisorDrivenWorkflow:
