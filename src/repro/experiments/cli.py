@@ -18,8 +18,8 @@ Exit codes:
 
 * ``0`` — every experiment ran and landed within its tolerance,
 * ``1`` — a driver failed or a report exceeded its reproduction tolerance,
-* ``2`` — bad usage (unknown experiment id / malformed ``--scenario`` /
-  an unusable ``--resume`` journal).
+* ``2`` — bad usage (unknown or repeated experiment id / malformed
+  ``--scenario`` / an unusable ``--resume`` journal).
 """
 
 from __future__ import annotations
@@ -312,6 +312,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if bad:
         print(f"unknown experiment(s): {', '.join(bad)}", file=sys.stderr)
         print(f"available: {', '.join(EXPERIMENTS)}", file=sys.stderr)
+        return 2
+    # A repeated id would run its driver again and print its report twice.
+    repeated = list(dict.fromkeys(i for i in ids if ids.count(i) > 1))
+    if repeated:
+        print(f"repeated experiment id(s): {', '.join(repeated)}", file=sys.stderr)
         return 2
 
     if args.backend is not None:

@@ -22,8 +22,20 @@ either way.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Union
+from functools import lru_cache
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Sequence,
+    Union,
+    cast,
+)
 
 import numpy as np
 
@@ -98,10 +110,29 @@ def make_input(size_bytes: int, seed: int = 0) -> InputData:
     return VirtualData(n_elements=n)
 
 
+# Set while a latency_vs_size sweep runs: (id(input), n_blocks, or None for
+# the total) -> (input, sum).  Each entry holds its input, so no other array
+# can take over that id before the sweep drops the memo, and the sweep's
+# inputs are read-only slices, so a stored sum cannot go stale.
+_sweep_sums: ContextVar[Optional[dict]] = ContextVar("sweep_sums", default=None)
+
+
+def _summed(arr: np.ndarray, n_blocks: Optional[int], compute: Callable[[], Any]) -> Any:
+    """``compute()``, evaluated once per sweep for each input."""
+    memo = _sweep_sums.get()
+    if memo is None:
+        return compute()
+    key = (id(arr), n_blocks)
+    if key not in memo:
+        memo[key] = (arr, compute())
+    return memo[key][1]
+
+
 def _expected_sum(data: InputData) -> float:
     if isinstance(data, VirtualData):
         return data.expected_sum
-    return float(np.asarray(data, dtype=np.float64).sum())
+    arr = np.asarray(data, dtype=np.float64)
+    return _summed(arr, None, lambda: float(arr.sum()))
 
 
 def _nbytes(data: InputData) -> int:
@@ -121,7 +152,11 @@ def _partials(data: InputData, n_blocks: int) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if len(arr) == 0:
         return np.zeros(n_blocks)
-    return np.array([chunk.sum() for chunk in np.array_split(arr, n_blocks)])
+    return _summed(
+        arr,
+        n_blocks,
+        lambda: np.array([chunk.sum() for chunk in np.array_split(arr, n_blocks)]),
+    )
 
 
 @dataclass(frozen=True)
@@ -307,13 +342,46 @@ def latency_vs_size(
     if sizes is None:
         sizes = FIG15_SIZES_V100 if spec.name == "V100" else FIG15_SIZES_P100
     # One input per size, shared by every method: the methods only read the
-    # data, and regenerating 8M-element arrays per method dominated the
-    # sweep's wall-clock.
-    inputs = [make_input(s, seed) for s in sizes]
+    # data, so each input is drawn once and summed once per sweep.
+    inputs = _sweep_inputs(sizes, seed)
     out: Dict[str, List[ReductionResult]] = {}
-    for method in methods:
-        out[method] = [_dispatch(spec, method, data, seed) for data in inputs]
+    token = _sweep_sums.set({})
+    try:
+        for method in methods:
+            out[method] = [_dispatch(spec, method, data, seed) for data in inputs]
+    finally:
+        _sweep_sums.reset(token)
     return out
+
+
+def _sweep_inputs(sizes: Sequence[int], seed: int) -> List[InputData]:
+    """``make_input(s, seed)`` for every size, from one draw.
+
+    A PCG64 ``uniform(size=n)`` draw is the first ``n`` values of any
+    longer draw from the same seed, so every materialized input is a
+    prefix of the largest one.
+    """
+    largest = max((s for s in sizes if s <= MATERIALIZE_LIMIT_BYTES), default=None)
+    if largest is None:
+        return [make_input(s, seed) for s in sizes]
+    draw = _shared_draw(largest, seed)
+    return [
+        draw[: max(1, s // 8)] if s <= MATERIALIZE_LIMIT_BYTES else make_input(s, seed)
+        for s in sizes
+    ]
+
+
+@lru_cache(maxsize=1)
+def _shared_draw(size_bytes: int, seed: int) -> np.ndarray:
+    """The read-only ``make_input(size_bytes, seed)`` that sweeps slice.
+
+    Cached, one draw at a time: Fig 15's two GPUs sweep the same seed
+    and largest size.  Read-only, because the slices share it and a
+    sweep memoizes their sums.
+    """
+    draw = cast(np.ndarray, make_input(size_bytes, seed))  # <= the limit
+    draw.flags.writeable = False
+    return draw
 
 
 def bandwidth_table(

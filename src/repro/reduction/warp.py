@@ -24,16 +24,20 @@ Each variant has two faces, deliberately separate:
   instruction sequence on the thread-precise executor.  Per-step cost is
   composed from the architecture's instruction latencies plus the
   calibrated per-method issue overhead (extra SASS the method emits).
+  The run depends only on the frozen spec and the method, so its result
+  is memoized per ``(spec, method)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Generator, Tuple
 
 import numpy as np
 
 from repro.cudasim import instructions as ins
+from repro.sanitize import events as _sanitize
 from repro.sim.arch import GPUSpec
 from repro.sim.exec_thread import ThreadCtx, WarpExecutor
 
@@ -209,14 +213,26 @@ def _timing_program(spec: GPUSpec, method: str):
     return program
 
 
+@lru_cache(maxsize=64)
+def _run_latency_cycles(spec: GPUSpec, method: str) -> float:
+    run = WarpExecutor(spec, nthreads=32).run(_timing_program(spec, method))
+    return run.duration_cycles
+
+
 def warp_reduce_latency_cycles(spec: GPUSpec, method: str) -> float:
-    """Measured latency (cycles) to sum 32 doubles with one variant."""
+    """Measured latency (cycles) to sum 32 doubles with one variant.
+
+    Memoized per ``(spec, method)``, except while a sanitizer monitor is
+    installed: then every call runs the warp, so the events the monitor
+    records do not depend on what ran earlier in the process.
+    """
     if method not in WARP_REDUCE_METHODS:
         raise ValueError(
             f"unknown method {method!r}; expected one of {WARP_REDUCE_METHODS}"
         )
-    run = WarpExecutor(spec, nthreads=32).run(_timing_program(spec, method))
-    return run.duration_cycles
+    if _sanitize.MONITOR is not None:
+        return _run_latency_cycles.__wrapped__(spec, method)
+    return _run_latency_cycles(spec, method)
 
 
 def table5_rows(spec: GPUSpec, seed: int = 7) -> Dict[str, Dict[str, float]]:

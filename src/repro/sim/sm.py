@@ -17,8 +17,12 @@ Two SM-scoped mechanisms drive the paper's single-GPU results:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Generator, Optional
 
+from repro.sanitize import events as _sanitize
 from repro.sim.arch import GPUSpec
 from repro.sim.engine import Engine, Resource, Timeout
 from repro.sim.occupancy import blocks_per_sm as occ_blocks_per_sm
@@ -43,6 +47,36 @@ def block_sync_latency_cycles(spec: GPUSpec, warps: int) -> float:
         raise ValueError("a block has at least one warp")
     bs = spec.block_sync
     return bs.base_latency_cycles + bs.per_warp_latency_cycles * warps
+
+
+# -- saturated capacity-1 pipes ------------------------------------------------
+#
+# Both micro-benchmarks below queue work on a capacity-1 FIFO Resource with a
+# fixed service time.  While that pipe never idles, every grant lands at the
+# previous grant's ``now + service``: the engine's clock walks the left fold
+# T_0 = 0.0, T_{j+1} = T_j + service.  When a guard proves the pipe never
+# idles, the simulations return that fold instead of pushing every service
+# through the event loop -- the same IEEE-754 additions in the same order,
+# so the result is bit-identical.  docs/engine.md ("Saturated pipes")
+# derives both guards.  The fold stands in only when nobody can observe
+# the engine: a caller-supplied one is the oracle seam (its clock and event
+# count must move), and an installed sanitizer monitor records every signal
+# the event path fires.
+
+
+def _fold(service_ns: float, n_services: int) -> float:
+    """End of ``n_services`` back-to-back services, added as the engine adds."""
+    return reduce(add, repeat(service_ns, n_services), 0.0)
+
+
+def _outlasts(span: int, service_ns: float, bound_ns: float, total_ns: float) -> bool:
+    """Whether ``span`` back-to-back services always take longer than ``bound_ns``.
+
+    The margin covers the fold's rounding: each addition errs by at most
+    half an ulp of the running total (at most ``total_ns``), and a span of
+    the chain accumulates ``span`` of those errors.
+    """
+    return span * service_ns - bound_ns > span * total_ns * 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -87,6 +121,11 @@ def simulate_block_sync(
 
     Blocks beyond the occupancy limit queue and start as residents retire —
     the time-sharing regime of Fig 4's oversubscribed right-hand side.
+
+    With ``engine=None`` a barrier unit that provably never idles is
+    folded exactly instead of simulated.  Passing an :class:`Engine`
+    always runs the event-precise simulation on it (the oracle the fold is
+    tested against); the result then spans the engine's clock advance.
     """
     if warps_per_block < 1 or warps_per_block * spec.warp_size > spec.max_threads_per_block:
         raise ValueError(f"invalid warps_per_block={warps_per_block} for {spec.name}")
@@ -95,18 +134,63 @@ def simulate_block_sync(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
 
-    eng = engine or Engine()
     occ = occ_blocks_per_sm(spec, warps_per_block * spec.warp_size)
     resident_cap = max(1, occ.blocks_per_sm)
+    resident = min(n_blocks, resident_cap)
+    service_ns = spec.cycles_to_ns(spec.block_sync.per_warp_service_cycles)
+    latency_ns = spec.cycles_to_ns(block_sync_latency_cycles(spec, warps_per_block))
+    n_services = n_blocks * warps_per_block * repeats
+
+    # Saturated: the resident blocks take turns warp by warp, and a round
+    # that spans at least (wpb-1)*resident+1 services already outlasts the
+    # sync latency, so no block ever waits outside the unit.  Equal waves
+    # (n_blocks a multiple of resident) keep every turn filled to the end.
+    if (
+        engine is None
+        and _sanitize.MONITOR is None
+        and n_blocks % resident == 0
+        and _outlasts(
+            (warps_per_block - 1) * resident + 1,
+            service_ns,
+            latency_ns,
+            n_services * service_ns,
+        )
+    ):
+        total_ns = _fold(service_ns, n_services)
+    else:
+        total_ns = _run_block_sync(
+            engine or Engine(), resident_cap, warps_per_block, n_blocks,
+            repeats, service_ns, latency_ns,
+        )
+
+    return BlockSyncResult(
+        warps_per_block=warps_per_block,
+        n_blocks=n_blocks,
+        repeats=repeats,
+        resident_blocks=resident,
+        active_warps=resident * warps_per_block,
+        total_warps=n_blocks * warps_per_block,
+        total_ns=total_ns,
+        total_cycles=spec.ns_to_cycles(total_ns),
+    )
+
+
+def _run_block_sync(
+    eng: Engine,
+    resident_cap: int,
+    warps_per_block: int,
+    n_blocks: int,
+    repeats: int,
+    service_ns: float,
+    latency_ns: float,
+) -> float:
+    """Event-precise block-sync run; returns the clock advance (ns)."""
     slots = Resource(eng, capacity=resident_cap, name="sm-block-slots")
     # All resident blocks share the SM's barrier unit: arrivals drain at one
     # service interval each, so per-warp throughput saturates at
     # 1/per_warp_service_cycles no matter how blocks partition the warps
     # (the Fig 4 plateau).  A lone block is latency-bound instead.
     barrier_unit = Resource(eng, capacity=1, name="sm-barrier-unit")
-
-    service_ns = spec.cycles_to_ns(spec.block_sync.per_warp_service_cycles)
-    latency_ns = spec.cycles_to_ns(block_sync_latency_cycles(spec, warps_per_block))
     t_service = Timeout(service_ns)  # immutable: reused across every yield
 
     def block_proc() -> Generator:
@@ -126,18 +210,7 @@ def simulate_block_sync(
     for b in range(n_blocks):
         eng.process(block_proc(), name=f"block{b}")
     eng.run()
-
-    resident = min(n_blocks, resident_cap)
-    return BlockSyncResult(
-        warps_per_block=warps_per_block,
-        n_blocks=n_blocks,
-        repeats=repeats,
-        resident_blocks=resident,
-        active_warps=resident * warps_per_block,
-        total_warps=n_blocks * warps_per_block,
-        total_ns=eng.now - t0,
-        total_cycles=spec.ns_to_cycles(eng.now - t0),
-    )
+    return eng.now - t0
 
 
 @dataclass(frozen=True)
@@ -186,14 +259,46 @@ def simulate_warp_sync_throughput(
     a warp issues its next op one latency after the previous.  Sustained
     throughput therefore approaches ``min(n_warps/latency, 1/II)`` — the
     paper's "highest result" protocol reaches the ``1/II`` plateau.
+
+    With ``engine=None`` a pipeline that provably never idles is folded
+    exactly instead of simulated.  Passing an :class:`Engine` always runs
+    the event-precise simulation on it (the oracle the fold is tested
+    against); the result then spans the engine's clock advance.
     """
     if n_warps < 1 or repeats < 1:
         raise ValueError("n_warps and repeats must be >= 1")
     latency_cy, ii_cy = _warp_sync_params(spec, kind, group_size)
-    eng = engine or Engine()
-    pipe = Resource(eng, capacity=1, name="warp-sync-pipe")
     ii_ns = spec.cycles_to_ns(ii_cy)
     tail_ns = spec.cycles_to_ns(max(0.0, latency_cy - ii_cy))
+    n_ops = n_warps * repeats
+
+    # Saturated: a warp leaving the pipe is back after tail_ns, before the
+    # other n_warps-1 warps have each held it for one interval.
+    if (
+        engine is None
+        and _sanitize.MONITOR is None
+        and _outlasts(n_warps - 1, ii_ns, tail_ns, n_ops * ii_ns + tail_ns)
+    ):
+        # The last warp's final tail ends the run (adding 0.0 changes no bit).
+        total_ns = _fold(ii_ns, n_ops) + tail_ns
+    else:
+        total_ns = _run_warp_sync(engine or Engine(), n_warps, repeats, ii_ns, tail_ns)
+
+    return WarpSyncThroughputResult(
+        kind=kind,
+        group_size=group_size,
+        n_warps=n_warps,
+        repeats=repeats,
+        total_cycles=spec.ns_to_cycles(total_ns),
+        total_ops=n_ops,
+    )
+
+
+def _run_warp_sync(
+    eng: Engine, n_warps: int, repeats: int, ii_ns: float, tail_ns: float
+) -> float:
+    """Event-precise warp-sync pipeline run; returns the clock advance (ns)."""
+    pipe = Resource(eng, capacity=1, name="warp-sync-pipe")
     t_ii = Timeout(ii_ns)
     t_tail = Timeout(tail_ns) if tail_ns else None
 
@@ -209,12 +314,4 @@ def simulate_warp_sync_throughput(
     for w in range(n_warps):
         eng.process(warp_proc(), name=f"warp{w}")
     eng.run()
-
-    return WarpSyncThroughputResult(
-        kind=kind,
-        group_size=group_size,
-        n_warps=n_warps,
-        repeats=repeats,
-        total_cycles=spec.ns_to_cycles(eng.now - t0),
-        total_ops=n_warps * repeats,
-    )
+    return eng.now - t0

@@ -310,3 +310,15 @@ class TestScenarioUsage:
         assert main([exp_id, "--no-cache", "--scenario", override]) == 2
         err = capsys.readouterr().err
         assert "bad --scenario override" in err and "repeat" in err
+
+
+class TestExperimentIdUsage:
+    def test_repeated_id_rejected(self, capsys):
+        # Running table4 twice would duplicate its work and its report.
+        assert main(["table4", "table4", "--no-cache"]) == 2
+        assert "repeated experiment id(s): table4" in capsys.readouterr().err
+
+    def test_every_repeated_id_named_once(self, capsys):
+        assert main(["table4", "table1", "table4", "table1", "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "repeated experiment id(s): table4, table1" in err

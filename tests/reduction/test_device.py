@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.paper_data import TABLE6_GBPS
+from repro.reduction import device
 from repro.reduction.baselines import reduce_cub, reduce_cuda_sample
 from repro.reduction.device import (
+    REDUCTION_METHODS,
     VirtualData,
     bandwidth_table,
     latency_vs_size,
@@ -159,3 +161,39 @@ class TestFig15Sweep:
     def test_all_methods_all_sizes_correct(self, v100):
         res = latency_vs_size(v100, sizes=(MB, 64 * MB))
         assert all(r.correct for series in res.values() for r in series)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_inputs_are_make_input_from_one_draw(self, seed):
+        sizes = (MB // 10, 4 * MB, MB, GB)
+        inputs = device._sweep_inputs(sizes, seed)
+        for size, data in zip(sizes, inputs):
+            expected = make_input(size, seed)
+            if isinstance(expected, VirtualData):
+                assert data == expected
+            else:
+                assert data.dtype == expected.dtype
+                np.testing.assert_array_equal(data, expected)
+                assert not data.flags.writeable
+
+    def test_results_equal_unshared_runs(self, spec):
+        # The shared draw and the per-sweep sums change no number.
+        sizes = (MB // 10, 2 * MB, GB)
+        res = latency_vs_size(spec, sizes=sizes, seed=3)
+        for method in REDUCTION_METHODS:
+            alone = [device._dispatch(spec, method, make_input(s, 3), 3) for s in sizes]
+            assert res[method] == alone
+
+    def test_each_input_summed_once(self, v100, monkeypatch):
+        splits = []
+        split = np.array_split
+        monkeypatch.setattr(
+            np, "array_split", lambda arr, n: splits.append(len(arr)) or split(arr, n)
+        )
+        latency_vs_size(v100, sizes=(MB, 2 * MB))
+        # One set of per-block partials per input, not one per method.
+        assert sorted(splits) == [MB // 8, 2 * MB // 8]
+
+    def test_sum_memo_ends_with_the_sweep(self, v100):
+        with pytest.raises(ValueError):
+            latency_vs_size(v100, methods=("implicit", "bogus"), sizes=(MB,))
+        assert device._sweep_sums.get() is None

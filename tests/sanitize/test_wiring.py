@@ -6,9 +6,12 @@ from repro.experiments.base import ExperimentReport, merge_reports
 from repro.experiments.cli import main as cli_main
 from repro.experiments.service.workers import _run_driver
 from repro.experiments.scenario import Scenario
+from repro.reduction.warp import warp_reduce_latency_cycles
+from repro.sanitize import SanitizerSession
 from repro.sanitize import events as ev
 from repro.sim.arch import V100
-from repro.sim.engine import BlockedWaiter, DeadlockError
+from repro.sim.engine import BlockedWaiter, DeadlockError, Engine
+from repro.sim.sm import simulate_warp_sync_throughput
 from repro.sync.groups import GridGroup
 
 
@@ -172,3 +175,28 @@ class TestStructuredDeadlock:
             ["a", "b"], waiters=[BlockedWaiter("a", "signal", "s", None)]
         )
         assert str(plain) == str(rich)
+
+
+class TestShortcutsStepAside:
+    """Memos and folds must not hide simulation from an installed monitor.
+
+    Otherwise a sanitized report's event counts would depend on what ran
+    earlier in the same process (and, under --jobs, on which worker).
+    """
+
+    def test_saturated_pipe_fold_bypassed(self):
+        def events(**kwargs):
+            with SanitizerSession("full") as session:
+                simulate_warp_sync_throughput(
+                    V100, "tile", 32, n_warps=64, repeats=64, **kwargs
+                )
+            return len(session.monitor.events)
+
+        # One completion signal per warp, as on the engine path.
+        assert events() == events(engine=Engine()) == 64
+
+    def test_warp_latency_memo_bypassed(self):
+        warp_reduce_latency_cycles(V100, "tile_shuffle")  # primes the memo
+        with SanitizerSession("full") as session:
+            warp_reduce_latency_cycles(V100, "tile_shuffle")
+        assert len(session.monitor.events) == 6
