@@ -1,19 +1,20 @@
 """E-ENG: the simulation engine's fast paths on the workloads they serve.
 
-Each check pins a fast path every reproduction runs through: the fused
-grid-barrier member process, the SIMT converged mode across barrier
-loops and its re-fuse after divergence, and the end-to-end Fig 4 / Fig 5
-regenerations on the event engine.  Engine throughput (events/ms) is
-measured by perfbench (``--trace 1`` reports ``engine.events_per_ms``).
+Each check pins a fast path every reproduction runs through: the SIMT
+converged mode across barrier loops and its re-fuse after divergence,
+and the end-to-end Fig 4 / Fig 5 regenerations, Fig 5 forced onto the
+event engine (its default run takes the analytic closed forms).  Engine
+throughput (events/ms) is measured by perfbench (``--trace 1`` reports
+``engine.events_per_ms``).
 """
 
 from __future__ import annotations
 
 from repro.cudasim import instructions as ins
 from repro.experiments.exp_sync import run_fig4, run_fig5
+from repro.experiments.scenario import Scenario
 from repro.sim.arch import V100
 from repro.sim.exec_block import BlockExecutor
-from repro.sync import CooperativeBarrier, GridGroup
 
 _SIMT_ROUNDS = 40
 
@@ -55,16 +56,6 @@ def _simt_divergence_barrier_loop():
     return BlockExecutor(V100, nthreads=256).run(program)
 
 
-def test_bench_engine_sync_grid_group():
-    """The contention-model plumbing must not knock the default
-    cooperative strategy off the fused ``_member_proc`` fast path: the
-    preconditions the fused generator checks are pinned here."""
-    group = GridGroup(V100, blocks_per_sm=2, threads_per_block=256)
-    assert group.strategy.__class__ is CooperativeBarrier
-    assert group.strategy._counter_port is not None
-    assert group.simulate(n_syncs=4).total_ns > 0
-
-
 def test_bench_engine_simt_barrier_loop():
     """The Fig-4 shape must never de-fuse — a regression back to
     per-lane fallback multiplies the event count by the warp width."""
@@ -89,5 +80,6 @@ def test_bench_engine_end_to_end_fig4():
 
 
 def test_bench_engine_end_to_end_fig5():
-    """Grid-sync heat-map regeneration: L2 atomic Resource contention."""
-    assert run_fig5().mean_rel_err < 0.10
+    """Grid-sync heat-map regeneration on the engine: L2 atomic Resource
+    contention."""
+    assert run_fig5(Scenario(backend="engine")).mean_rel_err < 0.10

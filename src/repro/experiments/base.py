@@ -67,10 +67,10 @@ class ExperimentReport:
     ``scenario`` records the scenario the driver ran against (its
     ``to_dict`` form; a merged report carries one entry per point under
     ``{"points": [...]}``).  ``backend`` records which simulation backend
-    actually executed the driver's sweeps (``None`` = the pre-backend
-    engine default).  Both are provenance only — :meth:`render` does not
-    display them, so the bookkeeping never perturbs the rendered paper
-    artifacts.
+    actually executed the driver's sweeps (``None`` = none was requested,
+    so the sweeps ran the default ``auto`` dispatch).  Both are provenance
+    only — :meth:`render` does not display them, so the bookkeeping never
+    perturbs the rendered paper artifacts.
     """
 
     exp_id: str
@@ -122,8 +122,8 @@ class ExperimentReport:
             "mean_rel_err": self.mean_rel_err,
             "max_rel_err": self.max_rel_err,
         }
-        # Omitted when unset so default-engine reports stay byte-identical
-        # to the pre-backend pipeline (same contract as scenario knobs).
+        # Omitted when unset so default reports keep the bytes they had
+        # before the backend layer (same contract as scenario knobs).
         if self.backend is not None:
             data["backend"] = self.backend
         # Same omit-when-unset contract for sanitizer findings.

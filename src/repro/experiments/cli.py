@@ -111,10 +111,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend", default=None, metavar="NAME",
         help=(
             "simulation execution backend for every selected experiment: "
-            "engine (event-precise, the default), analytic (vectorized "
+            "engine (event-precise, the oracle), analytic (vectorized "
             "closed forms for eligible sync sweeps), or auto (analytic "
-            "where eligible, engine otherwise); shorthand for --scenario "
-            "backend=NAME"
+            "where eligible, engine otherwise; what runs when unset); "
+            "shorthand for --scenario backend=NAME"
         ),
     )
     parser.add_argument(

@@ -75,11 +75,11 @@ class ExperimentSpec:
     # Max acceptable mean |relative error| vs the paper; the CLI exits
     # nonzero when a report exceeds it.  ``None`` disables the gate.
     tolerance: Optional[float] = 0.10
-    # Execution backends this experiment's driver can route its sweeps
-    # through.  Every driver runs on the event-precise engine; only the
-    # sync-sweep drivers (uniform barrier ladders) also accept the
-    # vectorized analytic backend.  A requested backend outside this set
-    # falls back to the engine with a provenance note.
+    # Execution backends this experiment's driver routes its sweeps
+    # through on request; only the sync-sweep drivers (uniform barrier
+    # ladders) list the vectorized analytic backend.  For any other
+    # experiment a requested backend is recorded as the engine with a
+    # provenance note, although scopes built with no backend run ``auto``.
     backends: Tuple[str, ...] = ("engine",)
 
 

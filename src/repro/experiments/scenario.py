@@ -120,11 +120,13 @@ class Scenario:
     backend:
         Simulation execution backend for the sync drivers (``engine``,
         ``analytic``, ``auto`` —
-        :data:`repro.sim.backends.BACKEND_CHOICES`).  ``None`` keeps the
-        event-precise engine path, byte-identical to the pre-backend
-        pipeline; ``analytic``/``auto`` route eligible uniform barrier
-        workloads through the vectorized closed forms (see
-        ``docs/backends.md``).
+        :data:`repro.sim.backends.BACKEND_CHOICES`).  ``None`` runs the
+        default dispatch, ``auto``: eligible uniform barrier workloads
+        take the vectorized closed forms, bit-identical to the engine,
+        and the rest run on the engine.  It is left out of the JSON, so
+        content hashes and cache keys keep their bytes.  ``engine``
+        forces the event-precise oracle; ``analytic`` warns when it
+        falls back (see ``docs/backends.md``).
     sanitize:
         Dynamic sync-checker mode for the run (``synccheck``, ``racecheck``,
         ``full`` — :data:`repro.sanitize.SANITIZE_MODES`).  ``None`` (and

@@ -83,11 +83,14 @@ def run_summary(scenario: Optional[Scenario] = None) -> ExperimentReport:
     # Multi-grid: both blocks/SM and warps/SM matter; <=1024 thr/SM and
     # <=8 blocks/SM stays within the paper's "acceptable" envelope
     # (no more than 2x the fastest config, other than the 1-GPU case).
+    # The groups take the scenario's backend, so --backend engine runs them
+    # on the engine like every other scope in the registry.
     node = scenario.build_node()
-    fastest = MultiGridGroup(node, 1, 32).simulate().latency_per_sync_us
+    backend = scenario.backend
+    fastest = MultiGridGroup(node, 1, 32, backend=backend).simulate().latency_per_sync_us
     ok_env = True
     for b, t in ((1, 1024), (2, 512), (4, 256), (8, 128)):
-        v = MultiGridGroup(node, b, t).simulate().latency_per_sync_us
+        v = MultiGridGroup(node, b, t, backend=backend).simulate().latency_per_sync_us
         ok_env &= v <= 2.0 * fastest
     check("multi-grid acceptable when thr/SM<=1024 and blk/SM<=8", ok_env)
 

@@ -3,10 +3,12 @@
 :func:`dispatch` turns a barrier scope and a round count into a
 :class:`~repro.sync.scope.ScopeRun` on one of two paths:
 
-* ``engine`` — the event-precise discrete-event engine (the default;
-  byte-identical to the pre-backend pipeline), and
+* ``engine`` — the event-precise discrete-event engine (the oracle), and
 * ``analytic`` — numpy-vectorized closed forms for uniform barrier
   ladders, bit-identical to the engine wherever it is eligible.
+
+A scope with no backend set runs ``auto``: analytic where eligible,
+engine otherwise.
 
 Dispatch rules, the eligibility matrix and the closed-form derivations
 are documented in ``docs/backends.md``.

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.sanitize import events as _sanitize
 from repro.sync.strategies import (
     BarrierStrategy,
     CooperativeBarrier,
@@ -136,6 +137,10 @@ class AnalyticBackend:
             WarpGroup,
         )
 
+        # The closed forms emit no arrive/wait events, so an installed
+        # monitor must see the engine run the protocol.
+        if _sanitize.MONITOR is not None:
+            return "a sanitizer monitor needs the engine's barrier events"
         # Exact types only: a subclass may override the yield ladders the
         # closed forms were derived from.
         if type(scope) not in (

@@ -15,7 +15,8 @@ Dispatch is by name:
   (see :meth:`~repro.sim.backends.analytic.AnalyticBackend.ineligible_reason`);
   ineligible workloads fall back to the engine with a single warning
   per (scope type, reason).
-* ``"auto"`` — analytic when eligible, engine otherwise, silently.
+* ``"auto"`` — analytic when eligible, engine otherwise, silently.  A
+  scope with no backend set dispatches as ``"auto"``.
 
 Unknown names raise, listing the valid set — the same loud-failure
 contract as scenario overrides.

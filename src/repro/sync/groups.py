@@ -26,7 +26,7 @@ HostBarrierGroup host threads (one per GPU) CpuBarrier
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Generator, Mapping, Optional, Sequence, Union
 
 from repro.sanitize import events as _sanitize
 from repro.sim.arch import GPUSpec
@@ -416,57 +416,6 @@ class GridGroup(BarrierScope):
             port.release()
         if _sanitize.MONITOR is not None:
             _sanitize.MONITOR.on_wait_return(self, member, round_index, self.engine.now)
-
-    def _member_proc(
-        self, member: int, n_syncs: int, trace: Dict[Tuple[int, int], float]
-    ) -> Generator:
-        # Fused fast path for the default strategy: the Fig 5 heat-maps
-        # drive thousands of block processes through this generator, and
-        # the composable arrive/wait nesting costs ~30% wall-clock there.
-        # The yield sequence below is identical to sync(member, r) — the
-        # engine sees the same events — only the Python generator frames
-        # are flattened.  Custom strategies keep the composable path.
-        # The sanitizer needs the hook-bearing composable path; both paths
-        # produce the same engine events, so falling back is observationally
-        # pure (the bench guard pins that).
-        strategy = self.strategy
-        if (
-            strategy.__class__ is not CooperativeBarrier
-            or strategy._counter_port is None
-            or _sanitize.MONITOR is not None
-        ):
-            yield from BarrierScope._member_proc(self, member, n_syncs, trace)
-            return
-        engine = self.engine
-        counter = strategy._counter_port
-        acquire = counter.port.acquire()
-        t_service = counter._service
-        expected = strategy.expected
-        delay = strategy.release_delay_ns
-        t_arrive, t_release = self._t_arrive, self._t_release
-        port = self._release_ports[member % self.sm_count]
-        wpb = self.warps_per_block
-        for r in range(n_syncs):
-            rnd = self.round_state(r)
-            # 1. intra-block arrive + flag write round-trip.
-            yield t_arrive
-            # 2. serialized atomic increment (inlined counter.atomic()).
-            yield acquire
-            yield t_service
-            counter.ops += 1
-            counter.port.release()
-            rnd.count += 1
-            if rnd.count == expected:
-                # 3. last arrival broadcasts the release flag.
-                strategy.rounds_released += 1
-                engine.schedule_fire(delay, rnd.release)
-            yield rnd.release
-            # 4. warp re-dispatch, serialized per SM.
-            for _ in range(wpb):
-                yield port.acquire()
-                yield t_release
-                port.release()
-            trace[(member, r)] = engine.now
 
     def simulate(
         self,

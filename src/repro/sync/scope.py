@@ -106,8 +106,9 @@ class BarrierScope:
       stable signal names, so deadlock reports read the same whether a
       protocol runs standalone or inside a larger simulation;
     * ``sync`` = ``arrive`` + ``wait``;
-    * :meth:`run_rounds`, the generic driver that spawns one process per
-      member and records the release trace.
+    * :meth:`run_rounds`, the generic driver that records the release
+      trace, from the analytic closed forms where the backend dispatcher
+      finds them eligible or from one engine process per member.
     """
 
     #: Signal-name prefix for round releases (subclasses override).
@@ -202,8 +203,10 @@ class BarrierScope:
         all ``size`` participants) and return the release trace.
 
         ``backend`` overrides the scope's construction-time backend
-        choice for this run (``"engine"``, ``"analytic"``, ``"auto"``;
-        ``None`` keeps the engine path with zero dispatch overhead).
+        choice for this run (``"engine"``, ``"analytic"``, ``"auto"``).
+        When neither sets one, the run dispatches as ``"auto"``: the
+        closed forms where eligible, the engine otherwise.  Only an
+        explicit ``"engine"`` skips the dispatcher and runs events.
         ``collect_trace=False`` lets the analytic backend skip building
         the per-member release map when only ``total_ns`` is wanted; the
         engine records the trace as a side effect either way.
@@ -223,19 +226,22 @@ class BarrierScope:
             )
         ids = tuple(members) if members is not None else tuple(range(self.size))
         choice = backend if backend is not None else self.backend
-        if choice is None or choice == "engine":
+        if choice == "engine":
             return self._run_rounds_engine(n_syncs, ids)
+        # Looked up at call time: perfbench's tracer patches it there.
         from repro.sim.backends import dispatch
 
-        return dispatch(self, n_syncs, ids, choice, collect_trace)
+        return dispatch(
+            self, n_syncs, ids, "auto" if choice is None else choice, collect_trace
+        )
 
     def _run_rounds_engine(
         self, n_syncs: int, ids: Tuple[int, ...]
     ) -> ScopeRun:
         """The event-precise driver: one process per member on the shared
-        engine.  The backend dispatcher calls this for ``engine`` and for
-        every analytic fallback; it is the pre-backend code path,
-        unchanged."""
+        engine.  :meth:`run_rounds` calls this for an explicit
+        ``"engine"`` and the backend dispatcher for every analytic
+        fallback."""
         trace: Dict[Tuple[int, int], float] = {}
         t0 = self.engine.now
         for m in ids:

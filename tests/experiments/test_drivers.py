@@ -18,6 +18,7 @@ from repro.experiments.exp_sync import (
     run_sync_methods,
     run_table2,
 )
+from repro.experiments.scenario import Scenario
 from repro.experiments.summary import run_summary
 
 
@@ -86,6 +87,19 @@ class TestSummary:
         rep = run_summary()
         failing = [r.label for r in rep.rows if r.measured != 1.0]
         assert not failing, failing
+
+    def test_engine_backend_reaches_its_groups(self, monkeypatch):
+        """``--backend engine`` keeps every table8 barrier on the engine, and
+        the engine run reports the same rows as the default one."""
+        from repro.sim.backends import AnalyticBackend
+
+        default = run_summary()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("analytic backend ran under backend=engine")
+
+        monkeypatch.setattr(AnalyticBackend, "run_rounds", refuse)
+        assert run_summary(Scenario(backend="engine")).rows == default.rows
 
 
 class TestSyncMethodsDriver:

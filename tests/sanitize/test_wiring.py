@@ -1,5 +1,7 @@
 """Integration of the sanitizer with Scenario / CLI / reports / runner."""
 
+import warnings
+
 import pytest
 
 from repro.experiments.base import ExperimentReport, merge_reports
@@ -10,6 +12,7 @@ from repro.reduction.warp import warp_reduce_latency_cycles
 from repro.sanitize import SanitizerSession
 from repro.sanitize import events as ev
 from repro.sim.arch import V100
+from repro.sim.backends import reset_fallback_warnings
 from repro.sim.engine import BlockedWaiter, DeadlockError, Engine
 from repro.sim.sm import simulate_warp_sync_throughput
 from repro.sync.groups import GridGroup
@@ -178,7 +181,8 @@ class TestStructuredDeadlock:
 
 
 class TestShortcutsStepAside:
-    """Memos and folds must not hide simulation from an installed monitor.
+    """Memos, folds and the analytic backend must not hide simulation from
+    an installed monitor.
 
     Otherwise a sanitized report's event counts would depend on what ran
     earlier in the same process (and, under --jobs, on which worker).
@@ -200,3 +204,24 @@ class TestShortcutsStepAside:
         with SanitizerSession("full") as session:
             warp_reduce_latency_cycles(V100, "tile_shuffle")
         assert len(session.monitor.events) == 6
+
+    @pytest.mark.parametrize("backend", [None, "auto", "analytic"])
+    def test_analytic_backend_bypassed(self, backend):
+        def events(backend):
+            with SanitizerSession("full") as session:
+                GridGroup(
+                    V100, blocks_per_sm=2, threads_per_block=256, backend=backend
+                ).simulate(n_syncs=4)
+            return len(session.monitor.events)
+
+        reset_fallback_warnings()
+        if backend == "analytic":
+            with pytest.warns(RuntimeWarning, match="sanitizer monitor"):
+                recorded = events(backend)
+        else:  # the default and auto fall back silently
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                recorded = events(backend)
+        # The closed forms fire only the round hooks; the engine records
+        # every arrival, wait and release.
+        assert recorded == events("engine") == 2093

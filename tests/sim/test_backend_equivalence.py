@@ -9,7 +9,8 @@ topology and compare float-for-float, with the event-precise engine as
 the oracle.
 
 Ineligible workloads must fall back to the engine: silently under
-``auto``, with a single per-(scope, reason) warning under ``analytic``.
+``auto`` (which is also what a scope with no backend set runs), with a
+single per-(scope, reason) warning under ``analytic``.
 """
 
 from __future__ import annotations
@@ -249,7 +250,9 @@ class TestEligibilityAndFallback:
         assert len(fallbacks) == 1
         assert "falling back" in str(fallbacks[0].message)
         # The fallback result is the engine result.
-        ref = WarpGroup(V100, 8, strategy=TweakedBarrier(8, 10.0)).run_rounds(1)
+        ref = WarpGroup(V100, 8, strategy=TweakedBarrier(8, 10.0)).run_rounds(
+            1, backend="engine"
+        )
         assert r1.total_ns == ref.total_ns == r2.total_ns
         reset_fallback_warnings()
 
@@ -272,6 +275,48 @@ class TestEligibilityAndFallback:
 
     def test_registry_names(self):
         assert BACKEND_CHOICES == ("engine", "analytic", "auto")
+
+
+class TestDefaultBackend:
+    """A scope with no backend set dispatches as ``auto``."""
+
+    @pytest.mark.parametrize(
+        "make_group",
+        [
+            lambda nodes: WarpGroup(V100, 32, kind="coalesced"),
+            lambda nodes: BlockGroup(P100, 16),
+            lambda nodes: HostBarrierGroup(4, 2500.0),
+            lambda nodes: GridGroup(V100, 2, 256),
+            lambda nodes: GridGroup(P100, 4, 128, strategy="atomic"),
+            lambda nodes: MultiGridGroup(nodes["DGX1"], 1, 32, gpu_ids=range(8)),
+        ],
+        ids=["warp", "block", "host", "grid", "grid-atomic", "multigrid"],
+    )
+    def test_eligible_scope_fires_no_events(self, nodes, make_group):
+        default, oracle = make_group(nodes), make_group(nodes)
+        run = default.run_rounds(3)
+        ref = oracle.run_rounds(3, backend="engine")
+        assert default.engine.event_count == 0 < oracle.engine.event_count
+        assert run.total_ns == ref.total_ns  # bit-identical, no tolerance
+        assert run.release_ns == ref.release_ns
+        assert default.engine.now == oracle.engine.now
+
+    def test_ineligible_scope_falls_back_silently(self):
+        reset_fallback_warnings()
+
+        class TweakedBarrier(CooperativeBarrier):
+            pass
+
+        def group():
+            return WarpGroup(V100, 8, strategy=TweakedBarrier(8, 10.0))
+
+        default = group()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run = default.run_rounds(2)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert default.engine.event_count > 0
+        assert run == group().run_rounds(2, backend="engine")
 
 
 class TestDriverLevelEquivalence:

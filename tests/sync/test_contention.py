@@ -192,7 +192,7 @@ class TestPerWaitTimeout:
         )
         a = group._t_arrive.delay
         w = group._t_release.delay
-        run = group.run_rounds(n_syncs=3)
+        run = group.run_rounds(n_syncs=3, backend="engine")
         round_ns = a + 5 * s + p / 2 + w
         for member in range(4):
             for r in range(3):
@@ -271,7 +271,8 @@ class TestContendedBarrierEndToEnd:
 
     def test_channel_accounts_detections(self):
         group = MultiGridGroup(
-            Node(DGX1_V100), 1, 32, gpu_ids=range(4), strategy="atomic"
+            Node(DGX1_V100), 1, 32, gpu_ids=range(4), strategy="atomic",
+            backend="engine",
         )
         group.simulate(n_syncs=3)
         assert group.strategy.channel.detections == 4 * 3

@@ -11,6 +11,10 @@ and round counts:
    not a barrier).
 3. **Latency monotonicity** — per-sync latency is non-decreasing in the
    participant count, along each scope's natural participant axis.
+
+Laws 1 and 2 are laws of the event protocol, so they run on the engine.
+The default backend matches it float for float wherever it takes the
+closed forms (``tests/sim/test_backend_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ class TestReleaseSemantics:
         self, kind, spec, participants, rounds
     ):
         scope = make_scope(kind, spec, participants)
-        run = scope.run_rounds(n_syncs=rounds)
+        run = scope.run_rounds(n_syncs=rounds, backend="engine")
         assert scope.rounds_released == rounds
         for member in run.members:
             releases = run.releases_of(member)
@@ -86,7 +90,7 @@ class TestReleaseSemantics:
     ):
         """No member may enter round r+1 before every member finished r."""
         scope = make_scope(kind, spec, participants)
-        run = scope.run_rounds(n_syncs=rounds)
+        run = scope.run_rounds(n_syncs=rounds, backend="engine")
         for r in range(rounds - 1):
             last_of_round = max(run.release_ns[(m, r)] for m in run.members)
             first_of_next = min(run.release_ns[(m, r + 1)] for m in run.members)

@@ -120,8 +120,11 @@ class TestGridGroup:
             group.simulate()
 
     def test_split_arrive_wait_compose(self):
-        """Driving arrive/wait manually equals the fused sync() path."""
-        fused = GridGroup(V100, 1, 32, sm_count=4).simulate(n_syncs=2)
+        """Driving arrive/wait manually equals run_rounds' sync() path on
+        the engine."""
+        driven = GridGroup(V100, 1, 32, sm_count=4, backend="engine").simulate(
+            n_syncs=2
+        )
 
         group = GridGroup(V100, 1, 32, sm_count=4)
         eng = group.engine
@@ -135,7 +138,7 @@ class TestGridGroup:
         for b in range(group.size):
             eng.process(member(b), name=f"grid-block{b}")
         eng.run()
-        assert eng.now - t0 == fused.total_ns
+        assert eng.now - t0 == driven.total_ns
 
 
 class TestMultiGridGroup:

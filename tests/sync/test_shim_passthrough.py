@@ -7,8 +7,8 @@ reproduce the scopes event-for-event if every strategy argument —
 strategy kind, strategy knobs, a fully constructed strategy carrying an
 injected :class:`~repro.sim.memory.MemoryChannel`, the device subset —
 is forwarded rather than silently dropped.  These tests pin that: shim
-and scope produce equal results and event counts for each strategy
-configuration.
+and scope produce equal results for each strategy configuration, and
+equal traces and event counts when both run on the engine.
 """
 
 from __future__ import annotations
@@ -51,20 +51,31 @@ MULTIGRID_CONFIGS = [
 ]
 
 
+def _assert_engine_parity(shim_group, scope_group, n_syncs=1):
+    """Shim- and scope-built groups run on the engine give equal release
+    traces and fire the same number of events."""
+    shim = shim_group.run_rounds(n_syncs, backend="engine")
+    scope = scope_group.run_rounds(n_syncs, backend="engine")
+    assert shim == scope
+    assert shim_group.engine.event_count == scope_group.engine.event_count > 0
+
+
 class TestGridShimParity:
     @pytest.mark.parametrize("strategy, knobs", GRID_CONFIGS)
     def test_strategy_and_knobs_forwarded(self, spec, strategy, knobs):
-        rt = CudaRuntime.single_gpu(spec)
-        shim = rt.this_grid(
-            2, 128, strategy=strategy, strategy_knobs=knobs
-        ).simulate(n_syncs=2)
-        engine = Engine()
-        scope = GridGroup(
-            spec, 2, 128, engine=engine,
-            strategy=strategy, strategy_knobs=knobs,
-        ).simulate(n_syncs=2)
-        assert shim == scope
-        assert rt.engine.event_count == engine.event_count
+        def shim():
+            return CudaRuntime.single_gpu(spec).this_grid(
+                2, 128, strategy=strategy, strategy_knobs=knobs
+            )
+
+        def scope():
+            return GridGroup(
+                spec, 2, 128, engine=Engine(),
+                strategy=strategy, strategy_knobs=knobs,
+            )
+
+        assert shim().simulate(n_syncs=2) == scope().simulate(n_syncs=2)
+        _assert_engine_parity(shim(), scope(), n_syncs=2)
 
     def test_constructed_strategy_with_channel_forwarded(self, spec):
         # Channel injection travels inside a ready-made strategy instance;
@@ -77,12 +88,14 @@ class TestGridShimParity:
                 channel=MemoryChannel(read_ns=1.0, workload_util=0.5),
             )
 
-        rt = CudaRuntime.single_gpu(spec)
-        shim = rt.this_grid(2, 128, strategy=build()).simulate()
-        engine = Engine()
-        scope = GridGroup(spec, 2, 128, engine=engine, strategy=build()).simulate()
-        assert shim == scope
-        assert rt.engine.event_count == engine.event_count
+        def shim():
+            return CudaRuntime.single_gpu(spec).this_grid(2, 128, strategy=build())
+
+        def scope():
+            return GridGroup(spec, 2, 128, engine=Engine(), strategy=build())
+
+        assert shim().simulate() == scope().simulate()
+        _assert_engine_parity(shim(), scope())
 
     def test_bad_knobs_rejected_identically(self, spec):
         rt = CudaRuntime.single_gpu(spec)
@@ -95,17 +108,19 @@ class TestGridShimParity:
 class TestMultiGridShimParity:
     @pytest.mark.parametrize("strategy, knobs", MULTIGRID_CONFIGS)
     def test_strategy_and_knobs_forwarded(self, dgx1, strategy, knobs):
-        rt = CudaRuntime.for_node(dgx1, gpu_count=4)
-        shim = rt.this_multi_grid(
-            1, 32, strategy=strategy, strategy_knobs=knobs
-        ).simulate(n_syncs=2)
-        engine = Engine()
-        scope = MultiGridGroup(
-            Node(dgx1, gpu_count=4), 1, 32, engine=engine,
-            strategy=strategy, strategy_knobs=knobs,
-        ).simulate(n_syncs=2)
-        assert shim == scope
-        assert rt.engine.event_count == engine.event_count
+        def shim():
+            return CudaRuntime.for_node(dgx1, gpu_count=4).this_multi_grid(
+                1, 32, strategy=strategy, strategy_knobs=knobs
+            )
+
+        def scope():
+            return MultiGridGroup(
+                Node(dgx1, gpu_count=4), 1, 32, engine=Engine(),
+                strategy=strategy, strategy_knobs=knobs,
+            )
+
+        assert shim().simulate(n_syncs=2) == scope().simulate(n_syncs=2)
+        _assert_engine_parity(shim(), scope(), n_syncs=2)
 
     def test_constructed_strategy_with_channel_forwarded(self, dgx1):
         def build():
