@@ -6,11 +6,20 @@ The ``repro-experiments`` console script is the CLI front door of the
 declarative experiment pipeline (``repro.experiments.cli``).
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# One source for the version: the package's own ``__version__``.
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"$', _INIT.read_text(), re.MULTILINE
+).group(1)
 
 setup(
     name="repro-gpu-sync",
-    version="0.2.0",
+    version=VERSION,
     description=(
         "Reproduction of 'A Study of Single and Multi-device "
         "Synchronization Methods in Nvidia GPUs' on simulated machines"

@@ -76,10 +76,11 @@ class ExperimentSpec:
     # nonzero when a report exceeds it.  ``None`` disables the gate.
     tolerance: Optional[float] = 0.10
     # Execution backends this experiment's driver routes its sweeps
-    # through on request; only the sync-sweep drivers (uniform barrier
-    # ladders) list the vectorized analytic backend.  For any other
-    # experiment a requested backend is recorded as the engine with a
-    # provenance note, although scopes built with no backend run ``auto``.
+    # through on request; only drivers whose barrier ladders take the
+    # scenario's backend (the sync sweeps, fig9 and table8) list the
+    # vectorized analytic backend.  For any other experiment a requested
+    # backend is recorded as the engine with a provenance note, although
+    # scopes built with no backend run ``auto``.
     backends: Tuple[str, ...] = ("engine",)
 
 
@@ -206,6 +207,7 @@ _SPECS: List[ExperimentSpec] = [
         "table8", "Summary of observations (Table VIII)",
         LazyDriver("repro.experiments.summary", "run_summary"),
         default_scenarios=(PAPER_SCENARIO,), tags=("summary",),
+        backends=("engine", "analytic"),
     ),
 ]
 

@@ -102,4 +102,5 @@ def run_summary(scenario: Optional[Scenario] = None) -> ExperimentReport:
         m["grid"] and m["multigrid_blocks"] and m["multigrid_gpus"]
         and not m["warp"] and not m["block"],
     )
+    report.backend = backend
     return report

@@ -27,9 +27,6 @@ SAN106    ``scenario.extra("extra.foo")`` — extras keys are stored with
 SAN107    ``except``/``except Exception`` whose body is only ``pass`` —
           a swallowed engine error turns a diagnosable failure into a
           silent wrong answer (narrow the type or at least record it).
-SAN108    ``run(detect_deadlock=False)`` outside ``repro.sim`` — turning
-          the engine's deadlock detection off in workload/driver code
-          reintroduces the bare hang the sanitizer exists to kill.
 SAN109    direct ``ProcessPoolExecutor(...)`` construction outside
           ``repro.experiments.service.workers`` — pool lifecycle (crash
           blame, restart, exit with a killed parent) is owned by the
@@ -92,10 +89,6 @@ RULES: Dict[str, Tuple[str, str]] = {
     "SAN107": (
         "broad except clause that silently swallows the error",
         "docs/sanitize.md#san107",
-    ),
-    "SAN108": (
-        "engine deadlock detection disabled outside repro.sim",
-        "docs/sanitize.md#san108",
     ),
     "SAN109": (
         "ProcessPoolExecutor built outside the sweep service worker layer",
@@ -199,7 +192,7 @@ class _Checker(ast.NodeVisitor):
             LintViolation(rule, self.path, line, col, message, text)
         )
 
-    # -- SAN101 / SAN104 / SAN105 / SAN106 / SAN108 (calls) --------------
+    # -- SAN101 / SAN104 / SAN105 / SAN106 / SAN109 (calls) --------------
 
     def visit_Expr(self, node: ast.Expr) -> None:
         call = node.value
@@ -266,18 +259,6 @@ class _Checker(ast.NodeVisitor):
                         f"extras keys are stored without the 'extra.' "
                         f"prefix; '{arg.value}' can never match",
                     )
-            if attr == "run" and not self.ctx["sim"]:
-                for kw in node.keywords:
-                    if (
-                        kw.arg == "detect_deadlock"
-                        and isinstance(kw.value, ast.Constant)
-                        and kw.value.value is False
-                    ):
-                        self._add(
-                            "SAN108", node,
-                            "detect_deadlock=False reintroduces the bare "
-                            "hang; let the engine raise DeadlockError",
-                        )
         self.generic_visit(node)
 
     # -- SAN102 (yields) --------------------------------------------------
@@ -336,8 +317,6 @@ def _context_for(path: str) -> Dict[str, bool]:
         "src": "src/repro/" in norm or norm.startswith("repro/"),
         # Inside the sync package (SAN102's scope/strategy code).
         "sync": "/sync/" in norm or norm.startswith("sync/"),
-        # Inside the engine package itself (SAN108 exempt).
-        "sim": "/sim/" in norm or norm.startswith("sim/"),
         # The sweep service's worker layer: the one sanctioned
         # ``ProcessPoolExecutor`` construction site (SAN109 exempt).
         "workers": norm.endswith("experiments/service/workers.py"),

@@ -13,7 +13,7 @@ yielding *yieldables*:
     Resume when the target process finishes; receives its return value.
     If the target *failed*, its exception is re-raised inside the waiter.
 ``AllOf([...])``
-    Resume when every child yieldable has completed.
+    Resume when every child signal and process has completed.
 ``Acquire`` (from :meth:`Resource.acquire`)
     Resume when a slot of the resource has been granted.
 
@@ -28,7 +28,7 @@ The event loop is the hot path of the entire reproduction, so the engine
 keeps two queues:
 
 * a **ready deque** of ``(seq, target, payload)`` records for zero-delay
-  events (process resumes, immediate callbacks) — amortized O(1) per event,
+  events (process resumes, signal fires) — amortized O(1) per event,
   no ``heapq`` traffic and no closure allocation;
 * a **binary heap** of ``(time, seq, target, payload)`` records for events
   in the future.
@@ -181,62 +181,6 @@ class WakeAt:
         return f"WakeAt({self.time!r})"
 
 
-class _WaiterBatch:
-    """One ready-queue record standing in for a whole waiter list.
-
-    Firing a signal with thousands of waiters (a barrier release wavefront)
-    used to enqueue one ``(seq, proc, value)`` record per waiter.  Instead,
-    large waiter lists are enqueued as a *single* record whose target is a
-    ``_WaiterBatch``; the run loop dispatches it like a signal (via
-    ``fire``), which steps every waiter in subscription order.  Ordering is
-    unchanged: the batched waiters held consecutive positions in the ready
-    deque anyway, and any event a resumed waiter schedules lands *after*
-    the batch record — exactly where it would have landed after that
-    waiter's individual record.  The one per-waiter mechanism that must not
-    see the emptier ready deque is the zero-delay trampoline (it would run
-    a member's *continuation* before later members wake), so member steps
-    run with ``engine._batch_depth`` raised and the trampoline disabled.
-    """
-
-    __slots__ = ("engine", "procs")
-
-    def __init__(self, engine: "Engine", procs: list["Process"]):
-        self.engine = engine
-        self.procs = procs
-
-    def fire(self, value: Any) -> None:
-        engine = self.engine
-        procs = self.procs
-        stepped = 0
-        engine._batch_depth += 1
-        try:
-            for proc in procs:
-                stepped += 1
-                proc._step(value)
-        except BaseException:
-            # A member with an unobserved failure re-raises out of _step.
-            # The unstepped members must not vanish with this record — in
-            # unbatched mode their resume records would still sit at the
-            # front of the ready deque, resumable by a later run().
-            rest = procs[stepped:]
-            if rest:
-                engine._ready.appendleft(
-                    (next(engine._seq), _WaiterBatch(engine, rest), value)
-                )
-            raise
-        finally:
-            engine._batch_depth -= 1
-            # The run loop counts this record once; account for the other
-            # members actually stepped so events/s matches unbatched runs.
-            engine.event_count += stepped - 1
-
-
-# Waiter lists at least this long are resumed through a _WaiterBatch.
-# Short lists keep the per-waiter records: the batch object costs one
-# allocation, which only pays off once it replaces several tuples.
-_BATCH_FIRE_THRESHOLD = 8
-
-
 class Signal:
     """One-shot broadcast event.
 
@@ -268,16 +212,10 @@ class Signal:
             cb(value)
         if self._waiters:
             waiters, self._waiters = self._waiters, []
-            engine = self.engine
-            if len(waiters) >= _BATCH_FIRE_THRESHOLD:
-                engine._ready.append(
-                    (next(engine._seq), _WaiterBatch(engine, waiters), value)
-                )
-            else:
-                ready = engine._ready
-                seq = engine._seq
-                for proc in waiters:
-                    ready.append((next(seq), proc, value))
+            ready = self.engine._ready
+            seq = self.engine._seq
+            for proc in waiters:
+                ready.append((next(seq), proc, value))
 
     def _subscribe(self, proc: "Process") -> bool:
         """Register ``proc`` as a waiter.
@@ -302,8 +240,8 @@ class Signal:
 class AllOf:
     """Yieldable that completes when every child completes.
 
-    Children may be :class:`Signal`, :class:`Process` or :class:`Timeout`
-    instances.  The delivered value is the list of child values in order.
+    Children may be :class:`Signal` or :class:`Process` instances.  The
+    delivered value is the list of child values in order.
     A failed child process re-raises its exception inside the waiter.
     """
 
@@ -412,57 +350,33 @@ class Process:
 
     def _step(self, send_value: Any) -> None:
         """Advance the generator by one yield, interpreting the yieldable."""
-        engine = self.engine
-        gen = self.gen
-        while True:
-            try:
-                if send_value.__class__ is _Failure:
-                    yielded = gen.throw(send_value.exc)
-                else:
-                    yielded = gen.send(send_value)
-            except StopIteration as stop:
-                self._finish(stop.value)
-                return
-            except BaseException as exc:  # propagate to waiters or run loop
-                if not self._fail(exc):
-                    raise
-                return
-            # Timeout is by far the hottest yieldable: inline it.  A pending
-            # timeout can never appear in a deadlock report (the queues are
-            # not empty), so _waiting_on is not updated on this path.
-            if yielded.__class__ is Timeout:
-                delay = yielded.delay
-                if delay == 0.0:
-                    ready = engine._ready
-                    heap = engine._heap
-                    # The batch-depth guard: while a _WaiterBatch is mid-
-                    # dispatch, its unstepped members are runnable even
-                    # though the queues look empty — the trampoline would
-                    # run this member's continuation ahead of them.
-                    if (
-                        not ready
-                        and not engine._batch_depth
-                        and (not heap or heap[0][0] > engine.now)
-                    ):
-                        # Sole runnable event: the queued resume would be
-                        # dispatched immediately anyway, so step inline
-                        # (trampoline) and skip the queue round-trip.
-                        engine.event_count += 1
-                        if engine.trace:
-                            engine.trace_log.append(
-                                (engine.now, f"resume {self.name}")
-                            )
-                        send_value = yielded.value
-                        continue
-                    ready.append((next(engine._seq), self, yielded.value))
-                else:
-                    _heappush(
-                        engine._heap,
-                        (engine.now + delay, next(engine._seq), self, yielded.value),
-                    )
-                return
-            self._dispatch(yielded)
+        try:
+            if send_value.__class__ is _Failure:
+                yielded = self.gen.throw(send_value.exc)
+            else:
+                yielded = self.gen.send(send_value)
+        except StopIteration as stop:
+            self._finish(stop.value)
             return
+        except BaseException as exc:  # propagate to waiters or run loop
+            if not self._fail(exc):
+                raise
+            return
+        # Timeout is by far the hottest yieldable: inline it.  A pending
+        # timeout can never appear in a deadlock report (the queues are
+        # not empty), so _waiting_on is not updated on this path.
+        if yielded.__class__ is Timeout:
+            engine = self.engine
+            delay = yielded.delay
+            if delay == 0.0:
+                engine._ready.append((next(engine._seq), self, yielded.value))
+            else:
+                _heappush(
+                    engine._heap,
+                    (engine.now + delay, next(engine._seq), self, yielded.value),
+                )
+        else:
+            self._dispatch(yielded)
 
     def _dispatch(self, yielded: Any) -> None:
         engine = self.engine
@@ -498,39 +412,10 @@ class Process:
                 engine._heap,
                 (yielded.time, next(engine._seq), self, yielded.value),
             )
-        elif isinstance(yielded, (Timeout, Signal, Process, _Acquire, AllOf)):
-            # Subclass of a yieldable: take the generic (isinstance) path.
-            self._dispatch_slow(yielded)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported object {yielded!r}"
             )
-
-    def _dispatch_slow(self, yielded: Any) -> None:
-        """Generic dispatch for yieldable *subclasses* (rare)."""
-        engine = self.engine
-        if isinstance(yielded, Timeout):
-            engine._schedule_proc(yielded.delay, self, yielded.value)
-        elif isinstance(yielded, Signal):
-            if yielded._subscribe(self):
-                engine._schedule_resume(self, yielded.value)
-        elif isinstance(yielded, Process):
-            if yielded.done:
-                if yielded.error is not None:
-                    engine._schedule_resume(self, _Failure(yielded.error))
-                else:
-                    engine._schedule_resume(self, yielded.result)
-            else:
-                yielded._completion._waiters.append(self)
-        elif isinstance(yielded, _Acquire):
-            res = yielded.resource
-            if res._in_use < res.capacity:
-                res._in_use += 1
-                engine._schedule_resume(self, None)
-            else:
-                res._waiters.append(self)
-        else:  # AllOf subclass
-            self._wait_all(yielded)
 
     def _wait_all(self, allof: AllOf) -> None:
         engine = self.engine
@@ -572,8 +457,6 @@ class Process:
                         cb(child.result)
                 else:
                     child._completion.callbacks.append(cb)
-            elif isinstance(child, Timeout):
-                engine.schedule(child.delay, lambda cb=cb, c=child: cb(c.value))
             else:
                 raise SimulationError(f"AllOf child unsupported: {child!r}")
 
@@ -655,17 +538,6 @@ def _wait_kind(waiting_on: Any) -> tuple[str, str]:
     return "other", repr(waiting_on)
 
 
-def _describe_event(target: Any, payload: Any) -> str:
-    """Trace-log description of one event record."""
-    if target is None:
-        return getattr(payload, "__qualname__", repr(payload))
-    if isinstance(target, Process):
-        return f"resume {target.name}"
-    if isinstance(target, _WaiterBatch):
-        return f"resume batch of {len(target.procs)}"
-    return f"fire {target.name}"
-
-
 class Engine:
     """Ready-queue + heap scheduled discrete-event simulator.
 
@@ -673,47 +545,26 @@ class Engine:
     FIFO deque; future events go on a binary heap.  A shared sequence
     counter lets the run loop merge both queues with exact FIFO-at-equal-
     time semantics.  Events are ``(target, payload)`` records — a
-    :class:`Process` to resume, a :class:`Signal` to fire, or a bare
-    callable — so the loop allocates no closures.
-
-    Parameters
-    ----------
-    trace:
-        When true, every event execution is appended to :attr:`trace_log` as
-        ``(time, description)`` — used by a few methodology tests and handy
-        when debugging barrier protocols.
+    :class:`Process` to resume or a :class:`Signal` to fire — so the loop
+    allocates no closures.
     """
 
-    def __init__(self, trace: bool = False):
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Any, Any]] = []
         self._ready: deque[tuple[int, Any, Any]] = deque()
         self._seq = itertools.count()
         self._live: set[Process] = set()
-        self._batch_depth = 0  # >0 while a _WaiterBatch steps its members
-        self.trace = trace
-        self.trace_log: list[tuple[float, str]] = []
         self.event_count = 0
 
     # -- scheduling ------------------------------------------------------
 
-    def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` after ``delay`` ns (FIFO-ordered at equal times)."""
-        if delay < 0:
-            raise ValueError(f"negative schedule delay: {delay!r}")
-        if delay == 0.0:
-            self._ready.append((next(self._seq), None, fn))
-        else:
-            heapq.heappush(
-                self._heap, (self.now + delay, next(self._seq), None, fn)
-            )
-
     def schedule_fire(self, delay: float, signal: Signal, value: Any = None) -> None:
-        """Fire ``signal(value)`` after ``delay`` ns without a closure.
+        """Fire ``signal(value)`` after ``delay`` ns (FIFO at equal times).
 
-        Replaces the ``schedule(d, lambda: sig.fire())`` pattern used by
-        barrier protocols; the record is dispatched straight from the run
-        loop.
+        The one deferred event that is not a process resume: barrier
+        protocols release their waiters with it, and the record is
+        dispatched straight from the run loop.
         """
         if delay < 0:
             raise ValueError(f"negative schedule delay: {delay!r}")
@@ -722,14 +573,6 @@ class Engine:
         else:
             heapq.heappush(
                 self._heap, (self.now + delay, next(self._seq), signal, value)
-            )
-
-    def _schedule_proc(self, delay: float, proc: Process, value: Any) -> None:
-        if delay == 0.0:
-            self._ready.append((next(self._seq), proc, value))
-        else:
-            heapq.heappush(
-                self._heap, (self.now + delay, next(self._seq), proc, value)
             )
 
     def _schedule_resume(self, proc: Process, value: Any) -> None:
@@ -752,32 +595,15 @@ class Engine:
 
     # -- execution -------------------------------------------------------
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        detect_deadlock: bool = True,
-    ) -> float:
-        """Drain the event queues.
+    def run(self) -> float:
+        """Drain the event queues and return the simulated time.
 
-        Parameters
-        ----------
-        until:
-            Stop once simulated time would exceed this bound (the pending
-            event is left on the heap).  ``None`` runs to quiescence.
-        detect_deadlock:
-            When the queues drain with live processes still blocked, raise
-            :class:`DeadlockError` (the Section VIII-B behaviour).  Disable
-            for open-ended servers that legitimately idle.
-
-        Returns
-        -------
-        float
-            Simulated time when the run stopped.
+        When the queues drain with live processes still blocked, raise
+        :class:`DeadlockError` naming them (the Section VIII-B behaviour).
         """
         heap = self._heap
         ready = self._ready
         heappop = heapq.heappop
-        trace = self.trace
         now = self.now
         count = 0
         try:
@@ -796,25 +622,18 @@ class Engine:
                 else:
                     break
                 if use_heap:
-                    if until is not None and heap[0][0] > until:
-                        self.now = until
-                        return self.now
                     now, _seq, target, payload = heappop(heap)
                     self.now = now
                 else:
                     _seq, target, payload = ready.popleft()
                 count += 1
-                if trace:
-                    self.trace_log.append((now, _describe_event(target, payload)))
                 if target.__class__ is Process:
                     target._step(payload)
-                elif target is None:
-                    payload()
                 else:
                     target.fire(payload)
         finally:
             self.event_count += count
-        if detect_deadlock and self._live:
+        if self._live:
             if _sanitize.MONITOR is not None:
                 _sanitize.MONITOR.on_deadlock(self, self._live)
             blocked = sorted(

@@ -26,6 +26,7 @@ HostBarrierGroup host threads (one per GPU) CpuBarrier
 
 from __future__ import annotations
 
+import math
 from typing import Any, Generator, Mapping, Optional, Sequence, Union
 
 from repro.sanitize import events as _sanitize
@@ -96,6 +97,11 @@ def _check_knobs(knobs: Optional[Mapping[str, float]], scope_name: str) -> "_Kno
             f"unknown strategy knob(s) {sorted(unknown)} for {scope_name}; "
             f"valid knobs: {', '.join(STRATEGY_KNOB_KEYS)}"
         )
+    for key, value in knobs.items():
+        if not math.isfinite(value):
+            raise ValueError(
+                f"strategy knob {key}={value!r} for {scope_name} must be finite"
+            )
     return _KnobTracker(knobs)
 
 

@@ -311,6 +311,14 @@ class TestScenarioUsage:
         err = capsys.readouterr().err
         assert "bad --scenario override" in err and "repeat" in err
 
+    def test_non_finite_strategy_knob_fails_the_point(self, capsys):
+        argv = [
+            "sync_methods", "--no-cache",
+            "--scenario", "sync_strategy=atomic", "--scenario", "extra.poll_ns=nan",
+        ]
+        assert main(argv) == 1
+        assert "poll_ns=nan for MultiGridGroup must be finite" in capsys.readouterr().err
+
 
 class TestExperimentIdUsage:
     def test_repeated_id_rejected(self, capsys):

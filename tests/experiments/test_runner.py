@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.registry import EXPERIMENTS, get_spec
@@ -328,3 +330,36 @@ class TestBackendCacheIsolation:
         assert res.ok
         assert res.report.backend == "engine"
         assert any("no analytic-eligible sweeps" in n for n in res.report.notes)
+
+
+class TestBackendProvenance:
+    def test_closed_form_points_report_the_requested_backend(self, monkeypatch):
+        """Every default point that ran an analytic closed form under
+        ``backend=auto`` reports ``auto`` with no fallback note, and
+        ``analytic`` is listed for exactly the experiments that ran one."""
+        from repro.sim.backends import AnalyticBackend
+
+        calls = [0]
+        run_rounds = AnalyticBackend.run_rounds
+
+        def counted(self, *args, **kwargs):
+            calls[0] += 1
+            return run_rounds(self, *args, **kwargs)
+
+        monkeypatch.setattr(AnalyticBackend, "run_rounds", counted)
+        ran_analytic = set()
+        for exp_id, spec in EXPERIMENTS.items():
+            for scenario in spec.default_scenarios:
+                before = calls[0]
+                res = execute_point(
+                    exp_id, replace(scenario, backend="auto"), use_cache=False
+                )
+                assert res.ok, res.error
+                if calls[0] > before:
+                    ran_analytic.add(exp_id)
+                    assert res.report.backend == "auto", exp_id
+                    assert not any(
+                        "requested but" in n for n in res.report.notes
+                    ), exp_id
+        listed = {i for i, spec in EXPERIMENTS.items() if "analytic" in spec.backends}
+        assert listed == ran_analytic

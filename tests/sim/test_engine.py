@@ -16,9 +16,14 @@ class TestScheduling:
     def test_schedule_runs_in_time_order(self):
         eng = Engine()
         order = []
-        eng.schedule(5.0, lambda: order.append("b"))
-        eng.schedule(1.0, lambda: order.append("a"))
-        eng.schedule(9.0, lambda: order.append("c"))
+
+        def sleeper(tag, delay):
+            yield Timeout(delay)
+            order.append(tag)
+
+        eng.process(sleeper("b", 5.0), name="b")
+        eng.process(sleeper("a", 1.0), name="a")
+        eng.process(sleeper("c", 9.0), name="c")
         eng.run()
         assert order == ["a", "b", "c"]
         assert eng.now == 9.0
@@ -26,54 +31,46 @@ class TestScheduling:
     def test_equal_times_run_fifo(self):
         eng = Engine()
         order = []
+
+        def sleeper(i):
+            yield Timeout(3.0)
+            order.append(i)
+
         for i in range(10):
-            eng.schedule(3.0, lambda i=i: order.append(i))
+            eng.process(sleeper(i), name=f"p{i}")
         eng.run()
         assert order == list(range(10))
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            Engine().schedule(-1.0, lambda: None)
-
-    def test_run_until_stops_early(self):
-        eng = Engine()
-        hits = []
-        eng.schedule(1.0, lambda: hits.append(1))
-        eng.schedule(100.0, lambda: hits.append(2))
-        eng.run(until=10.0)
-        assert hits == [1]
-        assert eng.now == 10.0
-
-    def test_run_until_leaves_future_event_pending(self):
-        eng = Engine()
-        hits = []
-        eng.schedule(100.0, lambda: hits.append(2))
-        eng.run(until=10.0)
-        eng.run()
-        assert hits == [2]
-        assert eng.now == 100.0
+            Timeout(-1.0)
 
     def test_event_count_increments(self):
+        """Every process step and every deferred fire is one event."""
         eng = Engine()
-        for _ in range(7):
-            eng.schedule(1.0, lambda: None)
+
+        def proc():
+            for _ in range(3):
+                yield Timeout(1.0)
+
+        eng.process(proc(), name="p")  # first step + 3 resumes
+        for i in range(3):
+            eng.schedule_fire(1.0, eng.signal(f"s{i}"))
         eng.run()
         assert eng.event_count == 7
-
-    def test_trace_log(self):
-        eng = Engine(trace=True)
-        eng.schedule(2.0, lambda: None)
-        eng.run()
-        assert len(eng.trace_log) == 1
-        assert eng.trace_log[0][0] == 2.0
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_events_always_execute_in_nondecreasing_time(self, delays):
         eng = Engine()
         seen = []
-        for d in delays:
-            eng.schedule(d, lambda: seen.append(eng.now))
+
+        def sleeper(d):
+            yield Timeout(d)
+            seen.append(eng.now)
+
+        for i, d in enumerate(delays):
+            eng.process(sleeper(d), name=f"p{i}")
         eng.run()
         assert seen == sorted(seen)
         assert len(seen) == len(delays)
@@ -185,13 +182,34 @@ class TestProcesses:
     def test_allof_mixes_signals_and_timeouts(self):
         eng = Engine()
         sig = eng.signal("s")
-        eng.schedule(4.0, lambda: sig.fire("sv"))
+        eng.schedule_fire(4.0, sig, "sv")
+
+        def child():
+            yield Timeout(1.0)
+            return "tv"
 
         def parent():
-            vals = yield AllOf([sig, Timeout(1.0, value="tv")])
-            return vals
+            vals = yield AllOf([sig, eng.process(child(), name="child")])
+            return vals, eng.now
 
-        assert eng.run_process(parent()) == ["sv", "tv"]
+        assert eng.run_process(parent()) == (["sv", "tv"], 4.0)
+
+    def test_allof_rejects_timeout_children(self):
+        def parent():
+            yield AllOf([Timeout(1.0)])
+
+        with pytest.raises(SimulationError, match="AllOf child unsupported"):
+            Engine().run_process(parent())
+
+    def test_yielding_timeout_subclass_raises(self):
+        class Delay(Timeout):
+            pass
+
+        def proc():
+            yield Delay(1.0)
+
+        with pytest.raises(SimulationError, match="unsupported"):
+            Engine().run_process(proc())
 
 
 class TestSignals:
@@ -206,7 +224,7 @@ class TestSignals:
 
         for i in range(3):
             eng.process(waiter(i), name=f"w{i}")
-        eng.schedule(6.0, lambda: sig.fire("v"))
+        eng.schedule_fire(6.0, sig, "v")
         eng.run()
         assert woken == [(0, "v", 6.0), (1, "v", 6.0), (2, "v", 6.0)]
 
@@ -231,16 +249,21 @@ class TestSignals:
     def test_waiter_count(self):
         eng = Engine()
         sig = eng.signal("s")
+        seen = []
 
         def waiter():
             yield sig
 
+        def observer():
+            yield Timeout(0.5)
+            seen.append(sig.waiter_count)
+            sig.fire()
+            seen.append(sig.waiter_count)
+
         eng.process(waiter(), name="w")
-        eng.schedule(1.0, lambda: None)
-        eng.run(until=0.5, detect_deadlock=False)
-        assert sig.waiter_count == 1
-        sig.fire()
+        eng.process(observer(), name="o")
         eng.run()
+        assert seen == [1, 0]
 
     def test_callbacks_invoked_on_fire(self):
         eng = Engine()
@@ -252,11 +275,12 @@ class TestSignals:
 
 
 class TestBatchedFire:
-    """Signal.fire enqueues one batch record for large waiter lists; the
-    observable semantics (wake order, values, interleaving, deadlock
-    reporting) must be identical to per-waiter records."""
+    """One Signal.fire over a large waiter list (a barrier release
+    wavefront) queues one resume record per waiter, in subscription
+    order: wake order, values, interleaving, event counts and deadlock
+    reporting all follow from that."""
 
-    N = 1000  # far above the batching threshold
+    N = 1000
 
     def test_fanout_wakes_all_in_fifo_order(self):
         eng = Engine()
@@ -269,16 +293,18 @@ class TestBatchedFire:
 
         for i in range(self.N):
             eng.process(waiter(i), name=f"w{i}")
-        eng.schedule(3.0, lambda: sig.fire("v"))
+        eng.schedule_fire(3.0, sig, "v")
         eng.run()
         assert woken == [(i, "v", 3.0) for i in range(self.N)]
 
     def test_batch_resumes_before_later_scheduled_events(self):
-        """Events scheduled after the fire (same timestamp) must run after
-        every batched waiter — the ordering a single heap would produce."""
+        """An event scheduled after the fire (same timestamp) runs after
+        every waiter — the ordering a single heap would produce."""
         eng = Engine()
         sig = eng.signal("s")
         order = []
+        after = eng.signal("after")
+        after.callbacks.append(lambda _value: order.append("after"))
 
         def waiter(i):
             yield sig
@@ -290,7 +316,7 @@ class TestBatchedFire:
         def firer():
             yield Timeout(1.0)
             sig.fire()
-            eng.schedule(0.0, lambda: order.append("after"))
+            eng.schedule_fire(0.0, after)
 
         eng.process(firer(), name="firer")
         eng.run()
@@ -308,14 +334,13 @@ class TestBatchedFire:
             eng.process(waiter(), name=f"w{i}")
         eng.schedule_fire(1.0, sig)
         eng.run()
-        # N initial steps + 1 fire record + N resumes (the batch counts as
-        # its member resumes, not as a single event).
+        # N initial steps + 1 fire record + N resumes.
         assert eng.event_count == 2 * self.N + 1
 
     def test_continuations_run_after_all_members_wake(self):
-        """Regression: a member yielding Timeout(0.0) after the wake must
-        not trampoline its continuation ahead of later batch members —
-        exact unbatched order is wake0..wakeN, then cont0..contN."""
+        """A waiter yielding Timeout(0.0) after the wake queues its
+        continuation behind every later waiter's resume: wake0..wakeN,
+        then cont0..contN."""
         eng = Engine()
         sig = eng.signal("s")
         order = []
@@ -334,48 +359,9 @@ class TestBatchedFire:
         expected = [f"wake{i}" for i in range(n)] + [f"cont{i}" for i in range(n)]
         assert order == expected
 
-    def test_matches_unbatched_order_with_mixed_yields(self):
-        """Batched and (forced) unbatched fires must interleave identically
-        even when members re-yield timeouts, signals, and resources."""
-        import repro.sim.engine as engine_mod
-
-        def scenario():
-            eng = Engine()
-            sig = eng.signal("go")
-            res = eng.resource(capacity=2, name="port")
-            order = []
-            n = 12
-
-            def waiter(i):
-                yield sig
-                order.append(f"wake{i}")
-                if i % 3 == 0:
-                    yield Timeout(0.0)
-                elif i % 3 == 1:
-                    yield res.acquire()
-                    yield Timeout(1.0)
-                    res.release()
-                order.append(f"done{i}")
-
-            for i in range(n):
-                eng.process(waiter(i), name=f"w{i}")
-            eng.schedule_fire(1.0, sig)
-            eng.run()
-            return order
-
-        batched = scenario()
-        original = engine_mod._BATCH_FIRE_THRESHOLD
-        engine_mod._BATCH_FIRE_THRESHOLD = 10**9
-        try:
-            unbatched = scenario()
-        finally:
-            engine_mod._BATCH_FIRE_THRESHOLD = original
-        assert batched == unbatched
-
     def test_member_failure_does_not_drop_later_members(self):
-        """Regression: if one member's unobserved exception escapes the
-        batch dispatch, the unstepped members must survive for a later
-        run() — exactly like unbatched resume records left in the deque."""
+        """A waiter's unobserved exception escapes run(); the later
+        waiters' resume records stay queued for the next run()."""
         eng = Engine()
         sig = eng.signal("s")
         done = []
@@ -392,7 +378,7 @@ class TestBatchedFire:
         eng.schedule_fire(1.0, sig)
         with pytest.raises(RuntimeError, match="boom"):
             eng.run()
-        eng.run()  # survivors resume from the re-enqueued batch
+        eng.run()  # the later waiters resume
         assert done == [0, 1] + list(range(3, n))
 
     def test_waiters_that_block_again_are_reported_on_deadlock(self):
@@ -475,6 +461,7 @@ class TestResources:
     def test_queue_length_and_in_use(self):
         eng = Engine()
         res = eng.resource(1, "r")
+        seen = []
 
         def holder():
             yield res.acquire()
@@ -485,12 +472,15 @@ class TestResources:
             yield res.acquire()
             res.release()
 
+        def observer():
+            yield Timeout(5.0)
+            seen.append((res.in_use, res.queue_length))
+
         eng.process(holder(), name="h")
         eng.process(waiter(), name="w")
-        eng.run(until=5.0)
-        assert res.in_use == 1
-        assert res.queue_length == 1
+        eng.process(observer(), name="o")
         eng.run()
+        assert seen == [(1, 1)]
 
     @given(
         st.integers(min_value=1, max_value=4),
@@ -527,27 +517,38 @@ class TestReadyQueueFifo:
         order = []
 
         def first():
+            yield Timeout(5.0)
             order.append("a")
-            # Zero-delay event created at t=5: must run *after* the heap
-            # event below, which was scheduled before it.
-            eng.schedule(0.0, lambda: order.append("c"))
+            # Zero-delay event created at t=5: must run *after* second's
+            # heap event, which was scheduled before it.
+            yield Timeout(0.0)
+            order.append("c")
 
-        eng.schedule(5.0, first)
-        eng.schedule(5.0, lambda: order.append("b"))
+        def second():
+            yield Timeout(5.0)
+            order.append("b")
+
+        eng.process(first(), name="first")
+        eng.process(second(), name="second")
         eng.run()
         assert order == ["a", "b", "c"]
 
     def test_zero_delay_runs_before_later_heap_event(self):
         eng = Engine()
         order = []
-        eng.schedule(0.0, lambda: order.append("ready"))
-        eng.schedule(1.0, lambda: order.append("heap"))
+
+        def sleeper(tag, delay):
+            yield Timeout(delay)
+            order.append(tag)
+
+        eng.process(sleeper("heap", 1.0), name="heap")
+        eng.process(sleeper("ready", 0.0), name="ready")
         eng.run()
         assert order == ["ready", "heap"]
 
     def test_zero_delay_processes_interleave_round_robin(self):
         """Multiple runnable processes step in FIFO rounds, never
-        run-to-completion (guards the _step trampoline's guard)."""
+        run-to-completion."""
         eng = Engine()
         order = []
 
@@ -562,8 +563,11 @@ class TestReadyQueueFifo:
         assert order == [(i, s) for s in range(3) for i in range(3)]
 
     def test_mixed_fn_and_process_events_fifo(self):
+        """Signal fires and process resumes share one FIFO ready deque."""
         eng = Engine()
         order = []
+        sig = eng.signal("s")
+        sig.callbacks.append(lambda _value: order.append("fire0"))
 
         def proc():
             order.append("proc-step0")
@@ -571,9 +575,9 @@ class TestReadyQueueFifo:
             order.append("proc-step1")
 
         eng.process(proc(), name="p")
-        eng.schedule(0.0, lambda: order.append("fn0"))
+        eng.schedule_fire(0.0, sig)
         eng.run()
-        assert order == ["proc-step0", "fn0", "proc-step1"]
+        assert order == ["proc-step0", "fire0", "proc-step1"]
 
     @given(
         st.lists(
@@ -586,20 +590,25 @@ class TestReadyQueueFifo:
     def test_equal_time_events_preserve_schedule_order(self, events):
         eng = Engine()
         seen = []
-        for delay, tag in events:
-            eng.schedule(delay, lambda d=delay, t=tag: seen.append((d, t)))
+
+        def sleeper(d, t):
+            yield Timeout(d)
+            seen.append((d, t))
+
+        for i, (delay, tag) in enumerate(events):
+            eng.process(sleeper(delay, tag), name=f"p{i}")
         eng.run()
         expected = sorted(
             [(d, t) for d, t in events],
             key=lambda pair: pair[0],
         )
-        # Python's sort is stable, so equal-time events keep schedule order.
+        # Python's sort is stable, so equal-time events keep start order.
         assert seen == expected
 
     def test_pending_count_spans_both_queues(self):
         eng = Engine()
-        eng.schedule(0.0, lambda: None)
-        eng.schedule(5.0, lambda: None)
+        eng.schedule_fire(0.0, eng.signal("now"))
+        eng.schedule_fire(5.0, eng.signal("later"))
         assert eng.pending_count == 2
         eng.run()
         assert eng.pending_count == 0
@@ -917,16 +926,6 @@ class TestDeadlockDetection:
         with pytest.raises(DeadlockError) as exc:
             eng.run()
         assert len(exc.value.blocked) == 3
-
-    def test_detection_can_be_disabled(self):
-        eng = Engine()
-        sig = eng.signal("never")
-
-        def proc():
-            yield sig
-
-        eng.process(proc(), name="stuck")
-        eng.run(detect_deadlock=False)  # no raise
 
     def test_clean_completion_no_deadlock(self):
         eng = Engine()

@@ -231,6 +231,19 @@ class TestStrategyKindResolution:
         with pytest.raises(ValueError, match="unknown strategy knob"):
             GridGroup(V100, 1, 128, strategy="atomic", strategy_knobs={"pol_ns": 1.0})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("knob", ["poll_ns", "poll_read_ns", "atomic_service_ns"])
+    def test_non_finite_knob_rejected(self, knob, value):
+        knobs = {knob: value}
+        with pytest.raises(ValueError, match=f"{knob}=.* for GridGroup must be finite"):
+            GridGroup(V100, 1, 32, strategy="atomic", strategy_knobs=knobs)
+        with pytest.raises(
+            ValueError, match=f"{knob}=.* for MultiGridGroup must be finite"
+        ):
+            MultiGridGroup(
+                Node(DGX1_V100), 1, 32, strategy="atomic", strategy_knobs=knobs
+            )
+
     def test_grid_cpu_strategy_prices_a_relaunch(self):
         group = GridGroup(V100, 1, 128, sm_count=8, strategy="cpu")
         calib = V100.launch_calib("traditional")
