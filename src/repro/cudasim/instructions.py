@@ -57,12 +57,20 @@ class FAdd(Instruction):
 
     count: int = 1
 
+    def __post_init__(self):
+        if self.count < 0:
+            raise ValueError("FAdd count must be non-negative")
+
 
 @dataclass(frozen=True)
 class DAdd(Instruction):
     """``count`` dependent double-precision adds (latency-chained)."""
 
     count: int = 1
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ValueError("DAdd count must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,10 @@ class ChainStep(Instruction):
     """
 
     count: int = 1
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ValueError("ChainStep count must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,10 @@ class Diverge(Instruction):
     """
 
     arms: int = 1
+
+    def __post_init__(self):
+        if self.arms < 0:
+            raise ValueError("Diverge arms must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -178,6 +194,8 @@ class ShuffleDown(Instruction):
             raise ValueError(f"unknown shuffle kind {self.kind!r}")
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
+        if not (1 <= self.width <= 32):
+            raise ValueError("width must be in [1, 32]")
 
 
 @dataclass(frozen=True)

@@ -593,6 +593,22 @@ class Engine:
         self._ready.append((next(self._seq), proc, None))
         return proc
 
+    def process_now(self, gen: Generator, name: str = "proc") -> Process:
+        """Register ``gen`` as a process and run its first step inside the
+        current event.
+
+        :meth:`process` queues the first step behind every event already
+        due at this timestamp; here it runs before this call returns, as
+        part of the caller's step.  A process that has been standing in
+        for others (the SIMT warp scheduler for its lanes) hands them off
+        this way without reordering them against other processes'
+        equal-time events.
+        """
+        proc = Process(self, gen, name=name)
+        self._live.add(proc)
+        proc._step(None)
+        return proc
+
     # -- execution -------------------------------------------------------
 
     def run(self) -> float:

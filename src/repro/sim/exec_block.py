@@ -55,11 +55,11 @@ class BlockBarrier:
     def arrive_nowait(self, gtid: int) -> Signal:
         """Count one arrival now; return the round's release signal.
 
-        The split form of :meth:`arrive` — the warp executor's SIMT fast
-        path arrives a whole converged warp (or parks a thread-precise
-        lane for re-convergence) without one generator frame per thread,
-        and all paths share this bookkeeping so arrival counting is
-        identical everywhere.
+        The caller yields the signal to wait for the block.  A
+        thread-precise lane arrives for itself; the SIMT fast path
+        arrives a whole converged warp, or a virtual divergence region's
+        lanes at its join, from one warp process.  Every path shares this
+        bookkeeping, so arrival counting is identical everywhere.
         """
         idx = self._counters.get(gtid, 0)
         self._counters[gtid] = idx + 1
@@ -70,10 +70,6 @@ class BlockBarrier:
             self.engine.schedule_fire(self.latency_ns, rnd["release"])
             self.rounds_completed += 1
         return rnd["release"]
-
-    def arrive(self, gtid: int) -> Generator:
-        """One thread's barrier arrival; resumes when the block releases."""
-        yield self.arrive_nowait(gtid)
 
 
 class BlockExecutor:

@@ -40,22 +40,22 @@ live lane executes the *same* barrier — ``__syncthreads``, a blocking
 shuffle — is executed converged: all arrivals are performed in tid order
 now, the scheduler waits on the release once, and the per-lane resume
 values are delivered at the release time the thread-precise simulation
-would use.  Only a genuinely *non-uniform* round (a :class:`Diverge`
-staircase, per-lane latencies, mixed instruction classes) drops the warp
-to thread-precise mode: each lane becomes its own engine process, pending
-instruction included, so rendezvous arrival order, issue-port
-serialization and Pascal shuffle staleness stay bit-identical.  The
-lanes then *re-fuse* at the next reconvergence rendezvous — the join
-that follows a divergent region — as soon as every live lane is blocked
-on one release signal and therefore resumes at one common timestamp
-(see ``docs/engine.md`` for the protocol and
-``tests/sim/test_exec_thread.py`` for the equivalence property tests).
+would use.  A uniform :class:`Diverge` ladder runs on per-lane virtual
+clocks and *re-fuses* at the join that follows it — the next
+reconvergence rendezvous.  Any other non-uniform round (per-lane
+latencies, mixed instruction classes), or a virtual region that cannot
+join, drops the warp to thread-precise mode for the rest of the run: each
+lane becomes its own engine process, pending instruction included, so
+rendezvous arrival order, issue-port serialization and Pascal shuffle
+staleness stay bit-identical, and the warp's scheduler process ends (see
+``docs/engine.md`` for the protocol and ``tests/sim/test_exec_thread.py``
+for the equivalence property tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 
 from repro.cudasim import instructions as ins
@@ -63,12 +63,9 @@ from repro.sim.arch import GPUSpec
 from repro.sim.clock import SMClock
 from repro.sim.engine import Engine, Resource, Signal, SimulationError, Timeout, WakeAt
 from repro.sim.memory import SharedMemory
+from repro.sim.sm import block_sync_latency_cycles, warp_sync_params
 
 __all__ = ["ThreadCtx", "WarpExecutor", "WarpRunResult", "UnsupportedInstruction"]
-
-#: Sentinel marking a lane whose program generator finished inside a
-#: staggered (virtual) divergence region.
-_RETIRED = object()
 
 
 class UnsupportedInstruction(SimulationError):
@@ -107,62 +104,6 @@ class _GroupBoard:
         return rnd
 
 
-class _TPRegion:
-    """Bookkeeping for one thread-precise excursion of a warp.
-
-    Created by the warp scheduler when it de-fuses; shared by the region's
-    lane processes.  Tracks which lanes are still live, which are blocked
-    on a rendezvous release, and which have *parked* — completed a
-    rendezvous and handed their generator back to the scheduler.  The
-    region ends by firing :attr:`signal` exactly once, with ``"refuse"``
-    (every surviving lane parked on one release — the scheduler re-fuses
-    them at the common resume timestamp) or ``"done"`` (every lane
-    retired).  The invariant that makes parking safe: a lane parks only
-    when every other live lane is blocked on (or already parked at) the
-    *same* release signal, so all of them provably resume at one engine
-    timestamp and the converged lockstep can restart bit-identically.
-
-    All state is plain dict/set bookkeeping inside the lanes' existing
-    events — no extra engine events beyond the single region signal, per
-    the allocation discipline in ``docs/engine.md``.
-    """
-
-    __slots__ = ("live", "waiting", "parked", "signal")
-
-    def __init__(self, executor: "WarpExecutor", lanes: List[int]):
-        self.live = set(lanes)
-        self.waiting: Dict[int, Signal] = {}
-        self.parked: Dict[int, Tuple[Any, Any]] = {}
-        self.signal = Signal(
-            executor.engine, name=f"warp@{executor.tid_offset}.refuse"
-        )
-
-    def can_park(self, lane: int, release: Signal) -> bool:
-        """Whether ``lane``, just woken by ``release``, may park there."""
-        waiting = self.waiting
-        parked = self.parked
-        for j in self.live:
-            if j == lane or j in parked:
-                # Parked lanes are on this same release: the first parker
-                # required every live lane to be waiting on it.
-                continue
-            if waiting.get(j) is not release:
-                return False
-        return True
-
-    def park(self, lane: int, op: Any, value: Any) -> None:
-        self.parked[lane] = (op, value)
-        del self.waiting[lane]
-        if len(self.parked) == len(self.live):
-            self.signal.fire("refuse")
-
-    def retire(self, lane: int) -> None:
-        self.live.discard(lane)
-        self.waiting.pop(lane, None)
-        if not self.live:
-            self.signal.fire("done")
-
-
 @dataclass
 class WarpRunResult:
     """Outcome of one warp-level simulation run.
@@ -176,11 +117,13 @@ class WarpRunResult:
         Rounds executed in converged mode — one ``Timeout`` (or one
         rendezvous wait) standing in for every live lane.
     ``defuse_count``
-        Transitions from converged to thread-precise mode (one per
-        non-uniform region entered).
+        Thread-precise excursions: a non-uniform round, or a virtual
+        divergence region that could not join, hands every live lane to
+        its own process until the lanes retire.  At most one per warp.
     ``refuse_count``
-        Re-convergence transitions: thread-precise lanes re-fused into a
-        converged warp at a rendezvous release.
+        Virtual divergence joins: a uniform ``Diverge`` region whose lanes
+        re-converged at one rendezvous round without leaving the warp
+        scheduler.
     """
 
     duration_ns: float
@@ -325,17 +268,65 @@ class WarpExecutor:
 
     # -- latencies ----------------------------------------------------------
 
-    def _sync_latency_cycles(self, kind: str, group_size: int) -> float:
-        ws = self.spec.warp_sync
-        if kind == "tile":
-            return ws.tile_latency
-        if group_size >= self.spec.warp_size:
-            return ws.coalesced_full_latency
-        return ws.coalesced_partial_latency
+    def _pure_latency_ns(self, op: Any) -> Optional[float]:
+        """Latency of ``op`` if it is *pure* — a wait with no effect at the
+        lane's own timestamp — else ``None``.
 
-    def _shuffle_latency_cycles(self, kind: str) -> float:
-        ws = self.spec.warp_sync
-        return ws.shuffle_tile_latency if kind == "tile" else ws.shuffle_coalesced_latency
+        The one latency table for ``Compute``, ``FAdd``, ``DAdd``,
+        ``ChainStep``, ``MethodOverhead`` and ``nanosleep``: the
+        interpreter, the converged rounds and the virtual divergence clocks
+        all read it.  A non-positive cycle count (a negative
+        ``MethodOverhead`` residual) costs nothing on every path.
+        """
+        spec = self.spec
+        cls = op.__class__
+        if cls is ins.Compute or cls is ins.MethodOverhead:
+            cycles = op.cycles
+        elif cls is ins.FAdd:
+            cycles = spec.instructions.fadd * op.count
+        elif cls is ins.DAdd:
+            cycles = spec.instructions.dadd * op.count
+        elif cls is ins.ChainStep:
+            cycles = spec.shared_mem.chain_latency_cycles * op.count
+        elif cls is ins.Nanosleep:
+            if not spec.has_nanosleep:
+                raise UnsupportedInstruction(
+                    f"nanosleep is not available on {spec.name} "
+                    "(Volta-only instruction, Section IX-B)"
+                )
+            return op.ns
+        else:
+            return None
+        return spec.cycles_to_ns(cycles) if cycles > 0 else 0.0
+
+    def _fast_latency_ns(self, tid: int, op: Any) -> Optional[float]:
+        """Latency of ``op`` if a converged round can run it as one
+        ``Timeout``, else None.
+
+        The pure-latency table plus the instructions that act at one end
+        of their latency: clock reads and shared-memory accesses after it
+        (:meth:`_complete`), the non-blocking (Pascal) warp sync's fence
+        before it.  ``Diverge``, blocking (Volta) warp barriers, shuffles
+        and ``__syncthreads`` return None.
+        """
+        lat = self._pure_latency_ns(op)
+        if lat is not None:
+            return lat
+        spec = self.spec
+        ic = spec.instructions
+        cls = op.__class__
+        if cls is ins.ReadClock:
+            cycles = ic.timer_read
+        elif cls is ins.SharedLoad:
+            cycles = ic.shared_ld
+        elif cls is ins.SharedStore:
+            cycles = ic.shared_st
+        elif cls is ins.WarpSync and not spec.warp_sync.blocking:
+            members = self._group_members(tid, op.kind, op.group_size, op.mask)
+            cycles = warp_sync_params(spec, op.kind, len(members))[0]
+        else:
+            return None
+        return spec.cycles_to_ns(cycles)
 
     # -- instruction interpreters --------------------------------------------
 
@@ -350,10 +341,26 @@ class WarpExecutor:
         yield Timeout(self.spec.cycles_to_ns(hold_cycles))
         self.issue_port.release()
 
-    def _exec_simple(self, latency_cycles: float) -> Generator:
-        """Converged instruction: pure latency, no cross-thread serialization."""
-        if latency_cycles > 0:
-            yield Timeout(self.spec.cycles_to_ns(latency_cycles))
+    def _complete(self, tid: int, op: Any) -> Any:
+        """Apply the effect of a :meth:`_fast_latency_ns` instruction once
+        its latency has passed; return the value its ``yield`` delivers.
+
+        Thread-precise lanes and the converged lockstep loop both call
+        this, so a clock read or shared-memory access acts identically in
+        either mode.
+        """
+        cls = op.__class__
+        if cls is ins.ReadClock:
+            return self.clock.read()
+        if cls is ins.SharedLoad:
+            return self.shared.load(
+                self.tid_offset + tid, op.slot, volatile=op.volatile
+            )
+        if cls is ins.SharedStore:
+            self.shared.store(
+                self.tid_offset + tid, op.slot, op.value, volatile=op.volatile
+            )
+        return None
 
     def _warp_sync_arrive(self, tid: int, op: ins.WarpSync) -> Signal:
         """Arrival half of a blocking (Volta) warp sync.
@@ -365,7 +372,7 @@ class WarpExecutor:
         the exact same arrival sequence.
         """
         members = self._group_members(tid, op.kind, op.group_size, op.mask)
-        latency = self._sync_latency_cycles(op.kind, len(members))
+        latency = warp_sync_params(self.spec, op.kind, len(members))[0]
         key = ("sync", op.kind, members)
         board = self._board(key, members)
         rnd = board.round(self._next_round(tid, key))
@@ -375,17 +382,6 @@ class WarpExecutor:
             self.shared.commit()
             self.engine.schedule_fire(self.spec.cycles_to_ns(latency), rnd.release)
         return rnd.release
-
-    def _exec_warp_sync(self, tid: int, op: ins.WarpSync) -> Generator:
-        if not self.spec.warp_sync.blocking:
-            # Pascal: fence semantics only (Section VIII-A / VII-C).
-            # Pending writes are keyed by the block-global tid.
-            members = self._group_members(tid, op.kind, op.group_size, op.mask)
-            latency = self._sync_latency_cycles(op.kind, len(members))
-            self.shared.commit_thread(self.tid_offset + tid)
-            yield from self._exec_simple(latency)
-            return
-        yield self._warp_sync_arrive(tid, op)
 
     def _shuffle_arrive(
         self, tid: int, op: ins.ShuffleDown
@@ -400,7 +396,7 @@ class WarpExecutor:
         this round.
         """
         members = self._group_members(tid, op.kind, op.width)
-        latency = self._shuffle_latency_cycles(op.kind)
+        latency = warp_sync_params(self.spec, "shuffle_" + op.kind, op.width)[0]
         key = ("shfl", op.kind, members)
         board = self._board(key, members)
         rnd = board.round(self._next_round(tid, key))
@@ -427,7 +423,7 @@ class WarpExecutor:
         return None, finish
 
     def _pascal_shuffle_latency_ns(self, op: ins.ShuffleDown) -> float:
-        latency = self._shuffle_latency_cycles(op.kind)
+        latency = warp_sync_params(self.spec, "shuffle_" + op.kind, op.width)[0]
         return self.spec.cycles_to_ns(max(0.0, latency - 1))
 
     def _exec_shuffle(self, tid: int, op: ins.ShuffleDown) -> Generator:
@@ -442,11 +438,12 @@ class WarpExecutor:
         return finish()
 
     def _block_sync_arrive(self, tid: int) -> Signal:
-        """Arrival half of ``__syncthreads``; returns the round's release."""
+        """Arrival half of ``__syncthreads``; returns the round's release.
+
+        Cross-warp when block-attached, warp-wide otherwise.
+        """
         if self.block_barrier is not None:
             return self.block_barrier.arrive_nowait(self.tid_offset + tid)
-        from repro.sim.sm import block_sync_latency_cycles
-
         members = tuple(range(self.nthreads))
         latency = block_sync_latency_cycles(self.spec, warps=1)
         key = ("blocksync", members)
@@ -458,116 +455,34 @@ class WarpExecutor:
             self.engine.schedule_fire(self.spec.cycles_to_ns(latency), rnd.release)
         return rnd.release
 
-    def _exec_block_sync(self, tid: int) -> Generator:
-        """``__syncthreads``: cross-warp when block-attached, warp-wide
-        otherwise.  Blocks on every architecture (unlike warp syncs)."""
-        yield self._block_sync_arrive(tid)
-
-    def _interpret(self, tid: int, op: ins.Instruction) -> Generator:
+    def _interpret(self, tid: int, op: Any) -> Generator:
         """Dispatch one instruction; yields engine yieldables, returns value."""
-        spec = self.spec
-        ic = spec.instructions
-        if isinstance(op, ins.Compute):
-            yield from self._exec_simple(op.cycles)
-        elif isinstance(op, ins.FAdd):
-            yield from self._exec_simple(ic.fadd * op.count)
-        elif isinstance(op, ins.DAdd):
-            yield from self._exec_simple(ic.dadd * op.count)
-        elif isinstance(op, ins.ChainStep):
-            yield from self._exec_simple(
-                spec.shared_mem.chain_latency_cycles * op.count
-            )
-        elif isinstance(op, ins.MethodOverhead):
-            yield from self._exec_simple(op.cycles)
-        elif isinstance(op, ins.ReadClock):
-            yield from self._exec_simple(ic.timer_read)
-            return self.clock.read()
-        elif isinstance(op, ins.Nanosleep):
-            if not spec.has_nanosleep:
-                raise UnsupportedInstruction(
-                    f"nanosleep is not available on {spec.name} "
-                    "(Volta-only instruction, Section IX-B)"
-                )
-            yield Timeout(op.ns)
-        elif isinstance(op, ins.Diverge):
+        lat = self._fast_latency_ns(tid, op)
+        if lat is not None:
+            if op.__class__ is ins.WarpSync:
+                # Pascal: fence semantics only (Section VIII-A / VII-C).
+                # Pending writes are keyed by the block-global tid.
+                self.shared.commit_thread(self.tid_offset + tid)
+            if lat > 0.0:
+                yield Timeout(lat)
+            return self._complete(tid, op)
+        cls = op.__class__
+        if cls is ins.Diverge:
             # Serialized divergent arm: hold the issue port for the full
             # arm cost so later arms (higher tids) start later.
-            yield from self._issue(ic.divergent_arm_cycles * op.arms)
-        elif isinstance(op, ins.SharedLoad):
-            yield from self._exec_simple(ic.shared_ld)
-            return self.shared.load(
-                self.tid_offset + tid, op.slot, volatile=op.volatile
-            )
-        elif isinstance(op, ins.SharedStore):
-            yield from self._exec_simple(ic.shared_st)
-            self.shared.store(
-                self.tid_offset + tid, op.slot, op.value, volatile=op.volatile
-            )
-        elif isinstance(op, ins.WarpSync):
-            yield from self._exec_warp_sync(tid, op)
-        elif isinstance(op, ins.BlockSync):
-            yield from self._exec_block_sync(tid)
-        elif isinstance(op, ins.ShuffleDown):
+            yield from self._issue(self.spec.instructions.divergent_arm_cycles * op.arms)
+        elif cls is ins.WarpSync:
+            # Volta: the barrier blocks until the group arrives.
+            yield self._warp_sync_arrive(tid, op)
+        elif cls is ins.BlockSync:
+            # Blocks on every architecture (unlike warp syncs).
+            yield self._block_sync_arrive(tid)
+        elif cls is ins.ShuffleDown:
             value = yield from self._exec_shuffle(tid, op)
             return value
         else:
             raise SimulationError(f"unknown instruction {op!r}")
         return None
-
-    # -- converged-warp fast path ---------------------------------------------
-
-    def _fast_latency_ns(self, tid: int, op: ins.Instruction) -> Optional[float]:
-        """Analytic latency of ``op`` if it is fast-path eligible, else None.
-
-        Eligible instructions are exactly those the thread-precise
-        interpreter handles with a pure ``Timeout`` (no cross-thread
-        serialization): the ``_exec_simple`` family, ``nanosleep`` and the
-        non-blocking Pascal warp sync.  ``Diverge``, blocking (Volta) warp
-        barriers, shuffles and ``__syncthreads`` return None and force the
-        fallback to thread-precise simulation.
-        """
-        spec = self.spec
-        ic = spec.instructions
-        cls = op.__class__
-        if cls is ins.Compute:
-            cycles = op.cycles
-        elif cls is ins.FAdd:
-            cycles = ic.fadd * op.count
-        elif cls is ins.DAdd:
-            cycles = ic.dadd * op.count
-        elif cls is ins.ChainStep:
-            cycles = spec.shared_mem.chain_latency_cycles * op.count
-        elif cls is ins.MethodOverhead:
-            cycles = op.cycles
-        elif cls is ins.ReadClock:
-            cycles = ic.timer_read
-        elif cls is ins.SharedLoad:
-            cycles = ic.shared_ld
-        elif cls is ins.SharedStore:
-            cycles = ic.shared_st
-        elif cls is ins.Nanosleep:
-            if not spec.has_nanosleep:
-                raise UnsupportedInstruction(
-                    f"nanosleep is not available on {spec.name} "
-                    "(Volta-only instruction, Section IX-B)"
-                )
-            return op.ns
-        elif cls is ins.WarpSync:
-            if spec.warp_sync.blocking:
-                return None  # Volta barrier: rendezvous required
-            members = self._group_members(tid, op.kind, op.group_size, op.mask)
-            cycles = self._sync_latency_cycles(op.kind, len(members))
-        else:
-            return None
-        return spec.cycles_to_ns(cycles)
-
-    def _retire_fast(
-        self, ctx: ThreadCtx, value: Any, result: WarpRunResult
-    ) -> None:
-        gtid = ctx.tid
-        result.returns[gtid] = value
-        result.end_ns[gtid] = self.engine.now
-        result.records[gtid] = ctx.records
 
     # -- converged rendezvous rounds -------------------------------------------
 
@@ -661,70 +576,6 @@ class WarpExecutor:
 
     # -- staggered (virtual) divergence regions --------------------------------
 
-    def _virtual_latency_ns(self, op: Any) -> Optional[float]:
-        """Latency of ``op`` if it is *pure* — a Timeout with no engine-
-        visible effect at any per-lane timestamp — else ``None``.
-
-        Stricter than :meth:`_fast_latency_ns`: clock reads, shared-memory
-        accesses and the Pascal warp-sync fence all act at the lane's own
-        (staggered) time and therefore need a real engine event.
-        """
-        spec = self.spec
-        ic = spec.instructions
-        cls = op.__class__
-        if cls is ins.Compute:
-            cycles = op.cycles
-        elif cls is ins.FAdd:
-            cycles = ic.fadd * op.count
-        elif cls is ins.DAdd:
-            cycles = ic.dadd * op.count
-        elif cls is ins.ChainStep:
-            cycles = spec.shared_mem.chain_latency_cycles * op.count
-        elif cls is ins.MethodOverhead:
-            cycles = op.cycles
-        elif cls is ins.Nanosleep:
-            if not spec.has_nanosleep:
-                raise UnsupportedInstruction(
-                    f"nanosleep is not available on {spec.name} "
-                    "(Volta-only instruction, Section IX-B)"
-                )
-            return op.ns
-        else:
-            return None
-        return spec.cycles_to_ns(cycles)
-
-    def _replay(self, log: List[Tuple[str, float]]) -> Generator:
-        """Re-materialize a lane's virtually-consumed ops as real events.
-
-        Produces exactly the yield sequence the thread-precise interpreter
-        would have produced for the logged ops — issue-port serialization
-        included — so an aborted virtual region costs what thread-precise
-        execution always cost, and timing stays bit-identical.  Log
-        entries carry their unit in the tag: ``("issue_cycles", hold)``
-        replays a divergent-arm issue-port hold (cycles, what
-        :meth:`_issue` takes), ``("timeout_ns", lat)`` a pure latency.
-        """
-        for kind, amount in log:
-            if kind == "issue_cycles":
-                yield from self._issue(amount)
-            elif amount > 0.0:
-                yield Timeout(amount)
-
-    def _replay_retire(
-        self,
-        lane: int,
-        prelude: Generator,
-        ctx: ThreadCtx,
-        value: Any,
-        result: WarpRunResult,
-        region: "_TPRegion",
-    ) -> Generator:
-        """Replay a lane whose program already ended, then retire it."""
-        yield from prelude
-        self._retire_fast(ctx, value, result)
-        region.retire(lane)
-        return value
-
     def _virtual_divergence(
         self,
         live: List[int],
@@ -747,14 +598,15 @@ class WarpExecutor:
         rendezvous round, the scheduler wakes at the last lane's
         (bit-exact, via :class:`~repro.sim.engine.WakeAt`) arrival time,
         performs the arrivals in arrival-time order, waits on the release
-        once, and returns ``("fused", order, pending, values)`` — the warp
-        is converged again.  Anything else — a value-producing or
+        once, and returns ``(order, pending, values)`` — the warp is
+        converged again.  Anything else — a value-producing or
         memory-touching instruction, a retiring lane, mismatched
         rendezvous, nested divergence, or an exact arrival-time tie whose
         thread-precise ordering depends on event sequence numbers — aborts
-        into ``("defused", region)``: every lane is spawned as a process
-        whose prelude *replays* the consumed ops event-for-event, so abort
-        costs thread-precise speed but never correctness.
+        and returns None: every lane is spawned as a thread-precise
+        :meth:`_lane` that first *replays* its consumed ops
+        event-for-event, so abort costs thread-precise speed but never
+        correctness.
         """
         engine = self.engine
         spec = self.spec
@@ -767,8 +619,9 @@ class WarpExecutor:
             logs[i] = [("issue_cycles", hold_cycles)]
             port_time = port_time + spec.cycles_to_ns(hold_cycles)
             t[i] = port_time
+        # Each lane's pending instruction, or the StopIteration of a
+        # program that ended inside the region.
         pend: Dict[int, Any] = {}
-        retired_vals: Dict[int, Any] = {}
         for i in live:
             ti = t[i]
             gen = gens[i]
@@ -777,10 +630,9 @@ class WarpExecutor:
                 try:
                     nxt = gen.send(None)
                 except StopIteration as stop:
-                    pend[i] = _RETIRED
-                    retired_vals[i] = stop.value
+                    pend[i] = stop
                     break
-                lat = self._virtual_latency_ns(nxt)
+                lat = self._pure_latency_ns(nxt)
                 if lat is None:
                     pend[i] = nxt
                     break
@@ -790,21 +642,13 @@ class WarpExecutor:
 
         plan = self._virtual_terminator(live, pend, t)
         if plan is None:
-            region = _TPRegion(self, live)
             off = self.tid_offset
             for i in live:
-                prelude = self._replay(logs[i])
-                if pend[i] is _RETIRED:
-                    proc = self._replay_retire(
-                        i, prelude, ctxs[i], retired_vals[i], result, region
-                    )
-                else:
-                    proc = self._lane_proc(
-                        i, gens[i], pend[i], None, ctxs[i], result, region,
-                        prelude=prelude,
-                    )
-                engine.process(proc, name=f"t{off + i}")
-            return ("defused", region)
+                engine.process_now(
+                    self._lane(i, ctxs[i], gens[i], result, pend[i], logs[i]),
+                    name=f"t{off + i}",
+                )
+            return None
 
         # Re-fuse at the join: land on the last arrival's exact timestamp,
         # arrive in arrival-time order, wait out the release once.
@@ -834,7 +678,7 @@ class WarpExecutor:
         vals = {
             i: (finishes[i]() if finishes is not None else None) for i in order
         }
-        return ("fused", order, pend, vals)
+        return order, pend, vals
 
     def _virtual_terminator(
         self,
@@ -850,9 +694,9 @@ class WarpExecutor:
         shuffle), with all arrival times distinct — or ``None`` to force
         the replay abort.
         """
-        op0 = pend[live[0]]
-        if op0 is _RETIRED or any(pend[i] is _RETIRED for i in live):
+        if any(pend[i].__class__ is StopIteration for i in live):
             return None
+        op0 = pend[live[0]]
         if not self._ops_uniform(live, pend):
             return None
         cls = op0.__class__
@@ -908,8 +752,8 @@ class WarpExecutor:
         program: Callable[[ThreadCtx], Generator],
         result: WarpRunResult,
     ) -> Generator:
-        """Mode-switching warp scheduler: converged rounds, thread-precise
-        excursions, re-convergence at rendezvous releases.
+        """Mode-switching warp scheduler: converged rounds, virtual
+        divergence joins, and a one-way drop to thread-precise lanes.
 
         Each converged round replays, per live thread *in tid order*,
         exactly what a thread-precise step event does at this timestamp:
@@ -920,12 +764,12 @@ class WarpExecutor:
         instruction is analytic with one common latency, the round costs a
         single ``Timeout`` instead of ``nthreads`` heap events; a uniform
         rendezvous round costs the arrivals plus one wait
-        (:meth:`_try_converged_rendezvous`).  A non-uniform round spawns
-        one engine process per lane (pending instruction included) and the
-        scheduler blocks on the region's signal until the lanes either all
-        retire or all park at one rendezvous release — at which point they
-        are re-fused into the converged loop with their pending resume
-        values.
+        (:meth:`_try_converged_rendezvous`), and a uniform ``Diverge``
+        ladder runs on virtual clocks up to its join
+        (:meth:`_virtual_divergence`).  Any other round spawns one
+        :meth:`_lane` process per live lane (pending instruction included)
+        and the scheduler ends: the lanes run thread-precise until they
+        retire.
         """
         engine = self.engine
         shared = self.shared
@@ -941,7 +785,6 @@ class WarpExecutor:
         vals: List[Any] = [None] * n
         has_val: List[bool] = [False] * n
         lat_ns: List[Optional[float]] = [0.0] * n
-        pre_done: List[bool] = [False] * n
         live = list(range(n))
         while live:
             survivors = []
@@ -950,30 +793,18 @@ class WarpExecutor:
                 # round (the thread-precise interpreter applies it after
                 # its Timeout, inside the same step event that fetches and
                 # dispatches the next instruction).  Rendezvous rounds and
-                # re-fused lanes deliver a precomputed value instead.
+                # virtual joins deliver a precomputed value instead.
                 if has_val[i]:
                     value: Any = vals[i]
                     has_val[i] = False
                     vals[i] = None
                 else:
                     op = ops[i]
-                    if op is None:
-                        value = None
-                    else:
-                        cls = op.__class__
-                        if cls is ins.ReadClock:
-                            value = self.clock.read()
-                        elif cls is ins.SharedLoad:
-                            value = shared.load(off + i, op.slot, volatile=op.volatile)
-                        elif cls is ins.SharedStore:
-                            shared.store(off + i, op.slot, op.value, volatile=op.volatile)
-                            value = None
-                        else:
-                            value = None
+                    value = None if op is None else self._complete(i, op)
                 try:
                     nxt = gens[i].send(value)
                 except StopIteration as stop:
-                    self._retire_fast(ctxs[i], stop.value, result)
+                    self._retire(ctxs[i], stop.value, result)
                     continue
                 survivors.append(i)
                 ops[i] = nxt
@@ -984,9 +815,6 @@ class WarpExecutor:
                 # precise interpreter.
                 if nxt.__class__ is ins.WarpSync and lat is not None:
                     shared.commit_thread(off + i)
-                    pre_done[i] = True
-                else:
-                    pre_done[i] = False
             live = survivors
             if not live:
                 return
@@ -1014,164 +842,83 @@ class WarpExecutor:
             if all(ops[i].__class__ is ins.Diverge for i in live):
                 # Uniform divergence ladder: run the region on per-lane
                 # virtual clocks and re-fuse at the join when possible.
-                res = yield from self._virtual_divergence(
+                joined = yield from self._virtual_divergence(
                     live, ops, gens, ctxs, result
                 )
-                if res[0] == "fused":
-                    _, order, pendmap, valmap = res
+                if joined is not None:
+                    live, pendmap, valmap = joined
                     result.fused_rounds += 1
                     result.refuse_count += 1
-                    live = order
                     for i in live:
                         ops[i] = pendmap[i]
                         vals[i] = valmap[i]
                         has_val[i] = True
-                        pre_done[i] = False
                     continue
-                region = res[1]
-                result.defuse_count += 1
             else:
                 # Genuinely non-uniform: hand every thread to its own
-                # process, in lockstep order so rendezvous arrivals and
-                # issue-port grants match thread-precise mode.
-                result.defuse_count += 1
-                region = _TPRegion(self, live)
+                # process for the rest of the run, in lockstep order and
+                # inside this event, so rendezvous arrivals, issue-port
+                # grants and other warps' equal-time events keep their
+                # thread-precise order.
                 for i in live:
-                    op = ops[i]
-                    if pre_done[i]:
-                        # Fence already committed above; only the latency
-                        # of the sync remains.
-                        members = self._group_members(
-                            i, op.kind, op.group_size, op.mask
-                        )
-                        first = self._exec_simple(
-                            self._sync_latency_cycles(op.kind, len(members))
+                    if ops[i].__class__ is ins.WarpSync and lat_ns[i] is not None:
+                        # The round above committed this Pascal sync's
+                        # fence; only its latency remains.
+                        lane = self._lane(
+                            i, ctxs[i], gens[i], result,
+                            log=[("timeout_ns", lat_ns[i])],
                         )
                     else:
-                        first = None
-                    engine.process(
-                        self._lane_proc(
-                            i, gens[i], op, first, ctxs[i], result, region
-                        ),
-                        name=f"t{off + i}",
-                    )
-            outcome = yield region.signal
-            if outcome == "done":
-                return
-            # Re-fuse: every surviving lane parked at one rendezvous
-            # release, so they all resume here, at one common timestamp,
-            # with their pending values.  The lockstep order from now on
-            # is the *park* order — the order the release woke the lanes
-            # (their barrier-arrival order), which is exactly the order
-            # thread-precise processes would keep resuming in at every
-            # subsequent equal-time instant (FIFO-at-equal-time), so
-            # issue-port grants and shared-memory effect order stay
-            # bit-identical after re-convergence.
-            result.refuse_count += 1
-            live = list(region.parked)
-            for i in live:
-                ops[i], vals[i] = region.parked[i]
-                has_val[i] = True
-                pre_done[i] = False
-
-    def _rendezvous_arrive(
-        self, tid: int, op: Any
-    ) -> Optional[Tuple[Signal, Optional[Callable[[], Any]]]]:
-        """Split arrival for a *blocking* rendezvous instruction.
-
-        Returns ``(release, finish)`` for instructions whose wait is a
-        plain release-signal yield (``__syncthreads`` everywhere; warp
-        syncs and shuffles on blocking architectures), or ``None`` when
-        ``op`` is not such an instruction.  Thread-precise lanes route
-        rendezvous waits through this so the warp scheduler can observe
-        who is blocked where and re-fuse the warp at the release.
-        """
-        cls = op.__class__
-        if cls is ins.BlockSync:
-            return self._block_sync_arrive(tid), None
-        if not self.spec.warp_sync.blocking:
-            return None
-        if cls is ins.WarpSync:
-            return self._warp_sync_arrive(tid, op), None
-        if cls is ins.ShuffleDown:
-            release, finish = self._shuffle_arrive(tid, op)
-            return release, finish
-        return None
-
-    def _lane_proc(
-        self,
-        tid_local: int,
-        gen: Generator,
-        op: Any,
-        first_interp: Optional[Generator],
-        ctx: ThreadCtx,
-        result: WarpRunResult,
-        region: "_TPRegion",
-        prelude: Optional[Generator] = None,
-    ) -> Generator:
-        """Thread-precise excursion of one lane after a de-fuse.
-
-        Executes instructions exactly as :meth:`_thread_proc` does, but
-        rendezvous waits go through the split arrive/wait path so the lane
-        can *park* — hand its generator back to the warp scheduler — when
-        every live lane of the region is blocked on the same release and
-        will therefore resume at the same timestamp.  ``first_interp``
-        carries the partially-applied interpretation of a pending Pascal
-        warp sync whose fence the converged round already committed;
-        ``prelude`` replays an aborted virtual region's consumed ops
-        before ``op`` runs.
-        """
-        gtid = ctx.tid
-        try:
-            if prelude is not None:
-                yield from prelude
-            while True:
-                if first_interp is not None:
-                    value = yield from first_interp
-                    first_interp = None
-                else:
-                    arrive = self._rendezvous_arrive(tid_local, op)
-                    if arrive is None:
-                        value = yield from self._interpret(tid_local, op)
-                    else:
-                        release, finish = arrive
-                        region.waiting[tid_local] = release
-                        yield release
-                        value = finish() if finish is not None else None
-                        if region.can_park(tid_local, release):
-                            region.park(tid_local, op, value)
-                            return
-                        del region.waiting[tid_local]
-                op = gen.send(value)
-        except StopIteration as stop:
-            result.returns[gtid] = stop.value
-        result.end_ns[gtid] = self.engine.now
-        result.records[gtid] = ctx.records
-        region.retire(tid_local)
-        return result.returns.get(gtid)
+                        lane = self._lane(i, ctxs[i], gens[i], result, ops[i])
+                    engine.process_now(lane, name=f"t{off + i}")
+            result.defuse_count += 1
+            return
 
     # -- running --------------------------------------------------------------
 
-    def _thread_proc(
+    def _lane(
         self,
-        tid_local: int,
-        program: Callable[[ThreadCtx], Generator],
+        tid: int,
+        ctx: ThreadCtx,
+        gen: Generator,
         result: WarpRunResult,
+        op: Any = None,
+        log: Sequence[Tuple[str, float]] = (),
     ) -> Generator:
-        ctx = ThreadCtx(self, tid_local)
-        gtid = ctx.tid
-        result.start_ns[gtid] = self.engine.now
-        gen = program(ctx)
-        value: Any = None
+        """One lane run thread-precisely until its program returns.
+
+        The reference path (``simt_fast_path=False``) starts every lane
+        here with ``op=None``: the first instruction comes from ``gen``.
+        The fast path hands a lane over with its pending ``op``, and
+        sometimes a ``log`` to replay first, event-for-event:
+        ``("issue_cycles", hold)`` is a divergent-arm issue-port hold and
+        ``("timeout_ns", lat)`` a pure latency.  That covers a de-fused
+        Pascal warp sync whose fence the converged round already committed
+        (the log is the sync's latency, ``op`` None) and an aborted virtual
+        divergence region (the log is the lane's consumed ops; ``op`` is
+        the lane's ``StopIteration`` if its program ended inside the
+        region).
+        """
+        for kind, amount in log:
+            if kind == "issue_cycles":
+                yield from self._issue(amount)
+            elif amount > 0.0:
+                yield Timeout(amount)
         try:
-            while True:
+            if op is None:
+                op = gen.send(None)
+            while op.__class__ is not StopIteration:
+                value = yield from self._interpret(tid, op)
                 op = gen.send(value)
-                value = yield from self._interpret(tid_local, op)
         except StopIteration as stop:
-            result.returns[gtid] = stop.value
+            op = stop
+        self._retire(ctx, op.value, result)
+
+    def _retire(self, ctx: ThreadCtx, value: Any, result: WarpRunResult) -> None:
+        gtid = ctx.tid
+        result.returns[gtid] = value
         result.end_ns[gtid] = self.engine.now
         result.records[gtid] = ctx.records
-        return result.returns.get(gtid)
 
     def start(
         self,
@@ -1203,9 +950,11 @@ class WarpExecutor:
             )
             return result
         for tid_local in range(self.nthreads):
+            ctx = ThreadCtx(self, tid_local)
+            result.start_ns[ctx.tid] = self.engine.now
             self.engine.process(
-                self._thread_proc(tid_local, program, result),
-                name=f"t{self.tid_offset + tid_local}",
+                self._lane(tid_local, ctx, program(ctx), result),
+                name=f"t{ctx.tid}",
             )
         return result
 

@@ -33,6 +33,7 @@ __all__ = [
     "simulate_block_sync",
     "WarpSyncThroughputResult",
     "simulate_warp_sync_throughput",
+    "warp_sync_params",
 ]
 
 
@@ -229,8 +230,13 @@ class WarpSyncThroughputResult:
         return self.total_ops / self.total_cycles if self.total_cycles else 0.0
 
 
-def _warp_sync_params(spec: GPUSpec, kind: str, group_size: int) -> tuple[float, float]:
-    """(latency, initiation interval) in cycles for a warp-sync op kind."""
+def warp_sync_params(spec: GPUSpec, kind: str, group_size: int) -> tuple[float, float]:
+    """(latency, initiation interval) in cycles for a warp-sync op kind.
+
+    The one Table II lookup: ``kind`` is ``"tile"`` or ``"coalesced"``
+    for a warp barrier, ``"shuffle_tile"`` or ``"shuffle_coalesced"`` for
+    a shuffle; only a coalesced barrier's cost depends on ``group_size``.
+    """
     ws = spec.warp_sync
     if kind == "tile":
         return ws.tile_latency, 1.0 / ws.tile_throughput
@@ -267,7 +273,7 @@ def simulate_warp_sync_throughput(
     """
     if n_warps < 1 or repeats < 1:
         raise ValueError("n_warps and repeats must be >= 1")
-    latency_cy, ii_cy = _warp_sync_params(spec, kind, group_size)
+    latency_cy, ii_cy = warp_sync_params(spec, kind, group_size)
     ii_ns = spec.cycles_to_ns(ii_cy)
     tail_ns = spec.cycles_to_ns(max(0.0, latency_cy - ii_cy))
     n_ops = n_warps * repeats

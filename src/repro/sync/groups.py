@@ -34,7 +34,7 @@ from repro.sim.arch import GPUSpec
 from repro.sim.engine import Engine, Resource, Signal, Timeout
 from repro.sim.memory import MemoryChannel
 from repro.sim.occupancy import blocks_per_sm as occ_blocks_per_sm
-from repro.sim.sm import block_sync_latency_cycles
+from repro.sim.sm import block_sync_latency_cycles, warp_sync_params
 
 from repro.sync.scope import BarrierScope
 from repro.sync.strategies import (
@@ -188,18 +188,9 @@ class WarpGroup(BarrierScope):
         return CooperativeBarrier(
             expected=self._size,
             release_delay_ns=self.spec.cycles_to_ns(
-                self._latency_cycles(self.spec, self.kind, self._size)
+                warp_sync_params(self.spec, self.kind, self._size)[0]
             ),
         )
-
-    @staticmethod
-    def _latency_cycles(spec: GPUSpec, kind: str, size: int) -> float:
-        ws = spec.warp_sync
-        if kind == "tile":
-            return ws.tile_latency
-        if size >= spec.warp_size:
-            return ws.coalesced_full_latency
-        return ws.coalesced_partial_latency
 
     @property
     def size(self) -> int:
@@ -212,7 +203,7 @@ class WarpGroup(BarrierScope):
 
     def latency_model(self) -> float:
         return self.spec.cycles_to_ns(
-            self._latency_cycles(self.spec, self.kind, self._size)
+            warp_sync_params(self.spec, self.kind, self._size)[0]
         )
 
 

@@ -196,17 +196,16 @@ class BarrierScope:
         self,
         n_syncs: int = 1,
         members: Optional[Iterable[int]] = None,
-        backend: Optional[str] = None,
         collect_trace: bool = True,
     ) -> ScopeRun:
         """Drive ``n_syncs`` barrier rounds across ``members`` (default:
         all ``size`` participants) and return the release trace.
 
-        ``backend`` overrides the scope's construction-time backend
-        choice for this run (``"engine"``, ``"analytic"``, ``"auto"``).
-        When neither sets one, the run dispatches as ``"auto"``: the
-        closed forms where eligible, the engine otherwise.  Only an
-        explicit ``"engine"`` skips the dispatcher and runs events.
+        The scope's construction-time ``backend`` picks the path
+        (``"engine"``, ``"analytic"``, ``"auto"``).  When it is unset the
+        run dispatches as ``"auto"``: the closed forms where eligible,
+        the engine otherwise.  Only an explicit ``"engine"`` skips the
+        dispatcher and runs events.
         ``collect_trace=False`` lets the analytic backend skip building
         the per-member release map when only ``total_ns`` is wanted; the
         engine records the trace as a side effect either way.
@@ -225,7 +224,7 @@ class BarrierScope:
                 "create a fresh group per simulation"
             )
         ids = tuple(members) if members is not None else tuple(range(self.size))
-        choice = backend if backend is not None else self.backend
+        choice = self.backend
         if choice == "engine":
             return self._run_rounds_engine(n_syncs, ids)
         # Looked up at call time: perfbench's tracer patches it there.

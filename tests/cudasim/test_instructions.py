@@ -34,6 +34,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             ins.ShuffleDown(value=1.0, delta=-1)
 
+    def test_shuffle_width_bounds(self):
+        for width in (0, 33):
+            with pytest.raises(ValueError, match="width"):
+                ins.ShuffleDown(value=1.0, delta=1, width=width)
+        ins.ShuffleDown(value=1.0, delta=1, width=1)
+
+    @pytest.mark.parametrize("op", [ins.FAdd, ins.DAdd, ins.ChainStep])
+    def test_count_nonnegative(self, op):
+        with pytest.raises(ValueError, match="count"):
+            op(count=-1)
+        op(count=0)
+
+    def test_diverge_arms_nonnegative(self):
+        with pytest.raises(ValueError, match="arms"):
+            ins.Diverge(arms=-1)
+        ins.Diverge(arms=0)
+
     def test_method_overhead_floor(self):
         with pytest.raises(ValueError):
             ins.MethodOverhead(cycles=-100.0)

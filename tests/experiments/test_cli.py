@@ -319,6 +319,12 @@ class TestScenarioUsage:
         assert main(argv) == 1
         assert "poll_ns=nan for MultiGridGroup must be finite" in capsys.readouterr().err
 
+    def test_negative_divergence_arms_fails_the_point(self, capsys):
+        # The divergence driver builds ``Diverge(arms=...)`` from the
+        # scenario; a negative count fails the point at construction.
+        assert main(["divergence", "--scenario", "extra.arms=-1", "--no-cache"]) == 1
+        assert "Diverge arms must be non-negative" in capsys.readouterr().err
+
 
 class TestExperimentIdUsage:
     def test_repeated_id_rejected(self, capsys):

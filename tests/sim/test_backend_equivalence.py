@@ -54,13 +54,15 @@ def nodes():
 def assert_identical(make_group, n_syncs, members=None):
     """Run the same workload on both backends; everything must match."""
     g_eng = make_group()
-    r_eng = g_eng.run_rounds(n_syncs, members=members, backend="engine")
+    g_eng.backend = "engine"
+    r_eng = g_eng.run_rounds(n_syncs, members=members)
     g_ana = make_group()
+    g_ana.backend = "analytic"
     reason = ANALYTIC.ineligible_reason(
         g_ana, n_syncs, tuple(members) if members is not None else tuple(range(g_ana.size))
     )
     assert reason is None, f"expected eligible, got: {reason}"
-    r_ana = g_ana.run_rounds(n_syncs, members=members, backend="analytic")
+    r_ana = g_ana.run_rounds(n_syncs, members=members)
 
     assert r_ana.total_ns == r_eng.total_ns  # bit-identical, no tolerance
     assert r_ana.release_ns == r_eng.release_ns
@@ -250,9 +252,9 @@ class TestEligibilityAndFallback:
         assert len(fallbacks) == 1
         assert "falling back" in str(fallbacks[0].message)
         # The fallback result is the engine result.
-        ref = WarpGroup(V100, 8, strategy=TweakedBarrier(8, 10.0)).run_rounds(
-            1, backend="engine"
-        )
+        ref = WarpGroup(
+            V100, 8, strategy=TweakedBarrier(8, 10.0), backend="engine"
+        ).run_rounds(1)
         assert r1.total_ns == ref.total_ns == r2.total_ns
         reset_fallback_warnings()
 
@@ -269,9 +271,9 @@ class TestEligibilityAndFallback:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_unknown_backend_name_fails_listing_choices(self):
-        g = WarpGroup(V100, 8)
+        g = WarpGroup(V100, 8, backend="bogus")
         with pytest.raises(ValueError, match="engine, analytic, auto"):
-            g.run_rounds(1, backend="bogus")
+            g.run_rounds(1)
 
     def test_registry_names(self):
         assert BACKEND_CHOICES == ("engine", "analytic", "auto")
@@ -294,8 +296,9 @@ class TestDefaultBackend:
     )
     def test_eligible_scope_fires_no_events(self, nodes, make_group):
         default, oracle = make_group(nodes), make_group(nodes)
+        oracle.backend = "engine"
         run = default.run_rounds(3)
-        ref = oracle.run_rounds(3, backend="engine")
+        ref = oracle.run_rounds(3)
         assert default.engine.event_count == 0 < oracle.engine.event_count
         assert run.total_ns == ref.total_ns  # bit-identical, no tolerance
         assert run.release_ns == ref.release_ns
@@ -307,8 +310,10 @@ class TestDefaultBackend:
         class TweakedBarrier(CooperativeBarrier):
             pass
 
-        def group():
-            return WarpGroup(V100, 8, strategy=TweakedBarrier(8, 10.0))
+        def group(backend=None):
+            return WarpGroup(
+                V100, 8, strategy=TweakedBarrier(8, 10.0), backend=backend
+            )
 
         default = group()
         with warnings.catch_warnings(record=True) as caught:
@@ -316,7 +321,7 @@ class TestDefaultBackend:
             run = default.run_rounds(2)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert default.engine.event_count > 0
-        assert run == group().run_rounds(2, backend="engine")
+        assert run == group(backend="engine").run_rounds(2)
 
 
 class TestDriverLevelEquivalence:

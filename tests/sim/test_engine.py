@@ -533,6 +533,38 @@ class TestReadyQueueFifo:
         eng.run()
         assert order == ["a", "b", "c"]
 
+    @pytest.mark.parametrize(
+        "spawn, expected",
+        [
+            ("process_now", ["child", "parent", "other"]),
+            ("process", ["parent", "other", "child"]),
+        ],
+    )
+    def test_process_now_steps_inside_the_current_event(self, spawn, expected):
+        # A hand-off through process_now takes its first step inside the
+        # spawner's event, ahead of another process's equal-time event;
+        # process() queues it behind that event.
+        eng = Engine()
+        order = []
+
+        def child():
+            order.append("child")
+            yield Timeout(1.0)
+
+        def parent():
+            yield Timeout(5.0)
+            getattr(eng, spawn)(child(), name="child")
+            order.append("parent")
+
+        def other():
+            yield Timeout(5.0)
+            order.append("other")
+
+        eng.process(parent(), name="parent")
+        eng.process(other(), name="other")
+        eng.run()
+        assert order == expected
+
     def test_zero_delay_runs_before_later_heap_event(self):
         eng = Engine()
         order = []

@@ -4,10 +4,32 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.cudasim import instructions as ins
+from repro.sim.arch import P100, V100
 from repro.sim.exec_block import BlockExecutor
 from repro.sim.sm import block_sync_latency_cycles
+from tests.sim.test_exec_thread import MIX_KINDS, mix_program
+
+#: Mix kinds a virtual divergence region runs through without aborting.
+_PURE_KINDS = {"compute", "fadd", "chain", "overhead", "lane_compute", "warp0_lane_compute"}
+_MEMORY_KINDS = {"store", "load", "vstore", "vload"}
+
+
+def _memory_after_virtual_block_join(script):
+    """Whether a Diverge ladder in ``script`` can join at __syncthreads
+    (only pure kinds between) and shared memory is touched afterwards."""
+    for i, kind in enumerate(script):
+        if kind not in ("diverge", "uniform_diverge"):
+            continue
+        j = i + 1
+        while j < len(script) and script[j] in _PURE_KINDS:
+            j += 1
+        if script[j:j + 1] == ["blocksync"] and _MEMORY_KINDS & set(script[j:]):
+            return True
+    return False
 
 
 class TestConstruction:
@@ -218,6 +240,7 @@ class TestBlockReconvergence:
         assert fast.end_ns == slow.end_ns
         assert fast.returns == slow.returns
         assert fast.records == slow.records
+        assert fast.shuffle_incorrect == slow.shuffle_incorrect
         assert list(fast.shared.committed) == list(slow.shared.committed)
         assert fast.shared.races == slow.shared.races
         return fast
@@ -268,6 +291,60 @@ class TestBlockReconvergence:
         assert fast.refuse_count == 1
         # All threads resume from the barrier at one timestamp.
         assert len(set(fast.record_series("t"))) == 1
+
+    def test_defused_warp_keeps_cross_warp_order(self, spec):
+        # Warp 0 de-fuses on per-lane latencies while warp 1 (one lane)
+        # stays converged.  The handed-off lanes must keep their place
+        # ahead of warp 1 among equal-time events, so the racy loads
+        # record the same races in the same order as thread-precise mode.
+        def program(ctx):
+            yield ins.SharedStore(slot=ctx.tid % 16, value=float(ctx.tid))
+            yield ins.Compute(2.0 + ctx.lane % 5)
+            got = yield ins.SharedLoad(slot=(ctx.tid + 3) % 16)
+            return got
+
+        fast = self._compare(spec, program, nthreads=33)
+        assert fast.defuse_count == 1
+        assert fast.shared.races
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="virtual joins at __syncthreads resume warp by warp, the "
+        "reference resumes lanes in arrival order (ROADMAP item 4)",
+    )
+    def test_overlapping_virtual_joins_keep_cross_warp_order(self, spec):
+        # Known gap: both warps join their Diverge ladders at the barrier
+        # virtually, and the 17-lane warp's shorter ladder ends first, so
+        # it resumes first as a whole.  In thread-precise mode lane k of
+        # each warp arrives, and resumes, side by side.  Same-time stores
+        # to one slot from both warps then leave a different last writer.
+        def program(ctx):
+            yield ins.Diverge(arms=1 + ctx.lane % 2)
+            yield ins.BlockSync()
+            yield ins.SharedStore(slot=ctx.tid % 16, value=float(ctx.tid))
+            got = yield ins.SharedLoad(slot=ctx.tid % 16, volatile=True)
+            return got
+
+        self._compare(spec, program, nthreads=49)
+
+    @given(
+        st.lists(
+            st.sampled_from(MIX_KINDS + ["warp0_lane_compute"]),
+            min_size=1,
+            max_size=10,
+        ),
+        st.integers(min_value=33, max_value=128),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_randomized_instruction_mix_identical(self, script, nthreads, volta):
+        # 2-4 warps, some partial: a warp that drops to thread-precise
+        # lanes meets converged warps at __syncthreads and shares their
+        # shared memory.  Programs that touch shared memory after a
+        # virtual join at __syncthreads hit the known gap pinned above.
+        assume(not _memory_after_virtual_block_join(script))
+        spec = V100 if volta else P100
+        self._compare(spec, mix_program(script), nthreads=nthreads)
 
 
 class TestPascalFenceCommitsGlobalTid:

@@ -15,6 +15,89 @@ def run(spec, program, nthreads=32, **kw):
     return WarpExecutor(spec, nthreads=nthreads, **kw).run(program)
 
 
+#: Instruction kinds of the randomized equivalence tests (warp and block).
+MIX_KINDS = [
+    "compute",
+    "fadd",
+    "chain",
+    "overhead",
+    "readclock",
+    "store",
+    "load",
+    "vstore",
+    "vload",
+    "warpsync",
+    "coalesced_sync",
+    "shuffle",
+    "diverge",
+    "uniform_diverge",
+    "blocksync",
+    "lane_compute",
+]
+
+
+def mix_program(script):
+    """A kernel running the instruction kinds of ``script`` in order."""
+
+    def program(ctx):
+        acc = 0.0
+        for step, kind in enumerate(script):
+            if kind == "compute":
+                yield ins.Compute(3.0 + step)
+            elif kind == "fadd":
+                yield ins.FAdd(count=1 + step % 3)
+            elif kind == "chain":
+                yield ins.ChainStep(count=1 + step % 2)
+            elif kind == "overhead":
+                yield ins.MethodOverhead(cycles=float(step))
+            elif kind == "readclock":
+                acc += yield ins.ReadClock()
+            elif kind == "store":
+                yield ins.SharedStore(
+                    slot=(ctx.tid + step) % 16, value=float(ctx.tid * 10 + step)
+                )
+            elif kind == "load":
+                acc += yield ins.SharedLoad(slot=(ctx.tid + step + 1) % 16)
+            elif kind == "vstore":
+                yield ins.SharedStore(
+                    slot=(ctx.tid + step) % 16,
+                    value=float(step),
+                    volatile=True,
+                )
+            elif kind == "vload":
+                acc += yield ins.SharedLoad(
+                    slot=(ctx.tid + step + 1) % 16, volatile=True
+                )
+            elif kind == "warpsync":
+                yield ins.WarpSync(kind="tile")
+            elif kind == "coalesced_sync":
+                yield ins.WarpSync(kind="coalesced", group_size=32)
+            elif kind == "shuffle":
+                acc += yield ins.ShuffleDown(
+                    float(ctx.lane + step), delta=1 + step % 4
+                )
+            elif kind == "diverge":
+                yield ins.Diverge(arms=1 + ctx.lane % 2)
+            elif kind == "uniform_diverge":
+                # Uniform ladder: the staggered-analytic (virtual)
+                # divergence region's entry condition.
+                yield ins.Diverge(arms=2)
+            elif kind == "blocksync":
+                yield ins.BlockSync()
+            elif kind == "lane_compute":
+                # Per-lane latency: forces the non-uniform fallback.
+                yield ins.Compute(2.0 + ctx.lane % 5)
+            elif kind == "warp0_lane_compute":
+                # Per-lane latency in the block's first warp only: that
+                # warp drops to thread-precise lanes, the others stay
+                # converged.
+                yield ins.Compute(2.0 + (ctx.lane % 5 if ctx.tid < 32 else 1))
+            ctx.record(f"acc{step}", acc)
+        return acc
+
+    return program
+
+
 class TestBasics:
     def test_compute_advances_one_thread(self, spec):
         def program(ctx):
@@ -372,30 +455,7 @@ class TestSimtFastPathEquivalence:
         self._compare(spec, program, nthreads=1)
 
     @given(
-        st.lists(
-            st.sampled_from(
-                [
-                    "compute",
-                    "fadd",
-                    "chain",
-                    "overhead",
-                    "readclock",
-                    "store",
-                    "load",
-                    "vstore",
-                    "vload",
-                    "warpsync",
-                    "coalesced_sync",
-                    "shuffle",
-                    "diverge",
-                    "uniform_diverge",
-                    "blocksync",
-                    "lane_compute",
-                ]
-            ),
-            min_size=1,
-            max_size=10,
-        ),
+        st.lists(st.sampled_from(MIX_KINDS), min_size=1, max_size=10),
         st.integers(min_value=1, max_value=32),
         st.booleans(),
     )
@@ -404,65 +464,14 @@ class TestSimtFastPathEquivalence:
         from repro.sim.arch import P100, V100
 
         spec = V100 if volta else P100
-
-        def program(ctx):
-            acc = 0.0
-            for step, kind in enumerate(script):
-                if kind == "compute":
-                    yield ins.Compute(3.0 + step)
-                elif kind == "fadd":
-                    yield ins.FAdd(count=1 + step % 3)
-                elif kind == "chain":
-                    yield ins.ChainStep(count=1 + step % 2)
-                elif kind == "overhead":
-                    yield ins.MethodOverhead(cycles=float(step))
-                elif kind == "readclock":
-                    acc += yield ins.ReadClock()
-                elif kind == "store":
-                    yield ins.SharedStore(
-                        slot=(ctx.tid + step) % 16, value=float(ctx.tid * 10 + step)
-                    )
-                elif kind == "load":
-                    acc += yield ins.SharedLoad(slot=(ctx.tid + step + 1) % 16)
-                elif kind == "vstore":
-                    yield ins.SharedStore(
-                        slot=(ctx.tid + step) % 16,
-                        value=float(step),
-                        volatile=True,
-                    )
-                elif kind == "vload":
-                    acc += yield ins.SharedLoad(
-                        slot=(ctx.tid + step + 1) % 16, volatile=True
-                    )
-                elif kind == "warpsync":
-                    yield ins.WarpSync(kind="tile")
-                elif kind == "coalesced_sync":
-                    yield ins.WarpSync(kind="coalesced", group_size=32)
-                elif kind == "shuffle":
-                    acc += yield ins.ShuffleDown(
-                        float(ctx.lane + step), delta=1 + step % 4
-                    )
-                elif kind == "diverge":
-                    yield ins.Diverge(arms=1 + ctx.lane % 2)
-                elif kind == "uniform_diverge":
-                    # Uniform ladder: the staggered-analytic (virtual)
-                    # divergence region's entry condition.
-                    yield ins.Diverge(arms=2)
-                elif kind == "blocksync":
-                    yield ins.BlockSync()
-                elif kind == "lane_compute":
-                    # Per-lane latency: forces the non-uniform fallback.
-                    yield ins.Compute(2.0 + ctx.lane % 5)
-                ctx.record(f"acc{step}", acc)
-            return acc
-
-        self._compare(spec, program, nthreads=nthreads)
+        self._compare(spec, mix_program(script), nthreads=nthreads)
 
 
 class TestReconvergence:
-    """The mode-switching scheduler must re-fuse after divergence — and
-    stay bit-identical to forced thread-precise execution across every
-    fast -> thread-precise -> re-fused boundary (divergent arms, shuffles,
+    """The mode-switching scheduler must re-fuse at the join of a uniform
+    divergence ladder — and stay bit-identical to forced thread-precise
+    execution across every converged -> virtual -> converged and
+    converged -> thread-precise boundary (divergent arms, shuffles,
     barrier loops).  The counters on :class:`WarpRunResult` pin the mode
     transitions so a regression back to permanent fallback fails loudly
     rather than silently slowing down."""
@@ -522,9 +531,9 @@ class TestReconvergence:
         assert fast.refuse_count == 3
         assert fast.fused_rounds > 0
 
-    def test_nonuniform_region_parks_and_refuses(self, v100):
-        # Per-lane latencies de-fuse into real lane processes; the Volta
-        # warp barrier is the rendezvous every lane parks at.
+    def test_nonuniform_region_stays_thread_precise(self, v100):
+        # Per-lane latencies de-fuse into real lane processes, which run
+        # every later barrier round themselves until they retire.
         def program(ctx):
             for r in range(3):
                 yield ins.Compute(2.0 + ctx.lane % 5)
@@ -532,14 +541,45 @@ class TestReconvergence:
             yield ins.Compute(10.0)
 
         fast = self._compare(v100, program)
-        assert fast.defuse_count == 3
-        assert fast.refuse_count == 3
+        assert fast.defuse_count == 1
+        assert fast.refuse_count == 0
+
+    def test_defused_deadlock_reports_the_reference_processes(self, v100):
+        # Lanes 0-1 wait on a tile barrier lanes 2-3 never reach.  The
+        # de-fused warp's scheduler has ended, so only the blocked lanes
+        # are named, exactly as in thread-precise mode.
+        def program(ctx):
+            yield ins.Compute(1.0 + ctx.lane % 2)
+            if ctx.lane < 2:
+                yield ins.WarpSync(kind="tile")
+
+        blocked = []
+        for fast_path in (True, False):
+            ex = WarpExecutor(v100, nthreads=4, simt_fast_path=fast_path)
+            with pytest.raises(DeadlockError) as err:
+                ex.run(program)
+            blocked.append(err.value.blocked)
+        assert blocked[0] == blocked[1]
+        assert [b.split()[0] for b in blocked[0]] == ["t0", "t1"]
+
+    def test_negative_overhead_in_virtual_region_identical(self, spec):
+        # A negative MethodOverhead residual costs nothing on every path,
+        # the virtual divergence clocks included.
+        def program(ctx):
+            yield ins.Diverge(arms=1)
+            yield ins.MethodOverhead(cycles=-10.0)
+            yield ins.BlockSync()
+            t = yield ins.ReadClock()
+            ctx.record("t", t)
+
+        fast = self._compare(spec, program, nthreads=4)
+        assert fast.refuse_count == 1
 
     def test_virtual_region_aborts_on_memory_touch(self, spec):
         # A shared-memory access inside the divergent region cannot be
         # virtualized: the abort must replay event-for-event (pinned by
-        # the bit-identical comparison) and the warp still re-fuses at
-        # the barrier afterwards.
+        # the bit-identical comparison) and the lanes then stay
+        # thread-precise through the barrier and the load after it.
         def program(ctx):
             yield ins.Diverge(arms=1)
             yield ins.SharedStore(slot=ctx.tid % 8, value=float(ctx.lane))
@@ -548,8 +588,8 @@ class TestReconvergence:
             ctx.record("got", got)
 
         fast = self._compare(spec, program)
-        assert fast.defuse_count >= 1
-        assert fast.refuse_count >= 1
+        assert fast.defuse_count == 1
+        assert fast.refuse_count == 0
 
     def test_divergent_shuffle_boundary(self, spec):
         # Divergence -> shuffle: Volta re-fuses at the shuffle rendezvous
@@ -567,9 +607,8 @@ class TestReconvergence:
             assert fast.shuffle_incorrect
 
     def test_uneven_retirement_during_region(self, spec):
-        # Lanes retiring inside a divergent region: the region ends
-        # "done" (or re-fuses the survivors) without losing any lane's
-        # records or end time.
+        # Lanes retiring inside a divergent region abort it; the replayed
+        # lanes retire without losing any lane's records or end time.
         def program(ctx):
             yield ins.Diverge(arms=1)
             if ctx.lane % 2:
@@ -592,9 +631,10 @@ class TestReconvergence:
 
     def test_event_sequence_pinned_across_boundary(self, v100):
         # Pin the observable event sequence (clock-read timestamps per
-        # lane) through fast -> divergent -> re-fused execution: the
-        # staircase must still show per-lane serialization and the
-        # post-join reads must collapse back to one common timestamp.
+        # lane) through fast -> divergent -> thread-precise execution:
+        # the clock read aborts the virtual region, the staircase must
+        # still show per-lane serialization, and the reads after the
+        # lanes' own barrier must collapse back to one common timestamp.
         def program(ctx):
             t0 = yield ins.ReadClock()
             yield ins.Diverge(arms=1)
@@ -616,6 +656,8 @@ class TestReconvergence:
         assert t1s == sorted(t1s) and len(set(t1s)) == 32
         step = v100.instructions.divergent_arm_cycles
         assert t1s[-1] - t1s[0] == pytest.approx(31 * step, rel=0.05)
-        # After the join: re-converged to one shared timestamp again.
+        # After the join: one shared timestamp again, released by the
+        # barrier the thread-precise lanes met.
         assert len(set(fast.record_series("t2"))) == 1
-        assert fast.refuse_count == 1
+        assert fast.defuse_count == 1
+        assert fast.refuse_count == 0

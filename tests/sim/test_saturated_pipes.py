@@ -77,7 +77,7 @@ def _saturated(fn, a) -> bool:
     """The pipe-never-idles condition in exact arithmetic (docs/engine.md)."""
     spec = a["spec"]
     if fn is simulate_warp_sync_throughput:
-        latency, ii = sm._warp_sync_params(spec, a["kind"], a["group_size"])
+        latency, ii = sm.warp_sync_params(spec, a["kind"], a["group_size"])
         return (a["n_warps"] - 1) * ii > latency - ii
     wpb, n_blocks = a["warps_per_block"], a["n_blocks"]
     r = min(n_blocks, blocks_per_sm(spec, wpb * spec.warp_size).blocks_per_sm)

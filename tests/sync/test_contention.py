@@ -189,10 +189,11 @@ class TestPerWaitTimeout:
             strategy=SoftwareAtomicBarrier(
                 expected=4, atomic_service_ns=s, poll_ns=p
             ),
+            backend="engine",
         )
         a = group._t_arrive.delay
         w = group._t_release.delay
-        run = group.run_rounds(n_syncs=3, backend="engine")
+        run = group.run_rounds(n_syncs=3)
         round_ns = a + 5 * s + p / 2 + w
         for member in range(4):
             for r in range(3):

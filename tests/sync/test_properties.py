@@ -74,7 +74,8 @@ class TestReleaseSemantics:
         self, kind, spec, participants, rounds
     ):
         scope = make_scope(kind, spec, participants)
-        run = scope.run_rounds(n_syncs=rounds, backend="engine")
+        scope.backend = "engine"
+        run = scope.run_rounds(n_syncs=rounds)
         assert scope.rounds_released == rounds
         for member in run.members:
             releases = run.releases_of(member)
@@ -90,7 +91,8 @@ class TestReleaseSemantics:
     ):
         """No member may enter round r+1 before every member finished r."""
         scope = make_scope(kind, spec, participants)
-        run = scope.run_rounds(n_syncs=rounds, backend="engine")
+        scope.backend = "engine"
+        run = scope.run_rounds(n_syncs=rounds)
         for r in range(rounds - 1):
             last_of_round = max(run.release_ns[(m, r)] for m in run.members)
             first_of_next = min(run.release_ns[(m, r + 1)] for m in run.members)

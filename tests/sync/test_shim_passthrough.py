@@ -54,8 +54,9 @@ MULTIGRID_CONFIGS = [
 def _assert_engine_parity(shim_group, scope_group, n_syncs=1):
     """Shim- and scope-built groups run on the engine give equal release
     traces and fire the same number of events."""
-    shim = shim_group.run_rounds(n_syncs, backend="engine")
-    scope = scope_group.run_rounds(n_syncs, backend="engine")
+    shim_group.backend = scope_group.backend = "engine"
+    shim = shim_group.run_rounds(n_syncs)
+    scope = scope_group.run_rounds(n_syncs)
     assert shim == scope
     assert shim_group.engine.event_count == scope_group.engine.event_count > 0
 
