@@ -12,9 +12,10 @@ Run:  python examples/reduction_tuning.py
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.reduction import (
     bandwidth_table,
-    make_input,
     recommend,
     reduce_cub,
     reduce_cuda_sample,
@@ -37,7 +38,8 @@ def model_recommendations() -> None:
 
 
 def validate_device_wide(spec) -> None:
-    data = make_input(64 * MB, seed=42)
+    # A real 64 MB array, so the sum check below adds up actual values.
+    data = np.random.default_rng(42).uniform(size=64 * MB // 8)
     results = [
         reduce_implicit(spec, data),
         reduce_grid_sync(spec, data),

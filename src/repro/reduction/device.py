@@ -13,29 +13,18 @@ plus the two published baselines in :mod:`repro.reduction.baselines`
 (CUB ``DeviceReduce`` and the CUDA-SDK sample), all measured with the same
 host-clock protocol so Fig 15 and Table VI come from one code path.
 
-Functional results are real numpy sums when given an ndarray.  For the
-multi-gigabyte points of Fig 15 a :class:`VirtualData` descriptor carries
-an analytically-known sum instead (10 GB of float64 does not fit this
-harness); timing is unaffected since the phase is bandwidth-modeled
-either way.
+Functional results are real numpy sums when given an ndarray, and the
+closed-form sum of a :class:`VirtualData` descriptor otherwise.  The
+modeled time reads only the input's byte count (``HBMCalib``), never its
+values, so :func:`make_input` materializes only Fig 15's first size: each
+sweep still runs every method's functional path on one real array, and a
+larger real array would change no reported number.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Generator,
-    List,
-    Optional,
-    Sequence,
-    Union,
-    cast,
-)
+from typing import Dict, Generator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -58,8 +47,10 @@ __all__ = [
     "REDUCTION_METHODS",
 ]
 
-# Past this size, inputs are virtual (timing identical, sum analytic).
-MATERIALIZE_LIMIT_BYTES = 64 * MB
+# Fig 15's first size (0.1 MB).  Past it inputs are virtual: the timing
+# reads only the byte count, so a real array would cost memory and time
+# for an unchanged result.
+MATERIALIZE_LIMIT_BYTES = MB // 10
 
 
 @dataclass(frozen=True)
@@ -100,9 +91,13 @@ InputData = Union[np.ndarray, VirtualData]
 def make_input(size_bytes: int, seed: int = 0) -> InputData:
     """Build a reduction input of ``size_bytes`` (float64 elements).
 
-    Small inputs are real arrays (functional path fully exercised); large
-    ones are virtual.
+    Up to ``MATERIALIZE_LIMIT_BYTES`` the input is a real uniform draw from
+    ``seed``; past it, a :class:`VirtualData` with the same byte count and
+    so the same modeled time.  Sizes of 1-7 B round up to one element.
+    Raises ``ValueError`` when ``size_bytes`` is below 1.
     """
+    if size_bytes < 1:
+        raise ValueError(f"size_bytes must be >= 1, got {size_bytes}")
     n = max(1, size_bytes // 8)
     if size_bytes <= MATERIALIZE_LIMIT_BYTES:
         rng = np.random.default_rng(seed)
@@ -110,29 +105,10 @@ def make_input(size_bytes: int, seed: int = 0) -> InputData:
     return VirtualData(n_elements=n)
 
 
-# Set while a latency_vs_size sweep runs: (id(input), n_blocks, or None for
-# the total) -> (input, sum).  Each entry holds its input, so no other array
-# can take over that id before the sweep drops the memo, and the sweep's
-# inputs are read-only slices, so a stored sum cannot go stale.
-_sweep_sums: ContextVar[Optional[dict]] = ContextVar("sweep_sums", default=None)
-
-
-def _summed(arr: np.ndarray, n_blocks: Optional[int], compute: Callable[[], Any]) -> Any:
-    """``compute()``, evaluated once per sweep for each input."""
-    memo = _sweep_sums.get()
-    if memo is None:
-        return compute()
-    key = (id(arr), n_blocks)
-    if key not in memo:
-        memo[key] = (arr, compute())
-    return memo[key][1]
-
-
 def _expected_sum(data: InputData) -> float:
     if isinstance(data, VirtualData):
         return data.expected_sum
-    arr = np.asarray(data, dtype=np.float64)
-    return _summed(arr, None, lambda: float(arr.sum()))
+    return float(np.asarray(data, dtype=np.float64).sum())
 
 
 def _nbytes(data: InputData) -> int:
@@ -152,11 +128,7 @@ def _partials(data: InputData, n_blocks: int) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if len(arr) == 0:
         return np.zeros(n_blocks)
-    return _summed(
-        arr,
-        n_blocks,
-        lambda: np.array([chunk.sum() for chunk in np.array_split(arr, n_blocks)]),
-    )
+    return np.array([chunk.sum() for chunk in np.array_split(arr, n_blocks)])
 
 
 @dataclass(frozen=True)
@@ -341,47 +313,12 @@ def latency_vs_size(
     """Fig 15: latency of each method across input sizes."""
     if sizes is None:
         sizes = FIG15_SIZES_V100 if spec.name == "V100" else FIG15_SIZES_P100
-    # One input per size, shared by every method: the methods only read the
-    # data, so each input is drawn once and summed once per sweep.
-    inputs = _sweep_inputs(sizes, seed)
-    out: Dict[str, List[ReductionResult]] = {}
-    token = _sweep_sums.set({})
-    try:
-        for method in methods:
-            out[method] = [_dispatch(spec, method, data, seed) for data in inputs]
-    finally:
-        _sweep_sums.reset(token)
-    return out
-
-
-def _sweep_inputs(sizes: Sequence[int], seed: int) -> List[InputData]:
-    """``make_input(s, seed)`` for every size, from one draw.
-
-    A PCG64 ``uniform(size=n)`` draw is the first ``n`` values of any
-    longer draw from the same seed, so every materialized input is a
-    prefix of the largest one.
-    """
-    largest = max((s for s in sizes if s <= MATERIALIZE_LIMIT_BYTES), default=None)
-    if largest is None:
-        return [make_input(s, seed) for s in sizes]
-    draw = _shared_draw(largest, seed)
-    return [
-        draw[: max(1, s // 8)] if s <= MATERIALIZE_LIMIT_BYTES else make_input(s, seed)
-        for s in sizes
-    ]
-
-
-@lru_cache(maxsize=1)
-def _shared_draw(size_bytes: int, seed: int) -> np.ndarray:
-    """The read-only ``make_input(size_bytes, seed)`` that sweeps slice.
-
-    Cached, one draw at a time: Fig 15's two GPUs sweep the same seed
-    and largest size.  Read-only, because the slices share it and a
-    sweep memoizes their sums.
-    """
-    draw = cast(np.ndarray, make_input(size_bytes, seed))  # <= the limit
-    draw.flags.writeable = False
-    return draw
+    # One input per size, shared by every method: the methods only read it.
+    inputs = [make_input(s, seed) for s in sizes]
+    return {
+        method: [_dispatch(spec, method, data, seed) for data in inputs]
+        for method in methods
+    }
 
 
 def bandwidth_table(

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,9 @@ from repro.experiments.paper_data import TABLE6_GBPS
 from repro.reduction import device
 from repro.reduction.baselines import reduce_cub, reduce_cuda_sample
 from repro.reduction.device import (
+    FIG15_SIZES_P100,
+    FIG15_SIZES_V100,
+    MATERIALIZE_LIMIT_BYTES,
     REDUCTION_METHODS,
     VirtualData,
     bandwidth_table,
@@ -20,6 +28,8 @@ from repro.reduction.device import (
     reduce_implicit,
 )
 from repro.util.units import GB, MB
+
+REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 class TestVirtualData:
@@ -50,8 +60,22 @@ class TestVirtualData:
 
 class TestMakeInput:
     def test_small_sizes_materialize(self):
-        data = make_input(1 * MB)
-        assert isinstance(data, np.ndarray)
+        assert isinstance(make_input(MATERIALIZE_LIMIT_BYTES), np.ndarray)
+        assert isinstance(make_input(MATERIALIZE_LIMIT_BYTES + 8), VirtualData)
+
+    def test_fig15_first_sizes_materialize(self):
+        # One real input per method per GPU behind fig15's correct-sums rows.
+        for size in (FIG15_SIZES_V100[0], FIG15_SIZES_P100[0]):
+            assert isinstance(make_input(size), np.ndarray)
+
+    @pytest.mark.parametrize("size", [0, -1024])
+    def test_sizes_below_one_byte_rejected(self, size):
+        with pytest.raises(ValueError, match="size_bytes"):
+            make_input(size)
+
+    def test_sub_element_sizes_round_up(self):
+        for size in range(1, 8):
+            assert make_input(size).nbytes == 8
 
     def test_large_sizes_virtual(self):
         data = make_input(1 * GB)
@@ -64,10 +88,10 @@ class TestMakeInput:
 
 class TestImplicitReduction:
     def test_correct_on_real_data(self, spec):
-        data = make_input(4 * MB, seed=2)
+        data = np.random.default_rng(2).uniform(size=4 * MB // 8)
         r = reduce_implicit(spec, data)
         assert r.correct
-        assert r.value == pytest.approx(float(np.asarray(data).sum()))
+        assert r.value == pytest.approx(float(data.sum()))
 
     def test_correct_on_virtual_data(self, spec):
         r = reduce_implicit(spec, VirtualData(n_elements=10**8))
@@ -96,7 +120,7 @@ class TestImplicitReduction:
 
 class TestGridSyncReduction:
     def test_correct(self, spec):
-        data = make_input(4 * MB, seed=5)
+        data = np.random.default_rng(5).uniform(size=4 * MB // 8)
         r = reduce_grid_sync(spec, data)
         assert r.correct
 
@@ -123,11 +147,13 @@ class TestGridSyncReduction:
 
 class TestBaselines:
     def test_cub_correct(self, spec):
-        r = reduce_cub(spec, make_input(2 * MB, seed=7))
+        data = np.random.default_rng(7).uniform(size=2 * MB // 8)
+        r = reduce_cub(spec, data)
         assert r.correct and r.method == "cub"
 
     def test_sample_correct(self, spec):
-        r = reduce_cuda_sample(spec, make_input(2 * MB, seed=8))
+        data = np.random.default_rng(8).uniform(size=2 * MB // 8)
+        r = reduce_cuda_sample(spec, data)
         assert r.correct and r.method == "cuda_sample"
 
     def test_cub_pascal_bandwidth_deficit(self, p100, v100):
@@ -159,41 +185,37 @@ class TestFig15Sweep:
         assert lats == sorted(lats)
 
     def test_all_methods_all_sizes_correct(self, v100):
-        res = latency_vs_size(v100, sizes=(MB, 64 * MB))
+        res = latency_vs_size(v100, sizes=(MATERIALIZE_LIMIT_BYTES, 64 * MB))
         assert all(r.correct for series in res.values() for r in series)
 
-    @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_inputs_are_make_input_from_one_draw(self, seed):
-        sizes = (MB // 10, 4 * MB, MB, GB)
-        inputs = device._sweep_inputs(sizes, seed)
-        for size, data in zip(sizes, inputs):
-            expected = make_input(size, seed)
-            if isinstance(expected, VirtualData):
-                assert data == expected
-            else:
-                assert data.dtype == expected.dtype
-                np.testing.assert_array_equal(data, expected)
-                assert not data.flags.writeable
-
     def test_results_equal_unshared_runs(self, spec):
-        # The shared draw and the per-sweep sums change no number.
+        # Sharing one input per size across the methods changes no number.
         sizes = (MB // 10, 2 * MB, GB)
         res = latency_vs_size(spec, sizes=sizes, seed=3)
         for method in REDUCTION_METHODS:
             alone = [device._dispatch(spec, method, make_input(s, 3), 3) for s in sizes]
             assert res[method] == alone
 
-    def test_each_input_summed_once(self, v100, monkeypatch):
-        splits = []
-        split = np.array_split
-        monkeypatch.setattr(
-            np, "array_split", lambda arr, n: splits.append(len(arr)) or split(arr, n)
-        )
-        latency_vs_size(v100, sizes=(MB, 2 * MB))
-        # One set of per-block partials per input, not one per method.
-        assert sorted(splits) == [MB // 8, 2 * MB // 8]
 
-    def test_sum_memo_ends_with_the_sweep(self, v100):
-        with pytest.raises(ValueError):
-            latency_vs_size(v100, methods=("implicit", "bogus"), sizes=(MB,))
-        assert device._sweep_sums.get() is None
+# A fresh interpreter, so no input drawn or cached by an earlier test hides
+# the allocation.
+_TRACED_RUN = """
+import tracemalloc
+from repro.experiments.exp_reduction import run_fig15, run_table6
+tracemalloc.start()
+run_fig15()
+run_table6()
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_fig15_and_table6_allocate_under_4_mb():
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN],
+        env={**os.environ, "PYTHONPATH": REPO_SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 4 * MB

@@ -16,20 +16,24 @@ from repro.util.units import GB, MB
 
 class TestCorrectness:
     def test_multigrid_correct_on_real_data(self, dgx1):
-        data = make_input(8 * MB, seed=1)
+        data = np.random.default_rng(1).uniform(size=8 * MB // 8)
         r = reduce_multigrid(dgx1, data, gpu_count=4)
         assert r.correct
-        assert r.value == pytest.approx(float(np.asarray(data).sum()))
+        assert r.value == pytest.approx(float(data.sum()))
 
     def test_cpu_barrier_correct_on_real_data(self, dgx1):
-        data = make_input(8 * MB, seed=2)
+        data = np.random.default_rng(2).uniform(size=8 * MB // 8)
         r = reduce_cpu_barrier(dgx1, data, gpu_count=4)
         assert r.correct
 
     def test_single_gpu_degenerates_cleanly(self, dgx1):
-        data = make_input(4 * MB, seed=3)
+        data = np.random.default_rng(3).uniform(size=4 * MB // 8)
         assert reduce_multigrid(dgx1, data, gpu_count=1).correct
         assert reduce_cpu_barrier(dgx1, data, gpu_count=1).correct
+
+    def test_sizes_below_one_byte_rejected(self, dgx1):
+        with pytest.raises(ValueError, match="size_bytes"):
+            throughput_vs_gpu_count(dgx1, size_bytes=0)
 
 
 class TestThroughputScaling:

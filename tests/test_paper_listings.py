@@ -105,18 +105,18 @@ class TestFig13Fig14DeviceReductions:
     """Figs 13/14: explicit (grid sync) vs implicit device reductions."""
 
     def test_both_listings_agree_on_the_sum(self, spec):
-        from repro.reduction import make_input, reduce_grid_sync, reduce_implicit
+        from repro.reduction import reduce_grid_sync, reduce_implicit
 
-        data = make_input(2 * 1024 * 1024, seed=13)
+        data = np.random.default_rng(13).uniform(size=2 * 1024 * 1024 // 8)
         explicit = reduce_grid_sync(spec, data)
         implicit = reduce_implicit(spec, data)
         assert explicit.correct and implicit.correct
         assert explicit.value == pytest.approx(implicit.value)
 
     def test_fig14_multigpu_variant(self, dgx1):
-        from repro.reduction import make_input, reduce_cpu_barrier
+        from repro.reduction import reduce_cpu_barrier
 
-        data = make_input(8 * 1024 * 1024, seed=14)
+        data = np.random.default_rng(14).uniform(size=8 * 1024 * 1024 // 8)
         r = reduce_cpu_barrier(dgx1, data, gpu_count=4)
         assert r.correct
 
