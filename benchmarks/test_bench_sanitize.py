@@ -21,7 +21,9 @@ from repro.sim.engine import DeadlockError
 from repro.sync import GridGroup
 from repro.sync.scope import BarrierScope
 
-_N_SYNCS = 4
+# One round: the analytic closed forms cover a grid's single round only
+# (later rounds arrive staggered and run on the engine).
+_N_SYNCS = 1
 
 
 def _grid_sync(n_syncs: int = _N_SYNCS, backend=None):

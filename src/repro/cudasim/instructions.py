@@ -15,6 +15,7 @@ Instructions that produce a value deliver it as the result of the ``yield``::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -47,8 +48,10 @@ class Compute(Instruction):
     cycles: float
 
     def __post_init__(self):
-        if self.cycles < 0:
-            raise ValueError("Compute cycles must be non-negative")
+        if not 0 <= self.cycles < math.inf:
+            raise ValueError(
+                f"Compute cycles must be finite and >= 0, got {self.cycles!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,10 @@ class Nanosleep(Instruction):
     ns: float
 
     def __post_init__(self):
-        if self.ns < 0:
-            raise ValueError("Nanosleep duration must be non-negative")
+        if not 0 <= self.ns < math.inf:
+            raise ValueError(
+                f"Nanosleep ns must be finite and >= 0, got {self.ns!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -211,5 +216,7 @@ class MethodOverhead(Instruction):
     cycles: float
 
     def __post_init__(self):
-        if self.cycles < -50:
-            raise ValueError("implausible negative method overhead")
+        if not -50 <= self.cycles < math.inf:
+            raise ValueError(
+                f"MethodOverhead cycles must be finite and >= -50, got {self.cycles!r}"
+            )

@@ -94,8 +94,10 @@ class Kernel:
                 f"kernel {self.name!r} has no duration model"
             )
         d = self._duration_fn(device, config)
-        if d < 0:
-            raise InvalidConfiguration(f"kernel {self.name!r} negative duration")
+        if not 0 <= d < math.inf:
+            raise InvalidConfiguration(
+                f"kernel {self.name!r} duration must be finite and >= 0, got {d!r}"
+            )
         return d
 
     def on_complete(self, device: Device, config: LaunchConfig) -> None:
@@ -133,8 +135,14 @@ class SleepKernel(Kernel):
 
     def __init__(self, units: int = 10, unit_ns: float = 1000.0,
                  launch_type: str = "traditional"):
-        if units < 0 or unit_ns < 0:
-            raise InvalidConfiguration("sleep units must be non-negative")
+        if not 0 <= units < math.inf:
+            raise InvalidConfiguration(
+                f"SleepKernel units must be finite and >= 0, got {units!r}"
+            )
+        if not 0 <= unit_ns < math.inf:
+            raise InvalidConfiguration(
+                f"SleepKernel unit_ns must be finite and >= 0, got {unit_ns!r}"
+            )
         super().__init__(name=f"sleep[{units}x{unit_ns:.0f}ns]")
         self.units = units
         self.unit_ns = unit_ns
@@ -157,8 +165,10 @@ class WorkKernel(Kernel):
 
     def __init__(self, duration_ns: float, name: str = "work",
                  body: Optional[Callable[[Device, LaunchConfig], None]] = None):
-        if duration_ns < 0:
-            raise InvalidConfiguration("duration must be non-negative")
+        if not 0 <= duration_ns < math.inf:
+            raise InvalidConfiguration(
+                f"WorkKernel duration_ns must be finite and >= 0, got {duration_ns!r}"
+            )
         super().__init__(name=name, body=body)
         self._fixed_ns = float(duration_ns)
 

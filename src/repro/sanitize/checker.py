@@ -234,10 +234,10 @@ def check_deadlock(monitor: SyncMonitor) -> List[Finding]:
         groups: Dict[Tuple[str, str], List[str]] = {}
         edges: List[Dict[str, Any]] = []
         blamed: List[str] = []
-        for proc, kind, target, target_id in waiters:
+        for proc, kind, target, target_obj in waiters:
             groups.setdefault((kind, target), []).append(proc)
             edge: Dict[str, Any] = {"process": proc, "kind": kind, "target": target}
-            where = monitor.round_of_signal(target_id)
+            where = monitor.round_of_signal(id(target_obj))
             if where is not None:
                 sid, rnd = where
                 info = monitor.scopes.get(sid)

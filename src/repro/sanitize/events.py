@@ -44,7 +44,7 @@ kind            meaning
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "EVENT_KINDS",
@@ -193,9 +193,9 @@ class SyncMonitor:
         self._round_signals: Dict[int, Tuple[int, int]] = {}
         #: id(SharedMemory) -> memory_id.
         self._mem_ids: Dict[int, int] = {}
-        #: Blocked-waiter records captured at engine quiescence:
-        #: (process_name, wait_kind, target_name, target_obj_id).
-        self.deadlocks: List[List[Tuple[str, str, str, int]]] = []
+        #: The engine's ``BlockedWaiter`` records, one list per quiescence.
+        #: Each record holds its target, so no later object takes its id.
+        self.deadlocks: List[List[Any]] = []
 
     # -- recording core --------------------------------------------------
 
@@ -325,20 +325,17 @@ class SyncMonitor:
     def on_signal_fire(self, signal: Any, now: float) -> None:
         self._emit(SyncEvent("signal", time=now, data=signal.name))
 
-    def on_deadlock(self, engine: Any, live: Iterable[Any]) -> None:
-        """The engine quiesced with ``live`` processes still blocked."""
-        waiters = []
-        for proc in live:
-            target = getattr(proc, "_waiting_on", None)
-            kind, name = _wait_target(target)
-            waiters.append((proc.name, kind, name, id(target)))
-            self._pinned.append(target)
-        waiters.sort()
+    def on_deadlock(self, waiters: List[Any], now: float) -> None:
+        """The engine quiesced with processes still blocked.
+
+        ``waiters`` are the sorted ``BlockedWaiter`` records the engine
+        attaches to its ``DeadlockError``.
+        """
         self.deadlocks.append(waiters)
         self._emit(
             SyncEvent(
-                "deadlock", time=engine.now,
-                data=[[p, k, n] for p, k, n, _ in waiters],
+                "deadlock", time=now,
+                data=[[w.process, w.wait_kind, w.target_name] for w in waiters],
             )
         )
 
@@ -363,24 +360,6 @@ class SyncMonitor:
                 data={"mem": self._mem_id(mem)},
             )
         )
-
-
-def _wait_target(waiting_on: Any) -> Tuple[str, str]:
-    """(kind, target-name) of a blocked process's yieldable, duck-typed."""
-    if waiting_on is None:
-        return "ready", ""
-    cls = type(waiting_on).__name__
-    if cls == "Signal":
-        return "signal", waiting_on.name
-    if cls == "Process":
-        return "process", waiting_on.name
-    if cls == "_Acquire":
-        return "acquire", waiting_on.resource.name
-    if cls == "AllOf":
-        return "allof", f"{len(waiting_on.children)} children"
-    if cls in ("Timeout", "WakeAt"):
-        return "timeout", repr(waiting_on)
-    return "other", repr(waiting_on)
 
 
 #: The installed monitor, or ``None`` (the common case).  Instrumented

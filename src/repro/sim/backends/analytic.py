@@ -4,10 +4,10 @@ The engine's barrier workloads are *uniform*: every member runs the same
 ``sync()`` ladder with no data-dependent control flow, so the full
 discrete-event schedule collapses to per-member virtual clocks advanced
 by closed forms — broadcast adds for fixed-delay phases, a serialized
-max-chain for the arrival counter, a max-reduce (last arrival) for the
-release, the :class:`~repro.sim.memory.MemoryChannel` contention closed
-form for spin-poll detection, and per-SM cumulative-sum chains for the
-grid release ports.
+add-chain for the arrival counter, the
+:class:`~repro.sim.memory.MemoryChannel` contention closed form for
+spin-poll detection, and per-SM cumulative-sum chains for the grid
+release ports.
 
 Bit-identity, not approximation.  Every formula below performs the *same
 IEEE-754 additions in the same order* as the engine's event walk (the
@@ -89,36 +89,6 @@ def _uniform_release(
     return arrive_ns + strategy.cost_ns, None
 
 
-def _staggered_release(
-    strategy: BarrierStrategy, arrivals: Sequence[float]
-) -> Tuple[float, Optional[float]]:
-    """Release time for one round with staggered (nondecreasing, in
-    counter-service order) arrivals — the grid's rounds after the first.
-
-    Counter chain: ``C_k = max(a_k, C_{k-1}) + svc`` — a busy port makes
-    the next grant start at the previous completion, an idle port grants
-    at the arrival instant; both cases are the engine's exact float.
-    """
-    cls = strategy.__class__
-    if cls is CpuBarrier:
-        return float(arrivals[-1]) + strategy.cost_ns, None
-    if cls is CooperativeBarrier and strategy._counter_port is None:
-        return float(arrivals[-1]) + strategy.release_delay_ns, None
-    port = strategy._counter_port
-    svc = port.service_ns
-    c = float(arrivals[0])
-    for a in arrivals:
-        a = float(a)
-        if a > c:
-            c = a
-        c = c + svc
-    if cls is CooperativeBarrier:
-        return c + strategy.release_delay_ns, None
-    # SoftwareAtomicBarrier: the last-serviced member is the releaser and
-    # pays a second serialized RMW for the flag write.
-    return c + svc, strategy.detection_lag_ns()
-
-
 class AnalyticBackend:
     """Numpy/closed-form execution of eligible barrier workloads."""
 
@@ -172,6 +142,8 @@ class AnalyticBackend:
         if type(scope) is GridGroup:
             if ids != tuple(range(scope.total_blocks)):
                 return "grid members must be 0..total_blocks-1 in order"
+            if n_syncs != 1:
+                return "grid rounds after the first arrive staggered"
         elif type(scope) is MultiGridGroup:
             # Member ids are trace labels only — the cross/local latencies
             # were baked from gpu_ids at construction — so any full-width
@@ -199,7 +171,7 @@ class AnalyticBackend:
         t0 = scope.engine.now
         trace: Dict[Tuple[int, int], float] = {}
         if type(scope) is GridGroup:
-            final = self._run_grid(scope, n_syncs, ids, collect_trace, trace)
+            final = self._run_grid(scope, ids, collect_trace, trace)
         elif type(scope) is MultiGridGroup:
             final = self._run_flat(
                 scope,
@@ -249,52 +221,31 @@ class AnalyticBackend:
     def _run_grid(
         self,
         scope: "GridGroup",
-        n_syncs: int,
         ids: Tuple[int, ...],
         collect_trace: bool,
         trace: Dict[Tuple[int, int], float],
     ) -> float:
-        """Grid ladder: uniform arrivals in round 0, then per-SM release
-        port chains stagger the members into ``blocks_per_sm`` waves that
-        persist through later rounds.
-
-        Per round: arrivals (member order, nondecreasing) -> counter
-        chain -> release at ``R`` (+ detection lag) -> every port serves
-        its ``b`` members round-robin for ``wpb`` warp grants each.  All
-        ports carry identical grant chains, so one ``np.cumsum`` prices
-        them all; member ``m`` (rank ``m // sm_count``) finishes at slot
-        ``(wpb - 1) * b + rank`` — chain index ``+1`` past the start.
+        """Grid ladder, one round: uniform arrivals -> counter chain ->
+        release at ``R`` (+ detection lag) -> every per-SM release port
+        serves its ``b`` members round-robin for ``wpb`` warp grants each.
+        All ports carry identical grant chains, so one ``np.cumsum``
+        prices them all; member ``m`` (rank ``m // sm_count``) finishes at
+        slot ``(wpb - 1) * b + rank`` — chain index ``+1`` past the start.
         """
-        strategy = scope.strategy
-        sm = scope.sm_count
         b = scope.blocks_per_sm
         wpb = scope.warps_per_block
-        n = scope.total_blocks
-        arrive_ns = scope._t_arrive.delay
-        release_ns = scope._t_release.delay
-        slots = wpb * b
-
-        ranks = np.arange(n, dtype=np.intp) // sm
-        step = np.empty(slots + 1, dtype=np.float64)
-        step[1:] = release_ns
-        finish: Optional[np.ndarray] = None
-        final = scope.engine.now
-        for r in range(n_syncs):
-            if finish is None:
-                arrive = scope.engine.now + arrive_ns
-                release, lag = _uniform_release(strategy, arrive, n)
-            else:
-                # Broadcast add == the same scalar add per member.
-                arrivals = finish + arrive_ns
-                release, lag = _staggered_release(strategy, arrivals)
-            step[0] = release + lag if lag is not None else release
-            chain = np.cumsum(step)
+        arrive = scope.engine.now + scope._t_arrive.delay
+        release, lag = _uniform_release(scope.strategy, arrive, scope.total_blocks)
+        step = np.empty(wpb * b + 1, dtype=np.float64)
+        step[0] = release + lag if lag is not None else release
+        step[1:] = scope._t_release.delay
+        chain = np.cumsum(step)
+        if collect_trace:
+            ranks = np.arange(scope.total_blocks, dtype=np.intp) // scope.sm_count
             finish = chain[1 + (wpb - 1) * b + ranks]
-            final = float(chain[-1])
-            if collect_trace:
-                for m, f in zip(ids, finish.tolist()):
-                    trace[(m, r)] = f
-        return final
+            for m, f in zip(ids, finish.tolist()):
+                trace[(m, 0)] = f
+        return float(chain[-1])
 
     def _commit(
         self,

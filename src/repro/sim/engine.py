@@ -7,15 +7,18 @@ yielding *yieldables*:
 
 ``Timeout(delay)``
     Resume after ``delay`` simulated nanoseconds.
+``WakeAt(time)``
+    Resume at the absolute simulated time ``time``.
 ``Signal``
     A one-shot broadcast event; resume when somebody calls ``fire()``.
-``Process``
-    Resume when the target process finishes; receives its return value.
-    If the target *failed*, its exception is re-raised inside the waiter.
 ``AllOf([...])``
-    Resume when every child signal and process has completed.
+    Resume when every child signal has fired.
 ``Acquire`` (from :meth:`Resource.acquire`)
     Resume when a slot of the resource has been granted.
+
+A process waits on time, a signal or a resource, never on another
+process.  A process that raises aborts :meth:`Engine.run` with its own
+exception.
 
 Time is a float measured in **nanoseconds**.  Conversion between device
 cycles and nanoseconds lives in :mod:`repro.sim.clock` so that V100 and P100
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from heapq import heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, NamedTuple, Optional
@@ -80,7 +84,7 @@ class BlockedWaiter(NamedTuple):
     """One blocked process at the moment the simulation quiesced.
 
     ``target`` is the actual yieldable the process was suspended on (a
-    :class:`Signal`, :class:`Process`, acquire record, ...), so callers —
+    :class:`Signal`, acquire record, ...), so callers —
     the sanitizer's blame graph, partial-participation experiments — can
     group waiters by the object they hang on instead of parsing strings.
     """
@@ -121,27 +125,13 @@ class DeadlockError(SimulationError):
         super().__init__(f"simulation deadlocked; blocked processes: [{preview}]")
 
 
-class _Failure:
-    """Wrapper that carries a failed process's exception to its waiters.
-
-    When a resume record's payload is a ``_Failure`` the exception is
-    *thrown into* the waiting generator instead of being sent, so a sibling
-    yielding a crashed process sees the real error rather than hanging and
-    being misreported as a deadlock.
-    """
-
-    __slots__ = ("exc",)
-
-    def __init__(self, exc: BaseException):
-        self.exc = exc
-
-
 class Timeout:
     """Yieldable that resumes the process after ``delay`` nanoseconds.
 
     ``value`` is delivered back to the generator (defaults to ``None``).
-    Negative delays are rejected: simulated hardware cannot travel back in
-    time, and silently clamping hides cost-model bugs.
+    Negative, infinite and NaN delays are rejected: simulated hardware
+    cannot travel back in time, and silently clamping hides cost-model
+    bugs.
 
     Instances are immutable, so hot loops may allocate one ``Timeout`` and
     yield it repeatedly.
@@ -150,8 +140,8 @@ class Timeout:
     __slots__ = ("delay", "value")
 
     def __init__(self, delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative Timeout delay: {delay!r}")
+        if not 0.0 <= delay < math.inf:
+            raise ValueError(f"Timeout delay must be finite and >= 0, got {delay!r}")
         self.delay = delay if delay.__class__ is float else float(delay)
         self.value = value
 
@@ -162,7 +152,7 @@ class Timeout:
 class WakeAt:
     """Yieldable that resumes the process at an *absolute* engine time.
 
-    ``time`` must not lie in the past.  Needed where a process has
+    ``time`` must be finite and not in the past.  Needed where a process has
     accumulated a future timestamp lane-locally (the SIMT fast path's
     staggered divergence regions sum ``t = t + delay`` per lane) and must
     land on it *bit-exactly*: a relative ``Timeout(t - now)`` cannot
@@ -238,11 +228,9 @@ class Signal:
 
 
 class AllOf:
-    """Yieldable that completes when every child completes.
+    """Yieldable that completes when every child :class:`Signal` has fired.
 
-    Children may be :class:`Signal` or :class:`Process` instances.  The
-    delivered value is the list of child values in order.
-    A failed child process re-raises its exception inside the waiter.
+    The delivered value is the list of the signals' values in order.
     """
 
     __slots__ = ("children",)
@@ -318,23 +306,13 @@ class Resource:
 class Process:
     """A simulated agent: a generator driven by the engine.
 
-    The generator's ``return`` value becomes the process result, retrievable
-    by other processes that yield this process, or via :attr:`result` after
-    :meth:`Engine.run` completes.  If the generator raises, the exception is
-    delivered to every waiter (thrown into their generators); with no
-    waiters it propagates out of :meth:`Engine.run` as before.
+    The generator's ``return`` value becomes :attr:`result`, readable after
+    :meth:`Engine.run` completes.  If the generator raises, the process
+    records :attr:`error`, stops being live, and the exception aborts
+    :meth:`Engine.run`; the engine can be run again.
     """
 
-    __slots__ = (
-        "engine",
-        "name",
-        "gen",
-        "done",
-        "result",
-        "error",
-        "_completion",
-        "_waiting_on",
-    )
+    __slots__ = ("engine", "name", "gen", "done", "result", "error", "_waiting_on")
 
     def __init__(self, engine: "Engine", gen: Generator, name: str = "proc"):
         self.engine = engine
@@ -343,7 +321,6 @@ class Process:
         self.done = False
         self.result: Any = None
         self.error: Optional[BaseException] = None
-        self._completion = Signal(engine, name=f"{name}.done")
         self._waiting_on: Any = None
 
     # -- driving ---------------------------------------------------------
@@ -351,17 +328,14 @@ class Process:
     def _step(self, send_value: Any) -> None:
         """Advance the generator by one yield, interpreting the yieldable."""
         try:
-            if send_value.__class__ is _Failure:
-                yielded = self.gen.throw(send_value.exc)
-            else:
-                yielded = self.gen.send(send_value)
+            yielded = self.gen.send(send_value)
         except StopIteration as stop:
             self._finish(stop.value)
             return
-        except BaseException as exc:  # propagate to waiters or run loop
-            if not self._fail(exc):
-                raise
-            return
+        except BaseException as exc:  # aborts the run loop
+            self.error = exc
+            self._finish(None)
+            raise
         # Timeout is by far the hottest yieldable: inline it.  A pending
         # timeout can never appear in a deadlock report (the queues are
         # not empty), so _waiting_on is not updated on this path.
@@ -385,14 +359,6 @@ class Process:
         if cls is Signal:
             if yielded._subscribe(self):
                 engine._schedule_resume(self, yielded.value)
-        elif cls is Process:
-            if yielded.done:
-                if yielded.error is not None:
-                    engine._schedule_resume(self, _Failure(yielded.error))
-                else:
-                    engine._schedule_resume(self, yielded.result)
-            else:
-                yielded._completion._waiters.append(self)
         elif cls is _Acquire:
             res = yielded.resource
             if res._in_use < res.capacity:
@@ -403,10 +369,10 @@ class Process:
         elif cls is AllOf:
             self._wait_all(yielded)
         elif cls is WakeAt:
-            if yielded.time < engine.now:
+            if not engine.now <= yielded.time < math.inf:
                 raise SimulationError(
-                    f"process {self.name!r} yielded WakeAt({yielded.time!r}) "
-                    f"in the past (now={engine.now!r})"
+                    f"process {self.name!r} yielded WakeAt({yielded.time!r}): "
+                    f"time must be finite and not in the past (now={engine.now!r})"
                 )
             _heappush(
                 engine._heap,
@@ -420,6 +386,9 @@ class Process:
     def _wait_all(self, allof: AllOf) -> None:
         engine = self.engine
         children = allof.children
+        for child in children:
+            if not isinstance(child, Signal):
+                raise SimulationError(f"AllOf child unsupported: {child!r}")
         if not children:
             engine._schedule_resume(self, [])
             return
@@ -429,12 +398,6 @@ class Process:
         def make_cb(i: int) -> Callable[[Any], None]:
             def cb(value: Any) -> None:
                 nonlocal remaining
-                if remaining <= 0:
-                    return
-                if value.__class__ is _Failure:
-                    remaining = -1  # first failure wins; ignore the rest
-                    engine._schedule_resume(self, value)
-                    return
                 values[i] = value
                 remaining -= 1
                 if remaining == 0:
@@ -443,57 +406,16 @@ class Process:
             return cb
 
         for i, child in enumerate(children):
-            cb = make_cb(i)
-            if isinstance(child, Signal):
-                if child.fired:
-                    cb(child.value)
-                else:
-                    child.callbacks.append(cb)
-            elif isinstance(child, Process):
-                if child.done:
-                    if child.error is not None:
-                        cb(_Failure(child.error))
-                    else:
-                        cb(child.result)
-                else:
-                    child._completion.callbacks.append(cb)
+            if child.fired:
+                make_cb(i)(child.value)
             else:
-                raise SimulationError(f"AllOf child unsupported: {child!r}")
+                child.callbacks.append(make_cb(i))
 
     def _finish(self, value: Any) -> None:
         self.done = True
         self.result = value
         self._waiting_on = None
         self.engine._live.discard(self)
-        self._completion.fire(value)
-
-    def _fail(self, exc: BaseException) -> bool:
-        """Record failure and notify observers.
-
-        Returns ``True`` when at least one waiter or callback received the
-        error; with no observers the caller re-raises so unobserved failures
-        still abort :meth:`Engine.run` (the seed behaviour).
-        """
-        self.error = exc
-        self.done = True
-        self._waiting_on = None
-        self.engine._live.discard(self)
-        comp = self._completion
-        failure = _Failure(exc)
-        # Mark completion as resolved-with-failure so late subscribers (via
-        # _dispatch's done-process path) see the error too.
-        comp.fired = True
-        comp.value = failure
-        notified = False
-        for cb in comp.callbacks:
-            cb(failure)
-            notified = True
-        if comp._waiters:
-            waiters, comp._waiters = comp._waiters, []
-            for proc in waiters:
-                self.engine._schedule_resume(proc, failure)
-            notified = True
-        return notified
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else _describe_wait(self._waiting_on)
@@ -512,8 +434,6 @@ def _describe_wait(waiting_on: Any) -> str:
         return f"timeout({waiting_on.delay})"
     if isinstance(waiting_on, Signal):
         return f"signal({waiting_on.name})"
-    if isinstance(waiting_on, Process):
-        return f"process({waiting_on.name})"
     if isinstance(waiting_on, _Acquire):
         return f"acquire({waiting_on.resource.name})"
     if isinstance(waiting_on, AllOf):
@@ -527,8 +447,6 @@ def _wait_kind(waiting_on: Any) -> tuple[str, str]:
         return "ready", ""
     if isinstance(waiting_on, Signal):
         return "signal", waiting_on.name
-    if isinstance(waiting_on, Process):
-        return "process", waiting_on.name
     if isinstance(waiting_on, _Acquire):
         return "acquire", waiting_on.resource.name
     if isinstance(waiting_on, AllOf):
@@ -566,8 +484,10 @@ class Engine:
         protocols release their waiters with it, and the record is
         dispatched straight from the run loop.
         """
-        if delay < 0:
-            raise ValueError(f"negative schedule delay: {delay!r}")
+        if not 0.0 <= delay < math.inf:
+            raise ValueError(
+                f"schedule_fire delay must be finite and >= 0, got {delay!r}"
+            )
         if delay == 0.0:
             self._ready.append((next(self._seq), signal, value))
         else:
@@ -650,12 +570,6 @@ class Engine:
         finally:
             self.event_count += count
         if self._live:
-            if _sanitize.MONITOR is not None:
-                _sanitize.MONITOR.on_deadlock(self, self._live)
-            blocked = sorted(
-                f"{p.name} waiting on {_describe_wait(p._waiting_on)}"
-                for p in self._live
-            )
             waiters = sorted(
                 (
                     BlockedWaiter(p.name, *_wait_kind(p._waiting_on), p._waiting_on)
@@ -663,19 +577,24 @@ class Engine:
                 ),
                 key=lambda w: (w.process, w.wait_kind, w.target_name),
             )
+            if _sanitize.MONITOR is not None:
+                _sanitize.MONITOR.on_deadlock(waiters, self.now)
+            blocked = sorted(
+                f"{p.name} waiting on {_describe_wait(p._waiting_on)}"
+                for p in self._live
+            )
             raise DeadlockError(blocked, waiters=waiters)
         return self.now
 
     def run_process(self, gen: Generator, name: str = "main") -> Any:
         """Convenience: register ``gen``, run to quiescence, return result.
 
-        Raises the process's own exception if it failed, or
-        :class:`DeadlockError` if the system hung before it finished.
+        A raising process aborts :meth:`run` with its own exception; a
+        system that hangs before ``gen`` finishes raises
+        :class:`DeadlockError`.
         """
         proc = self.process(gen, name=name)
         self.run()
-        if proc.error is not None:  # pragma: no cover - re-raise path
-            raise proc.error
         if not proc.done:
             raise DeadlockError([f"{name} never completed"])
         return proc.result

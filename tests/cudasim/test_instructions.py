@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cudasim import instructions as ins
@@ -12,9 +14,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             ins.Compute(cycles=-1.0)
 
+    @pytest.mark.parametrize("cycles", [math.nan, math.inf])
+    def test_compute_rejects_non_finite(self, cycles):
+        with pytest.raises(ValueError, match="Compute cycles"):
+            ins.Compute(cycles=cycles)
+
     def test_nanosleep_rejects_negative(self):
         with pytest.raises(ValueError):
             ins.Nanosleep(ns=-1.0)
+
+    @pytest.mark.parametrize("ns", [math.nan, math.inf])
+    def test_nanosleep_rejects_non_finite(self, ns):
+        with pytest.raises(ValueError, match="Nanosleep ns"):
+            ins.Nanosleep(ns=ns)
 
     def test_warp_sync_kind_checked(self):
         with pytest.raises(ValueError):
@@ -55,6 +67,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             ins.MethodOverhead(cycles=-100.0)
         ins.MethodOverhead(cycles=-2.0)  # small negative fudge allowed
+
+    @pytest.mark.parametrize("cycles", [math.nan, math.inf])
+    def test_method_overhead_rejects_non_finite(self, cycles):
+        with pytest.raises(ValueError, match="MethodOverhead cycles"):
+            ins.MethodOverhead(cycles=cycles)
 
 
 class TestImmutability:

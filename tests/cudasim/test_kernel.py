@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cudasim.errors import InvalidConfiguration
@@ -65,6 +67,14 @@ class TestKernels:
         with pytest.raises(InvalidConfiguration):
             SleepKernel(units=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("units", math.inf), ("unit_ns", math.nan), ("unit_ns", math.inf)],
+    )
+    def test_sleep_kernel_non_finite_rejected(self, field, value):
+        with pytest.raises(InvalidConfiguration, match=f"SleepKernel {field}"):
+            SleepKernel(**{field: value})
+
     def test_work_kernel_fixed_duration(self, v100):
         dev = Device(v100)
         assert WorkKernel(1234.5).duration_ns(dev, LaunchConfig(1, 32)) == 1234.5
@@ -72,6 +82,11 @@ class TestKernels:
     def test_work_kernel_negative_duration_rejected(self):
         with pytest.raises(InvalidConfiguration):
             WorkKernel(-1.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_work_kernel_non_finite_duration_rejected(self, duration):
+        with pytest.raises(InvalidConfiguration, match="WorkKernel duration_ns"):
+            WorkKernel(duration)
 
     def test_body_runs_on_complete(self, v100):
         dev = Device(v100)
@@ -87,3 +102,9 @@ class TestKernels:
     def test_duration_fn_wired(self, v100):
         k = Kernel("f", duration_fn=lambda d, c: 10.0 * c.grid_blocks)
         assert k.duration_ns(Device(v100), LaunchConfig(4, 32)) == 40.0
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_duration_fn_non_finite_rejected(self, v100, duration):
+        k = Kernel("f", duration_fn=lambda d, c: duration)
+        with pytest.raises(InvalidConfiguration, match="'f' duration"):
+            k.duration_ns(Device(v100), LaunchConfig(1, 32))

@@ -8,12 +8,12 @@ from repro.experiments.base import ExperimentReport, merge_reports
 from repro.experiments.cli import main as cli_main
 from repro.experiments.service.workers import _run_driver
 from repro.experiments.scenario import Scenario
-from repro.reduction.warp import warp_reduce_latency_cycles
+from repro.reduction.warp import _run_latency_cycles, warp_reduce_latency_cycles
 from repro.sanitize import SanitizerSession
 from repro.sanitize import events as ev
 from repro.sim.arch import V100
 from repro.sim.backends import reset_fallback_warnings
-from repro.sim.engine import BlockedWaiter, DeadlockError, Engine
+from repro.sim.engine import BlockedWaiter, DeadlockError, Engine, Timeout
 from repro.sim.sm import simulate_warp_sync_throughput
 from repro.sync.groups import GridGroup
 
@@ -170,6 +170,15 @@ class TestStructuredDeadlock:
         assert [w.process for w in waiters] == sorted(w.process for w in waiters)
         assert "blocked on signal" in waiters[0].describe()
 
+    def test_monitor_records_the_engine_waiters(self):
+        # One function describes what a blocked process waits on: the
+        # monitor keeps the records the engine raises.
+        with SanitizerSession("synccheck") as session:
+            group = GridGroup(V100, 1, 64, sm_count=4)
+            with pytest.raises(DeadlockError) as excinfo:
+                group.simulate(participating_blocks=2)
+        assert session.monitor.deadlocks == [excinfo.value.waiters]
+
     def test_message_unchanged_by_waiters(self):
         # Byte-compat: the structured records must not alter the message
         # the pinned pitfall experiments assert on.
@@ -180,6 +189,23 @@ class TestStructuredDeadlock:
         assert str(plain) == str(rich)
 
 
+class TestEventStream:
+    def test_finishing_processes_record_no_signal(self):
+        # Only fired Signals are signal events; a process that returns
+        # fires none.
+        eng = Engine()
+
+        def proc():
+            yield Timeout(1.0)
+
+        with SanitizerSession("full") as session:
+            for i in range(3):
+                eng.process(proc(), name=f"p{i}")
+            eng.run()
+        assert eng.event_count == 6
+        assert session.monitor.events_of("signal") == []
+
+
 class TestShortcutsStepAside:
     """Memos, folds and the analytic backend must not hide simulation from
     an installed monitor.
@@ -188,22 +214,48 @@ class TestShortcutsStepAside:
     earlier in the same process (and, under --jobs, on which worker).
     """
 
-    def test_saturated_pipe_fold_bypassed(self):
-        def events(**kwargs):
-            with SanitizerSession("full") as session:
-                simulate_warp_sync_throughput(
-                    V100, "tile", 32, n_warps=64, repeats=64, **kwargs
-                )
-            return len(session.monitor.events)
+    def test_saturated_pipe_fold_bypassed(self, monkeypatch):
+        # The workload saturates the pipe, so an unsanitized run folds it
+        # without an engine; with a monitor installed the event path runs.
+        from repro.sim import sm
 
-        # One completion signal per warp, as on the engine path.
-        assert events() == events(engine=Engine()) == 64
+        calls = {"fold": 0, "events": 0}
+        fold, run_events = sm._fold, sm._run_warp_sync
+
+        def counting_fold(*args):
+            calls["fold"] += 1
+            return fold(*args)
+
+        def counting_run(engine, *args):
+            total = run_events(engine, *args)
+            calls["events"] += engine.event_count
+            return total
+
+        monkeypatch.setattr(sm, "_fold", counting_fold)
+        monkeypatch.setattr(sm, "_run_warp_sync", counting_run)
+
+        def run():
+            return simulate_warp_sync_throughput(
+                V100, "tile", 32, n_warps=64, repeats=64
+            )
+
+        folded = run()
+        assert calls == {"fold": 1, "events": 0}
+        with SanitizerSession("full"):
+            simulated = run()
+        assert calls["fold"] == 1 and calls["events"] > 0
+        assert simulated == folded
 
     def test_warp_latency_memo_bypassed(self):
+        def events(latency):
+            with SanitizerSession("full") as session:
+                latency(V100, "tile_shuffle")
+            return len(session.monitor.events)
+
         warp_reduce_latency_cycles(V100, "tile_shuffle")  # primes the memo
-        with SanitizerSession("full") as session:
-            warp_reduce_latency_cycles(V100, "tile_shuffle")
-        assert len(session.monitor.events) == 6
+        # The memoized entry point records what running the warp records.
+        unmemoized = _run_latency_cycles.__wrapped__
+        assert events(warp_reduce_latency_cycles) == events(unmemoized) == 5
 
     @pytest.mark.parametrize("backend", [None, "auto", "analytic"])
     def test_analytic_backend_bypassed(self, backend):
@@ -224,4 +276,4 @@ class TestShortcutsStepAside:
                 recorded = events(backend)
         # The closed forms fire only the round hooks; the engine records
         # every arrival, wait and release.
-        assert recorded == events("engine") == 2093
+        assert recorded == events("engine") == 1933

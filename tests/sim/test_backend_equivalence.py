@@ -29,6 +29,7 @@ from repro.sim.backends import (
     reset_fallback_warnings,
 )
 from repro.sim.engine import Engine
+from repro.sim.occupancy import blocks_per_sm
 from repro.sync.groups import (
     BlockGroup,
     GridGroup,
@@ -85,40 +86,57 @@ def assert_identical(make_group, n_syncs, members=None):
 
 
 class TestGridEquivalence:
-    """Fig 5 cells: the vectorized port-chain closed form."""
+    """Fig 5 cells: the vectorized port-chain closed form, one round."""
 
     @given(
         gpu=st.sampled_from(["V100", "P100"]),
         b=st.integers(min_value=1, max_value=8),
         t=st.sampled_from([32, 64, 128, 256]),
-        n_syncs=st.integers(min_value=1, max_value=4),
         strategy=st.sampled_from(["cooperative", "atomic", "cpu"]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_grid_bit_identical(self, gpu, b, t, n_syncs, strategy):
+    def test_grid_bit_identical(self, gpu, b, t, strategy):
         spec = SPECS[gpu]
-        from repro.sim.occupancy import blocks_per_sm
-
         if b > blocks_per_sm(spec, t).blocks_per_sm:
             return  # not co-resident: illegal cell
-        assert_identical(
-            lambda: GridGroup(spec, b, t, strategy=strategy), n_syncs
-        )
+        assert_identical(lambda: GridGroup(spec, b, t, strategy=strategy), 1)
 
     @given(
         t=st.sampled_from([32, 128]),
         util=st.floats(min_value=0.0, max_value=0.75),
-        n_syncs=st.integers(min_value=1, max_value=3),
     )
     @settings(max_examples=25, deadline=None)
-    def test_grid_atomic_contention_knobs(self, t, util, n_syncs):
+    def test_grid_atomic_contention_knobs(self, t, util):
         knobs = {"workload_util": util, "poll_ns": 150.0}
         assert_identical(
             lambda: GridGroup(
                 V100, 2, t, strategy="atomic", strategy_knobs=knobs
             ),
-            n_syncs,
+            1,
         )
+
+    @given(
+        gpu=st.sampled_from(["V100", "P100"]),
+        b=st.integers(min_value=1, max_value=4),
+        t=st.sampled_from([32, 128]),
+        n_syncs=st.integers(min_value=2, max_value=4),
+        strategy=st.sampled_from(["cooperative", "atomic", "cpu"]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_multi_round_grid_runs_on_engine(self, gpu, b, t, n_syncs, strategy):
+        # The release ports stagger the members, so rounds after the
+        # first have no closed form: auto takes the engine.
+        spec = SPECS[gpu]
+        if b > blocks_per_sm(spec, t).blocks_per_sm:
+            return  # not co-resident: illegal cell
+        probe = GridGroup(spec, b, t, strategy=strategy)
+        reason = ANALYTIC.ineligible_reason(probe, n_syncs, tuple(range(probe.size)))
+        assert reason is not None and "rounds" in reason
+        auto = GridGroup(spec, b, t, strategy=strategy, backend="auto")
+        oracle = GridGroup(spec, b, t, strategy=strategy, backend="engine")
+        assert auto.run_rounds(n_syncs) == oracle.run_rounds(n_syncs)
+        assert auto.engine.now == oracle.engine.now
+        assert auto.engine.event_count == oracle.engine.event_count > 0
 
     def test_grid_full_heatmap_cell_32x32(self):
         # The heaviest published Fig 5 cell: 2560 blocks.
@@ -283,22 +301,22 @@ class TestDefaultBackend:
     """A scope with no backend set dispatches as ``auto``."""
 
     @pytest.mark.parametrize(
-        "make_group",
+        "make_group, n_syncs",
         [
-            lambda nodes: WarpGroup(V100, 32, kind="coalesced"),
-            lambda nodes: BlockGroup(P100, 16),
-            lambda nodes: HostBarrierGroup(4, 2500.0),
-            lambda nodes: GridGroup(V100, 2, 256),
-            lambda nodes: GridGroup(P100, 4, 128, strategy="atomic"),
-            lambda nodes: MultiGridGroup(nodes["DGX1"], 1, 32, gpu_ids=range(8)),
+            (lambda nodes: WarpGroup(V100, 32, kind="coalesced"), 3),
+            (lambda nodes: BlockGroup(P100, 16), 3),
+            (lambda nodes: HostBarrierGroup(4, 2500.0), 3),
+            (lambda nodes: GridGroup(V100, 2, 256), 1),
+            (lambda nodes: GridGroup(P100, 4, 128, strategy="atomic"), 1),
+            (lambda nodes: MultiGridGroup(nodes["DGX1"], 1, 32, gpu_ids=range(8)), 3),
         ],
         ids=["warp", "block", "host", "grid", "grid-atomic", "multigrid"],
     )
-    def test_eligible_scope_fires_no_events(self, nodes, make_group):
+    def test_eligible_scope_fires_no_events(self, nodes, make_group, n_syncs):
         default, oracle = make_group(nodes), make_group(nodes)
         oracle.backend = "engine"
-        run = default.run_rounds(3)
-        ref = oracle.run_rounds(3)
+        run = default.run_rounds(n_syncs)
+        ref = oracle.run_rounds(n_syncs)
         assert default.engine.event_count == 0 < oracle.engine.event_count
         assert run.total_ns == ref.total_ns  # bit-identical, no tolerance
         assert run.release_ns == ref.release_ns

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +46,11 @@ class TestScheduling:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Timeout(-1.0)
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_non_finite_delay_rejected(self, delay):
+        with pytest.raises(ValueError, match="Timeout delay"):
+            Timeout(delay)
 
     def test_event_count_increments(self):
         """Every process step and every deferred fire is one event."""
@@ -105,35 +112,6 @@ class TestProcesses:
 
         assert eng.run_process(proc()) == 42
 
-    def test_waiting_on_another_process_gets_result(self):
-        eng = Engine()
-
-        def child():
-            yield Timeout(3.0)
-            return "done"
-
-        def parent():
-            c = eng.process(child(), name="child")
-            got = yield c
-            return got, eng.now
-
-        assert eng.run_process(parent()) == ("done", 3.0)
-
-    def test_waiting_on_finished_process_resumes_immediately(self):
-        eng = Engine()
-
-        def child():
-            yield Timeout(1.0)
-            return "early"
-
-        def parent():
-            c = eng.process(child(), name="child")
-            yield Timeout(10.0)
-            got = yield c
-            return got, eng.now
-
-        assert eng.run_process(parent()) == ("early", 10.0)
-
     def test_yielding_garbage_raises(self):
         eng = Engine()
 
@@ -142,6 +120,22 @@ class TestProcesses:
 
         with pytest.raises(SimulationError, match="unsupported"):
             eng.run_process(proc())
+
+    @pytest.mark.parametrize("wrap", [None, AllOf], ids=["process", "allof"])
+    def test_yielding_a_process_raises(self, wrap):
+        # A process waits on time, a signal or a resource, never on
+        # another process.
+        eng = Engine()
+
+        def child():
+            yield Timeout(1.0)
+
+        def parent():
+            c = eng.process(child(), name="child")
+            yield c if wrap is None else wrap([c])
+
+        with pytest.raises(SimulationError, match="unsupported"):
+            eng.run_process(parent())
 
     def test_live_processes_tracked(self):
         eng = Engine()
@@ -156,13 +150,12 @@ class TestProcesses:
 
     def test_allof_waits_for_all_children(self):
         eng = Engine()
-
-        def child(d):
-            yield Timeout(d)
-            return d
+        kids = []
+        for d in (5.0, 2.0, 8.0):
+            kids.append(eng.signal(f"s{d}"))
+            eng.schedule_fire(d, kids[-1], d)
 
         def parent():
-            kids = [eng.process(child(d), name=f"c{d}") for d in (5.0, 2.0, 8.0)]
             vals = yield AllOf(kids)
             return vals, eng.now
 
@@ -180,16 +173,20 @@ class TestProcesses:
         assert eng.run_process(parent()) == []
 
     def test_allof_mixes_signals_and_timeouts(self):
+        # One child fires from a deferred fire, the other from a process
+        # after its own timeout.
         eng = Engine()
         sig = eng.signal("s")
         eng.schedule_fire(4.0, sig, "sv")
+        timed = eng.signal("t")
 
-        def child():
+        def firer():
             yield Timeout(1.0)
-            return "tv"
+            timed.fire("tv")
 
         def parent():
-            vals = yield AllOf([sig, eng.process(child(), name="child")])
+            eng.process(firer(), name="firer")
+            vals = yield AllOf([sig, timed])
             return vals, eng.now
 
         assert eng.run_process(parent()) == (["sv", "tv"], 4.0)
@@ -673,6 +670,13 @@ class TestScheduleFire:
         with pytest.raises(ValueError):
             eng.schedule_fire(-1.0, eng.signal("s"))
 
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_non_finite_delay_rejected(self, delay):
+        eng = Engine()
+        with pytest.raises(ValueError, match="schedule_fire delay"):
+            eng.schedule_fire(delay, eng.signal("s"))
+        assert eng.pending_count == 0
+
 
 class TestWakeAt:
     """Absolute-time wakeups: the SIMT fast path lands on lane-locally
@@ -724,6 +728,20 @@ class TestWakeAt:
         with pytest.raises(SimulationError, match="in the past"):
             eng.run()
 
+    @pytest.mark.parametrize("time", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, time):
+        from repro.sim.engine import WakeAt
+
+        eng = Engine()
+
+        def proc():
+            yield WakeAt(time)
+
+        eng.process(proc(), name="p")
+        with pytest.raises(SimulationError, match="WakeAt.*finite"):
+            eng.run()
+        assert eng.now == 0.0
+
     def test_wake_at_now_runs_after_current_instant(self):
         from repro.sim.engine import WakeAt
 
@@ -747,37 +765,8 @@ class TestWakeAt:
 
 
 class TestProcessFailure:
-    """A raising process must unblock its waiters with the real error
-    instead of leaving them hanging (previously misreported as deadlock)."""
-
-    def test_waiter_sees_child_exception(self):
-        eng = Engine()
-
-        def child():
-            yield Timeout(1.0)
-            raise RuntimeError("boom")
-
-        def parent():
-            c = eng.process(child(), name="child")
-            try:
-                yield c
-            except RuntimeError as exc:
-                return f"caught {exc}"
-
-        assert eng.run_process(parent()) == "caught boom"
-
-    def test_uncaught_child_error_propagates_not_deadlock(self):
-        eng = Engine()
-
-        def child():
-            yield Timeout(1.0)
-            raise ValueError("bad")
-
-        def parent():
-            yield eng.process(child(), name="child")
-
-        with pytest.raises(ValueError, match="bad"):
-            eng.run_process(parent())
+    """A raising process aborts ``Engine.run()`` with its own exception;
+    the engine can be run again."""
 
     def test_error_with_no_waiters_still_aborts_run(self):
         eng = Engine()
@@ -790,82 +779,26 @@ class TestProcessFailure:
         with pytest.raises(KeyError):
             eng.run()
 
-    def test_yielding_already_failed_process_raises(self):
-        eng = Engine()
-
-        def child():
-            yield Timeout(1.0)
-            raise RuntimeError("early")
-
-        def parent():
-            c = eng.process(child(), name="child")
-            try:
-                yield c
-            except RuntimeError:
-                pass
-            yield Timeout(10.0)
-            try:
-                yield c  # already failed: error delivered again
-            except RuntimeError:
-                return "again"
-
-        assert eng.run_process(parent()) == "again"
-
-    def test_allof_propagates_child_failure(self):
-        eng = Engine()
-
-        def ok():
-            yield Timeout(5.0)
-            return "fine"
-
-        def bad():
-            yield Timeout(1.0)
-            raise RuntimeError("allof-child")
-
-        def parent():
-            kids = [eng.process(ok(), name="ok"), eng.process(bad(), name="bad")]
-            try:
-                yield AllOf(kids)
-            except RuntimeError as exc:
-                return str(exc)
-
-        assert eng.run_process(parent()) == "allof-child"
-
     def test_failed_process_records_error_attribute(self):
         eng = Engine()
+        later = []
 
         def child():
             yield Timeout(1.0)
             raise RuntimeError("attr")
 
-        def parent():
-            c = eng.process(child(), name="child")
-            try:
-                yield c
-            except RuntimeError:
-                return c
+        def sibling():
+            yield Timeout(2.0)
+            later.append(eng.now)
 
-        proc = eng.run_process(parent())
+        proc = eng.process(child(), name="child")
+        eng.process(sibling(), name="sibling")
+        with pytest.raises(RuntimeError, match="attr"):
+            eng.run()
         assert proc.done and isinstance(proc.error, RuntimeError)
-
-    def test_sibling_chain_propagates(self):
-        """Error crosses two levels of waiting processes."""
-        eng = Engine()
-
-        def leaf():
-            yield Timeout(1.0)
-            raise RuntimeError("leaf")
-
-        def middle():
-            yield eng.process(leaf(), name="leaf")
-
-        def top():
-            try:
-                yield eng.process(middle(), name="middle")
-            except RuntimeError as exc:
-                return f"top saw {exc}"
-
-        assert eng.run_process(top()) == "top saw leaf"
+        assert proc not in eng.live_processes
+        eng.run()  # the sibling resumes on the next run
+        assert later == [2.0]
 
 
 class TestResourceContention:
