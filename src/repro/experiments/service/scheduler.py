@@ -30,7 +30,6 @@ import hashlib
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -196,6 +195,10 @@ class Scheduler:
         depends on how many futures were in flight, which only the main
         loop knows.
         """
+        # Not at module top, so a serial sweep never loads the pool's
+        # modules; only a pool's futures get here.
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             reply = fut.result()
         except BrokenProcessPool:

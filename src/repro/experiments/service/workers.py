@@ -20,10 +20,10 @@ import sys
 import threading
 import time
 import traceback
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.experiments import faults
 from repro.experiments.base import ExperimentReport
@@ -36,6 +36,9 @@ from repro.experiments.service.queue import (
     KIND_TRANSIENT,
     PointResult,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "WorkItem",
@@ -264,6 +267,10 @@ class WorkerPool:
         self._pool = self._new_pool()
 
     def _new_pool(self) -> ProcessPoolExecutor:
+        # Imported here, not at module top: a serial sweep never loads
+        # the pool's modules (concurrent.futures.process, multiprocessing).
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(
             max_workers=self.max_workers, initializer=_exit_with_parent
         )

@@ -3,7 +3,8 @@
 Implements the protocol discipline of Section IX: every measurement does a
 warm-up pass that is discarded (Section IX-B: "we do a warm-up kernel call
 before every measurement that we don't report the results for"), then
-collects ``samples`` repetitions and summarizes them.
+collects ``samples`` repetitions and summarizes them.  A measurement whose
+every sample runs its own warm-up on a fresh runtime sets ``warmup=0``.
 """
 
 from __future__ import annotations

@@ -32,6 +32,10 @@ __all__ = [
 
 _PROBE_CONFIG = LaunchConfig(grid_blocks=1, threads_per_block=32)
 
+#: No harness warm-up: a discarded sample would be a whole simulation whose
+#: state nothing reuses, since every sample warms up a fresh runtime itself.
+_SAMPLES = MeasurementConfig(warmup=0, samples=5)
+
 
 def _launch(rt: CudaRuntime, kernel, launch_type: str,
             devices: Optional[Sequence[int]]) -> Generator:
@@ -104,12 +108,13 @@ def measure_launch_overhead(
     unit_ns: float = 1000.0,
     units_scale: int = 10,
     devices: Optional[Sequence[int]] = None,
-    config: MeasurementConfig = MeasurementConfig(warmup=1, samples=5),
+    config: MeasurementConfig = _SAMPLES,
 ) -> LaunchOverheadResult:
     """Kernel-fusion launch overhead, Eq 6.
 
     ``rt_factory`` builds a fresh runtime per sample (cold stream, warm-up
-    handled inside).  ``units_scale`` sets the sleep length per "wait unit"
+    launch inside the sample, so the default ``config`` takes no harness
+    warm-up sample).  ``units_scale`` sets the sleep length per "wait unit"
     (10 x 1 µs by default, as in Fig 3); for multi-device launches over many
     GPUs pass a larger scale so the kernels outlast the deeper dispatch
     pipeline — the paper's ~250 µs requirement on 8 GPUs.
@@ -151,12 +156,14 @@ def measure_kernel_total_latency(
     rt_factory,
     launch_type: str = "traditional",
     devices: Optional[Sequence[int]] = None,
-    config: MeasurementConfig = MeasurementConfig(warmup=1, samples=5),
+    config: MeasurementConfig = _SAMPLES,
 ) -> Measurement:
     """Fig-3 estimator: steady-state total latency of a *null* kernel.
 
     ``((t3 - t2) - (t2 - t1)) / (5 - 1)`` with one launch+sync between
-    t1..t2 and five launches+sync between t2..t3.
+    t1..t2 and five launches+sync between t2..t3.  Each sample runs its
+    own warm-up launch on a fresh runtime, so the default ``config``
+    takes no harness warm-up sample.
     """
 
     def sample() -> float:
@@ -186,14 +193,16 @@ def measure_kernel_total_latency(
 def cpu_side_barrier_overhead(
     node_spec: NodeSpec,
     n_gpus: int,
-    config: MeasurementConfig = MeasurementConfig(warmup=1, samples=5),
+    config: MeasurementConfig = _SAMPLES,
 ) -> Measurement:
     """Per-iteration overhead of the Fig-6 CPU-side barrier pattern.
 
     One OpenMP thread per GPU launches a kernel, calls
     ``cudaDeviceSynchronize``, then meets at an OpenMP barrier.  Returns
     the steady-state overhead per iteration beyond kernel execution (the
-    "Launch Overhead in CPU-side barriers" series of Fig 9).
+    "Launch Overhead in CPU-side barriers" series of Fig 9).  Each sample
+    runs its own warm-up iteration on a fresh runtime, so the default
+    ``config`` takes no harness warm-up sample.
     """
     from repro.host.openmp import OmpTeam  # deferred: host depends on microbench-free core
 

@@ -4,8 +4,9 @@
 :class:`~repro.sync.scope.ScopeRun` on one of two paths:
 
 * ``engine`` — the event-precise discrete-event engine (the oracle), and
-* ``analytic`` — numpy-vectorized closed forms for uniform barrier
-  ladders, bit-identical to the engine wherever it is eligible.
+* ``analytic`` — closed forms for uniform barrier ladders, in plain
+  Python (chains folded with ``itertools.accumulate``, no numpy),
+  bit-identical to the engine wherever it is eligible.
 
 A scope with no backend set runs ``auto``: analytic where eligible,
 engine otherwise.

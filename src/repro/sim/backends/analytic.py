@@ -1,4 +1,4 @@
-"""Closed-form vectorized execution of uniform barrier ladders.
+"""Closed-form execution of uniform barrier ladders.
 
 The engine's barrier workloads are *uniform*: every member runs the same
 ``sync()`` ladder with no data-dependent control flow, so the full
@@ -6,8 +6,8 @@ discrete-event schedule collapses to per-member virtual clocks advanced
 by closed forms — broadcast adds for fixed-delay phases, a serialized
 add-chain for the arrival counter, the
 :class:`~repro.sim.memory.MemoryChannel` contention closed form for
-spin-poll detection, and per-SM cumulative-sum chains for the grid
-release ports.
+spin-poll detection, and one running-sum chain (``itertools.accumulate``)
+shared by the grid's per-SM release ports.
 
 Bit-identity, not approximation.  Every formula below performs the *same
 IEEE-754 additions in the same order* as the engine's event walk (the
@@ -29,16 +29,15 @@ Key engine facts the forms rely on (proved against ``sim/engine.py`` /
   blocks sharing one release port are served round-robin — member rank
   ``i``'s last warp grant is slot ``(wpb - 1) * b + i`` of that port's
   grant chain.
-* ``numpy.cumsum`` over float64 is the same sequential left-fold of
-  additions the engine performs (verified property), so the port chains
-  vectorize without changing a single bit.
+* ``itertools.accumulate`` over floats is the same sequential left fold
+  of additions the engine performs, so one chain prices every port
+  without changing a single bit.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.sanitize import events as _sanitize
 from repro.sync.strategies import (
@@ -90,7 +89,7 @@ def _uniform_release(
 
 
 class AnalyticBackend:
-    """Numpy/closed-form execution of eligible barrier workloads."""
+    """Closed-form execution of eligible barrier workloads."""
 
     # -- eligibility ------------------------------------------------------
 
@@ -228,24 +227,21 @@ class AnalyticBackend:
         """Grid ladder, one round: uniform arrivals -> counter chain ->
         release at ``R`` (+ detection lag) -> every per-SM release port
         serves its ``b`` members round-robin for ``wpb`` warp grants each.
-        All ports carry identical grant chains, so one ``np.cumsum``
-        prices them all; member ``m`` (rank ``m // sm_count``) finishes at
-        slot ``(wpb - 1) * b + rank`` — chain index ``+1`` past the start.
+        All ports carry identical grant chains, so one running sum prices
+        them all; member ``m`` (rank ``m // sm_count``) finishes at slot
+        ``(wpb - 1) * b + rank`` — chain index ``+1`` past the start.
         """
         b = scope.blocks_per_sm
         wpb = scope.warps_per_block
         arrive = scope.engine.now + scope._t_arrive.delay
         release, lag = _uniform_release(scope.strategy, arrive, scope.total_blocks)
-        step = np.empty(wpb * b + 1, dtype=np.float64)
-        step[0] = release + lag if lag is not None else release
-        step[1:] = scope._t_release.delay
-        chain = np.cumsum(step)
+        start = release + lag if lag is not None else release
+        chain = list(accumulate(repeat(scope._t_release.delay, wpb * b), initial=start))
         if collect_trace:
-            ranks = np.arange(scope.total_blocks, dtype=np.intp) // scope.sm_count
-            finish = chain[1 + (wpb - 1) * b + ranks]
-            for m, f in zip(ids, finish.tolist()):
-                trace[(m, 0)] = f
-        return float(chain[-1])
+            first = 1 + (wpb - 1) * b
+            for i, m in enumerate(ids):
+                trace[(m, 0)] = chain[first + i // scope.sm_count]
+        return chain[-1]
 
     def _commit(
         self,

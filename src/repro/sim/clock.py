@@ -18,9 +18,8 @@ necessary in our reproduction too.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
-
-import numpy as np
 
 from repro.sim.engine import Engine
 from repro.util.rng import make_rng
@@ -43,8 +42,8 @@ class SMClock:
     """
 
     def __init__(self, engine: Engine, freq_mhz: float, quantize: bool = True):
-        if freq_mhz <= 0:
-            raise ValueError("freq_mhz must be positive")
+        if not 0.0 < freq_mhz < math.inf:
+            raise ValueError(f"freq_mhz must be positive and finite, got {freq_mhz!r}")
         self.engine = engine
         self.freq_mhz = float(freq_mhz)
         self.quantize = quantize
@@ -52,7 +51,7 @@ class SMClock:
     def read(self) -> float:
         """Current SM cycle count."""
         cycles = ns_to_cycles(self.engine.now, self.freq_mhz)
-        return float(np.floor(cycles)) if self.quantize else cycles
+        return float(math.floor(cycles)) if self.quantize else cycles
 
     def cycles(self, ns: float) -> float:
         """Convert a duration in ns to cycles of this domain."""
@@ -79,8 +78,8 @@ class HostClock:
         seed: Optional[int] = None,
         tag: str = "host-clock",
     ):
-        if jitter_ns < 0:
-            raise ValueError("jitter_ns must be non-negative")
+        if not 0.0 <= jitter_ns < math.inf:
+            raise ValueError(f"jitter_ns must be non-negative and finite, got {jitter_ns!r}")
         self.engine = engine
         self.jitter_ns = float(jitter_ns)
         self._rng = make_rng(seed if seed is not None else 0, tag)

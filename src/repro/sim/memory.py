@@ -2,8 +2,9 @@
 
 Three distinct concerns live here:
 
-* **Functional state** — :class:`SharedMemory` holds real numpy data so
-  the reduction case study computes *actual sums* and the no-sync race
+* **Functional state** — :class:`SharedMemory` holds real float values
+  (plain lists, coerced on store as a float64 array would), so the
+  reduction case study computes *actual sums* and the no-sync race
   produces *actually wrong* answers.
 * **Visibility semantics** — :class:`SharedMemory` implements the
   pending/committed model the paper's Table V hinges on: a plain store is
@@ -22,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional
-
-import numpy as np
 
 from repro.sanitize import events as _sanitize
 from repro.sim.arch import HBMCalib
@@ -71,13 +70,14 @@ class SharedMemory:
     the plain no-sync variant is not (Table V).
     """
 
-    def __init__(self, slots: int, dtype=np.float64):
+    def __init__(self, slots: int):
         if slots <= 0:
             raise ValueError("shared memory must have at least one slot")
         self.slots = slots
-        self.committed = np.zeros(slots, dtype=dtype)
-        self.pending = np.zeros(slots, dtype=dtype)
-        self.pending_owner = np.full(slots, -1, dtype=np.int64)
+        self.committed: List[float] = [0.0] * slots
+        self.pending: List[float] = [0.0] * slots
+        #: Writer of each slot's pending value; -1 when nothing is pending.
+        self.pending_owner: List[int] = [-1] * slots
         self.races: List[RaceRecord] = []
 
     # -- stores ----------------------------------------------------------
@@ -88,6 +88,7 @@ class SharedMemory:
         mon = _sanitize.MONITOR
         if mon is not None and mon.capture_memory:
             mon.on_mem_access(self, thread, slot, is_store=True, volatile=volatile)
+        value = float(value)
         if volatile:
             self.committed[slot] = value
             self.pending_owner[slot] = -1
@@ -114,15 +115,15 @@ class SharedMemory:
         mon = _sanitize.MONITOR
         if mon is not None and mon.capture_memory:
             mon.on_mem_access(self, thread, slot, is_store=False, volatile=volatile)
-        owner = int(self.pending_owner[slot])
+        owner = self.pending_owner[slot]
         if owner == -1:
-            return float(self.committed[slot])
+            return self.committed[slot]
         if owner == thread or volatile:
             # Own writes are always visible to self; volatile reads snoop
             # the latest value regardless of commit state.
-            return float(self.pending[slot])
+            return self.pending[slot]
         self.races.append(RaceRecord(reader=thread, writer=owner, slot=slot, step=step))
-        return float(self.committed[slot])
+        return self.committed[slot]
 
     # -- synchronization -------------------------------------------------
 
@@ -134,24 +135,22 @@ class SharedMemory:
         mon = _sanitize.MONITOR
         if mon is not None and mon.capture_memory:
             mon.on_mem_commit(self)
-        mask = self.pending_owner >= 0
-        n = int(mask.sum())
-        if n:
-            self.committed[mask] = self.pending[mask]
-            self.pending_owner[mask] = -1
-        return n
+        return self._commit_slots([s for s, o in enumerate(self.pending_owner) if o >= 0])
 
     def commit_thread(self, thread: int) -> int:
         """Commit only one thread's pending writes (per-thread fence)."""
         mon = _sanitize.MONITOR
         if mon is not None and mon.capture_memory:
             mon.on_mem_commit(self, thread=thread)
-        mask = self.pending_owner == thread
-        n = int(mask.sum())
-        if n:
-            self.committed[mask] = self.pending[mask]
-            self.pending_owner[mask] = -1
-        return n
+        return self._commit_slots(
+            [s for s, o in enumerate(self.pending_owner) if o == thread]
+        )
+
+    def _commit_slots(self, slots: List[int]) -> int:
+        for slot in slots:
+            self.committed[slot] = self.pending[slot]
+            self.pending_owner[slot] = -1
+        return len(slots)
 
     @property
     def race_detected(self) -> bool:

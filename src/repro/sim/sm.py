@@ -22,7 +22,6 @@ from itertools import repeat
 from operator import add
 from typing import Generator, Optional
 
-from repro.sanitize import events as _sanitize
 from repro.sim.arch import GPUSpec
 from repro.sim.engine import Engine, Resource, Timeout
 from repro.sim.occupancy import blocks_per_sm as occ_blocks_per_sm
@@ -61,8 +60,9 @@ def block_sync_latency_cycles(spec: GPUSpec, warps: int) -> float:
 # so the result is bit-identical.  docs/engine.md ("Saturated pipes")
 # derives both guards.  The fold stands in only when nobody can observe
 # the engine: a caller-supplied one is the oracle seam (its clock and event
-# count must move), and an installed sanitizer monitor records every signal
-# the event path fires.
+# count must move).  A sanitizer monitor does not stop it: the event path
+# fires no signal and crosses no barrier, so the monitor records nothing
+# from it either way.
 
 
 def _fold(service_ns: float, n_services: int) -> float:
@@ -148,7 +148,6 @@ def simulate_block_sync(
     # (n_blocks a multiple of resident) keep every turn filled to the end.
     if (
         engine is None
-        and _sanitize.MONITOR is None
         and n_blocks % resident == 0
         and _outlasts(
             (warps_per_block - 1) * resident + 1,
@@ -282,7 +281,6 @@ def simulate_warp_sync_throughput(
     # other n_warps-1 warps have each held it for one interval.
     if (
         engine is None
-        and _sanitize.MONITOR is None
         and _outlasts(n_warps - 1, ii_ns, tail_ns, n_ops * ii_ns + tail_ns)
     ):
         # The last warp's final tail ends the run (adding 0.0 changes no bit).

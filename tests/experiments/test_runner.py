@@ -223,6 +223,7 @@ class TestWorkerCodeVersion:
         assert list(cache_dir.glob(f"table4-*-{sentinel}.json"))
 
     def test_run_points_ships_version_with_payload(self, cache_dir, monkeypatch):
+        import concurrent.futures
         from concurrent.futures import Future
 
         from repro.experiments import faults
@@ -252,7 +253,8 @@ class TestWorkerCodeVersion:
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(service_workers, "ProcessPoolExecutor", FakePool)
+        # WorkerPool looks the executor up when it builds a pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(service_workers, "worker_main", fake_worker)
         points = [("table4", Scenario(gpus=("V100",))), ("table4", Scenario(gpus=("P100",)))]
         results = SweepService(jobs=2, cache_dir=cache_dir).run(points)

@@ -4,7 +4,9 @@ A warm ``repro-experiments`` run reads cached reports and renders them;
 it must not pay for the simulator.  Drivers are named by module in the
 registry and imported on first call, ``import repro`` resolves its
 public names on first access, and the pool path imports the sweep's
-driver modules once in the parent before forking.
+driver modules once in the parent before forking.  A run imports only
+what it executes: the synchronization study never loads numpy, and a
+serial sweep never loads the process pool.
 """
 
 from __future__ import annotations
@@ -58,6 +60,46 @@ def test_warm_cli_run_imports_no_simulator(tmp_path):
     [report] = json.loads(proc.stdout)
     assert report["execution"]["cached"] == report["execution"]["points"] == 2
     assert proc.stderr.split() == ["0"], proc.stderr
+
+
+# A fresh interpreter runs the CLI with argv[1] (JSON) and prints, as its
+# last stderr line, the exit code and which modules of argv[2] it loaded.
+_LOADED_AFTER = """
+import json, sys
+from repro.experiments.cli import main
+rc = main(json.loads(sys.argv[1]))
+print(json.dumps([rc, sorted(set(json.loads(sys.argv[2])) & set(sys.modules))]),
+      file=sys.stderr)
+"""
+
+
+def _loaded_after(cli_args, watched):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("REPRO_FAULT_PLAN", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, json.dumps(cli_args), json.dumps(watched)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [["--backend", "auto"], ["--backend", "engine"], ["--backend", "analytic"],
+     ["--sanitize", "full"]],
+    ids=["auto", "engine", "analytic", "sanitize-full"],
+)
+def test_sync_study_imports_no_numpy(mode):
+    args = ["--tags", "sync", "--no-cache", "--json", *mode]
+    assert _loaded_after(args, ["numpy"]) == [0, []]
+
+
+def test_serial_sweep_imports_no_process_pool():
+    args = ["table4", "--jobs", "1", "--no-cache", "--json"]
+    watched = ["multiprocessing", "concurrent.futures.process"]
+    assert _loaded_after(args, watched) == [0, []]
 
 
 @pytest.mark.parametrize("exp_id", list(EXPERIMENTS))

@@ -207,29 +207,30 @@ class TestEventStream:
 
 
 class TestShortcutsStepAside:
-    """Memos, folds and the analytic backend must not hide simulation from
-    an installed monitor.
+    """Memos and the analytic backend must not hide simulation from an
+    installed monitor.
 
     Otherwise a sanitized report's event counts would depend on what ran
     earlier in the same process (and, under --jobs, on which worker).
+    The saturated-pipe folds hide nothing: their event path records no
+    event, so they keep running under a monitor.
     """
 
     def test_saturated_pipe_fold_bypassed(self, monkeypatch):
-        # The workload saturates the pipe, so an unsanitized run folds it
-        # without an engine; with a monitor installed the event path runs.
+        # The workload saturates the pipe, so the fold runs without an
+        # engine, with or without a monitor installed.
         from repro.sim import sm
 
-        calls = {"fold": 0, "events": 0}
+        calls = {"fold": 0, "event_path": 0}
         fold, run_events = sm._fold, sm._run_warp_sync
 
         def counting_fold(*args):
             calls["fold"] += 1
             return fold(*args)
 
-        def counting_run(engine, *args):
-            total = run_events(engine, *args)
-            calls["events"] += engine.event_count
-            return total
+        def counting_run(*args):
+            calls["event_path"] += 1
+            return run_events(*args)
 
         monkeypatch.setattr(sm, "_fold", counting_fold)
         monkeypatch.setattr(sm, "_run_warp_sync", counting_run)
@@ -240,11 +241,11 @@ class TestShortcutsStepAside:
             )
 
         folded = run()
-        assert calls == {"fold": 1, "events": 0}
-        with SanitizerSession("full"):
-            simulated = run()
-        assert calls["fold"] == 1 and calls["events"] > 0
-        assert simulated == folded
+        with SanitizerSession("full") as session:
+            sanitized = run()
+        assert calls == {"fold": 2, "event_path": 0}
+        assert sanitized == folded
+        assert session.monitor.events == []
 
     def test_warp_latency_memo_bypassed(self):
         def events(latency):

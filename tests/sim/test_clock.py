@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.sim.arch import P100, V100
 from repro.sim.clock import HostClock, SMClock
 from repro.sim.engine import Engine
+from repro.util.units import ns_to_cycles
+
+NON_FINITE = pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 
 
 class TestSMClock:
@@ -35,6 +43,22 @@ class TestSMClock:
     def test_invalid_frequency_rejected(self):
         with pytest.raises(ValueError):
             SMClock(Engine(), freq_mhz=0.0)
+
+    @NON_FINITE
+    def test_non_finite_frequency_rejected(self, value):
+        with pytest.raises(ValueError, match="freq_mhz"):
+            SMClock(Engine(), freq_mhz=value)
+
+    @pytest.mark.parametrize("spec", [V100, P100], ids=["V100", "P100"])
+    @given(now=st.floats(0.0, 2.0**52 * 1e3 / V100.freq_mhz))
+    @settings(max_examples=200, deadline=None)
+    def test_read_floors_like_numpy(self, spec, now):
+        """``math.floor`` gives the bits ``np.floor`` gave, up to ~2**52 cycles."""
+        eng = Engine()
+        clk = SMClock(eng, spec.freq_mhz)
+        eng.now = now
+        got, want = clk.read(), float(np.floor(ns_to_cycles(now, spec.freq_mhz)))
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
     def test_v100_p100_frequency_domains_differ(self, v100, p100):
         eng = Engine()
@@ -82,3 +106,8 @@ class TestHostClock:
     def test_negative_jitter_rejected(self):
         with pytest.raises(ValueError):
             HostClock(Engine(), jitter_ns=-1.0)
+
+    @NON_FINITE
+    def test_non_finite_jitter_rejected(self, value):
+        with pytest.raises(ValueError, match="jitter_ns"):
+            HostClock(Engine(), jitter_ns=value)

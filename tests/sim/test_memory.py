@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +77,35 @@ class TestSharedMemoryVisibility:
     def test_empty_shared_memory_rejected(self):
         with pytest.raises(ValueError):
             SharedMemory(0)
+
+    @pytest.mark.parametrize(
+        "value",
+        [3, 2**60 + 1, True, np.int64(7), np.float32(0.1), np.float64(-0.0)],
+        ids=["int", "big-int", "bool", "np-int64", "np-float32", "np-neg-zero"],
+    )
+    @pytest.mark.parametrize("volatile", [False, True])
+    def test_store_coerces_like_float64(self, value, volatile):
+        ref = np.zeros(1)
+        ref[0] = value
+        sm = SharedMemory(2)
+        sm.store(thread=0, slot=1, value=value, volatile=volatile)
+        sm.commit()
+        got = sm.load(thread=1, slot=1)
+        assert type(got) is float
+        assert got == float(ref[0])
+        assert math.copysign(1.0, got) == math.copysign(1.0, float(ref[0]))
+
+    @pytest.mark.parametrize(
+        "value, error", [("abc", ValueError), (None, TypeError), (object(), TypeError)],
+        ids=["str", "none", "object"],
+    )
+    def test_non_numeric_store_raises(self, value, error):
+        # A float64 slot array raised the same for "abc" and object(), but
+        # stored None as NaN.
+        sm = SharedMemory(2)
+        with pytest.raises(error):
+            sm.store(thread=0, slot=1, value=value)
+        assert sm.load(thread=1, slot=1) == 0.0 and not sm.race_detected
 
     @given(
         st.lists(
