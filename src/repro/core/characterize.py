@@ -80,6 +80,8 @@ def measure_warp_sync_throughput_best(
 ) -> float:
     """Best sustained throughput (ops/cycle) over several configurations —
     the Table II protocol ("recording only the highest result")."""
+    if not warp_counts:
+        raise ValueError("warp_counts must name at least one configuration")
     best = 0.0
     for n_warps in warp_counts:
         r = simulate_warp_sync_throughput(

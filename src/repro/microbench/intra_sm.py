@@ -5,7 +5,9 @@ register before and after, and divides by the repeat count.  It is exact
 within one SM (the clock is local) — the paper uses it for warp-level
 instruction latencies and we additionally use it for the shared-memory
 proxy kernel of Section VII-B (Fig 10), whose measured bandwidth/latency
-feeds Table III.
+feeds Table III.  The proxy is a capacity-1 pipe (the SM's load/store
+port): a lone warp replays its own arithmetic and equal saturating warps
+fold, exactly as the SM pipes of :mod:`repro.sim.sm` do.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.cudasim import instructions as ins
 from repro.sim.arch import GPUSpec
 from repro.sim.engine import Engine, Resource, Timeout
 from repro.sim.exec_thread import ThreadCtx, WarpExecutor
+from repro.sim.sm import _fold, _outlasts, _pipe_ns, _replay_lone
 
 __all__ = [
     "measure_instruction_latency_wong",
@@ -92,6 +95,13 @@ def measure_shared_bandwidth(
     thread per iteration); all warps share the SM's load/store port, whose
     byte throughput is capped by the architecture (Table III's 1024-thread
     row is port-bound; the 1-warp row is latency-bound).
+
+    With ``engine=None`` a lone warp replays its own arithmetic and equal
+    full warps whose port never idles fold, both exactly; a partial last
+    warp or a latency-bound multi-warp run goes on a fresh engine.
+    Passing an :class:`Engine` always runs the event-precise simulation on
+    it (the oracle the shortcuts are tested against).  A non-finite or
+    negative port time or chain latency raises :class:`ValueError`.
     """
     if n_threads < 1 or n_threads > spec.max_threads_per_block:
         raise ValueError(f"n_threads must be in [1,{spec.max_threads_per_block}]")
@@ -99,17 +109,49 @@ def measure_shared_bandwidth(
         raise ValueError("iterations must be >= 1")
 
     sm = spec.shared_mem
-    eng = engine or Engine()
-    port = Resource(eng, capacity=1, name="smem-port")
-
     full_warps, rem = divmod(n_threads, spec.warp_size)
     warp_threads = [spec.warp_size] * full_warps + ([rem] if rem else [])
-    chain_ns = spec.cycles_to_ns(sm.chain_latency_cycles)
+    chain_ns = _pipe_ns(spec, sm.chain_latency_cycles, "shared_mem.chain_latency_cycles")
+    # A warp holds the port for its bytes at the SM's byte throughput.
+    port_ns = [
+        _pipe_ns(
+            spec, threads * sm.element_bytes / sm.sm_cap_bytes_per_cycle,
+            "threads * shared_mem.element_bytes / shared_mem.sm_cap_bytes_per_cycle",
+        )
+        for threads in warp_threads
+    ]
+    n_warps = len(warp_threads)
 
-    def warp_proc(threads: int) -> Generator:
-        bytes_per_iter = threads * sm.element_bytes
-        port_ns = spec.cycles_to_ns(bytes_per_iter / sm.sm_cap_bytes_per_cycle)
-        t_port = Timeout(port_ns)
+    if engine is not None:
+        elapsed = _run_shared_bandwidth(engine, port_ns, iterations, chain_ns)
+    elif n_warps == 1:
+        elapsed = _replay_lone(port_ns[0], 1, iterations, chain_ns)
+    # Saturated: round 1 drains at n_warps ports, after every warp's chain
+    # latency has ended, and a warp is back within one chain latency of its
+    # grant, before the other warps have each held the port once more.
+    elif not rem and _outlasts(
+        n_warps, port_ns[0], chain_ns, n_warps * iterations * port_ns[0]
+    ):
+        elapsed = _fold(port_ns[0], n_warps * iterations)
+    else:
+        elapsed = _run_shared_bandwidth(Engine(), port_ns, iterations, chain_ns)
+
+    total_bytes = n_threads * sm.element_bytes * iterations
+    cycles = spec.ns_to_cycles(elapsed)
+    return SharedBandwidthResult(
+        n_threads=n_threads,
+        bandwidth_bytes_per_cycle=total_bytes / cycles,
+        chain_latency_cycles=sm.chain_latency_cycles,
+    )
+
+
+def _run_shared_bandwidth(
+    eng: Engine, port_ns: list[float], iterations: int, chain_ns: float
+) -> float:
+    """Event-precise proxy run, one process per warp; returns the clock advance."""
+    port = Resource(eng, capacity=1, name="smem-port")
+
+    def warp_proc(t_port: Timeout) -> Generator:
         for _ in range(iterations):
             start = eng.now
             yield port.acquire()
@@ -120,14 +162,7 @@ def measure_shared_bandwidth(
                 yield Timeout(remaining)
 
     t0 = eng.now
-    for i, threads in enumerate(warp_threads):
-        eng.process(warp_proc(threads), name=f"bw-warp{i}")
+    for i, ns in enumerate(port_ns):
+        eng.process(warp_proc(Timeout(ns)), name=f"bw-warp{i}")
     eng.run()
-
-    total_bytes = n_threads * sm.element_bytes * iterations
-    cycles = spec.ns_to_cycles(eng.now - t0)
-    return SharedBandwidthResult(
-        n_threads=n_threads,
-        bandwidth_bytes_per_cycle=total_bytes / cycles,
-        chain_latency_cycles=sm.chain_latency_cycles,
-    )
+    return eng.now - t0

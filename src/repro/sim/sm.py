@@ -12,10 +12,19 @@ Two SM-scoped mechanisms drive the paper's single-GPU results:
   per-SM pipeline with an initiation interval; sustained throughput
   saturates at ``1/II`` once enough warps are in flight (the Table II
   throughput protocol: best over all thread/block configurations).
+
+Both are capacity-1 FIFO pipes.  Without a caller-supplied engine they
+resolve without the event loop wherever that is exact: a saturated pipe
+folds, the warp pipe replays its FIFO recurrence in every regime, and a
+lone block replays its one process.  The fold and the lone-customer
+replay also serve the shared-memory proxy of
+:mod:`repro.microbench.intra_sm` (docs/engine.md, "Pipes without the
+event loop").
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
@@ -49,25 +58,69 @@ def block_sync_latency_cycles(spec: GPUSpec, warps: int) -> float:
     return bs.base_latency_cycles + bs.per_warp_latency_cycles * warps
 
 
-# -- saturated capacity-1 pipes ------------------------------------------------
+# -- capacity-1 pipes without the event loop ----------------------------------
 #
-# Both micro-benchmarks below queue work on a capacity-1 FIFO Resource with a
-# fixed service time.  While that pipe never idles, every grant lands at the
-# previous grant's ``now + service``: the engine's clock walks the left fold
-# T_0 = 0.0, T_{j+1} = T_j + service.  When a guard proves the pipe never
-# idles, the simulations return that fold instead of pushing every service
-# through the event loop -- the same IEEE-754 additions in the same order,
-# so the result is bit-identical.  docs/engine.md ("Saturated pipes")
-# derives both guards.  The fold stands in only when nobody can observe
-# the engine: a caller-supplied one is the oracle seam (its clock and event
-# count must move).  A sanitizer monitor does not stop it: the event path
-# fires no signal and crosses no barrier, so the monitor records nothing
-# from it either way.
+# The micro-benchmarks below, and the shared-memory proxy of
+# repro.microbench.intra_sm, queue work on a capacity-1 FIFO Resource with a
+# fixed service time.  Where the order of service is known, the engine's
+# clock can be replayed with the same IEEE-754 operations in the same
+# order, so the result is bit-identical:
+#
+# * a pipe that never idles grants at the previous grant's ``now + service``,
+#   the left fold T_0 = 0.0, T_{j+1} = T_j + service (``_fold``, behind a
+#   guard that proves the pipe never idles);
+# * a lone customer never waits for the pipe (``_replay_lone``);
+# * the warp pipe serves its warps round-robin in every regime
+#   (``_warp_pipe_end``).
+#
+# docs/engine.md ("Pipes without the event loop") derives each case.  They
+# stand in only when nobody can observe the engine: a caller-supplied one
+# is the oracle seam (its clock and event count must move).  A sanitizer
+# monitor does not stop them: the event path fires no signal and crosses
+# no barrier, so the monitor records nothing from it either way.
+
+
+def _pipe_ns(spec: GPUSpec, cycles: float, what: str) -> float:
+    """``cycles`` in ns, checked as the event path's ``Timeout`` checks it.
+
+    Every path starts from these times, so a pipe rejects a bad
+    calibration value before it picks one: a NaN latency would otherwise
+    compare its way to a zero wait on the paths that never build a
+    ``Timeout`` from it.
+    """
+    ns = spec.cycles_to_ns(cycles)
+    if not 0.0 <= ns < math.inf:
+        raise ValueError(
+            f"{spec.name}: {what} = {cycles!r} cycles; a pipe's service and "
+            f"latency must be finite and >= 0"
+        )
+    return ns
 
 
 def _fold(service_ns: float, n_services: int) -> float:
     """End of ``n_services`` back-to-back services, added as the engine adds."""
     return reduce(add, repeat(service_ns, n_services), 0.0)
+
+
+def _replay_lone(
+    service_ns: float, per_round: int, rounds: int, latency_ns: float
+) -> float:
+    """Clock advance of a lone customer's run, replayed.
+
+    Each round holds the pipe for ``per_round`` services, then waits out
+    whatever is left of ``latency_ns`` since the round began.  Nobody else
+    queues, so every acquire is granted on the spot and the clock moves
+    only by the customer's own timeouts, added as the engine adds them.
+    """
+    now = 0.0
+    for _ in range(rounds):
+        start = now
+        for _ in range(per_round):
+            now = now + service_ns
+        remaining = latency_ns - (now - start)
+        if remaining > 0:
+            now = now + remaining
+    return now
 
 
 def _outlasts(span: int, service_ns: float, bound_ns: float, total_ns: float) -> bool:
@@ -124,9 +177,12 @@ def simulate_block_sync(
     the time-sharing regime of Fig 4's oversubscribed right-hand side.
 
     With ``engine=None`` a barrier unit that provably never idles is
-    folded exactly instead of simulated.  Passing an :class:`Engine`
-    always runs the event-precise simulation on it (the oracle the fold is
-    tested against); the result then spans the engine's clock advance.
+    folded exactly, and a lone block replays its own arithmetic; only
+    several latency-bound blocks run on a fresh engine.  Passing an
+    :class:`Engine` always runs the event-precise simulation on it (the
+    oracle the shortcuts are tested against); the result then spans the
+    engine's clock advance.  A non-finite or negative service interval or
+    sync latency raises :class:`ValueError` on every path.
     """
     if warps_per_block < 1 or warps_per_block * spec.warp_size > spec.max_threads_per_block:
         raise ValueError(f"invalid warps_per_block={warps_per_block} for {spec.name}")
@@ -138,29 +194,41 @@ def simulate_block_sync(
     occ = occ_blocks_per_sm(spec, warps_per_block * spec.warp_size)
     resident_cap = max(1, occ.blocks_per_sm)
     resident = min(n_blocks, resident_cap)
-    service_ns = spec.cycles_to_ns(spec.block_sync.per_warp_service_cycles)
-    latency_ns = spec.cycles_to_ns(block_sync_latency_cycles(spec, warps_per_block))
+    service_ns = _pipe_ns(
+        spec, spec.block_sync.per_warp_service_cycles,
+        "block_sync.per_warp_service_cycles",
+    )
+    latency_ns = _pipe_ns(
+        spec, block_sync_latency_cycles(spec, warps_per_block),
+        "block_sync.base_latency_cycles + per_warp_latency_cycles * warps",
+    )
     n_services = n_blocks * warps_per_block * repeats
 
+    if engine is not None:
+        total_ns = _run_block_sync(
+            engine, resident_cap, warps_per_block, n_blocks, repeats,
+            service_ns, latency_ns,
+        )
     # Saturated: the resident blocks take turns warp by warp, and a round
     # that spans at least (wpb-1)*resident+1 services already outlasts the
     # sync latency, so no block ever waits outside the unit.  Equal waves
     # (n_blocks a multiple of resident) keep every turn filled to the end.
-    if (
-        engine is None
-        and n_blocks % resident == 0
-        and _outlasts(
-            (warps_per_block - 1) * resident + 1,
-            service_ns,
-            latency_ns,
-            n_services * service_ns,
-        )
+    elif n_blocks % resident == 0 and _outlasts(
+        (warps_per_block - 1) * resident + 1,
+        service_ns,
+        latency_ns,
+        n_services * service_ns,
     ):
         total_ns = _fold(service_ns, n_services)
+    elif n_blocks == 1:
+        total_ns = _replay_lone(service_ns, warps_per_block, repeats, latency_ns)
+    # Several latency-bound blocks: each re-queues at its own release, so
+    # the unit's order of service is not round-robin and only the events
+    # know it.
     else:
         total_ns = _run_block_sync(
-            engine or Engine(), resident_cap, warps_per_block, n_blocks,
-            repeats, service_ns, latency_ns,
+            Engine(), resident_cap, warps_per_block, n_blocks, repeats,
+            service_ns, latency_ns,
         )
 
     return BlockSyncResult(
@@ -265,28 +333,38 @@ def simulate_warp_sync_throughput(
     throughput therefore approaches ``min(n_warps/latency, 1/II)`` — the
     paper's "highest result" protocol reaches the ``1/II`` plateau.
 
-    With ``engine=None`` a pipeline that provably never idles is folded
-    exactly instead of simulated.  Passing an :class:`Engine` always runs
-    the event-precise simulation on it (the oracle the fold is tested
-    against); the result then spans the engine's clock advance.
+    With ``engine=None`` no engine is built: a pipeline that provably
+    never idles is folded, and any other replays the pipe's FIFO
+    recurrence, both exactly.  Passing an :class:`Engine` always runs the
+    event-precise simulation on it (the oracle the shortcuts are tested
+    against); the result then spans the engine's clock advance.  A
+    ``group_size`` outside ``[1, warp_size]``, or a non-finite or negative
+    latency or initiation interval, raises :class:`ValueError`.
     """
     if n_warps < 1 or repeats < 1:
         raise ValueError("n_warps and repeats must be >= 1")
+    if not 1 <= group_size <= spec.warp_size:
+        raise ValueError(f"group_size must be in [1, {spec.warp_size}], got {group_size}")
     latency_cy, ii_cy = warp_sync_params(spec, kind, group_size)
-    ii_ns = spec.cycles_to_ns(ii_cy)
+    # Names the WarpSyncCalib pair warp_sync_params read, for the checks below.
+    if kind == "coalesced":
+        kind_field = "coalesced_full" if group_size >= spec.warp_size else "coalesced_partial"
+    else:
+        kind_field = kind
+    _pipe_ns(spec, latency_cy, f"warp_sync.{kind_field}_latency")
+    ii_ns = _pipe_ns(spec, ii_cy, f"1 / warp_sync.{kind_field}_throughput")
     tail_ns = spec.cycles_to_ns(max(0.0, latency_cy - ii_cy))
     n_ops = n_warps * repeats
 
+    if engine is not None:
+        total_ns = _run_warp_sync(engine, n_warps, repeats, ii_ns, tail_ns)
     # Saturated: a warp leaving the pipe is back after tail_ns, before the
     # other n_warps-1 warps have each held it for one interval.
-    if (
-        engine is None
-        and _outlasts(n_warps - 1, ii_ns, tail_ns, n_ops * ii_ns + tail_ns)
-    ):
+    elif _outlasts(n_warps - 1, ii_ns, tail_ns, n_ops * ii_ns + tail_ns):
         # The last warp's final tail ends the run (adding 0.0 changes no bit).
         total_ns = _fold(ii_ns, n_ops) + tail_ns
     else:
-        total_ns = _run_warp_sync(engine or Engine(), n_warps, repeats, ii_ns, tail_ns)
+        total_ns = _warp_pipe_end(n_warps, repeats, ii_ns, tail_ns)
 
     return WarpSyncThroughputResult(
         kind=kind,
@@ -296,6 +374,24 @@ def simulate_warp_sync_throughput(
         total_cycles=spec.ns_to_cycles(total_ns),
         total_ops=n_ops,
     )
+
+
+def _warp_pipe_end(n_warps: int, repeats: int, ii_ns: float, tail_ns: float) -> float:
+    """End of the warp pipe in any regime: the engine's FIFO, replayed.
+
+    Every warp re-queues one ``tail_ns`` after its own release, so the
+    warps take the pipe round-robin and each grant is the later of the
+    warp's arrival and the previous release (docs/engine.md derives it).
+    The ``max`` matters: independent per-warp chains round differently.
+    A zero tail is added as 0.0, which changes no bit.
+    """
+    arrive = [0.0] * n_warps
+    release = 0.0
+    for _ in range(repeats):
+        for k, at in enumerate(arrive):
+            release = (at if at > release else release) + ii_ns
+            arrive[k] = release + tail_ns
+    return release + tail_ns
 
 
 def _run_warp_sync(

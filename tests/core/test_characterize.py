@@ -86,6 +86,10 @@ class TestTable2:
         single = measure_warp_sync_throughput_best(spec, "tile", warp_counts=(1,))
         assert best > single
 
+    def test_best_over_no_configuration_rejected(self, spec):
+        with pytest.raises(ValueError, match="warp_counts"):
+            measure_warp_sync_throughput_best(spec, "tile", warp_counts=())
+
 
 class TestFig4Scan:
     def test_scan_points_shape(self, spec):

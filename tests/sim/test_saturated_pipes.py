@@ -1,26 +1,31 @@
-"""The saturated-pipe folds of ``repro.sim.sm`` against the event engine.
+"""The capacity-1 pipes, resolved without the event loop, against the engine.
 
-``simulate_warp_sync_throughput`` and ``simulate_block_sync`` fold a
-capacity-1 pipe that provably never idles instead of simulating it, but
-only when they own their engine.  Passing an ``Engine`` keeps the event
-path, so ``f(...) == f(..., engine=Engine())`` compares the fold with the
-oracle bit for bit (the result dataclasses compare every float).
+``simulate_warp_sync_throughput`` and ``simulate_block_sync`` of
+``repro.sim.sm`` and ``measure_shared_bandwidth`` of
+``repro.microbench.intra_sm`` fold a saturated pipe, replay the warp
+pipe's FIFO recurrence, or replay a lone customer's arithmetic instead of
+simulating it, but only when they own their engine (docs/engine.md,
+"Pipes without the event loop").  Passing an ``Engine`` keeps the event
+path, so ``f(...) == f(..., engine=Engine())`` compares the shortcut with
+the oracle bit for bit (the result dataclasses compare every float).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import inspect
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import characterize
+from repro.core import characterize, perfmodel
+from repro.microbench import intra_sm
+from repro.microbench.intra_sm import measure_shared_bandwidth
 from repro.sim import sm
 from repro.sim.arch import P100, V100
 from repro.sim.engine import Engine
-from repro.sim.occupancy import blocks_per_sm
 from repro.sim.sm import (
     block_sync_latency_cycles,
     simulate_block_sync,
@@ -29,7 +34,8 @@ from repro.sim.sm import (
 
 # Variants that reach cases no shipped GPU does.  A barrier unit slower per
 # warp than the sync latency grows saturates even under a lone block; a tile
-# sync whose latency fits in its initiation interval has no tail.
+# sync whose latency fits in its initiation interval has no tail; a slow
+# load/store port saturates the proxy with a few warps.
 SLOW_UNIT_V100 = dataclasses.replace(
     V100,
     block_sync=dataclasses.replace(V100.block_sync, per_warp_service_cycles=8.0),
@@ -37,6 +43,22 @@ SLOW_UNIT_V100 = dataclasses.replace(
 NO_TAIL_P100 = dataclasses.replace(
     P100, warp_sync=dataclasses.replace(P100.warp_sync, tile_throughput=0.5)
 )
+SLOW_PORT_P100 = dataclasses.replace(
+    P100, shared_mem=dataclasses.replace(P100.shared_mem, sm_cap_bytes_per_cycle=20.0)
+)
+
+
+def _replace(spec, group, **fields):
+    """``spec`` with ``fields`` of its calibration ``group`` replaced."""
+    return dataclasses.replace(
+        spec, **{group: dataclasses.replace(getattr(spec, group), **fields)}
+    )
+
+
+def _exact(spec, **warp_sync):
+    """``spec`` on a 1 GHz clock, where a cycle is exactly 1.0 ns, so
+    dyadic latencies and intervals tie exactly in the pipe."""
+    return _replace(dataclasses.replace(spec, freq_mhz=1000.0), "warp_sync", **warp_sync)
 
 
 class _CountingEngine(Engine):
@@ -47,12 +69,12 @@ class _CountingEngine(Engine):
         super().__init__(*args, **kwargs)
 
 
-def _calls(monkeypatch, driver, spec):
-    """Every (function, arguments) ``driver(spec)`` passes to the SM sims."""
+def _calls(monkeypatch, module, names, driver, spec):
+    """Every (function, arguments) ``driver(spec)`` passes to ``module.names``."""
     calls = []
     with monkeypatch.context() as m:
-        for name in ("simulate_warp_sync_throughput", "simulate_block_sync"):
-            fn = getattr(characterize, name)
+        for name in names:
+            fn = getattr(module, name)
 
             def record(*args, _fn=fn, **kwargs):
                 bound = inspect.signature(_fn).bind(*args, **kwargs)
@@ -60,7 +82,7 @@ def _calls(monkeypatch, driver, spec):
                 calls.append((_fn, bound.arguments))
                 return _fn(*args, **kwargs)
 
-            m.setattr(characterize, name, record)
+            m.setattr(module, name, record)
         driver(spec)
     return calls
 
@@ -69,46 +91,45 @@ def _engines_built(monkeypatch, fn, kwargs) -> int:
     _CountingEngine.built = 0
     with monkeypatch.context() as m:
         m.setattr(sm, "Engine", _CountingEngine)
+        m.setattr(intra_sm, "Engine", _CountingEngine)
         fn(**kwargs)
     return _CountingEngine.built
 
 
-def _saturated(fn, a) -> bool:
-    """The pipe-never-idles condition in exact arithmetic (docs/engine.md)."""
-    spec = a["spec"]
-    if fn is simulate_warp_sync_throughput:
-        latency, ii = sm.warp_sync_params(spec, a["kind"], a["group_size"])
-        return (a["n_warps"] - 1) * ii > latency - ii
-    wpb, n_blocks = a["warps_per_block"], a["n_blocks"]
-    r = min(n_blocks, blocks_per_sm(spec, wpb * spec.warp_size).blocks_per_sm)
-    round_span = ((wpb - 1) * r + 1) * spec.block_sync.per_warp_service_cycles
-    return n_blocks % r == 0 and round_span > block_sync_latency_cycles(spec, wpb)
+def _table3_and_table4(spec):
+    return perfmodel.table3_rows(spec), perfmodel.table4_rows(spec)
 
 
 @pytest.mark.parametrize(
-    "driver, n_configs, n_folded",
+    "module, names, driver, n_configs",
     [
         # 5 warp-sync rows x 4 warp counts + the block row's 2 runs, per GPU
-        (characterize.table2_rows, 44, 31),
-        (characterize.block_sync_scan, 22, 10),
+        (
+            characterize,
+            ("simulate_warp_sync_throughput", "simulate_block_sync"),
+            characterize.table2_rows,
+            44,
+        ),
+        # 11 warp counts per GPU
+        (characterize, ("simulate_block_sync",), characterize.block_sync_scan, 22),
+        # 1, 32, 32 and 1,024 threads per table, per GPU
+        (perfmodel, ("measure_shared_bandwidth",), _table3_and_table4, 16),
     ],
-    ids=["table2", "fig4"],
+    ids=["table2", "fig4", "table3_table4"],
 )
 def test_every_shipped_configuration_matches_the_engine(
-    monkeypatch, driver, n_configs, n_folded
+    monkeypatch, module, names, driver, n_configs
 ):
-    calls = [c for spec in (V100, P100) for c in _calls(monkeypatch, driver, spec)]
+    calls = [
+        c
+        for spec in (V100, P100)
+        for c in _calls(monkeypatch, module, names, driver, spec)
+    ]
     assert len(calls) == n_configs
-    folded = 0
     for fn, kwargs in calls:
         assert fn(**kwargs) == fn(**dict(kwargs, engine=Engine()))
-        built = _engines_built(monkeypatch, fn, kwargs)
-        # The fold is taken exactly where the pipe saturates.
-        assert built == (0 if _saturated(fn, kwargs) else 1)
-        folded += built == 0
-    # table2: 29 warp-sync configurations plus the saturated block row;
-    # fig4: the oversubscribed 64-1024 warps/SM on both GPUs.
-    assert folded == n_folded
+        # Saturated, latency-bound or lone: none of them needs the events.
+        assert _engines_built(monkeypatch, fn, kwargs) == 0
 
 
 _WARP_KINDS = st.one_of(
@@ -137,6 +158,26 @@ def test_warp_sync_fold_matches_engine(spec, kind, n_warps, repeats):
 
 @settings(max_examples=60, deadline=None)
 @given(
+    spec=st.sampled_from([V100, P100]),
+    ii=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+    tail_intervals=st.integers(0, 96),
+    n_warps=st.integers(1, 64),
+    repeats=st.integers(1, 32),
+)
+def test_warp_pipe_with_tied_tails_matches_engine(
+    spec, ii, tail_intervals, n_warps, repeats
+):
+    # A tail of k intervals brings a warp back exactly when another warp
+    # releases the pipe: the recurrence's max() meets its tie.
+    spec = _exact(spec, tile_throughput=1.0 / ii, tile_latency=ii * (tail_intervals + 1))
+    kwargs = dict(spec=spec, kind="tile", group_size=32, n_warps=n_warps, repeats=repeats)
+    assert simulate_warp_sync_throughput(**kwargs) == simulate_warp_sync_throughput(
+        **kwargs, engine=Engine()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
     spec=st.sampled_from([V100, P100, SLOW_UNIT_V100]),
     wpb=st.integers(1, 32),
     n_blocks=st.integers(1, 40),
@@ -146,6 +187,87 @@ def test_block_sync_fold_matches_engine(spec, wpb, n_blocks, repeats):
     assert simulate_block_sync(spec, wpb, n_blocks, repeats) == simulate_block_sync(
         spec, wpb, n_blocks, repeats, engine=Engine()
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from([V100, P100]),
+    service=st.floats(0.0, 20.0),
+    base=st.floats(0.0, 400.0),
+    wpb=st.integers(1, 32),
+    repeats=st.integers(1, 16),
+)
+def test_lone_block_matches_engine(spec, service, base, wpb, repeats):
+    spec = _replace(
+        spec, "block_sync", per_warp_service_cycles=service, base_latency_cycles=base
+    )
+    assert simulate_block_sync(spec, wpb, 1, repeats) == simulate_block_sync(
+        spec, wpb, 1, repeats, engine=Engine()
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=st.sampled_from([V100, P100, SLOW_PORT_P100]),
+    n_threads=st.one_of(st.integers(1, 1024), st.integers(1, 32).map(lambda w: 32 * w)),
+    iterations=st.integers(1, 64),
+)
+def test_shared_bandwidth_matches_engine(spec, n_threads, iterations):
+    assert measure_shared_bandwidth(spec, n_threads, iterations) == measure_shared_bandwidth(
+        spec, n_threads, iterations, engine=Engine()
+    )
+
+
+# -- knife edges, without hypothesis -------------------------------------------
+#
+# Each grid straddles the boundary between two of a function's paths: the
+# saturation guard (exactly at the tie and a few ulps either side) and,
+# for the warp pipe, tails that tie arrivals with releases exactly.
+
+
+@pytest.mark.parametrize("n_warps", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("repeats", [1, 2, 9])
+def test_warp_pipe_knife_edge(n_warps, repeats):
+    ii = 0.5
+    for tail_intervals in range(max(0, n_warps - 2), n_warps + 1):
+        for tail in (
+            ii * tail_intervals,
+            math.nextafter(ii * tail_intervals, math.inf),
+            math.nextafter(ii * tail_intervals, 0.0),
+        ):
+            spec = _exact(V100, tile_throughput=1.0 / ii, tile_latency=ii + tail)
+            kwargs = dict(spec=spec, kind="tile", n_warps=n_warps, repeats=repeats)
+            assert simulate_warp_sync_throughput(**kwargs) == (
+                simulate_warp_sync_throughput(**kwargs, engine=Engine())
+            ), (tail_intervals, tail)
+
+
+@pytest.mark.parametrize("spec", [V100, P100], ids=["V100", "P100"])
+@pytest.mark.parametrize("n_warps", [2, 3, 8, 32])
+@pytest.mark.parametrize("iterations", [2, 64])
+def test_shared_bandwidth_knife_edge(spec, n_warps, iterations):
+    # The proxy folds only while n_warps port times outlast the chain.
+    port = spec.warp_size * spec.shared_mem.element_bytes / (
+        spec.shared_mem.sm_cap_bytes_per_cycle
+    )
+    for rel in (-(2.0**-20), -(2.0**-40), -(2.0**-46), 0.0, 2.0**-46, 2.0**-20):
+        edge = _replace(spec, "shared_mem", chain_latency_cycles=n_warps * port * (1 + rel))
+        n_threads = n_warps * spec.warp_size
+        assert measure_shared_bandwidth(edge, n_threads, iterations) == (
+            measure_shared_bandwidth(edge, n_threads, iterations, engine=Engine())
+        ), rel
+
+
+@pytest.mark.parametrize("spec", [V100, P100], ids=["V100", "P100"])
+@pytest.mark.parametrize("wpb", [1, 2, 7, 32])
+def test_lone_block_knife_edge(spec, wpb):
+    # A lone block folds only while its wpb services outlast the sync latency.
+    latency = block_sync_latency_cycles(spec, wpb)
+    for rel in (-(2.0**-20), -(2.0**-46), 0.0, 2.0**-46, 2.0**-20):
+        edge = _replace(spec, "block_sync", per_warp_service_cycles=latency / wpb * (1 + rel))
+        assert simulate_block_sync(edge, wpb, 1, 5) == (
+            simulate_block_sync(edge, wpb, 1, 5, engine=Engine())
+        ), rel
 
 
 def test_slow_unit_lone_block_folds(monkeypatch):
@@ -164,6 +286,79 @@ def test_no_tail_pipe_folds(monkeypatch):
 
 
 def test_passed_engine_runs_the_events():
-    eng = Engine()
-    simulate_warp_sync_throughput(V100, "tile", 32, n_warps=64, repeats=64, engine=eng)
-    assert eng.event_count > 64 * 64
+    # Saturated, latency-bound and lone pipes of all three functions.
+    for fn, kwargs, n_services in [
+        (simulate_warp_sync_throughput, dict(spec=V100, kind="tile", n_warps=64), 64 * 64),
+        (
+            simulate_warp_sync_throughput,
+            dict(spec=V100, kind="shuffle_coalesced", n_warps=8),
+            8 * 64,
+        ),
+        (simulate_block_sync, dict(spec=V100, warps_per_block=16, n_blocks=4), 16 * 4 * 8),
+        (simulate_block_sync, dict(spec=V100, warps_per_block=1, n_blocks=1), 8),
+        (measure_shared_bandwidth, dict(spec=V100, n_threads=1024), 32 * 64),
+        (measure_shared_bandwidth, dict(spec=V100, n_threads=1), 64),
+    ]:
+        eng = Engine()
+        fn(**kwargs, engine=eng)
+        assert eng.event_count > n_services, (fn.__name__, kwargs)
+
+
+# -- calibration checks ----------------------------------------------------------
+#
+# Each pipe checks its service and latency once, before it picks a path, so
+# the fold, the replays and the events reject the same inputs.  A NaN
+# latency used to read as zero wherever a comparison absorbed it.
+
+_BAD_CALIBRATION = [
+    (
+        simulate_warp_sync_throughput,
+        dict(spec=_replace(V100, "warp_sync", shuffle_tile_latency=math.nan),
+             kind="shuffle_tile", n_warps=8),
+        "shuffle_tile_latency",
+    ),
+    (
+        simulate_warp_sync_throughput,
+        dict(spec=_replace(V100, "warp_sync", shuffle_tile_throughput=-0.5),
+             kind="shuffle_tile", n_warps=8),
+        "shuffle_tile_throughput",
+    ),
+    (
+        simulate_block_sync,
+        dict(spec=_replace(V100, "block_sync", base_latency_cycles=math.nan),
+             warps_per_block=1, n_blocks=1),
+        "base_latency_cycles",
+    ),
+    (
+        simulate_block_sync,
+        dict(spec=_replace(V100, "block_sync", per_warp_service_cycles=math.inf),
+             warps_per_block=1, n_blocks=1),
+        "per_warp_service_cycles",
+    ),
+    (
+        measure_shared_bandwidth,
+        dict(spec=_replace(V100, "shared_mem", chain_latency_cycles=math.nan), n_threads=32),
+        "chain_latency_cycles",
+    ),
+    (
+        measure_shared_bandwidth,
+        dict(spec=_replace(V100, "shared_mem", sm_cap_bytes_per_cycle=-215.0), n_threads=1),
+        "sm_cap_bytes_per_cycle",
+    ),
+]
+
+
+@pytest.mark.parametrize("passed_engine", [False, True], ids=["own", "passed_engine"])
+@pytest.mark.parametrize(
+    "fn, kwargs, field",
+    _BAD_CALIBRATION,
+    ids=[
+        "warp_nan_latency", "warp_negative_throughput", "block_nan_latency",
+        "block_infinite_service", "proxy_nan_chain", "proxy_negative_port",
+    ],
+)
+def test_bad_calibration_is_rejected_on_every_path(fn, kwargs, field, passed_engine):
+    if passed_engine:
+        kwargs = dict(kwargs, engine=Engine())
+    with pytest.raises(ValueError, match=field):
+        fn(**kwargs)

@@ -118,3 +118,9 @@ class TestWarpSyncThroughput:
     def test_invalid_counts_rejected(self, spec):
         with pytest.raises(ValueError):
             simulate_warp_sync_throughput(spec, "tile", 32, n_warps=0)
+
+    @pytest.mark.parametrize("group_size", [0, -3, 33, 1000])
+    @pytest.mark.parametrize("kind", ["tile", "coalesced"])
+    def test_group_size_outside_the_warp_rejected(self, spec, kind, group_size):
+        with pytest.raises(ValueError, match="group_size"):
+            simulate_warp_sync_throughput(spec, kind, group_size)
