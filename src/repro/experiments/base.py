@@ -66,10 +66,12 @@ class ExperimentReport:
 
     ``scenario`` records the scenario the driver ran against (its
     ``to_dict`` form; a merged report carries one entry per point under
-    ``{"points": [...]}``).  ``backend`` records which simulation backend
-    actually executed the driver's sweeps (``None`` = none was requested,
-    so the sweeps ran the default ``auto`` dispatch).  Both are provenance
-    only — :meth:`render` does not display them, so the bookkeeping never
+    ``{"points": [...]}``).  ``backend`` is the requested backend when
+    the driver dispatched a barrier ladder under it, as measured by
+    :func:`repro.experiments.service.execute_point` (``None`` when none
+    was requested, so the ladders ran the default ``auto`` dispatch, or
+    when none dispatched under it).  Both are provenance only —
+    :meth:`render` does not display them, so the bookkeeping never
     perturbs the rendered paper artifacts.
     """
 

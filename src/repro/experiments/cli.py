@@ -110,11 +110,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
         help=(
-            "simulation execution backend for every selected experiment: "
-            "engine (event-precise, the oracle), analytic (vectorized "
-            "closed forms for eligible sync sweeps), or auto (analytic "
-            "where eligible, engine otherwise; what runs when unset); "
-            "shorthand for --scenario backend=NAME"
+            "simulation execution backend for every selected experiment's "
+            "barrier ladders: engine (event-precise, the oracle) or auto "
+            "(analytic closed forms where eligible, engine otherwise; what "
+            "runs when unset); shorthand for --scenario backend=NAME"
         ),
     )
     parser.add_argument(
@@ -159,14 +158,7 @@ def _list_experiments(ids: List[str]) -> None:
     for exp_id in ids:
         spec = EXPERIMENTS[exp_id]
         tags = f"  [{', '.join(spec.tags)}]" if spec.tags else ""
-        # Per-experiment backend eligibility; experiments on the engine
-        # only (no analytic-eligible sweeps) stay unannotated.
-        backends = (
-            f"  (backends: {', '.join(spec.backends)})"
-            if spec.backends != ("engine",)
-            else ""
-        )
-        print(f"{exp_id:<{width}}  {spec.title}{tags}{backends}")
+        print(f"{exp_id:<{width}}  {spec.title}{tags}")
 
 
 def _status_main(argv: List[str]) -> int:

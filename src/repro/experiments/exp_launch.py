@@ -70,16 +70,10 @@ _MGRID_SERIES = {
 }
 
 
-def run_fig9(
-    scenario: Optional[Scenario] = None, gpu_counts=None
-) -> ExperimentReport:
+def run_fig9(scenario: Optional[Scenario] = None) -> ExperimentReport:
     """Figure 9: multi-device launch vs CPU-side barrier vs multi-grid."""
     scenario = scenario or PAPER_SCENARIO
-    counts = (
-        tuple(gpu_counts)
-        if gpu_counts is not None
-        else scenario.sweep_counts((1, 2, 3, 4, 5, 6, 7, 8))
-    )
+    counts = scenario.sweep_counts((1, 2, 3, 4, 5, 6, 7, 8))
     node_spec = scenario.node_spec()
     report = ExperimentReport(
         "fig9", "Implicit vs CPU-side vs multi-grid barriers across DGX-1"
@@ -163,7 +157,4 @@ def run_fig9(
         "multi-grid (general config) <= 3x CPU-side at 8 GPUs: "
         + str(series["mgrid_general"][-1] <= 3.0 * cpu[-1])
     )
-    # Only the multi-grid series route through a backend; the launch and
-    # CPU-side series are engine-independent measurements.
-    report.backend = scenario.backend
     return report

@@ -107,12 +107,10 @@ def run_table6(scenario: Optional[Scenario] = None) -> ExperimentReport:
     return report
 
 
-def run_fig16(
-    scenario: Optional[Scenario] = None, size_bytes: Optional[int] = None
-) -> ExperimentReport:
+def run_fig16(scenario: Optional[Scenario] = None) -> ExperimentReport:
     """Fig 16: DGX-1 reduction throughput vs GPU count, both barriers."""
     scenario = scenario or PAPER_SCENARIO
-    size = size_bytes if size_bytes is not None else (scenario.size_bytes or 8 * GB)
+    size = scenario.size_bytes or 8 * GB
     node_spec = scenario.node_spec()
     report = ExperimentReport("fig16", "Multi-GPU reduction throughput (DGX-1)")
     sweep = scenario.gpu_counts if scenario.gpu_counts else None

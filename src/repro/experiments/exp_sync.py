@@ -184,12 +184,8 @@ def _heatmap_report(
     return report
 
 
-def run_fig5(
-    scenario: Optional[Scenario] = None, gpu: str = "both"
-) -> ExperimentReport:
+def run_fig5(scenario: Optional[Scenario] = None) -> ExperimentReport:
     """Fig 5: grid-sync latency heat-maps."""
-    if gpu != "both":
-        scenario = Scenario(gpus=(gpu,))
     scenario = scenario or PAPER_SCENARIO
     strategy, knobs = _strategy_args(scenario)
     specs = scenario.gpu_specs()
@@ -230,7 +226,6 @@ def run_fig5(
         "grid sync latency tracks blocks/SM (atomic serialization), weakly "
         "threads/block; cells blank where the grid cannot co-reside"
     )
-    report.backend = scenario.backend
     return report
 
 
@@ -258,20 +253,13 @@ def run_fig7(scenario: Optional[Scenario] = None) -> ExperimentReport:
     report.notes.append(
         "PCIe cross-GPU phase adds ~6 us versus ~5 us on NVLink (Fig 8)"
     )
-    report.backend = scenario.backend
     return report
 
 
-def run_fig8(
-    scenario: Optional[Scenario] = None, gpu_counts=None
-) -> ExperimentReport:
+def run_fig8(scenario: Optional[Scenario] = None) -> ExperimentReport:
     """Fig 8: multi-grid sync on the DGX-1 for the published GPU counts."""
     scenario = scenario or PAPER_SCENARIO
-    counts = (
-        tuple(gpu_counts)
-        if gpu_counts is not None
-        else scenario.sweep_counts((1, 2, 5, 6, 8))
-    )
+    counts = scenario.sweep_counts((1, 2, 5, 6, 8))
     strategy, knobs = _strategy_args(scenario)
     report = ExperimentReport("fig8", "Multi-grid synchronization (V100 DGX-1)")
     node = scenario.build_node()
@@ -294,7 +282,6 @@ def run_fig8(
         "2-5 GPUs sit on one plateau (all 1 NVLink hop from GPU 0); adding "
         "GPU 5/6/7 forces 2-hop flag traffic and the latency jump"
     )
-    report.backend = scenario.backend
     return report
 
 
@@ -469,5 +456,4 @@ def run_sync_methods(scenario: Optional[Scenario] = None) -> ExperimentReport:
         "run through the same MultiGridGroup scope; only the strategy "
         "(counting + release mechanism) differs"
     )
-    report.backend = scenario.backend
     return report

@@ -13,16 +13,13 @@ substring, attempt window), and fires only while the point's attempt
 number is ``<= attempts`` — so a ``kill`` rule with ``attempts=1``
 crashes the first attempt and lets the retry succeed, deterministically.
 
-Plans reach the runner two ways:
+Plans reach the runner through one channel: ``REPRO_FAULT_PLAN``
+holding the plan's JSON form (:meth:`FaultPlan.to_json`).  It survives
+into pool workers under both the ``fork`` and ``spawn`` start methods;
+CI's chaos job injects faults through the real CLI with it, and tests
+set it with ``monkeypatch.setenv``.
 
-* programmatically — ``faults.set_plan(plan)`` (or the :func:`injected`
-  context manager in tests);
-* via the environment — ``REPRO_FAULT_PLAN`` holding the plan's JSON
-  form, which survives into pool workers under both the ``fork`` and
-  ``spawn`` start methods and is how CI's chaos job injects faults
-  through the real CLI.
-
-When neither is set, :func:`active_plan` returns ``None`` after one dict
+When it is unset, :func:`active_plan` returns ``None`` after one dict
 lookup — the hooks cost nothing in normal operation.
 """
 
@@ -42,8 +39,6 @@ __all__ = [
     "TransientPointError",
     "InjectedFaultError",
     "active_plan",
-    "set_plan",
-    "injected",
     "apply_driver_faults",
     "maybe_fail_cache_write",
 ]
@@ -157,36 +152,13 @@ class FaultPlan:
 
 ENV_VAR = "REPRO_FAULT_PLAN"
 
-_PLAN: Optional[FaultPlan] = None
 # Env parses are memoized on the raw string so the common case (variable
 # set once for a whole chaos run) parses exactly once per process.
 _ENV_MEMO: Tuple[Optional[str], Optional[FaultPlan]] = (None, None)
 
 
-def set_plan(plan: Optional[FaultPlan]) -> None:
-    """Install (or with ``None`` clear) the process-local fault plan."""
-    global _PLAN
-    _PLAN = plan
-
-
-class injected:
-    """Context manager installing a plan for the enclosed block (tests)."""
-
-    def __init__(self, *rules: FaultRule):
-        self._plan = FaultPlan(tuple(rules))
-
-    def __enter__(self) -> FaultPlan:
-        set_plan(self._plan)
-        return self._plan
-
-    def __exit__(self, *exc: Any) -> None:
-        set_plan(None)
-
-
 def active_plan() -> Optional[FaultPlan]:
-    """The plan in effect: ``set_plan`` wins, else ``$REPRO_FAULT_PLAN``."""
-    if _PLAN is not None:
-        return _PLAN
+    """The plan in ``$REPRO_FAULT_PLAN``, or ``None`` when it is unset."""
     raw = os.environ.get(ENV_VAR)
     if not raw:
         return None

@@ -75,13 +75,6 @@ class ExperimentSpec:
     # Max acceptable mean |relative error| vs the paper; the CLI exits
     # nonzero when a report exceeds it.  ``None`` disables the gate.
     tolerance: Optional[float] = 0.10
-    # Execution backends this experiment's driver routes its sweeps
-    # through on request; only drivers whose barrier ladders take the
-    # scenario's backend (the sync sweeps, fig9 and table8) list the
-    # vectorized analytic backend.  For any other experiment a requested
-    # backend is recorded as the engine with a provenance note, although
-    # scopes built with no backend run ``auto``.
-    backends: Tuple[str, ...] = ("engine",)
 
 
 _SPECS: List[ExperimentSpec] = [
@@ -107,28 +100,24 @@ _SPECS: List[ExperimentSpec] = [
         "fig5", "Grid synchronization heat-maps",
         LazyDriver("repro.experiments.exp_sync", "run_fig5"),
         default_scenarios=_PER_GPU, tags=("grid", "sync", "heatmap"),
-        backends=("engine", "analytic"),
     ),
     ExperimentSpec(
         "fig7", "Multi-grid synchronization (P100 x PCIe)",
         LazyDriver("repro.experiments.exp_sync", "run_fig7"),
         default_scenarios=(FIG7_SCENARIO,),
         tags=("multigrid", "sync", "multi-gpu", "pcie"),
-        backends=("engine", "analytic"),
     ),
     ExperimentSpec(
         "fig8", "Multi-grid synchronization (V100 DGX-1)",
         LazyDriver("repro.experiments.exp_sync", "run_fig8"),
         default_scenarios=(Scenario(gpus=("V100",)),),
         tags=("multigrid", "sync", "multi-gpu", "nvlink", "smoke"),
-        backends=("engine", "analytic"),
     ),
     ExperimentSpec(
         "fig9", "Implicit vs CPU-side vs multi-grid barriers across DGX-1",
         LazyDriver("repro.experiments.exp_launch", "run_fig9"),
         default_scenarios=(Scenario(gpus=("V100",)),),
         tags=("launch", "multigrid", "multi-gpu"),
-        backends=("engine", "analytic"),
     ),
     ExperimentSpec(
         "sync_methods",
@@ -136,7 +125,6 @@ _SPECS: List[ExperimentSpec] = [
         LazyDriver("repro.experiments.exp_sync", "run_sync_methods"),
         default_scenarios=SYNC_METHODS_SCENARIOS,
         tags=("sync", "multigrid", "multi-gpu", "strategy", "smoke"),
-        backends=("engine", "analytic"),
     ),
     ExperimentSpec(
         "table3", "Projected concurrency (Little's law)",
@@ -207,7 +195,6 @@ _SPECS: List[ExperimentSpec] = [
         "table8", "Summary of observations (Table VIII)",
         LazyDriver("repro.experiments.summary", "run_summary"),
         default_scenarios=(PAPER_SCENARIO,), tags=("summary",),
-        backends=("engine", "analytic"),
     ),
 ]
 

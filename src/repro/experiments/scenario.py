@@ -118,15 +118,14 @@ class Scenario:
         (:func:`canonicalize_extra_value`), so equal contents always hash
         equally.
     backend:
-        Simulation execution backend for the sync drivers (``engine``,
-        ``analytic``, ``auto`` —
+        Simulation execution backend for the barrier ladders of the
+        scopes a driver builds with it (``engine`` or ``auto`` —
         :data:`repro.sim.backends.BACKEND_CHOICES`).  ``None`` runs the
         default dispatch, ``auto``: eligible uniform barrier workloads
-        take the vectorized closed forms, bit-identical to the engine,
-        and the rest run on the engine.  It is left out of the JSON, so
-        content hashes and cache keys keep their bytes.  ``engine``
-        forces the event-precise oracle; ``analytic`` warns when it
-        falls back (see ``docs/backends.md``).
+        take the analytic closed forms, bit-identical to the engine,
+        and the rest run on the engine.  Unset, it is left out of the
+        JSON, so content hashes and cache keys keep their bytes.  ``engine``
+        forces the event-precise oracle (see ``docs/backends.md``).
     sanitize:
         Dynamic sync-checker mode for the run (``synccheck``, ``racecheck``,
         ``full`` — :data:`repro.sanitize.SANITIZE_MODES`).  ``None`` (and

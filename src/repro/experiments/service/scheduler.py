@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.experiments import faults
 from repro.experiments.base import ExperimentReport
 from repro.experiments.journal import SweepJournal
 from repro.experiments.registry import load_drivers
@@ -128,7 +127,6 @@ class Scheduler:
         self.journal = journal
         self.on_result = on_result
         self._version: Optional[str] = None
-        self._plan_json: Optional[str] = None
         self._inflight: Dict[Future, Tuple[Job, Optional[float]]] = {}
         # Crash suspects awaiting a solo (attributable) re-run; while
         # this list is non-empty, normal dispatch pauses.
@@ -147,7 +145,6 @@ class Scheduler:
             cache_dir=str(self.cache_dir) if self.cache_dir else None,
             code_version=self._version,
             attempt=job.attempt,
-            plan_json=self._plan_json,
         )
         fut = pool.submit(item)
         deadline = (
@@ -314,8 +311,6 @@ class Scheduler:
         if not q.jobs:
             return []
         self._version = cache.code_version()
-        plan = faults.active_plan()
-        self._plan_json = plan.to_json() if plan is not None else None
 
         # Drivers are imported on first call; import this sweep's now, so
         # the forked workers inherit them instead of each importing numpy.

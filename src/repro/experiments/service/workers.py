@@ -122,6 +122,13 @@ def execute_point(
             return PointResult(
                 exp_id, scenario, report=report, cached=True, attempts=attempt
             )
+    choice = scenario.backend
+    if choice is not None:
+        # Imported only when a backend is named: a default run records
+        # no provenance and need not load the backends.
+        from repro.sim.backends import DISPATCHED
+
+        dispatched = DISPATCHED[choice]
     try:
         try:
             faults.apply_driver_faults(exp_id, desc, attempt)
@@ -137,16 +144,15 @@ def execute_point(
                 error_kind=KIND_ERROR, attempts=attempt,
             )
         report.scenario = scenario.to_dict()
-        if scenario.backend is not None and report.backend is None:
-            # The driver ignored the backend knob — this experiment has no
-            # backend-routed sweeps.  Record the engine truthfully and say
-            # so when something faster than the engine was requested.
-            report.backend = "engine"
-            if scenario.backend != "engine":
+        if choice is not None:
+            # Provenance is measured: a point records the backend only if
+            # the driver dispatched a barrier ladder under it.
+            if DISPATCHED[choice] > dispatched:
+                report.backend = choice
+            else:
                 report.notes.append(
-                    f"backend={scenario.backend} requested but "
-                    f"{exp_id} has no analytic-eligible sweeps; "
-                    "ran on the event-precise engine"
+                    f"backend={choice} requested but {exp_id} dispatched "
+                    "no barrier ladder under it"
                 )
         if use_cache:
             # A cache-store failure (read-only dir, full disk) must not
@@ -179,9 +185,8 @@ class WorkItem:
     worker's memo: under the ``spawn`` start method a fresh interpreter
     would otherwise recompute the digest from the filesystem mid-run, so
     a source edit during a parallel sweep could split one run across two
-    cache keys (and mix results from two code states).  The parent's
-    programmatic fault plan ships the same way (the env-var channel
-    already survives both start methods on its own).
+    cache keys (and mix results from two code states).  A fault plan
+    needs no field: ``$REPRO_FAULT_PLAN`` survives both start methods.
     """
 
     exp_id: str
@@ -190,7 +195,6 @@ class WorkItem:
     cache_dir: Optional[str] = None
     code_version: Optional[str] = None
     attempt: int = 1
-    plan_json: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -209,8 +213,6 @@ def worker_main(item: WorkItem) -> WorkerReply:
     if item.code_version:
         cache.pin_code_version(item.code_version)
     faults.IN_WORKER = True  # kill faults may really take this process down
-    if item.plan_json is not None:
-        faults.set_plan(faults.FaultPlan.from_json(item.plan_json))
     result = execute_point(
         item.exp_id,
         Scenario.from_dict(item.scenario),

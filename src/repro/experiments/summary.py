@@ -84,7 +84,8 @@ def run_summary(scenario: Optional[Scenario] = None) -> ExperimentReport:
     # <=8 blocks/SM stays within the paper's "acceptable" envelope
     # (no more than 2x the fastest config, other than the 1-GPU case).
     # The groups take the scenario's backend, so --backend engine runs them
-    # on the engine like every other scope in the registry.
+    # on the engine; the partial-group probes below take none and dispatch
+    # auto, which hands them to the engine because no closed form fits.
     node = scenario.build_node()
     backend = scenario.backend
     fastest = MultiGridGroup(node, 1, 32, backend=backend).simulate().latency_per_sync_us
@@ -102,5 +103,4 @@ def run_summary(scenario: Optional[Scenario] = None) -> ExperimentReport:
         m["grid"] and m["multigrid_blocks"] and m["multigrid_gpus"]
         and not m["warp"] and not m["block"],
     )
-    report.backend = backend
     return report

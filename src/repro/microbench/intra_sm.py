@@ -12,6 +12,7 @@ fold, exactly as the SM pipes of :mod:`repro.sim.sm` do.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Generator
 
@@ -101,7 +102,9 @@ def measure_shared_bandwidth(
     warp or a latency-bound multi-warp run goes on a fresh engine.
     Passing an :class:`Engine` always runs the event-precise simulation on
     it (the oracle the shortcuts are tested against).  A non-finite or
-    negative port time or chain latency raises :class:`ValueError`.
+    negative port time or chain latency, or a port throughput
+    (``shared_mem.sm_cap_bytes_per_cycle``) that is not finite and
+    positive, raises :class:`ValueError`.
     """
     if n_threads < 1 or n_threads > spec.max_threads_per_block:
         raise ValueError(f"n_threads must be in [1,{spec.max_threads_per_block}]")
@@ -109,6 +112,11 @@ def measure_shared_bandwidth(
         raise ValueError("iterations must be >= 1")
 
     sm = spec.shared_mem
+    if not 0.0 < sm.sm_cap_bytes_per_cycle < math.inf:
+        raise ValueError(
+            f"{spec.name}: shared_mem.sm_cap_bytes_per_cycle = "
+            f"{sm.sm_cap_bytes_per_cycle!r}; a throughput must be finite and > 0"
+        )
     full_warps, rem = divmod(n_threads, spec.warp_size)
     warp_threads = [spec.warp_size] * full_warps + ([rem] if rem else [])
     chain_ns = _pipe_ns(spec, sm.chain_latency_cycles, "shared_mem.chain_latency_cycles")

@@ -11,21 +11,20 @@ Dispatch is by name:
 
 * ``"engine"`` — always run the discrete-event engine
   (:meth:`~repro.sync.scope.BarrierScope._run_rounds_engine`).
-* ``"analytic"`` — run the closed forms when the workload is eligible
-  (see :meth:`~repro.sim.backends.analytic.AnalyticBackend.ineligible_reason`);
-  ineligible workloads fall back to the engine with a single warning
-  per (scope type, reason).
-* ``"auto"`` — analytic when eligible, engine otherwise, silently.  A
-  scope with no backend set dispatches as ``"auto"``.
+* ``"auto"`` — run the closed forms when the workload is eligible
+  (see :meth:`~repro.sim.backends.analytic.AnalyticBackend.ineligible_reason`),
+  the engine otherwise.  A scope with no backend set dispatches as
+  ``"auto"``.
 
 Unknown names raise, listing the valid set — the same loud-failure
-contract as scenario overrides.
+contract as scenario overrides.  :data:`DISPATCHED` counts the ladders
+dispatched under each name; the sweep service reads it to record which
+backend a point's ladders actually ran under.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import TYPE_CHECKING, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.sim.backends.analytic import ANALYTIC
 
@@ -34,23 +33,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "BACKEND_CHOICES",
+    "DISPATCHED",
     "dispatch",
-    "reset_fallback_warnings",
 ]
 
 #: Names the ``backend`` knob accepts (``auto`` = analytic when eligible).
-BACKEND_CHOICES: Tuple[str, ...] = ("engine", "analytic", "auto")
+BACKEND_CHOICES: Tuple[str, ...] = ("engine", "auto")
 
-
-# One fallback warning per (scope type, reason) per process: a heat-map
-# sweep that is ineligible for one structural reason should say so once,
-# not once per cell.  Tests reset this via reset_fallback_warnings().
-_FALLBACK_WARNED: Set[Tuple[str, str]] = set()
-
-
-def reset_fallback_warnings() -> None:
-    """Forget which fallback warnings were already emitted (test hook)."""
-    _FALLBACK_WARNED.clear()
+#: Barrier ladders dispatched so far in this process, per choice.
+DISPATCHED: Dict[str, int] = dict.fromkeys(BACKEND_CHOICES, 0)
 
 
 def dispatch(
@@ -62,24 +53,12 @@ def dispatch(
 ) -> "ScopeRun":
     """Resolve a backend name from :data:`BACKEND_CHOICES` for one run
     and execute it."""
-    if choice == "engine":
-        return scope._run_rounds_engine(n_syncs, members)
-    if choice not in BACKEND_CHOICES:
+    if choice not in DISPATCHED:
         raise ValueError(
             f"unknown backend {choice!r}; available: "
             f"{', '.join(BACKEND_CHOICES)}"
         )
-    reason = ANALYTIC.ineligible_reason(scope, n_syncs, members)
-    if reason is None:
+    DISPATCHED[choice] += 1
+    if choice == "auto" and ANALYTIC.ineligible_reason(scope, n_syncs, members) is None:
         return ANALYTIC.run_rounds(scope, n_syncs, members, collect_trace)
-    if choice == "analytic":
-        key = (type(scope).__name__, reason)
-        if key not in _FALLBACK_WARNED:
-            _FALLBACK_WARNED.add(key)
-            warnings.warn(
-                f"analytic backend cannot run {type(scope).__name__} "
-                f"({reason}); falling back to the event-precise engine",
-                RuntimeWarning,
-                stacklevel=3,
-            )
     return scope._run_rounds_engine(n_syncs, members)

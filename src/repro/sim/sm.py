@@ -297,25 +297,32 @@ class WarpSyncThroughputResult:
         return self.total_ops / self.total_cycles if self.total_cycles else 0.0
 
 
+def _warp_sync_field(spec: GPUSpec, kind: str, group_size: int) -> str:
+    """The :class:`~repro.sim.arch.WarpSyncCalib` field prefix ``kind`` reads."""
+    if kind == "coalesced":
+        return "coalesced_full" if group_size >= spec.warp_size else "coalesced_partial"
+    if kind in ("tile", "shuffle_tile", "shuffle_coalesced"):
+        return kind
+    raise ValueError(f"unknown warp sync kind {kind!r}")
+
+
 def warp_sync_params(spec: GPUSpec, kind: str, group_size: int) -> tuple[float, float]:
     """(latency, initiation interval) in cycles for a warp-sync op kind.
 
     The one Table II lookup: ``kind`` is ``"tile"`` or ``"coalesced"``
     for a warp barrier, ``"shuffle_tile"`` or ``"shuffle_coalesced"`` for
     a shuffle; only a coalesced barrier's cost depends on ``group_size``.
+    A throughput that is not finite and positive raises
+    :class:`ValueError` naming its ``warp_sync`` field.
     """
-    ws = spec.warp_sync
-    if kind == "tile":
-        return ws.tile_latency, 1.0 / ws.tile_throughput
-    if kind == "coalesced":
-        if group_size >= spec.warp_size:
-            return ws.coalesced_full_latency, 1.0 / ws.coalesced_full_throughput
-        return ws.coalesced_partial_latency, 1.0 / ws.coalesced_partial_throughput
-    if kind == "shuffle_tile":
-        return ws.shuffle_tile_latency, 1.0 / ws.shuffle_tile_throughput
-    if kind == "shuffle_coalesced":
-        return ws.shuffle_coalesced_latency, 1.0 / ws.shuffle_coalesced_throughput
-    raise ValueError(f"unknown warp sync kind {kind!r}")
+    field = _warp_sync_field(spec, kind, group_size)
+    throughput = getattr(spec.warp_sync, f"{field}_throughput")
+    if not 0.0 < throughput < math.inf:
+        raise ValueError(
+            f"{spec.name}: warp_sync.{field}_throughput = {throughput!r}; "
+            "a throughput must be finite and > 0"
+        )
+    return getattr(spec.warp_sync, f"{field}_latency"), 1.0 / throughput
 
 
 def simulate_warp_sync_throughput(
@@ -346,11 +353,7 @@ def simulate_warp_sync_throughput(
     if not 1 <= group_size <= spec.warp_size:
         raise ValueError(f"group_size must be in [1, {spec.warp_size}], got {group_size}")
     latency_cy, ii_cy = warp_sync_params(spec, kind, group_size)
-    # Names the WarpSyncCalib pair warp_sync_params read, for the checks below.
-    if kind == "coalesced":
-        kind_field = "coalesced_full" if group_size >= spec.warp_size else "coalesced_partial"
-    else:
-        kind_field = kind
+    kind_field = _warp_sync_field(spec, kind, group_size)
     _pipe_ns(spec, latency_cy, f"warp_sync.{kind_field}_latency")
     ii_ns = _pipe_ns(spec, ii_cy, f"1 / warp_sync.{kind_field}_throughput")
     tail_ns = spec.cycles_to_ns(max(0.0, latency_cy - ii_cy))

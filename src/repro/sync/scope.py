@@ -201,11 +201,10 @@ class BarrierScope:
         """Drive ``n_syncs`` barrier rounds across ``members`` (default:
         all ``size`` participants) and return the release trace.
 
-        The scope's construction-time ``backend`` picks the path
-        (``"engine"``, ``"analytic"``, ``"auto"``).  When it is unset the
-        run dispatches as ``"auto"``: the closed forms where eligible,
-        the engine otherwise.  Only an explicit ``"engine"`` skips the
-        dispatcher and runs events.
+        The scope's construction-time ``backend`` (``"engine"`` or
+        ``"auto"``) picks the path through the backend dispatcher.  When
+        it is unset the run dispatches as ``"auto"``: the closed forms
+        where eligible, the engine otherwise.
         ``collect_trace=False`` lets the analytic backend skip building
         the per-member release map when only ``total_ns`` is wanted; the
         engine records the trace as a side effect either way.
@@ -224,23 +223,18 @@ class BarrierScope:
                 "create a fresh group per simulation"
             )
         ids = tuple(members) if members is not None else tuple(range(self.size))
-        choice = self.backend
-        if choice == "engine":
-            return self._run_rounds_engine(n_syncs, ids)
+        choice = "auto" if self.backend is None else self.backend
         # Looked up at call time: perfbench's tracer patches it there.
         from repro.sim.backends import dispatch
 
-        return dispatch(
-            self, n_syncs, ids, "auto" if choice is None else choice, collect_trace
-        )
+        return dispatch(self, n_syncs, ids, choice, collect_trace)
 
     def _run_rounds_engine(
         self, n_syncs: int, ids: Tuple[int, ...]
     ) -> ScopeRun:
         """The event-precise driver: one process per member on the shared
-        engine.  :meth:`run_rounds` calls this for an explicit
-        ``"engine"`` and the backend dispatcher for every analytic
-        fallback."""
+        engine.  The backend dispatcher calls this for ``"engine"`` and
+        for every ladder the closed forms refuse."""
         trace: Dict[Tuple[int, int], float] = {}
         t0 = self.engine.now
         for m in ids:

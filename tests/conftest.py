@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import faults
 from repro.sim.arch import DGX1_V100, P100, P100_PCIE_NODE, V100
 
 
@@ -31,6 +32,17 @@ def dgx1():
 @pytest.fixture
 def p100_node():
     return P100_PCIE_NODE
+
+
+@pytest.fixture
+def inject_faults(monkeypatch):
+    """Install a fault plan of the given rules through ``$REPRO_FAULT_PLAN``,
+    the one channel plans arrive by."""
+
+    def install(*rules):
+        monkeypatch.setenv(faults.ENV_VAR, faults.FaultPlan(rules).to_json())
+
+    return install
 
 
 def rel_err(measured: float, paper: float) -> float:

@@ -326,6 +326,36 @@ class TestScenarioUsage:
         assert "Diverge arms must be non-negative" in capsys.readouterr().err
 
 
+class TestBackendUsage:
+    """The backend knob takes ``engine`` or ``auto``; any other name is a
+    usage error however it arrives, and the message lists both."""
+
+    def test_analytic_backend_rejected(self, capsys):
+        assert main(["table4", "--backend", "analytic", "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown backend: analytic" in err
+        assert "available: engine, auto" in err
+
+    def test_analytic_scenario_override_rejected(self, capsys):
+        argv = ["table4", "--no-cache", "--scenario", "backend=analytic"]
+        assert main(argv) == 2
+        assert "available: engine, auto" in capsys.readouterr().err
+
+    def test_resume_of_journal_naming_analytic_rejected(self, tmp_path, capsys):
+        from repro.experiments.journal import default_journal_path
+
+        cache = tmp_path / "cache"
+        assert main(["table4", "--backend", "auto", "--cache-dir", str(cache)]) == 0
+        journal = default_journal_path(cache)
+        text = journal.read_text()
+        assert '"backend": "auto"' in text
+        journal.write_text(text.replace('"backend": "auto"', '"backend": "analytic"'))
+        capsys.readouterr()
+        assert main(["--resume", str(journal), "--cache-dir", str(cache)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot resume" in err and "available: engine, auto" in err
+
+
 class TestExperimentIdUsage:
     def test_repeated_id_rejected(self, capsys):
         # Running table4 twice would duplicate its work and its report.

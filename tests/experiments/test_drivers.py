@@ -48,7 +48,7 @@ class TestSyncDrivers:
 
 class TestLaunchDrivers:
     def test_fig9_anchors_and_claims(self):
-        rep = run_fig9(gpu_counts=(1, 2, 5, 6, 8))
+        rep = run_fig9(Scenario(gpu_counts=(1, 2, 5, 6, 8)))
         assert rep.mean_rel_err < 0.08
         # The two qualitative claims recorded in the notes must both hold.
         assert any("True" in n for n in rep.notes)

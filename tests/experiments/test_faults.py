@@ -15,17 +15,13 @@ from repro.experiments.faults import (
     active_plan,
     apply_driver_faults,
     maybe_fail_cache_write,
-    set_plan,
 )
 
 
 @pytest.fixture(autouse=True)
 def clean_plan(monkeypatch):
-    """Every test starts and ends without an active plan."""
+    """Every test starts without a plan in the environment."""
     monkeypatch.delenv(faults.ENV_VAR, raising=False)
-    set_plan(None)
-    yield
-    set_plan(None)
 
 
 class TestFaultRule:
@@ -87,68 +83,56 @@ class TestActivePlan:
     def test_none_without_plan_or_env(self):
         assert active_plan() is None
 
-    def test_programmatic_plan_wins_over_env(self, monkeypatch):
-        env_plan = FaultPlan((FaultRule(kind="delay"),))
-        monkeypatch.setenv(faults.ENV_VAR, env_plan.to_json())
-        local = FaultPlan((FaultRule(kind="flaky"),))
-        set_plan(local)
-        assert active_plan() is local
-
     def test_env_plan_parsed(self, monkeypatch):
         plan = FaultPlan((FaultRule(kind="kill", match="fig8"),))
         monkeypatch.setenv(faults.ENV_VAR, plan.to_json())
         assert active_plan() == plan
-
-    def test_injected_context_manager_installs_and_clears(self):
-        with faults.injected(FaultRule(kind="flaky")):
-            assert active_plan() is not None
-        assert active_plan() is None
 
 
 class TestDriverHooks:
     def test_noop_without_plan(self):
         apply_driver_faults("table4", "V100", 1)  # must not raise
 
-    def test_flaky_raises_transient_within_window(self):
-        with faults.injected(FaultRule(kind="flaky", attempts=2)):
-            with pytest.raises(InjectedFaultError):
-                apply_driver_faults("table4", "V100", 1)
-            with pytest.raises(TransientPointError):
-                apply_driver_faults("table4", "V100", 2)
-            apply_driver_faults("table4", "V100", 3)  # window passed
+    def test_flaky_raises_transient_within_window(self, inject_faults):
+        inject_faults(FaultRule(kind="flaky", attempts=2))
+        with pytest.raises(InjectedFaultError):
+            apply_driver_faults("table4", "V100", 1)
+        with pytest.raises(TransientPointError):
+            apply_driver_faults("table4", "V100", 2)
+        apply_driver_faults("table4", "V100", 3)  # window passed
 
-    def test_error_raises_deterministic_not_transient(self):
-        with faults.injected(FaultRule(kind="error")):
-            with pytest.raises(RuntimeError) as exc_info:
-                apply_driver_faults("table4", "V100", 1)
+    def test_error_raises_deterministic_not_transient(self, inject_faults):
+        inject_faults(FaultRule(kind="error"))
+        with pytest.raises(RuntimeError) as exc_info:
+            apply_driver_faults("table4", "V100", 1)
         assert not isinstance(exc_info.value, TransientPointError)
 
-    def test_kill_outside_worker_downgrades_to_transient_raise(self):
+    def test_kill_outside_worker_downgrades_to_transient_raise(self, inject_faults):
         # A kill fault must never take down the in-process caller (CLI
         # with jobs=1, a test run, a notebook): it degrades to a
         # retryable error instead of os._exit.
         assert not faults.IN_WORKER
-        with faults.injected(FaultRule(kind="kill")):
-            with pytest.raises(TransientPointError, match="in-process"):
-                apply_driver_faults("table4", "V100", 1)
-
-    def test_delay_sleeps(self):
-        with faults.injected(FaultRule(kind="delay", delay=0.05)):
-            t0 = time.monotonic()
+        inject_faults(FaultRule(kind="kill"))
+        with pytest.raises(TransientPointError, match="in-process"):
             apply_driver_faults("table4", "V100", 1)
-            assert time.monotonic() - t0 >= 0.05
 
-    def test_rules_filter_by_experiment(self):
-        with faults.injected(FaultRule(kind="flaky", match="fig8")):
-            apply_driver_faults("table4", "V100", 1)  # no match, no raise
+    def test_delay_sleeps(self, inject_faults):
+        inject_faults(FaultRule(kind="delay", delay=0.05))
+        t0 = time.monotonic()
+        apply_driver_faults("table4", "V100", 1)
+        assert time.monotonic() - t0 >= 0.05
+
+    def test_rules_filter_by_experiment(self, inject_faults):
+        inject_faults(FaultRule(kind="flaky", match="fig8"))
+        apply_driver_faults("table4", "V100", 1)  # no match, no raise
 
 
 class TestCacheWriteHook:
     def test_noop_without_plan(self):
         maybe_fail_cache_write("table4", "V100")
 
-    def test_matching_rule_raises_oserror(self):
-        with faults.injected(FaultRule(kind="cache-write", match="table4")):
-            with pytest.raises(OSError, match="injected cache write failure"):
-                maybe_fail_cache_write("table4", "V100")
-            maybe_fail_cache_write("fig8", "V100")  # no match
+    def test_matching_rule_raises_oserror(self, inject_faults):
+        inject_faults(FaultRule(kind="cache-write", match="table4"))
+        with pytest.raises(OSError, match="injected cache write failure"):
+            maybe_fail_cache_write("table4", "V100")
+        maybe_fail_cache_write("fig8", "V100")  # no match

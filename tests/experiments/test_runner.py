@@ -302,7 +302,7 @@ class TestBackendCacheIsolation:
 
     def test_backend_scenarios_get_distinct_cache_entries(self, cache_dir):
         base = Scenario(gpus=("V100",))
-        ana = Scenario(gpus=("V100",), backend="analytic")
+        ana = Scenario(gpus=("V100",), backend="auto")
         eng = Scenario(gpus=("V100",), backend="engine")
         paths = {
             service_cache.cache_path(cache_dir, "fig8", s) for s in (base, ana, eng)
@@ -311,57 +311,82 @@ class TestBackendCacheIsolation:
 
     def test_analytic_run_does_not_poison_default_cache(self, cache_dir):
         ana = execute_point(
-            "fig8", Scenario(gpus=("V100",), backend="analytic"),
+            "fig8", Scenario(gpus=("V100",), backend="auto"),
             cache_dir=cache_dir,
         )
         default = execute_point(
             "fig8", Scenario(gpus=("V100",)), cache_dir=cache_dir
         )
         assert ana.ok and default.ok
-        assert not default.cached  # computed fresh, not served from analytic
-        assert ana.report.backend == "analytic"
+        assert not default.cached  # computed fresh, not served from auto
+        assert ana.report.backend == "auto"
         assert default.report.backend is None
         # Same physics either way: the reports' rows agree bit-for-bit.
         assert ana.report.rows == default.report.rows
 
     def test_engine_only_experiment_notes_fallback(self, cache_dir):
         res = execute_point(
-            "table4", Scenario(gpus=("V100",), backend="analytic"),
+            "table4", Scenario(gpus=("V100",), backend="auto"),
             cache_dir=cache_dir,
         )
         assert res.ok
-        assert res.report.backend == "engine"
-        assert any("no analytic-eligible sweeps" in n for n in res.report.notes)
+        assert res.report.backend is None
+        assert res.report.notes[-1] == (
+            "backend=auto requested but table4 dispatched no barrier ladder "
+            "under it"
+        )
+
+
+def _dispatched_under(monkeypatch, choice):
+    """Run every default point under ``backend=choice`` with a spy on the
+    backend dispatcher, and return the experiments whose points dispatched
+    a barrier ladder under that choice.  Each point must record the
+    backend exactly when the spy saw it, and carry the note otherwise."""
+    from repro.sim import backends
+
+    seen = []
+    dispatch = backends.dispatch
+
+    def spy(scope, n_syncs, members, name, collect_trace=True):
+        seen.append(name)
+        return dispatch(scope, n_syncs, members, name, collect_trace)
+
+    monkeypatch.setattr(backends, "dispatch", spy)
+    dispatched = set()
+    for exp_id, spec in EXPERIMENTS.items():
+        for scenario in spec.default_scenarios:
+            seen.clear()
+            res = execute_point(
+                exp_id, replace(scenario, backend=choice), use_cache=False
+            )
+            assert res.ok, res.error
+            note = (
+                f"backend={choice} requested but {exp_id} dispatched no "
+                "barrier ladder under it"
+            )
+            if choice in seen:
+                dispatched.add(exp_id)
+                assert res.report.backend == choice, exp_id
+                assert note not in res.report.notes, exp_id
+            else:
+                assert res.report.backend is None, exp_id
+                assert note in res.report.notes, exp_id
+    return dispatched
 
 
 class TestBackendProvenance:
+    """``execute_point`` records the backend a point's ladders dispatched
+    under; the table is the one in ``docs/backends.md``."""
+
     def test_closed_form_points_report_the_requested_backend(self, monkeypatch):
-        """Every default point that ran an analytic closed form under
-        ``backend=auto`` reports ``auto`` with no fallback note, and
-        ``analytic`` is listed for exactly the experiments that ran one."""
-        from repro.sim.backends import AnalyticBackend
+        # deadlock's and pitfalls_sanitized's probes take no backend and
+        # dispatch auto, so they record it only when auto was requested.
+        assert _dispatched_under(monkeypatch, "auto") == {
+            "fig5", "fig7", "fig8", "fig9", "sync_methods",
+            "deadlock", "pitfalls_sanitized", "table8",
+        }
 
-        calls = [0]
-        run_rounds = AnalyticBackend.run_rounds
-
-        def counted(self, *args, **kwargs):
-            calls[0] += 1
-            return run_rounds(self, *args, **kwargs)
-
-        monkeypatch.setattr(AnalyticBackend, "run_rounds", counted)
-        ran_analytic = set()
-        for exp_id, spec in EXPERIMENTS.items():
-            for scenario in spec.default_scenarios:
-                before = calls[0]
-                res = execute_point(
-                    exp_id, replace(scenario, backend="auto"), use_cache=False
-                )
-                assert res.ok, res.error
-                if calls[0] > before:
-                    ran_analytic.add(exp_id)
-                    assert res.report.backend == "auto", exp_id
-                    assert not any(
-                        "requested but" in n for n in res.report.notes
-                    ), exp_id
-        listed = {i for i, spec in EXPERIMENTS.items() if "analytic" in spec.backends}
-        assert listed == ran_analytic
+    def test_engine_points_report_only_engine_ladders(self, monkeypatch):
+        assert _dispatched_under(monkeypatch, "engine") == {
+            "fig5", "fig7", "fig8", "fig9", "sync_methods", "table8",
+        }

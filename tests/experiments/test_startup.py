@@ -87,9 +87,8 @@ def _loaded_after(cli_args, watched):
 
 @pytest.mark.parametrize(
     "mode",
-    [["--backend", "auto"], ["--backend", "engine"], ["--backend", "analytic"],
-     ["--sanitize", "full"]],
-    ids=["auto", "engine", "analytic", "sanitize-full"],
+    [["--backend", "auto"], ["--backend", "engine"], ["--sanitize", "full"]],
+    ids=["auto", "engine", "sanitize-full"],
 )
 def test_sync_study_imports_no_numpy(mode):
     args = ["--tags", "sync", "--no-cache", "--json", *mode]

@@ -2,9 +2,8 @@
 
 Every failure is injected deterministically through
 :mod:`repro.experiments.faults`; nothing here depends on races or luck.
-The fork start method (Linux default) lets programmatic plans reach pool
-workers, and the sweep service additionally ships the active plan inside
-each worker payload, so these tests hold under ``spawn`` too.
+Plans travel in ``$REPRO_FAULT_PLAN``, which pool workers inherit under
+both the ``fork`` and ``spawn`` start methods.
 """
 
 from __future__ import annotations
@@ -38,9 +37,6 @@ FAST = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
 @pytest.fixture(autouse=True)
 def clean_plan(monkeypatch):
     monkeypatch.delenv(faults.ENV_VAR, raising=False)
-    faults.set_plan(None)
-    yield
-    faults.set_plan(None)
 
 
 @pytest.fixture
@@ -88,32 +84,28 @@ class TestRetryPolicy:
 
 
 class TestCrashIsolation:
-    def test_worker_kill_does_not_lose_siblings(self, cache_dir):
+    def test_worker_kill_does_not_lose_siblings(self, inject_faults, cache_dir):
         # One point's worker dies on its first attempt; every point of the
         # sweep must still complete, and the casualty's counters must show
         # the crash.
-        with faults.injected(
-            FaultRule(kind="kill", match="table4", scenario="P100", attempts=1)
-        ):
-            results = SweepService(
-                jobs=2, cache_dir=cache_dir, retry=FAST,
-            ).run([("table4", V100), ("table4", P100), ("table1", V100)])
+        inject_faults(FaultRule(kind="kill", match="table4", scenario="P100", attempts=1))
+        results = SweepService(
+            jobs=2, cache_dir=cache_dir, retry=FAST,
+        ).run([("table4", V100), ("table4", P100), ("table1", V100)])
         assert all(r.ok for r in results)
         assert sum(r.crashes for r in results) >= 1
         crashed = [r for r in results if r.crashes]
         assert all(r.attempts > 1 for r in crashed)
 
-    def test_unrecoverable_crash_fails_with_kind_crash(self, cache_dir):
+    def test_unrecoverable_crash_fails_with_kind_crash(self, inject_faults, cache_dir):
         # The worker dies on *every* attempt: the point fails with kind
         # "crash" after exhausting the policy, and healthy siblings from
         # other experiments still land.
-        with faults.injected(
-            FaultRule(kind="kill", match="table4", attempts=99)
-        ):
-            results = SweepService(
-                jobs=2, cache_dir=cache_dir,
-                retry=RetryPolicy(max_attempts=2, base_delay=0.01),
-            ).run([("table1", V100), ("table4", V100)])
+        inject_faults(FaultRule(kind="kill", match="table4", attempts=99))
+        results = SweepService(
+            jobs=2, cache_dir=cache_dir,
+            retry=RetryPolicy(max_attempts=2, base_delay=0.01),
+        ).run([("table1", V100), ("table4", V100)])
         by_id = {r.exp_id: r for r in results}
         assert by_id["table1"].ok
         # Suspect isolation: the innocent sibling is never charged a
@@ -124,105 +116,97 @@ class TestCrashIsolation:
         assert dead.error_kind == KIND_CRASH
         assert dead.attempts == 2 and dead.crashes == 2
 
-    def test_serial_jobs1_survives_kill_fault(self, cache_dir):
+    def test_serial_jobs1_survives_kill_fault(self, inject_faults, cache_dir):
         # In-process execution downgrades the kill to a transient raise
         # (the process must survive) and the retry makes the point pass.
-        with faults.injected(
-            FaultRule(kind="kill", match="table4", attempts=1)
-        ):
-            results = SweepService(
-                jobs=1, cache_dir=cache_dir, retry=FAST,
-            ).run([("table4", V100)])
+        inject_faults(FaultRule(kind="kill", match="table4", attempts=1))
+        results = SweepService(
+            jobs=1, cache_dir=cache_dir, retry=FAST,
+        ).run([("table4", V100)])
         assert results[0].ok and results[0].attempts == 2
 
 
 class TestFlakyRetry:
-    def test_twice_flaky_point_completes_on_third_attempt(self, cache_dir):
-        with faults.injected(FaultRule(kind="flaky", match="table4", attempts=2)):
-            results = SweepService(
-                jobs=1, cache_dir=cache_dir, retry=FAST,
-            ).run([("table4", V100)])
+    def test_twice_flaky_point_completes_on_third_attempt(self, inject_faults, cache_dir):
+        inject_faults(FaultRule(kind="flaky", match="table4", attempts=2))
+        results = SweepService(
+            jobs=1, cache_dir=cache_dir, retry=FAST,
+        ).run([("table4", V100)])
         assert results[0].ok
         assert results[0].attempts == 3
         assert results[0].retries == 2
 
-    def test_flaky_in_pool_workers(self, cache_dir):
-        with faults.injected(FaultRule(kind="flaky", match="table4", attempts=1)):
-            results = SweepService(
-                jobs=2, cache_dir=cache_dir, retry=FAST,
-            ).run([("table4", V100), ("table4", P100)])
+    def test_flaky_in_pool_workers(self, inject_faults, cache_dir):
+        inject_faults(FaultRule(kind="flaky", match="table4", attempts=1))
+        results = SweepService(
+            jobs=2, cache_dir=cache_dir, retry=FAST,
+        ).run([("table4", V100), ("table4", P100)])
         assert all(r.ok for r in results)
         assert all(r.attempts == 2 for r in results)
 
-    def test_no_retry_surfaces_transient_failure(self, cache_dir):
-        with faults.injected(FaultRule(kind="flaky", match="table4", attempts=2)):
-            results = SweepService(
-                jobs=1, cache_dir=cache_dir, retry=NO_RETRY,
-            ).run([("table4", V100)])
+    def test_no_retry_surfaces_transient_failure(self, inject_faults, cache_dir):
+        inject_faults(FaultRule(kind="flaky", match="table4", attempts=2))
+        results = SweepService(
+            jobs=1, cache_dir=cache_dir, retry=NO_RETRY,
+        ).run([("table4", V100)])
         assert not results[0].ok
         assert results[0].error_kind == KIND_TRANSIENT
         assert results[0].attempts == 1
 
 
 class TestFailFast:
-    def test_deterministic_error_never_retried(self, cache_dir):
-        with faults.injected(FaultRule(kind="error", match="table4", attempts=99)):
-            results = SweepService(
-                jobs=1, cache_dir=cache_dir, retry=FAST,
-            ).run([("table4", V100)])
+    def test_deterministic_error_never_retried(self, inject_faults, cache_dir):
+        inject_faults(FaultRule(kind="error", match="table4", attempts=99))
+        results = SweepService(
+            jobs=1, cache_dir=cache_dir, retry=FAST,
+        ).run([("table4", V100)])
         assert not results[0].ok
         assert results[0].error_kind == KIND_ERROR
         assert results[0].attempts == 1  # failed fast
 
-    def test_deterministic_error_fails_fast_in_pool(self, cache_dir):
-        with faults.injected(FaultRule(kind="error", match="table4", attempts=99)):
-            results = SweepService(
-                jobs=2, cache_dir=cache_dir, retry=FAST,
-            ).run([("table4", V100), ("table1", V100)])
+    def test_deterministic_error_fails_fast_in_pool(self, inject_faults, cache_dir):
+        inject_faults(FaultRule(kind="error", match="table4", attempts=99))
+        results = SweepService(
+            jobs=2, cache_dir=cache_dir, retry=FAST,
+        ).run([("table4", V100), ("table1", V100)])
         by_id = {r.exp_id: r for r in results}
         assert not by_id["table4"].ok and by_id["table4"].attempts == 1
         assert by_id["table1"].ok
 
 
 class TestTimeout:
-    def test_stuck_point_times_out_and_retries(self, cache_dir):
+    def test_stuck_point_times_out_and_retries(self, inject_faults, cache_dir):
         # Attempt 1 sleeps far past the deadline; the supervisor kills the
         # pool, records a timeout, and attempt 2 (no delay rule) passes.
-        with faults.injected(
-            FaultRule(kind="delay", match="table4", delay=30.0, attempts=1)
-        ):
-            t0 = time.monotonic()
-            results = SweepService(
-                jobs=2, cache_dir=cache_dir, timeout=0.8,
-                retry=RetryPolicy(max_attempts=2, base_delay=0.01),
-            ).run([("table4", V100)])
-            elapsed = time.monotonic() - t0
+        inject_faults(FaultRule(kind="delay", match="table4", delay=30.0, attempts=1))
+        t0 = time.monotonic()
+        results = SweepService(
+            jobs=2, cache_dir=cache_dir, timeout=0.8,
+            retry=RetryPolicy(max_attempts=2, base_delay=0.01),
+        ).run([("table4", V100)])
+        elapsed = time.monotonic() - t0
         assert results[0].ok
         assert results[0].timeouts == 1
         assert results[0].attempts == 2
         assert elapsed < 10  # the 30s sleep was killed, not awaited
 
-    def test_timeout_exhaustion_fails_with_kind_timeout(self, cache_dir):
-        with faults.injected(
-            FaultRule(kind="delay", match="table4", delay=30.0, attempts=99)
-        ):
-            results = SweepService(
-                jobs=1, cache_dir=cache_dir, timeout=0.5, retry=NO_RETRY,
-            ).run([("table4", V100)])
+    def test_timeout_exhaustion_fails_with_kind_timeout(self, inject_faults, cache_dir):
+        inject_faults(FaultRule(kind="delay", match="table4", delay=30.0, attempts=99))
+        results = SweepService(
+            jobs=1, cache_dir=cache_dir, timeout=0.5, retry=NO_RETRY,
+        ).run([("table4", V100)])
         assert not results[0].ok
         assert results[0].error_kind == KIND_TIMEOUT
         assert "wall-clock timeout" in results[0].error
 
-    def test_timeout_forces_pool_even_for_jobs1(self, cache_dir):
+    def test_timeout_forces_pool_even_for_jobs1(self, inject_faults, cache_dir):
         # jobs=1 + timeout must still enforce the deadline (via a
         # single-worker pool) instead of silently ignoring it.
-        with faults.injected(
-            FaultRule(kind="delay", match="table4", delay=30.0, attempts=1)
-        ):
-            results = SweepService(
-                jobs=1, cache_dir=cache_dir, timeout=0.8,
-                retry=RetryPolicy(max_attempts=2, base_delay=0.01),
-            ).run([("table4", V100)])
+        inject_faults(FaultRule(kind="delay", match="table4", delay=30.0, attempts=1))
+        results = SweepService(
+            jobs=1, cache_dir=cache_dir, timeout=0.8,
+            retry=RetryPolicy(max_attempts=2, base_delay=0.01),
+        ).run([("table4", V100)])
         assert results[0].ok and results[0].timeouts == 1
 
     def test_invalid_timeout_rejected(self):
@@ -315,9 +299,9 @@ class TestCacheClaims:
         execute_point("table4", V100, cache_dir=cache_dir)
         assert not list(cache_dir.glob("*.claim"))
 
-    def test_failed_point_releases_claim(self, cache_dir):
-        with faults.injected(FaultRule(kind="error", match="table4")):
-            execute_point("table4", V100, cache_dir=cache_dir)
+    def test_failed_point_releases_claim(self, inject_faults, cache_dir):
+        inject_faults(FaultRule(kind="error", match="table4"))
+        execute_point("table4", V100, cache_dir=cache_dir)
         assert not list(cache_dir.glob("*.claim"))
 
 
@@ -333,12 +317,12 @@ class TestJournalIntegration:
         assert state.unfinished == []
         assert state.code_version == service_cache.code_version()
 
-    def test_failures_and_retries_are_journaled(self, cache_dir, tmp_path):
+    def test_failures_and_retries_are_journaled(self, inject_faults, cache_dir, tmp_path):
         journal = SweepJournal(tmp_path / "sweep.jsonl")
-        with faults.injected(FaultRule(kind="flaky", match="table4", attempts=1)):
-            SweepService(
-                jobs=1, cache_dir=cache_dir, retry=FAST, journal=journal,
-            ).run([("table4", V100)])
+        inject_faults(FaultRule(kind="flaky", match="table4", attempts=1))
+        SweepService(
+            jobs=1, cache_dir=cache_dir, retry=FAST, journal=journal,
+        ).run([("table4", V100)])
         journal.close()
         records = [
             json.loads(line)

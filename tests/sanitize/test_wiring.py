@@ -12,7 +12,6 @@ from repro.reduction.warp import _run_latency_cycles, warp_reduce_latency_cycles
 from repro.sanitize import SanitizerSession
 from repro.sanitize import events as ev
 from repro.sim.arch import V100
-from repro.sim.backends import reset_fallback_warnings
 from repro.sim.engine import BlockedWaiter, DeadlockError, Engine, Timeout
 from repro.sim.sm import simulate_warp_sync_throughput
 from repro.sync.groups import GridGroup
@@ -258,7 +257,7 @@ class TestShortcutsStepAside:
         unmemoized = _run_latency_cycles.__wrapped__
         assert events(warp_reduce_latency_cycles) == events(unmemoized) == 5
 
-    @pytest.mark.parametrize("backend", [None, "auto", "analytic"])
+    @pytest.mark.parametrize("backend", [None, "auto"])
     def test_analytic_backend_bypassed(self, backend):
         def events(backend):
             with SanitizerSession("full") as session:
@@ -267,14 +266,10 @@ class TestShortcutsStepAside:
                 ).simulate(n_syncs=4)
             return len(session.monitor.events)
 
-        reset_fallback_warnings()
-        if backend == "analytic":
-            with pytest.warns(RuntimeWarning, match="sanitizer monitor"):
-                recorded = events(backend)
-        else:  # the default and auto fall back silently
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                recorded = events(backend)
+        # The default and auto fall back silently.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recorded = events(backend)
         # The closed forms fire only the round hooks; the engine records
         # every arrival, wait and release.
         assert recorded == events("engine") == 1933

@@ -8,9 +8,10 @@ drive random uniform workloads across every scope type, strategy and
 topology and compare float-for-float, with the event-precise engine as
 the oracle.
 
-Ineligible workloads must fall back to the engine: silently under
-``auto`` (which is also what a scope with no backend set runs), with a
-single per-(scope, reason) warning under ``analytic``.
+Ineligible workloads must fall back to the engine, silently, under
+``auto`` (which is also what a scope with no backend set runs).  Every
+ladder goes through :func:`repro.sim.backends.dispatch`, ``engine``
+included.
 """
 
 from __future__ import annotations
@@ -22,12 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.scenario import Scenario
+from repro.sim import backends
 from repro.sim.arch import get_gpu_spec
-from repro.sim.backends import (
-    ANALYTIC,
-    BACKEND_CHOICES,
-    reset_fallback_warnings,
-)
+from repro.sim.backends import ANALYTIC, BACKEND_CHOICES
 from repro.sim.engine import Engine
 from repro.sim.occupancy import blocks_per_sm
 from repro.sync.groups import (
@@ -58,7 +56,7 @@ def assert_identical(make_group, n_syncs, members=None):
     g_eng.backend = "engine"
     r_eng = g_eng.run_rounds(n_syncs, members=members)
     g_ana = make_group()
-    g_ana.backend = "analytic"
+    g_ana.backend = "auto"
     reason = ANALYTIC.ineligible_reason(
         g_ana, n_syncs, tuple(members) if members is not None else tuple(range(g_ana.size))
     )
@@ -86,7 +84,7 @@ def assert_identical(make_group, n_syncs, members=None):
 
 
 class TestGridEquivalence:
-    """Fig 5 cells: the vectorized port-chain closed form, one round."""
+    """Fig 5 cells: the port-chain closed form, one round."""
 
     @given(
         gpu=st.sampled_from(["V100", "P100"]),
@@ -248,53 +246,42 @@ class TestEligibilityAndFallback:
         reason = ANALYTIC.ineligible_reason(g, 1, tuple(range(8)))
         assert reason is not None and "engine" in reason
 
-    def test_ineligible_falls_back_with_single_warning(self):
-        reset_fallback_warnings()
-
-        class TweakedBarrier(CooperativeBarrier):
-            pass
-
-        def run_once():
-            g = WarpGroup(
-                V100, 8, strategy=TweakedBarrier(8, 10.0), backend="analytic"
-            )
-            return g.run_rounds(1)
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            r1 = run_once()
-            r2 = run_once()  # same (scope, reason): no second warning
-        fallbacks = [
-            w for w in caught if issubclass(w.category, RuntimeWarning)
-        ]
-        assert len(fallbacks) == 1
-        assert "falling back" in str(fallbacks[0].message)
-        # The fallback result is the engine result.
-        ref = WarpGroup(
-            V100, 8, strategy=TweakedBarrier(8, 10.0), backend="engine"
-        ).run_rounds(1)
-        assert r1.total_ns == ref.total_ns == r2.total_ns
-        reset_fallback_warnings()
-
     def test_auto_falls_back_silently(self):
-        reset_fallback_warnings()
-
         class TweakedBarrier(CooperativeBarrier):
             pass
 
         g = WarpGroup(V100, 8, strategy=TweakedBarrier(8, 10.0), backend="auto")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            g.run_rounds(1)
+            run = g.run_rounds(1)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # The fallback result is the engine result.
+        ref = WarpGroup(
+            V100, 8, strategy=TweakedBarrier(8, 10.0), backend="engine"
+        ).run_rounds(1)
+        assert run.total_ns == ref.total_ns
+
+    def test_engine_scope_runs_through_dispatch(self, monkeypatch):
+        calls = []
+        dispatch = backends.dispatch
+
+        def spy(scope, n_syncs, members, choice, collect_trace=True):
+            calls.append((type(scope).__name__, n_syncs, members, choice))
+            return dispatch(scope, n_syncs, members, choice, collect_trace)
+
+        monkeypatch.setattr(backends, "dispatch", spy)
+        g = WarpGroup(V100, 8, backend="engine")
+        run = g.run_rounds(2)
+        assert calls == [("WarpGroup", 2, tuple(range(8)), "engine")]
+        assert g.engine.event_count > 0 and run.n_syncs == 2
 
     def test_unknown_backend_name_fails_listing_choices(self):
         g = WarpGroup(V100, 8, backend="bogus")
-        with pytest.raises(ValueError, match="engine, analytic, auto"):
+        with pytest.raises(ValueError, match="available: engine, auto$"):
             g.run_rounds(1)
 
     def test_registry_names(self):
-        assert BACKEND_CHOICES == ("engine", "analytic", "auto")
+        assert BACKEND_CHOICES == ("engine", "auto")
 
 
 class TestDefaultBackend:
@@ -323,8 +310,6 @@ class TestDefaultBackend:
         assert default.engine.now == oracle.engine.now
 
     def test_ineligible_scope_falls_back_silently(self):
-        reset_fallback_warnings()
-
         class TweakedBarrier(CooperativeBarrier):
             pass
 
@@ -346,14 +331,18 @@ class TestDriverLevelEquivalence:
     """Whole-report parity: the figures themselves, not just one scope."""
 
     def test_fig5_reports_identical(self):
-        from repro.experiments.exp_sync import run_fig5
+        from repro.experiments.service import execute_point
 
-        eng = run_fig5(Scenario(gpus=("V100",), backend="engine"))
-        ana = run_fig5(Scenario(gpus=("V100",), backend="analytic"))
+        eng, ana = (
+            execute_point(
+                "fig5", Scenario(gpus=("V100",), backend=backend), use_cache=False
+            ).report
+            for backend in ("engine", "auto")
+        )
         assert ana.rows == eng.rows
         assert ana.artifacts == eng.artifacts
         assert ana.notes == eng.notes
-        assert eng.backend == "engine" and ana.backend == "analytic"
+        assert eng.backend == "engine" and ana.backend == "auto"
 
     def test_sync_methods_reports_identical(self):
         from repro.experiments.exp_sync import run_sync_methods

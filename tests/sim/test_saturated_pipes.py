@@ -31,6 +31,7 @@ from repro.sim.sm import (
     simulate_block_sync,
     simulate_warp_sync_throughput,
 )
+from repro.sync.groups import WarpGroup
 
 # Variants that reach cases no shipped GPU does.  A barrier unit slower per
 # warp than the sync latency grows saturates even under a lone block; a tile
@@ -362,3 +363,41 @@ def test_bad_calibration_is_rejected_on_every_path(fn, kwargs, field, passed_eng
         kwargs = dict(kwargs, engine=Engine())
     with pytest.raises(ValueError, match=field):
         fn(**kwargs)
+
+
+# A throughput is divided into a service time, so it must be finite and
+# positive where it is read; a zero used to escape as ZeroDivisionError.
+
+_WARP_THROUGHPUTS = [
+    ("tile", 32, "tile"),
+    ("coalesced", 32, "coalesced_full"),
+    ("coalesced", 16, "coalesced_partial"),
+    ("shuffle_tile", 32, "shuffle_tile"),
+    ("shuffle_coalesced", 32, "shuffle_coalesced"),
+]
+
+
+@pytest.mark.parametrize("value", [0.0, math.inf], ids=["zero", "infinite"])
+@pytest.mark.parametrize(
+    "kind, group_size, field", _WARP_THROUGHPUTS,
+    ids=[field for _, _, field in _WARP_THROUGHPUTS],
+)
+def test_warp_sync_throughput_must_be_positive_and_finite(kind, group_size, field, value):
+    spec = _replace(V100, "warp_sync", **{f"{field}_throughput": value})
+    with pytest.raises(ValueError, match=rf"warp_sync\.{field}_throughput"):
+        sm.warp_sync_params(spec, kind, group_size)
+    with pytest.raises(ValueError, match=rf"warp_sync\.{field}_throughput"):
+        simulate_warp_sync_throughput(spec, kind, group_size, n_warps=8)
+
+
+def test_warp_group_rejects_zero_throughput_at_construction():
+    spec = _replace(V100, "warp_sync", tile_throughput=0.0)
+    with pytest.raises(ValueError, match=r"warp_sync\.tile_throughput"):
+        WarpGroup(spec, 32, "tile")
+
+
+@pytest.mark.parametrize("value", [0.0, math.inf], ids=["zero", "infinite"])
+def test_shared_port_throughput_must_be_positive_and_finite(value):
+    spec = _replace(V100, "shared_mem", sm_cap_bytes_per_cycle=value)
+    with pytest.raises(ValueError, match=r"shared_mem\.sm_cap_bytes_per_cycle"):
+        measure_shared_bandwidth(spec, 32)
