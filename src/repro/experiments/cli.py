@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 from pathlib import Path
 from typing import List, Optional
 
@@ -38,8 +39,8 @@ from repro.experiments.journal import (
 )
 from repro.experiments.registry import EXPERIMENTS, filter_by_tags, get_spec
 from repro.experiments.scenario import apply_overrides
-from repro.experiments.service import RetryPolicy, SweepService
-from repro.experiments.service.cache import cache_load, default_cache_dir
+from repro.experiments.service import PointResult, ReportAggregator, RetryPolicy, SweepService
+from repro.experiments.service.cache import cache_load, cache_path, default_cache_dir
 from repro.sanitize import SANITIZE_MODES
 
 __all__ = ["main"]
@@ -181,8 +182,7 @@ def _status_main(argv: List[str]) -> int:
         "--partial", action="store_true",
         help=(
             "render partial merged reports from the finished points' "
-            "cache entries (the streaming-aggregation view of an "
-            "interrupted sweep)"
+            "cache entries (merged as the sweep itself merges them)"
         ),
     )
     parser.add_argument(
@@ -238,32 +238,26 @@ def _status_main(argv: List[str]) -> int:
             )
 
     if args.partial:
-        # The cache key folds the *recorded* code version in, so the
-        # entries of the interrupted sweep are addressable even if the
-        # source tree has changed since.
-        cache_root = args.cache_dir or default_cache_dir()
-        order = list(dict.fromkeys(e for e, _ in state.points))
-        from repro.experiments.base import merge_reports
-
-        for exp_id in order:
-            reports = []
-            exp_total = per_exp[exp_id]["points"]
-            for i in sorted(state.finished):
-                e, scen = state.points[i]
-                if e != exp_id:
-                    continue
-                entry = Path(cache_root) / (
-                    f"{e}-{scen.content_hash}-{state.code_version}.json"
-                )
-                report = cache_load(entry)
-                if report is not None:
-                    reports.append(report)
-            if not reports:
-                continue
-            merged = merge_reports(exp_id, get_spec(exp_id).title, reports)
+        # Entries are addressed under the *recorded* code version, so the
+        # interrupted sweep's results are found even if the source tree
+        # has changed since.
+        cache_root = Path(args.cache_dir or default_cache_dir())
+        aggregator = ReportAggregator()
+        for i in state.finished:
+            exp_id, scen = state.points[i]
+            report = cache_load(
+                cache_path(cache_root, exp_id, scen, state.code_version)
+            )
+            if report is not None:
+                aggregator.add(i, PointResult(exp_id, scen, report=report))
+        found = aggregator.execution_stats()
+        for merged in aggregator.reports(list(per_exp)):
             print()
             print(merged.render())
-            print(f"(partial: {len(reports)}/{exp_total} point(s) finished)")
+            print(
+                f"(partial: {found[merged.exp_id]['points']}/"
+                f"{per_exp[merged.exp_id]['points']} point(s) finished)"
+            )
     return 0
 
 
@@ -350,8 +344,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.retries < 0:
         print("--retries must be >= 0", file=sys.stderr)
         return 2
-    if args.timeout is not None and args.timeout <= 0:
-        print("--timeout must be positive", file=sys.stderr)
+    # NaN fails both comparisons; past TIMEOUT_MAX the pool's wait()
+    # overflows.
+    if args.timeout is not None and not 0 < args.timeout <= threading.TIMEOUT_MAX:
+        print(
+            f"--timeout must be in (0, {threading.TIMEOUT_MAX:g}] seconds",
+            file=sys.stderr,
+        )
         return 2
 
     if args.resume is not None:
@@ -468,8 +467,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"({res.crashes} crash(es), {res.timeouts} timeout(s))",
                 file=sys.stderr,
             )
-    # Reports come out of the streaming aggregator: every settled point
-    # was folded in as it landed, so this is a read, not a re-merge.
     reports = service.aggregator.reports(ids)
 
     # Tolerance gate: a reproduction that drifted past its per-experiment

@@ -12,9 +12,11 @@ imported on their first call, so building the registry — and with it
 listing experiments or serving a sweep from the result cache — imports
 no driver, no simulator and no numpy.
 
-Experiments run through :mod:`repro.experiments.service` (``run_all``,
-``run_experiment``, ``SweepService``) — the **single entry path** that
-owns per-point error handling and the content-addressed result cache.
+Experiments run through :mod:`repro.experiments.service`: ``run_all``,
+``run_experiment`` and the CLI all go through ``SweepService.run``, the
+sweep's one loop, which reaches a driver only through ``execute_point``
+— the **single entry path** that owns per-point error handling and the
+content-addressed result cache, in-process and in pool workers alike.
 Nothing calls a driver directly.
 """
 

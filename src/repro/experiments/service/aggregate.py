@@ -1,83 +1,51 @@
-"""Streaming report aggregation: fold points into reports as they land.
+"""Report aggregation: merge settled points into reports on demand.
 
-The top layer of the sweep service.  A :class:`ReportAggregator`
-receives every settled :class:`~repro.experiments.service.queue.PointResult`
-through the scheduler's result callback and folds it incrementally —
-per-experiment buckets stay sorted by input position, so a merged report
-asked for *mid-sweep* (``partial_report``) is a byte-stable prefix of
-the final one, and the end-of-sweep reports are exactly what the old
-positional merge produced.  The CLI's ``--json`` execution counters and
-the ``status`` subcommand's partial renders both consume this.
+The top layer of the sweep service.  A :class:`ReportAggregator` keeps
+every settled :class:`~repro.experiments.service.queue.PointResult` by
+input position, as the sweep service's result callback hands them over,
+and merges them when asked: :meth:`~ReportAggregator.reports` folds each
+experiment's successful points in input order, so the reports are the
+same whatever order the points settled in, and a merge over the points
+finished so far holds a prefix-stable subset of the final rows.  The
+CLI reads the reports and the ``--json`` execution counters from it;
+``status --partial`` feeds it the finished points of a journal.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments.base import ExperimentReport, merge_reports
 from repro.experiments.registry import get_spec
 from repro.experiments.service.queue import PointResult
 
-__all__ = ["ReportAggregator", "merge_experiment"]
-
-
-def merge_experiment(exp_id: str, results: List[PointResult]) -> ExperimentReport:
-    """Merge an experiment's point results into its single report.
-
-    Public so interfaces that keep partial results on failure (the CLI)
-    can reassemble reports through the same path ``run_all`` uses.
-    """
-    spec = get_spec(exp_id)
-    reports = [r.report for r in results if r.report is not None]
-    return merge_reports(exp_id, spec.title, reports)
+__all__ = ["ReportAggregator"]
 
 
 class ReportAggregator:
-    """Incrementally fold settled points into per-experiment reports."""
+    """Settled points by input position, merged into reports on demand."""
 
     def __init__(self) -> None:
         self._results: Dict[int, PointResult] = {}
 
     def add(self, index: int, result: PointResult) -> None:
-        """Fold one settled point (the scheduler's result callback)."""
+        """Keep one settled point (the sweep service's result callback)."""
         self._results[index] = result
 
-    # -- views -----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._results)
-
-    def results(self) -> List[PointResult]:
-        """Settled results so far, in input order."""
+    def _in_order(self) -> List[PointResult]:
         return [self._results[i] for i in sorted(self._results)]
-
-    def results_for(self, exp_id: str) -> List[PointResult]:
-        return [r for r in self.results() if r.exp_id == exp_id]
-
-    def experiment_ids(self) -> List[str]:
-        """Experiment ids seen so far, in first-settled input order."""
-        return list(dict.fromkeys(r.exp_id for r in self.results()))
-
-    def partial_report(self, exp_id: str) -> Optional[ExperimentReport]:
-        """Merged report over the points finished *so far* (or ``None``).
-
-        Incremental by construction: results merge in input order, so a
-        partial report's rows are a prefix-stable subset of the final
-        report's rows.
-        """
-        ok = [r for r in self.results_for(exp_id) if r.report is not None]
-        if not ok:
-            return None
-        return merge_experiment(exp_id, ok)
 
     def reports(self, ids: List[str]) -> List[ExperimentReport]:
         """One merged report per requested experiment that has results."""
-        out = []
-        for exp_id in ids:
-            report = self.partial_report(exp_id)
-            if report is not None:
-                out.append(report)
-        return out
+        by_exp: Dict[str, List[ExperimentReport]] = {}
+        for res in self._in_order():
+            if res.report is not None:
+                by_exp.setdefault(res.exp_id, []).append(res.report)
+        return [
+            merge_reports(exp_id, get_spec(exp_id).title, by_exp[exp_id])
+            for exp_id in ids
+            if exp_id in by_exp
+        ]
 
     def execution_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-experiment supervision counters (the ``--json`` block).
@@ -88,7 +56,7 @@ class ReportAggregator:
         counted here too, even though their rows are absent).
         """
         stats: Dict[str, Dict[str, int]] = {}
-        for res in self.results():
+        for res in self._in_order():
             st = stats.setdefault(
                 res.exp_id,
                 {"points": 0, "attempts": 0, "retries": 0, "crashes": 0,

@@ -89,8 +89,11 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-experiments"
 
 
-def cache_path(cache_dir: Path, exp_id: str, scenario: Scenario) -> Path:
-    return cache_dir / f"{exp_id}-{scenario.content_hash}-{code_version()}.json"
+def cache_path(
+    cache_dir: Path, exp_id: str, scenario: Scenario, version: Optional[str] = None
+) -> Path:
+    """Entry path of a point under ``version`` (default: this code's)."""
+    return cache_dir / f"{exp_id}-{scenario.content_hash}-{version or code_version()}.json"
 
 
 # Corrupt-entry quarantine: warn once per path per process, and rename

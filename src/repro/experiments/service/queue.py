@@ -1,11 +1,11 @@
-"""Job queue: sweep points as schedulable units with explicit states.
+"""Sweep points as jobs with explicit states, and what a point settles to.
 
-The bottom layer of the sweep service.  A :class:`JobQueue` holds one
-:class:`Job` per (experiment, scenario) point and tracks each through
-the ``pending -> claimed -> done | failed`` lifecycle.  Jobs carry their
-readiness time (retry backoff) and supervision counters; the
-:class:`~repro.experiments.service.scheduler.Scheduler` owns *when*
-those fields change, the queue owns *what* is true right now.
+The bottom layer of the sweep service.  The service keeps one
+:class:`Job` per (experiment, scenario) point in a plain list, in input
+order, and moves each through the ``pending -> claimed -> done | failed``
+lifecycle.  Jobs carry their readiness time (retry backoff) and
+supervision counters; :class:`~repro.experiments.service.scheduler.SweepService`
+owns every change to them.
 
 Failure kinds (``KIND_*``) and the per-point outcome record
 (:class:`PointResult`) live here because every layer above speaks them.
@@ -14,7 +14,7 @@ Failure kinds (``KIND_*``) and the per-point outcome record
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.experiments.base import ExperimentReport
 from repro.experiments.scenario import Scenario
@@ -22,7 +22,6 @@ from repro.experiments.scenario import Scenario
 __all__ = [
     "ExperimentError",
     "Job",
-    "JobQueue",
     "PointResult",
     "KIND_ERROR",
     "KIND_TRANSIENT",
@@ -90,7 +89,7 @@ class PointResult:
 
 @dataclass
 class Job:
-    """One sweep point moving through the queue's lifecycle."""
+    """One sweep point moving through its lifecycle."""
 
     index: int
     exp_id: str
@@ -104,62 +103,10 @@ class Job:
 
     @property
     def key(self) -> str:
-        """Stable point key (retry-jitter seed, claim coordination)."""
+        """Stable point key (seeds the retry jitter)."""
         return f"{self.exp_id}/{self.scenario.content_hash}"
 
     @property
     def settled(self) -> bool:
         return self.state in (DONE, FAILED)
 
-
-class JobQueue:
-    """All jobs of one sweep, indexable by input position."""
-
-    def __init__(self, jobs: Sequence[Job]):
-        self.jobs: List[Job] = list(jobs)
-
-    @classmethod
-    def from_points(cls, points: Sequence[Tuple[str, Scenario]]) -> "JobQueue":
-        return cls([Job(i, exp_id, scen) for i, (exp_id, scen) in enumerate(points)])
-
-    def __len__(self) -> int:
-        return len(self.jobs)
-
-    def __iter__(self) -> Iterator[Job]:
-        return iter(self.jobs)
-
-    # -- queries ---------------------------------------------------------
-
-    @property
-    def unsettled(self) -> int:
-        return sum(1 for job in self.jobs if not job.settled)
-
-    def ready(self, now: float) -> List[Job]:
-        """Dispatchable jobs, in input order."""
-        return [
-            job for job in self.jobs if job.state == PENDING and job.ready_at <= now
-        ]
-
-    def pending(self) -> List[Job]:
-        return [job for job in self.jobs if job.state == PENDING]
-
-    def results(self) -> List[PointResult]:
-        """Settled results in input order (the sweep's merge order)."""
-        return [job.result for job in self.jobs if job.result is not None]
-
-    # -- transitions -----------------------------------------------------
-
-    def claim(self, job: Job) -> None:
-        job.state = CLAIMED
-
-    def requeue(self, job: Job, ready_at: float = 0.0) -> None:
-        job.state = PENDING
-        job.ready_at = ready_at
-
-    def finish(self, job: Job, result: PointResult) -> None:
-        job.state = DONE
-        job.result = result
-
-    def fail(self, job: Job, result: PointResult) -> None:
-        job.state = FAILED
-        job.result = result

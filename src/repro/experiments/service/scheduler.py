@@ -1,11 +1,18 @@
-"""Scheduler: retry/timeout/blame policy over one supervised worker pool.
+"""The sweep loop: every point attempt, in-process or on one supervised pool.
 
-The policy layer of the sweep service.  A :class:`Scheduler` drives a
-:class:`~repro.experiments.service.queue.JobQueue` to completion on one
-:class:`~repro.experiments.service.workers.WorkerPool`, dispatching
-ready jobs in input order.
+The policy layer of the sweep service.  :class:`SweepService` keeps a
+sweep's points as a plain list of
+:class:`~repro.experiments.service.queue.Job`, in input order, and runs
+them to completion in one loop.  Without a timeout, a ``jobs=1`` or
+one-point sweep runs its points in this process; any other sweep runs on
+one :class:`~repro.experiments.service.workers.WorkerPool`.  Both record
+every attempt through the same bookkeeping: the journal's ``start``,
+``finish`` and ``fail`` records, the retry backoff, and the result
+callback into the :class:`~repro.experiments.service.aggregate.ReportAggregator`.
+Ready jobs dispatch in input order, so a healthy point runs while a
+failed one backs off.
 
-Supervision invariants:
+Supervision invariants of the pool:
 
 * at most ``workers`` futures are in flight, so every in-flight future
   is actually *running* — which is what lets the per-point deadline
@@ -27,117 +34,190 @@ Supervision invariants:
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.base import ExperimentReport
 from repro.experiments.journal import SweepJournal
 from repro.experiments.registry import load_drivers
+from repro.experiments.scenario import Scenario
 from repro.experiments.service import cache
+from repro.experiments.service.aggregate import ReportAggregator
 from repro.experiments.service.queue import (
+    CLAIMED,
+    DONE,
+    FAILED,
     KIND_CRASH,
     KIND_ERROR,
     KIND_TIMEOUT,
+    PENDING,
     Job,
-    JobQueue,
     PointResult,
 )
 from repro.experiments.service.workers import WorkerPool, WorkItem, execute_point
 
-__all__ = [
-    "NO_RETRY",
-    "RetryPolicy",
-    "Scheduler",
-    "run_serial",
-]
+__all__ = ["NO_RETRY", "RetryPolicy", "SweepService", "SweepStats"]
 
-#: Callback fired as each point settles: (input index, outcome).
-ResultCallback = Callable[[int, PointResult], None]
+#: Retry backoff: exponential from ``BACKOFF_BASE_S``, capped at
+#: ``BACKOFF_CAP_S``, plus deterministic jitter of up to ``BACKOFF_JITTER``
+#: of the step.
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
+BACKOFF_JITTER = 0.25
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """When and how to retry a failed point.
+    """How many attempts a failed point gets.
 
-    ``retryable`` maps a failure kind (``KIND_*``) to whether another
-    attempt may help; the default retries worker crashes, timeouts and
-    transient driver errors, and fails deterministic errors fast.
-    Backoff is exponential from ``base_delay`` (capped at ``max_delay``)
-    plus *deterministic* jitter — a hash of the point key and attempt
-    number, so retry schedules decorrelate across points yet reproduce
-    exactly run to run.
+    Worker crashes, timeouts and transient driver errors are retried up
+    to ``max_attempts`` attempts; deterministic errors fail fast.  The
+    jitter is a hash of the point key and attempt number, so retry
+    schedules decorrelate across points yet reproduce exactly run to run.
     """
 
     max_attempts: int = 3
-    base_delay: float = 0.05
-    max_delay: float = 2.0
-    jitter: float = 0.25  # extra fraction of the backoff step, [0, jitter)
-    retryable: Optional[Callable[[str], bool]] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
 
-    def is_retryable(self, kind: str) -> bool:
-        if self.retryable is not None:
-            return self.retryable(kind)
-        return kind != KIND_ERROR
-
     def should_retry(self, kind: str, attempt: int) -> bool:
-        return attempt < self.max_attempts and self.is_retryable(kind)
+        return attempt < self.max_attempts and kind != KIND_ERROR
 
     def backoff(self, attempt: int, key: str = "") -> float:
-        delay = min(self.base_delay * (2 ** (attempt - 1)), self.max_delay)
-        if self.jitter > 0 and delay > 0:
-            h = int.from_bytes(
-                hashlib.sha256(f"{key}:{attempt}".encode()).digest()[:4], "big"
-            )
-            delay += delay * self.jitter * (h / 2**32)
-        return delay
+        delay = min(BACKOFF_BASE_S * (2 ** (attempt - 1)), BACKOFF_CAP_S)
+        h = int.from_bytes(
+            hashlib.sha256(f"{key}:{attempt}".encode()).digest()[:4], "big"
+        )
+        return delay + delay * BACKOFF_JITTER * (h / 2**32)
 
 
 #: Retry nothing — the pre-supervision behaviour, useful in tests.
 NO_RETRY = RetryPolicy(max_attempts=1)
 
 
-class Scheduler:
-    """Drive a job queue to completion on one supervised worker pool."""
+@dataclass(frozen=True)
+class SweepStats:
+    """Counters a single pool never moves off 0.
+
+    Their only reader is ``perfbench/tracer.py``, which reports them per
+    sweep; they go once the benchmark stops asking for them.
+    """
+
+    steals: int = 0
+    slab_points: int = 0
+    pickle_bytes_avoided: int = 0
+
+
+class SweepService:
+    """One sweep, end to end: run its points, retry them, aggregate them.
+
+    ``run`` executes a point list — results in input order, identical
+    reports for any ``jobs`` setting — and leaves ``queue`` (the jobs)
+    and ``aggregator`` (merged reports, execution counters) behind for
+    the caller.
+    """
 
     def __init__(
         self,
-        queue: JobQueue,
         jobs: int = 1,
         use_cache: bool = True,
         cache_dir: Optional[Path] = None,
         timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         journal: Optional[SweepJournal] = None,
-        on_result: Optional[ResultCallback] = None,
     ):
-        self.queue = queue
+        if jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        # NaN fails both comparisons; past TIMEOUT_MAX the pool's wait()
+        # overflows.
+        if timeout is not None and not 0 < timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"timeout must be in (0, {threading.TIMEOUT_MAX:g}] seconds, "
+                f"got {timeout!r}"
+            )
         self.jobs = jobs
         self.use_cache = use_cache
         self.cache_dir = cache_dir
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.journal = journal
-        self.on_result = on_result
+        self.aggregator = ReportAggregator()
+        self.stats = SweepStats()
+        self.queue: List[Job] = []
         self._version: Optional[str] = None
         self._inflight: Dict[Future, Tuple[Job, Optional[float]]] = {}
         # Crash suspects awaiting a solo (attributable) re-run; while
         # this list is non-empty, normal dispatch pauses.
         self._suspects: List[Job] = []
 
-    # -- lifecycle transitions ------------------------------------------
+    # -- one attempt's bookkeeping ----------------------------------------
 
-    def _submit(self, pool: WorkerPool, job: Job) -> None:
-        self.queue.claim(job)
+    def _start(self, job: Job) -> None:
+        job.state = CLAIMED
         if self.journal is not None:
             self.journal.point_start(job.index, job.exp_id, job.attempt)
+
+    def _settle(self, job: Job, result: PointResult) -> None:
+        """Record an attempt's outcome: a finish, or a failure to retry."""
+        if not result.ok:
+            self._fail(job, result.error_kind or KIND_ERROR, result.error or "")
+            return
+        result.attempts = job.attempt
+        result.crashes = job.crashes
+        result.timeouts = job.timeouts
+        job.state = DONE
+        job.result = result
+        if self.journal is not None:
+            self.journal.point_finish(
+                job.index, job.exp_id, job.attempt, result.cached
+            )
+        self.aggregator.add(job.index, result)
+
+    def _fail(self, job: Job, kind: str, error: str) -> None:
+        if kind == KIND_CRASH:
+            job.crashes += 1
+        elif kind == KIND_TIMEOUT:
+            job.timeouts += 1
+        if self.journal is not None:
+            self.journal.point_fail(job.index, job.exp_id, job.attempt, kind, error)
+        if self.retry.should_retry(kind, job.attempt):
+            job.ready_at = time.monotonic() + self.retry.backoff(job.attempt, job.key)
+            job.attempt += 1
+            job.state = PENDING
+            return
+        job.state = FAILED
+        job.result = PointResult(
+            job.exp_id, job.scenario, error=error, error_kind=kind,
+            attempts=job.attempt, crashes=job.crashes, timeouts=job.timeouts,
+        )
+        self.aggregator.add(job.index, job.result)
+
+    # -- the job list ------------------------------------------------------
+
+    def _pending(self) -> List[Job]:
+        return [job for job in self.queue if job.state == PENDING]
+
+    def _ready(self, now: float) -> List[Job]:
+        """Dispatchable jobs, in input order."""
+        return [job for job in self._pending() if job.ready_at <= now]
+
+    def _next_wake(self) -> Optional[float]:
+        """Earliest time anything becomes dispatchable (nothing in flight)."""
+        # Pending jobs only matter once no suspect pauses dispatch.
+        waiting = self._suspects or self._pending()
+        return min((j.ready_at for j in waiting), default=None)
+
+    # -- the pool ----------------------------------------------------------
+
+    def _submit(self, pool: WorkerPool, job: Job) -> None:
+        self._start(job)
         item = WorkItem(
             exp_id=job.exp_id,
             scenario=job.scenario.to_dict(),
@@ -152,47 +232,15 @@ class Scheduler:
         )
         self._inflight[fut] = (job, deadline)
 
-    def _finish(self, job: Job, result: PointResult) -> None:
-        result.attempts = job.attempt
-        result.crashes = job.crashes
-        result.timeouts = job.timeouts
-        self.queue.finish(job, result)
-        if self.journal is not None:
-            self.journal.point_finish(
-                job.index, result.exp_id, job.attempt, result.cached
-            )
-        if self.on_result is not None:
-            self.on_result(job.index, result)
-
-    def _fail(self, job: Job, kind: str, error: str) -> None:
-        if kind == KIND_CRASH:
-            job.crashes += 1
-        elif kind == KIND_TIMEOUT:
-            job.timeouts += 1
-        if self.journal is not None:
-            self.journal.point_fail(job.index, job.exp_id, job.attempt, kind, error)
-        if self.retry.should_retry(kind, job.attempt):
-            delay = self.retry.backoff(job.attempt, job.key)
-            job.attempt += 1
-            self.queue.requeue(job, time.monotonic() + delay)
-        else:
-            result = PointResult(
-                job.exp_id, job.scenario, error=error, error_kind=kind,
-                attempts=job.attempt, crashes=job.crashes, timeouts=job.timeouts,
-            )
-            self.queue.fail(job, result)
-            if self.on_result is not None:
-                self.on_result(job.index, result)
-
     def _consume(self, fut: Future, job: Job) -> bool:
-        """Fold one completed future into the queue; True if pool broke.
+        """Settle one completed future's attempt; True if the pool broke.
 
         A ``BrokenProcessPool`` outcome does *not* judge the point here —
         whether it is charged as the culprit or spared as a casualty
         depends on how many futures were in flight, which only the main
         loop knows.
         """
-        # Not at module top, so a serial sweep never loads the pool's
+        # Not at module top, so an in-process sweep never loads the pool's
         # modules; only a pool's futures get here.
         from concurrent.futures.process import BrokenProcessPool
 
@@ -210,18 +258,14 @@ class Scheduler:
                 f"pool returned a result for {reply.exp_id!r} on the future "
                 f"of {job.exp_id!r}: dispatch bookkeeping is corrupt"
             )
-        if reply.error is not None:
-            self._fail(job, reply.error_kind or KIND_ERROR, reply.error)
-            return False
-        self._finish(
-            job,
-            PointResult(job.exp_id, job.scenario,
-                        report=ExperimentReport.from_json(reply.report_json or ""),
-                        cached=reply.cached),
-        )
+        report = None
+        if reply.error is None:
+            report = ExperimentReport.from_json(reply.report_json or "")
+        self._settle(job, PointResult(
+            job.exp_id, job.scenario, report=report, error=reply.error,
+            cached=reply.cached, error_kind=reply.error_kind,
+        ))
         return False
-
-    # -- main-loop helpers ----------------------------------------------
 
     def _dispatch(self, pool: WorkerPool, now: float) -> None:
         # Suspect isolation takes priority: while crash suspects exist,
@@ -233,8 +277,37 @@ class Scheduler:
             return
         free = pool.max_workers - len(self._inflight)
         if free > 0:
-            for job in self.queue.ready(now)[:free]:
+            for job in self._ready(now)[:free]:
                 self._submit(pool, job)
+
+    def _collect(self, pool: WorkerPool, now: float) -> None:
+        """Wait for the in-flight futures and settle what they report."""
+        # Wake on the first completion, the earliest deadline, or the
+        # earliest backoff expiry — whichever comes first.  Only *future*
+        # backoff expiries matter here: a pending point that is already
+        # ready just needs a worker slot, which only a completion can
+        # free — so it must not clamp the wait to zero.
+        horizon = [
+            dl - now for (_, dl) in self._inflight.values() if dl is not None
+        ]
+        horizon.extend(
+            j.ready_at - now
+            for j in self._suspects + self._pending()
+            if j.ready_at > now
+        )
+        wait_for = max(0.0, min(horizon)) if horizon else None
+        done, _ = wait(
+            list(self._inflight), timeout=wait_for, return_when=FIRST_COMPLETED,
+        )
+        casualties: List[Job] = []
+        for fut in done:
+            job, _ = self._inflight.pop(fut)
+            if self._consume(fut, job):
+                casualties.append(job)
+        if casualties:
+            self._handle_broken(pool, casualties, time.monotonic())
+        else:
+            self._handle_timeouts(pool, time.monotonic())
 
     def _handle_broken(
         self, pool: WorkerPool, casualties: List[Job], now: float
@@ -290,7 +363,8 @@ class Scheduler:
             if not fut.done():
                 # Innocent victim of the pool teardown: requeue at the
                 # same attempt.
-                self.queue.requeue(job, now)
+                job.state = PENDING
+                job.ready_at = now
             elif self._consume(fut, job):
                 # The pool also broke under this future (crash and
                 # timeout in the same round): treat as a suspect.
@@ -298,117 +372,46 @@ class Scheduler:
                 self._suspects.append(job)
         pool.restart()
 
-    def _next_wake(self) -> Optional[float]:
-        """Earliest time anything becomes dispatchable (nothing in flight)."""
-        # Pending jobs only matter once no suspect pauses dispatch.
-        waiting = self._suspects or self.queue.pending()
-        return min((j.ready_at for j in waiting), default=None)
+    # -- entry ---------------------------------------------------------------
 
-    # -- entry -----------------------------------------------------------
-
-    def run(self) -> List[PointResult]:
-        q = self.queue
-        if not q.jobs:
-            return []
-        self._version = cache.code_version()
-
-        # Drivers are imported on first call; import this sweep's now, so
-        # the forked workers inherit them instead of each importing numpy.
-        load_drivers(job.exp_id for job in q.jobs)
-        pool = WorkerPool(max(1, min(self.jobs, len(q.jobs))))
+    def run(self, points: Sequence[Tuple[str, Scenario]]) -> List[PointResult]:
+        """Execute points (in-process or on the supervised pool), in input order."""
+        points = list(points)
+        if self.journal is not None:
+            self.journal.sweep_start(points, cache.code_version(), self.jobs)
+        self.queue = [Job(i, exp_id, scen) for i, (exp_id, scen) in enumerate(points)]
+        pool: Optional[WorkerPool] = None
+        if points and (self.timeout is not None or min(self.jobs, len(points)) > 1):
+            self._version = cache.code_version()
+            # Drivers are imported on first call; import this sweep's now,
+            # so the forked workers inherit them instead of each importing
+            # numpy.
+            load_drivers(job.exp_id for job in self.queue)
+            pool = WorkerPool(min(self.jobs, len(points)))
         try:
-            while q.unsettled:
+            while any(not job.settled for job in self.queue):
                 now = time.monotonic()
-                self._dispatch(pool, now)
-                if not self._inflight:
-                    # Everything runnable is backing off; sleep to the
-                    # nearest wake-up.
-                    wake = self._next_wake()
-                    if wake is not None:
-                        time.sleep(max(0.0, wake - time.monotonic()))
-                    continue
-
-                # Wake on the first completion, the earliest deadline, or
-                # the earliest backoff expiry — whichever comes first.
-                # Only *future* backoff expiries matter here: a pending
-                # point that is already ready just needs a worker slot,
-                # which only a completion can free — so it must not clamp
-                # the wait to zero.
-                horizon = [
-                    dl - now for (_, dl) in self._inflight.values() if dl is not None
-                ]
-                horizon.extend(
-                    j.ready_at - now
-                    for j in self._suspects + q.pending()
-                    if j.ready_at > now
-                )
-                wait_for = max(0.0, min(horizon)) if horizon else None
-                done, _ = wait(
-                    list(self._inflight), timeout=wait_for,
-                    return_when=FIRST_COMPLETED,
-                )
-
-                casualties: List[Job] = []
-                for fut in done:
-                    job, _ = self._inflight.pop(fut)
-                    if self._consume(fut, job):
-                        casualties.append(job)
-                if casualties:
-                    self._handle_broken(pool, casualties, time.monotonic())
-                    continue
-                self._handle_timeouts(pool, time.monotonic())
+                if pool is None:
+                    ready = self._ready(now)
+                    if ready:
+                        job = ready[0]
+                        self._start(job)
+                        self._settle(job, execute_point(
+                            job.exp_id, job.scenario, use_cache=self.use_cache,
+                            cache_dir=self.cache_dir, attempt=job.attempt,
+                        ))
+                        continue
+                else:
+                    self._dispatch(pool, now)
+                    if self._inflight:
+                        self._collect(pool, now)
+                        continue
+                # Everything runnable is backing off; sleep to the nearest
+                # wake-up.
+                wake = self._next_wake()
+                if wake is not None:
+                    time.sleep(max(0.0, wake - time.monotonic()))
         finally:
-            pool.shutdown()
-
-        return q.results()
-
-
-# -- serial path ---------------------------------------------------------
-
-
-def run_serial(
-    queue: JobQueue,
-    use_cache: bool = True,
-    cache_dir: Optional[Path] = None,
-    retry: Optional[RetryPolicy] = None,
-    journal: Optional[SweepJournal] = None,
-    on_result: Optional[ResultCallback] = None,
-) -> List[PointResult]:
-    """In-process execution with retry/backoff (no crash isolation).
-
-    ``jobs=1`` runs here: a worker kill cannot be survived in-process
-    (the fault layer downgrades it to a transient raise) and timeouts are
-    unenforceable without a subprocess, but transient failures still
-    retry under the policy and the journal still records progress.
-    """
-    policy = retry if retry is not None else RetryPolicy()
-    for job in queue.jobs:
-        while True:
-            if journal is not None:
-                journal.point_start(job.index, job.exp_id, job.attempt)
-            res = execute_point(
-                job.exp_id, job.scenario, use_cache=use_cache,
-                cache_dir=cache_dir, attempt=job.attempt,
-            )
-            if res.ok:
-                if journal is not None:
-                    journal.point_finish(
-                        job.index, job.exp_id, job.attempt, res.cached
-                    )
-                break
-            kind = res.error_kind or KIND_ERROR
-            if journal is not None:
-                journal.point_fail(job.index, job.exp_id, job.attempt, kind,
-                                   res.error or "")
-            if not policy.should_retry(kind, job.attempt):
-                break
-            time.sleep(policy.backoff(job.attempt, job.key))
-            job.attempt += 1
-        res.attempts = job.attempt
-        if res.ok:
-            queue.finish(job, res)
-        else:
-            queue.fail(job, res)
-        if on_result is not None:
-            on_result(job.index, res)
-    return queue.results()
+            if pool is not None:
+                pool.shutdown()
+        return [job.result for job in self.queue if job.result is not None]

@@ -2,10 +2,11 @@
 
 The execution layer of the sweep service.  Two pieces live here:
 
-* :func:`execute_point` — the single place a driver is invoked.  Serial
-  runs, pool workers, the CLI and the registry all come through here, so
-  caching and error capture behave identically everywhere.
-* :class:`WorkerPool` — the process pool the scheduler supervises.
+* :func:`execute_point` — the single place a driver is invoked.
+  In-process sweeps, pool workers, the CLI and the registry all come
+  through here, so caching and error capture behave identically
+  everywhere.
+* :class:`WorkerPool` — the process pool the sweep service supervises.
   This is the **only** module allowed to construct a
   ``ProcessPoolExecutor`` (lint rule SAN109 enforces it), so pool
   lifecycle quirks — submit racing a worker death, killing a pool whose
@@ -95,7 +96,7 @@ def execute_point(
 ) -> PointResult:
     """Run one (experiment, scenario) point: cache lookup, driver, store.
 
-    This is the only place a driver is invoked — serial runs, pool
+    This is the only place a driver is invoked — in-process sweeps, pool
     workers, the CLI and the registry all come through here, so caching
     and error capture behave identically everywhere.  ``attempt`` is the
     1-based attempt number under the caller's retry policy; it selects
@@ -260,7 +261,7 @@ class WorkerPool:
     """The sweep's process pool, with crash-tolerant submit and teardown.
 
     The only construction site for ``ProcessPoolExecutor`` in the
-    codebase (SAN109): the scheduler asks for a pool of ``max_workers``
+    codebase (SAN109): the sweep service asks for a pool of ``max_workers``
     and gets submit/kill/restart semantics that survive worker death.
     """
 
@@ -269,7 +270,7 @@ class WorkerPool:
         self._pool = self._new_pool()
 
     def _new_pool(self) -> ProcessPoolExecutor:
-        # Imported here, not at module top: a serial sweep never loads
+        # Imported here, not at module top: an in-process sweep never loads
         # the pool's modules (concurrent.futures.process, multiprocessing).
         from concurrent.futures import ProcessPoolExecutor
 

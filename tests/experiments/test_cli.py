@@ -6,12 +6,13 @@ whenever a driver failure or a tolerance breach sets exit code 1, the
 merged report — with every successful point's rows — is still written to
 stdout as valid JSON, and diagnostics go to stderr only.  This is the
 ``keep partial results on failure`` path promised by
-:func:`repro.experiments.service.merge_experiment`.
+:class:`repro.experiments.service.ReportAggregator`.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import replace
 
 import pytest
@@ -290,6 +291,15 @@ class TestSupervisionUsage:
     def test_nonpositive_timeout_rejected(self, capsys):
         assert main(["table4", "--timeout", "0"]) == 2
         assert "--timeout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "1e10"])
+    def test_unwaitable_timeout_rejected(self, timeout, capsys):
+        # NaN never expires and anything past threading.TIMEOUT_MAX
+        # overflows the pool's wait(): both are usage errors naming the
+        # bound, not a sweep that polls forever or a traceback.
+        assert main(["table4", "--timeout", timeout, "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "--timeout" in err and f"{threading.TIMEOUT_MAX:g}" in err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_nonpositive_jobs_rejected(self, jobs, capsys):

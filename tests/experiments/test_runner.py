@@ -176,7 +176,7 @@ class TestExperimentApi:
 
         import unittest.mock as mock
 
-        # The serial path resolves execute_point through the scheduler
+        # The in-process path resolves execute_point through the scheduler
         # module, which is where both must end up.
         with mock.patch.object(
             service_scheduler, "execute_point", side_effect=spy

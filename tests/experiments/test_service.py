@@ -1,9 +1,9 @@
-"""Tests for the layered sweep service: queue, pool, aggregator, journal.
+"""Tests for the layered sweep service: job list, pool, aggregator, journal.
 
-The service decomposes sweep execution into four seams
-(``queue -> scheduler -> workers -> aggregate``); these tests pin each
-seam's contract in isolation plus the cross-layer invariants: pooled
-execution produces byte-identical reports to serial, and the
+The service decomposes sweep execution into three layers
+(``scheduler -> workers -> aggregate``); these tests pin each layer's
+contract in isolation plus the cross-layer invariants: pooled execution
+produces byte-identical reports to in-process execution, and the
 ``status``/``compact`` subcommands read/rewrite the journal faithfully
 (including journals written by older versions).
 """
@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.experiments.base import ExperimentReport
 from repro.experiments.cli import main
 from repro.experiments.journal import (
     SweepJournal,
@@ -22,18 +23,17 @@ from repro.experiments.journal import (
 )
 from repro.experiments.scenario import Scenario
 from repro.experiments.service import (
-    JobQueue,
+    Job,
     ReportAggregator,
     SweepService,
     SweepStats,
     cache,
     execute_point,
+    scheduler,
 )
 from repro.experiments.service.queue import (
-    CLAIMED,
     DONE,
-    FAILED,
-    PENDING,
+    KIND_TRANSIENT,
     PointResult,
 )
 
@@ -47,60 +47,85 @@ POINTS = [
 
 def _result(exp_id, scen, ok=True):
     if ok:
-        from repro.experiments.base import ExperimentReport
-
-        return PointResult(exp_id, scen, report=ExperimentReport(exp_id, "t"))
+        report = ExperimentReport(exp_id, "t", notes=[scen.describe()])
+        return PointResult(exp_id, scen, report=report)
     return PointResult(exp_id, scen, error="boom", error_kind="error")
 
 
-class TestJobQueue:
-    def test_from_points_keeps_input_order(self):
-        q = JobQueue.from_points(POINTS)
-        assert len(q) == 4
-        for i, (job, (exp_id, scen)) in enumerate(zip(q, POINTS)):
-            assert (job.index, job.exp_id, job.scenario) == (i, exp_id, scen)
-            assert job.state == PENDING
+@pytest.fixture
+def dispatched(monkeypatch):
+    """Stub the in-process driver entry: record each attempt, succeed.
 
-    def test_lifecycle_transitions(self):
-        q = JobQueue.from_points(POINTS)
-        job = q.jobs[0]
-        q.claim(job)
-        assert job.state == CLAIMED and not job.settled
-        q.requeue(job, ready_at=123.0)
-        assert job.state == PENDING and job.ready_at == 123.0
-        q.finish(job, _result(*POINTS[0]))
-        assert job.state == DONE and job.settled
-        q.fail(q.jobs[1], _result(*POINTS[1], ok=False))
-        assert q.jobs[1].state == FAILED
-        assert q.unsettled == 2
+    A point listed in ``flaky`` fails its first attempt transiently.
+    """
+    calls = []
+    flaky = []
+
+    def stub(exp_id, scenario, use_cache=True, cache_dir=None, attempt=1):
+        calls.append((exp_id, scenario, attempt))
+        if (exp_id, scenario) in flaky and attempt == 1:
+            return PointResult(exp_id, scenario, error="flaky",
+                               error_kind=KIND_TRANSIENT)
+        return _result(exp_id, scenario)
+
+    monkeypatch.setattr(scheduler, "execute_point", stub)
+    return calls, flaky
+
+
+class TestJobQueue:
+    """The service's job list: one Job per point, in input order."""
+
+    def test_from_points_keeps_input_order(self, dispatched):
+        calls, _ = dispatched
+        service = SweepService(use_cache=False)
+        service.run(POINTS)
+        assert len(service.queue) == 4
+        for i, (job, (exp_id, scen)) in enumerate(zip(service.queue, POINTS)):
+            assert (job.index, job.exp_id, job.scenario) == (i, exp_id, scen)
+            assert job.state == DONE and job.settled
+        assert [(e, s) for e, s, _ in calls] == POINTS
 
     def test_ready_respects_backoff(self):
-        q = JobQueue.from_points(POINTS)
-        q.jobs[0].ready_at = 100.0
-        ready = q.ready(now=50.0)
-        assert q.jobs[0] not in ready
-        assert q.jobs[1] in ready
-        assert q.ready(now=150.0)[0] is q.jobs[0]  # input order
+        service = SweepService()
+        service.queue = [Job(i, e, s) for i, (e, s) in enumerate(POINTS)]
+        jobs = service.queue
+        jobs[0].ready_at = 100.0
+        ready = service._ready(now=50.0)
+        assert jobs[0] not in ready
+        assert jobs[1] in ready
+        assert service._ready(now=150.0)[0] is jobs[0]  # input order
+        jobs[1].state = DONE
+        assert jobs[1] not in service._ready(now=150.0)
 
-    def test_results_in_input_order(self):
-        q = JobQueue.from_points(POINTS)
-        # Settle out of order; results() must come back by input position.
-        for i in (2, 0, 3, 1):
-            q.finish(q.jobs[i], _result(*POINTS[i]))
-        assert [r.exp_id for r in q.results()] == [e for e, _ in POINTS]
+    def test_results_in_input_order(self, dispatched, monkeypatch):
+        # Point 0 fails its first attempt and settles after its backoff,
+        # behind the others; results still come back by input position.
+        _, flaky = dispatched
+        flaky.append(POINTS[0])
+        service = SweepService(use_cache=False)
+        settled = []
+        monkeypatch.setattr(
+            service.aggregator, "add", lambda i, res: settled.append(i)
+        )
+        results = service.run(POINTS)
+        assert settled[0] == 1 and sorted(settled) == [0, 1, 2, 3]
+        assert [(r.exp_id, r.scenario) for r in results] == POINTS
+        assert [r.attempts for r in results] == [2, 1, 1, 1]
 
-    def test_from_journal_queues_everything_pending(self, tmp_path):
+    def test_from_journal_queues_everything_pending(self, tmp_path, dispatched):
+        calls, _ = dispatched
         path = tmp_path / "sweep.jsonl"
         journal = SweepJournal(path)
         journal.sweep_start(POINTS, "cafecafecafecafe", jobs=2)
         journal.point_start(0, "table4", 1)
         journal.point_finish(0, "table4", 1, cached=False)
         journal.close()
-        q = JobQueue.from_points(load_journal(path).points)
-        # Finished points re-enter as pending: resume recovers their
-        # reports through the cache, not by trusting the journal.
-        assert all(job.state == PENDING for job in q)
-        assert [(j.exp_id, j.scenario) for j in q] == POINTS
+        service = SweepService(use_cache=False)
+        service.run(load_journal(path).points)
+        # Finished points are queued like any other: resume recovers
+        # their reports through the cache, not by trusting the journal.
+        assert [(e, s) for e, s, _ in calls] == POINTS
+        assert [(j.exp_id, j.scenario) for j in service.queue] == POINTS
 
 
 class TestAggregator:
@@ -108,15 +133,18 @@ class TestAggregator:
         agg = ReportAggregator()
         for i in (3, 0, 2, 1):
             agg.add(i, _result(*POINTS[i]))
-        assert len(agg) == 4
-        assert [r.exp_id for r in agg.results()] == [e for e, _ in POINTS]
-        assert agg.experiment_ids() == ["table4", "table5"]
+        reports = agg.reports(["table5", "table4"])
+        assert [r.exp_id for r in reports] == ["table5", "table4"]
+        # Each experiment's points merge in input order, whatever order
+        # they settled in.
+        assert reports[1].notes == [s.describe() for e, s in POINTS[:2]]
+        assert reports[0].notes == [s.describe() for e, s in POINTS[2:]]
 
     def test_partial_report_none_without_ok_results(self):
         agg = ReportAggregator()
-        assert agg.partial_report("table4") is None
+        assert agg.reports(["table4"]) == []
         agg.add(0, _result(*POINTS[0], ok=False))
-        assert agg.partial_report("table4") is None
+        assert agg.reports(["table4"]) == []
 
     def test_execution_stats_counts_failures(self):
         agg = ReportAggregator()
@@ -141,8 +169,9 @@ class TestPooledSweep:
         service = SweepService(jobs=2, cache_dir=tmp_path)
         results = service.run(POINTS)
         assert all(r.ok for r in results)
-        # Every settled point was streamed into the aggregator...
-        assert len(service.aggregator) == len(POINTS)
+        # Every settled point was handed to the aggregator...
+        stats = service.aggregator.execution_stats()
+        assert sum(st["points"] for st in stats.values()) == len(POINTS)
         reports = service.aggregator.reports(["table4", "table5"])
         assert [r.exp_id for r in reports] == ["table4", "table5"]
         # ...and the stats a benchmark reads stay at zero.

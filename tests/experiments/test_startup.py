@@ -25,7 +25,6 @@ import pytest
 from repro.experiments import registry
 from repro.experiments.registry import EXPERIMENTS, LazyDriver, get_spec, load_drivers
 from repro.experiments.service import scheduler
-from repro.experiments.service.queue import JobQueue
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -143,9 +142,9 @@ def test_pool_imports_drivers_before_forking(monkeypatch, tmp_path):
         for exp_id in ("table4", "fig8")
         for scen in get_spec(exp_id).default_scenarios
     ]
-    sweep = scheduler.Scheduler(JobQueue.from_points(points), jobs=2, cache_dir=tmp_path)
+    sweep = scheduler.SweepService(jobs=2, cache_dir=tmp_path)
     with pytest.raises(Stop):
-        sweep.run()
+        sweep.run(points)
     assert calls == [("load", ["table4", "table4", "fig8"]), ("pool", 2)]
 
 

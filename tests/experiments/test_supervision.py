@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
 
 import pytest
 
 from repro.experiments import faults
+from repro.experiments.cli import main
 from repro.experiments.faults import FaultRule
 from repro.experiments.journal import SweepJournal, load_journal
 from repro.experiments.scenario import Scenario
@@ -27,11 +29,16 @@ from repro.experiments.service.queue import (
     KIND_TIMEOUT,
     KIND_TRANSIENT,
 )
+from repro.experiments.service.scheduler import (
+    BACKOFF_BASE_S,
+    BACKOFF_CAP_S,
+    BACKOFF_JITTER,
+)
 
 V100 = Scenario(gpus=("V100",))
 P100 = Scenario(gpus=("P100",))
 
-FAST = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
+FAST = RetryPolicy(max_attempts=3)
 
 
 @pytest.fixture(autouse=True)
@@ -48,31 +55,29 @@ class TestRetryPolicy:
     def test_default_retries_transient_kinds_only(self):
         policy = RetryPolicy()
         for kind in (KIND_CRASH, KIND_TIMEOUT, KIND_TRANSIENT):
-            assert policy.is_retryable(kind)
-        assert not policy.is_retryable(KIND_ERROR)
+            assert policy.should_retry(kind, 1)
+        assert not policy.should_retry(KIND_ERROR, 1)
 
     def test_should_retry_respects_max_attempts(self):
         policy = RetryPolicy(max_attempts=2)
         assert policy.should_retry(KIND_CRASH, 1)
         assert not policy.should_retry(KIND_CRASH, 2)
 
-    def test_custom_retryable_predicate(self):
-        policy = RetryPolicy(retryable=lambda kind: True)
-        assert policy.should_retry(KIND_ERROR, 1)
-
     def test_backoff_is_exponential_and_capped(self):
-        policy = RetryPolicy(base_delay=0.1, max_delay=0.3, jitter=0.0)
-        assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.2)
-        assert policy.backoff(4) == pytest.approx(0.3)  # capped
+        policy = RetryPolicy()
+        for attempt in (1, 2, 3):
+            step = BACKOFF_BASE_S * 2 ** (attempt - 1)
+            assert step <= policy.backoff(attempt) < step * (1 + BACKOFF_JITTER)
+        capped = policy.backoff(10)  # 0.05 * 2**9 = 25.6 s uncapped
+        assert BACKOFF_CAP_S <= capped < BACKOFF_CAP_S * (1 + BACKOFF_JITTER)
 
     def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(base_delay=0.1, jitter=0.5)
+        policy = RetryPolicy()
         a = policy.backoff(1, key="table4/abc")
         b = policy.backoff(1, key="table4/abc")
         other = policy.backoff(1, key="fig8/def")
         assert a == b  # reproducible run to run
-        assert 0.1 <= a < 0.15
+        assert BACKOFF_BASE_S <= a < BACKOFF_BASE_S * (1 + BACKOFF_JITTER)
         assert a != other  # decorrelated across points
 
     def test_max_attempts_must_be_positive(self):
@@ -104,7 +109,7 @@ class TestCrashIsolation:
         inject_faults(FaultRule(kind="kill", match="table4", attempts=99))
         results = SweepService(
             jobs=2, cache_dir=cache_dir,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.01),
+            retry=RetryPolicy(max_attempts=2),
         ).run([("table1", V100), ("table4", V100)])
         by_id = {r.exp_id: r for r in results}
         assert by_id["table1"].ok
@@ -182,7 +187,7 @@ class TestTimeout:
         t0 = time.monotonic()
         results = SweepService(
             jobs=2, cache_dir=cache_dir, timeout=0.8,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.01),
+            retry=RetryPolicy(max_attempts=2),
         ).run([("table4", V100)])
         elapsed = time.monotonic() - t0
         assert results[0].ok
@@ -205,13 +210,21 @@ class TestTimeout:
         inject_faults(FaultRule(kind="delay", match="table4", delay=30.0, attempts=1))
         results = SweepService(
             jobs=1, cache_dir=cache_dir, timeout=0.8,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.01),
+            retry=RetryPolicy(max_attempts=2),
         ).run([("table4", V100)])
         assert results[0].ok and results[0].timeouts == 1
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ValueError, match="timeout"):
             SweepService(timeout=0.0)
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 1e10])
+    def test_unwaitable_timeout_rejected(self, timeout):
+        # NaN never expires; past threading.TIMEOUT_MAX the pool's wait()
+        # overflows.  Both messages name the bound.
+        bound = re.escape(f"{threading.TIMEOUT_MAX:g}")
+        with pytest.raises(ValueError, match=bound):
+            SweepService(timeout=timeout)
 
 
 class TestQuarantine:
@@ -331,6 +344,34 @@ class TestJournalIntegration:
         events = [r["event"] for r in records]
         assert events == ["sweep", "start", "fail", "start", "finish"]
         assert records[2]["kind"] == "transient"
+
+    def test_healthy_point_runs_during_backoff_in_process(
+        self, inject_faults, tmp_path, capsys
+    ):
+        # --jobs 1 shares the pool's attempt path: while the flaky V100
+        # point backs off, the healthy P100 point runs, and the merged
+        # output is what the pool path prints for the same sweep.
+        inject_faults(FaultRule(kind="flaky", match="table4", scenario="V100",
+                                attempts=1))
+        outputs = {}
+        for jobs in ("1", "2"):
+            journal = tmp_path / f"sweep-{jobs}.jsonl"
+            rc = main(["table4", "--json", "--jobs", jobs, "--retries", "1",
+                       "--cache-dir", str(tmp_path / f"cache-{jobs}"),
+                       "--journal", str(journal)])
+            outputs[jobs] = capsys.readouterr().out
+            assert rc == 0
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "sweep-1.jsonl").read_text().splitlines()
+        ]
+        assert [(r["event"], r.get("index")) for r in records] == [
+            ("sweep", None), ("start", 0), ("fail", 0), ("start", 1),
+            ("finish", 1), ("start", 0), ("finish", 0),
+        ]
+        assert outputs["1"] == outputs["2"]
+        [report] = json.loads(outputs["1"])
+        assert report["execution"]["retries"] == 1
 
     def test_pool_path_journals_too(self, cache_dir, tmp_path):
         journal = SweepJournal(tmp_path / "sweep.jsonl")
