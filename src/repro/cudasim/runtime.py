@@ -46,6 +46,9 @@ class CudaRuntime:
     def __init__(self, node: Node, engine: Optional[Engine] = None,
                  host_jitter_ns: Optional[float] = None, seed: int = 0):
         self.node = node
+        # Whether the runtime made its engine; only then may a host program
+        # be replayed without the event loop (repro.cudasim.timeline).
+        self.owns_engine = engine is None
         self.engine = engine or Engine()
         jitter = (
             host_jitter_ns
@@ -103,9 +106,7 @@ class CudaRuntime:
         launch_type: str = "traditional",
     ) -> Generator:
         """Traditional ``<<<>>>`` launch.  Yields; returns a LaunchRecord."""
-        dev = self.device(device)
-        config.validate(dev.spec)
-        calib = dev.spec.launch_calib(launch_type)
+        calib = self._checked_launch(config, device, launch_type)
         yield Timeout(calib.api_ns)  # host-side API cost
         rec = self.stream(device).enqueue(
             kernel, config, calib, enqueue_done_ns=self.engine.now
@@ -119,18 +120,7 @@ class CudaRuntime:
         device: int = 0,
     ) -> Generator:
         """``cudaLaunchCooperativeKernel``: validates grid co-residency."""
-        dev = self.device(device)
-        config.validate(dev.spec)
-        limit = max_cooperative_blocks(
-            dev.spec, config.threads_per_block, config.shared_mem_per_block
-        )
-        if config.grid_blocks > limit:
-            raise CooperativeLaunchTooLarge(
-                f"grid of {config.grid_blocks} blocks x "
-                f"{config.threads_per_block} threads cannot co-reside on "
-                f"{dev.spec.name} (limit {limit} blocks)"
-            )
-        calib = dev.spec.launch_calib("cooperative")
+        calib = self._checked_cooperative(config, device)
         yield Timeout(calib.api_ns)
         rec = self.stream(device).enqueue(
             kernel, config, calib, enqueue_done_ns=self.engine.now
@@ -150,11 +140,59 @@ class CudaRuntime:
         behaviour Section VI-A evaluates.  Yields; returns the list of
         launch records (one per device).
         """
+        ids, calib = self._checked_multi_device(config, devices)
+        yield Timeout(calib.api_ns)
+        enqueue_done = self.engine.now
+        common_start = self._common_start(ids, calib, enqueue_done)
+        records = [
+            self.stream(d).enqueue(
+                kernel,
+                config,
+                calib,
+                enqueue_done_ns=enqueue_done,
+                n_gpus=len(ids),
+                start_override_ns=common_start,
+            )
+            for d in ids
+        ]
+        return records
+
+    # The launch checks and the multi-device start, shared with the host
+    # timeline replay (repro.cudasim.timeline) so both paths raise alike.
+
+    def _checked_launch(self, config: LaunchConfig, device: int, launch_type: str):
+        """Check a ``<<<>>>`` launch; returns its launch type's calibration."""
+        dev = self.device(device)
+        config.validate(dev.spec)
+        return dev.spec.launch_calib(launch_type)
+
+    def _checked_cooperative(self, config: LaunchConfig, device: int):
+        """Check a cooperative launch's co-residency; returns its calibration."""
+        dev = self.device(device)
+        config.validate(dev.spec)
+        limit = max_cooperative_blocks(
+            dev.spec, config.threads_per_block, config.shared_mem_per_block
+        )
+        if config.grid_blocks > limit:
+            raise CooperativeLaunchTooLarge(
+                f"grid of {config.grid_blocks} blocks x "
+                f"{config.threads_per_block} threads cannot co-reside on "
+                f"{dev.spec.name} (limit {limit} blocks)"
+            )
+        return dev.spec.launch_calib("cooperative")
+
+    def _checked_multi_device(
+        self, config: LaunchConfig, devices: Optional[Sequence[int]]
+    ):
+        """Check a multi-device launch; returns its device ids and calibration."""
         ids = list(devices) if devices is not None else list(range(self.gpu_count))
         if not ids:
             raise InvalidDevice("multi-device launch needs at least one device")
-        n = len(ids)
-        for d in ids:
+        for i, d in enumerate(ids):
+            if d in ids[:i]:
+                raise InvalidDevice(
+                    f"device {d} appears more than once in a multi-device launch"
+                )
             dev = self.device(d)
             config.validate(dev.spec)
             limit = max_cooperative_blocks(
@@ -165,26 +203,15 @@ class CudaRuntime:
                     f"grid of {config.grid_blocks} blocks cannot co-reside "
                     f"on device {d} ({dev.spec.name}, limit {limit})"
                 )
-        calib = self.device(ids[0]).spec.launch_calib("multi_device")
-        yield Timeout(calib.api_ns)
-        enqueue_done = self.engine.now
-        # Synchronized start: no device starts before every device's own
-        # pipeline constraint allows it.
-        common_start = max(
-            self.stream(d).earliest_start(enqueue_done, calib, n_gpus=n) for d in ids
-        )
-        records = [
-            self.stream(d).enqueue(
-                kernel,
-                config,
-                calib,
-                enqueue_done_ns=enqueue_done,
-                n_gpus=n,
-                start_override_ns=common_start,
-            )
+        return ids, self.device(ids[0]).spec.launch_calib("multi_device")
+
+    def _common_start(self, ids: List[int], calib, enqueue_done_ns: float) -> float:
+        """Synchronized start: no device starts before every device's own
+        pipeline constraint allows it."""
+        return max(
+            self.stream(d).earliest_start(enqueue_done_ns, calib, n_gpus=len(ids))
             for d in ids
-        ]
-        return records
+        )
 
     # -- cooperative groups (repro.sync) ------------------------------------
 

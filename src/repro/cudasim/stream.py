@@ -68,7 +68,7 @@ class Stream:
 
     # -- enqueue -----------------------------------------------------------
 
-    def enqueue(
+    def commit(
         self,
         kernel: Kernel,
         config: LaunchConfig,
@@ -76,9 +76,11 @@ class Stream:
         enqueue_done_ns: float,
         n_gpus: int = 1,
         start_override_ns: Optional[float] = None,
-    ) -> LaunchRecord:
-        """Commit a kernel to the pipeline; returns its launch record.
+    ) -> tuple[float, float, float]:
+        """Advance the pipeline by one kernel; returns ``(start, end, exec)``.
 
+        The recurrence of the module docstring, shared by :meth:`enqueue`
+        and the host timeline replay (:mod:`repro.cudasim.timeline`).
         ``start_override_ns`` implements the multi-device launch's
         synchronized start (all participating devices begin together, no
         earlier than any device's own constraint).
@@ -92,6 +94,27 @@ class Stream:
                 )
             start = start_override_ns
         end = start + exec_ns
+        self._pipeline_end_ns = end
+        self._last_exec_ns = exec_ns
+        return start, end, exec_ns
+
+    def enqueue(
+        self,
+        kernel: Kernel,
+        config: LaunchConfig,
+        calib: LaunchCalib,
+        enqueue_done_ns: float,
+        n_gpus: int = 1,
+        start_override_ns: Optional[float] = None,
+    ) -> LaunchRecord:
+        """Commit a kernel to the pipeline; returns its launch record.
+
+        Its completion signal is scheduled ``end - now`` after the
+        engine's current time.
+        """
+        start, end, exec_ns = self.commit(
+            kernel, config, calib, enqueue_done_ns, n_gpus, start_override_ns
+        )
         completion = Signal(self.engine, name=f"{kernel.name}@s{self.index}.done")
         # Functional side effects run as a fire callback, so the deferred
         # completion is a plain (signal, value) record on the engine.
@@ -101,9 +124,6 @@ class Stream:
             )
         )
         self.engine.schedule_fire(end - self.engine.now, completion)
-
-        self._pipeline_end_ns = end
-        self._last_exec_ns = exec_ns
         rec = LaunchRecord(
             kernel_name=kernel.name,
             enqueue_done_ns=enqueue_done_ns,
@@ -114,6 +134,11 @@ class Stream:
         )
         self.records.append(rec)
         return rec
+
+    @property
+    def fresh(self) -> bool:
+        """True until a kernel is committed to the stream."""
+        return self._pipeline_end_ns is None
 
     @property
     def pending(self) -> List[Signal]:

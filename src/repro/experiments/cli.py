@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 from pathlib import Path
 from typing import List, Optional
 
@@ -338,19 +337,35 @@ def main(argv: Optional[List[str]] = None) -> int:
         _list_experiments(ids)
         return 0
 
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
     if args.retries < 0:
         print("--retries must be >= 0", file=sys.stderr)
         return 2
-    # NaN fails both comparisons; past TIMEOUT_MAX the pool's wait()
-    # overflows.
-    if args.timeout is not None and not 0 < args.timeout <= threading.TIMEOUT_MAX:
-        print(
-            f"--timeout must be in (0, {threading.TIMEOUT_MAX:g}] seconds",
-            file=sys.stderr,
+
+    # Journal: explicit path, the resumed journal (append to it), or the
+    # default next to the cache.  --no-cache runs are throwaway by
+    # declaration, so they carry no journal unless one is named.  The
+    # journal opens on its first record, which the service writes.
+    journal_path = args.journal
+    if journal_path is None and args.resume is not None:
+        journal_path = args.resume
+    if journal_path is None and not args.no_cache:
+        cache_root = args.cache_dir or default_cache_dir()
+        journal_path = default_journal_path(cache_root)
+    journal = SweepJournal(journal_path) if journal_path is not None else None
+    retry = RetryPolicy(max_attempts=args.retries + 1)
+    try:
+        service = SweepService(
+            jobs=args.jobs,
+            use_cache=not args.no_cache,
+            cache_dir=args.cache_dir,
+            timeout=args.timeout,
+            retry=retry,
+            journal=journal,
         )
+    except ValueError as exc:
+        # The service checks the --jobs and --timeout bounds; its message
+        # starts with the setting's name, which is the flag's.
+        print(f"--{exc}", file=sys.stderr)
         return 2
 
     if args.resume is not None:
@@ -425,25 +440,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"bad --scenario override: {exc}", file=sys.stderr)
             return 2
 
-    # Journal: explicit path, the resumed journal (append to it), or the
-    # default next to the cache.  --no-cache runs are throwaway by
-    # declaration, so they carry no journal unless one is named.
-    journal_path = args.journal
-    if journal_path is None and args.resume is not None:
-        journal_path = args.resume
-    if journal_path is None and not args.no_cache:
-        cache_root = args.cache_dir or default_cache_dir()
-        journal_path = default_journal_path(cache_root)
-    journal = SweepJournal(journal_path) if journal_path is not None else None
-
-    service = SweepService(
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        timeout=args.timeout,
-        retry=RetryPolicy(max_attempts=args.retries + 1),
-        journal=journal,
-    )
     results = service.run(points)
     if journal is not None:
         journal.close()

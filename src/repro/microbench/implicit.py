@@ -20,6 +20,7 @@ from typing import Generator, Optional, Sequence
 
 from repro.cudasim.kernel import LaunchConfig, NullKernel, SleepKernel
 from repro.cudasim.runtime import CudaRuntime
+from repro.cudasim.timeline import HostTimeline, run_host_program
 from repro.microbench.harness import Measurement, MeasurementConfig, collect
 from repro.sim.arch import NodeSpec
 
@@ -83,21 +84,26 @@ def _burst_latency(
     """Host-clock latency of ``n_launches`` sleep kernels + one sync."""
     rt: CudaRuntime = rt_factory()
     kernel = SleepKernel(units=sleep_units, unit_ns=unit_ns, launch_type=launch_type)
-    out: dict = {}
 
-    def host() -> Generator:
+    def host(h) -> Generator:
         # Warm-up launch, not timed (Section IX-B).
-        yield from _launch(rt, kernel, launch_type, devices)
-        yield from _sync(rt, launch_type, devices)
-        t1 = rt.host_clock.read()
+        yield from _launch(h, kernel, launch_type, devices)
+        yield from _sync(h, launch_type, devices)
+        t1 = h.host_clock.read()
         for _ in range(n_launches):
-            yield from _launch(rt, kernel, launch_type, devices)
-        yield from _sync(rt, launch_type, devices)
-        t2 = rt.host_clock.read()
-        out["latency"] = t2 - t1
+            yield from _launch(h, kernel, launch_type, devices)
+        yield from _sync(h, launch_type, devices)
+        return h.host_clock.read() - t1
 
-    rt.run_host(host())
-    return out["latency"]
+    return run_host_program(rt, host)
+
+
+def _check_single_device(launch_type: str, devices: Optional[Sequence[int]]) -> None:
+    if devices is not None and launch_type in ("traditional", "cooperative"):
+        raise ValueError(
+            f"devices applies to multi_device launches only; a {launch_type} "
+            "launch runs on device 0"
+        )
 
 
 def measure_launch_overhead(
@@ -119,8 +125,12 @@ def measure_launch_overhead(
     GPUs pass a larger scale so the kernels outlast the deeper dispatch
     pipeline — the paper's ~250 µs requirement on 8 GPUs.
     """
+    for name, count in (("i_launches", i_launches), ("j_launches", j_launches)):
+        if not isinstance(count, int) or count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
     if i_launches == j_launches:
         raise ValueError("i and j must differ (Eq 6 divides by i - j)")
+    _check_single_device(launch_type, devices)
     n_gpus = len(devices) if devices is not None else (
         rt_factory().gpu_count if launch_type == "multi_device" else 1
     )
@@ -165,27 +175,26 @@ def measure_kernel_total_latency(
     own warm-up launch on a fresh runtime, so the default ``config``
     takes no harness warm-up sample.
     """
+    _check_single_device(launch_type, devices)
 
     def sample() -> float:
         rt: CudaRuntime = rt_factory()
         kernel = NullKernel(launch_type=launch_type)
-        out: dict = {}
 
-        def host() -> Generator:
-            yield from _launch(rt, kernel, launch_type, devices)  # warm-up
-            yield from _sync(rt, launch_type, devices)
-            t1 = rt.host_clock.read()
-            yield from _launch(rt, kernel, launch_type, devices)
-            yield from _sync(rt, launch_type, devices)
-            t2 = rt.host_clock.read()
+        def host(h) -> Generator:
+            yield from _launch(h, kernel, launch_type, devices)  # warm-up
+            yield from _sync(h, launch_type, devices)
+            t1 = h.host_clock.read()
+            yield from _launch(h, kernel, launch_type, devices)
+            yield from _sync(h, launch_type, devices)
+            t2 = h.host_clock.read()
             for _ in range(5):
-                yield from _launch(rt, kernel, launch_type, devices)
-            yield from _sync(rt, launch_type, devices)
-            t3 = rt.host_clock.read()
-            out["v"] = ((t3 - t2) - (t2 - t1)) / (5 - 1)
+                yield from _launch(h, kernel, launch_type, devices)
+            yield from _sync(h, launch_type, devices)
+            t3 = h.host_clock.read()
+            return ((t3 - t2) - (t2 - t1)) / (5 - 1)
 
-        rt.run_host(host())
-        return out["v"]
+        return run_host_program(rt, host)
 
     return collect(sample, config)
 
@@ -214,24 +223,32 @@ def cpu_side_barrier_overhead(
         team = OmpTeam(rt, n_threads=n_gpus)
         out: dict = {}
 
-        def worker(tid: int) -> Generator:
+        def worker(h, barrier, tid: int) -> Generator:
             kernel = SleepKernel(units=sleep_units, unit_ns=1000.0)
-            if not rt.device(tid).spec.has_nanosleep:
+            if not h.device(tid).spec.has_nanosleep:
                 kernel = NullKernel()
             # warm-up iteration
-            yield from rt.launch(kernel, _PROBE_CONFIG, device=tid)
-            yield from rt.device_synchronize(device=tid)
-            yield from team.barrier(tid)
+            yield from h.launch(kernel, _PROBE_CONFIG, device=tid)
+            yield from h.device_synchronize(device=tid)
+            yield from barrier(tid)
             if tid == 0:
-                out["t1"] = rt.host_clock.read()
+                out["t1"] = h.host_clock.read()
             for _ in range(iters):
-                yield from rt.launch(kernel, _PROBE_CONFIG, device=tid)
-                yield from rt.device_synchronize(device=tid)
-                yield from team.barrier(tid)
+                yield from h.launch(kernel, _PROBE_CONFIG, device=tid)
+                yield from h.device_synchronize(device=tid)
+                yield from barrier(tid)
             if tid == 0:
-                out["t2"] = rt.host_clock.read()
+                out["t2"] = h.host_clock.read()
 
-        team.run(worker)
+        timeline = HostTimeline.of(rt)
+        if timeline is None:
+            team.run(lambda tid: worker(rt, team.barrier, tid))
+        else:
+            # Every member makes the same calls on an identical device, so
+            # all reach each barrier together: member 0's timeline is the
+            # team's.
+            barrier = timeline.team_barrier(team.barrier_cost_ns)
+            timeline.run(worker(timeline, barrier, 0))
         per_iter = (out["t2"] - out["t1"]) / iters
         exec_ns = sleep_units * 1000.0 if node_spec.gpu.has_nanosleep else 0.0
         return per_iter - exec_ns

@@ -24,6 +24,7 @@ from typing import Callable, Generator
 from repro.cudasim import instructions as ins
 from repro.cudasim.kernel import LaunchConfig, WorkKernel
 from repro.cudasim.runtime import CudaRuntime
+from repro.cudasim.timeline import run_host_program
 from repro.microbench.harness import Measurement, MeasurementConfig, collect
 from repro.microbench.stats import DerivedLatency, derive_instruction_latency
 from repro.sim.arch import GPUSpec
@@ -87,19 +88,16 @@ def measure_kernel_total_latency_host(
         counter[0] += 1
         rt = CudaRuntime.single_gpu(spec, seed=seed + counter[0])
         kernel = WorkKernel(duration_fn(repeats), name=f"probe-r{repeats}")
-        out: dict = {}
 
-        def host() -> Generator:
-            yield from rt.launch(kernel, _PROBE_CONFIG)  # warm-up
-            yield from rt.device_synchronize()
-            t1 = rt.host_clock.read()
-            yield from rt.launch(kernel, _PROBE_CONFIG)
-            yield from rt.device_synchronize()
-            t2 = rt.host_clock.read()
-            out["v"] = t2 - t1
+        def host(h) -> Generator:
+            yield from h.launch(kernel, _PROBE_CONFIG)  # warm-up
+            yield from h.device_synchronize()
+            t1 = h.host_clock.read()
+            yield from h.launch(kernel, _PROBE_CONFIG)
+            yield from h.device_synchronize()
+            return h.host_clock.read() - t1
 
-        rt.run_host(host())
-        return out["v"]
+        return run_host_program(rt, host)
 
     return collect(sample, config)
 

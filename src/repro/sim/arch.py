@@ -211,6 +211,17 @@ class LaunchCalib:
     gap_quad_ns_per_gpu2: float = 0.0
     dispatch_ns_per_extra_gpu: float = 0.0
 
+    def __post_init__(self):
+        # Every field is a duration the host or the stream adds to a time,
+        # and the engine rejects a negative or non-finite delay wherever it
+        # meets one.  Rejecting it here keeps the event path and the host
+        # timeline replay (repro.cudasim.timeline) refusing the same inputs.
+        for name, value in vars(self).items():
+            if not 0.0 <= value < float("inf"):
+                raise ValueError(
+                    f"LaunchCalib.{name} must be finite and >= 0, got {value!r}"
+                )
+
     def gap_for(self, n_gpus: int) -> float:
         """Inter-kernel gap for an ``n_gpus``-wide launch."""
         return self.gap_ns + self.gap_quad_ns_per_gpu2 * (n_gpus**2 - 1)

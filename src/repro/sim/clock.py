@@ -86,8 +86,16 @@ class HostClock:
 
     def read(self) -> float:
         """Current host time in ns, with read jitter applied."""
+        return self.read_at(self.engine.now)
+
+    def read_at(self, now_ns: float) -> float:
+        """A read taken at host time ``now_ns``: it adds the next jitter draw.
+
+        A replayed host timeline (:mod:`repro.cudasim.timeline`) reads the
+        clock through this, so its draws follow the engine path's.
+        """
         noise = self._rng.normal(0.0, self.jitter_ns) if self.jitter_ns else 0.0
-        return self.engine.now + noise
+        return now_ns + noise
 
     def read_exact(self) -> float:
         """Noise-free time (for tests that need ground truth)."""

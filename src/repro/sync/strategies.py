@@ -247,8 +247,8 @@ class CpuBarrier(BarrierStrategy):
 
     def __init__(self, expected: int, cost_ns: float):
         super().__init__(expected)
-        if cost_ns < 0:
-            raise ValueError("cost_ns must be non-negative")
+        if not 0.0 <= cost_ns < float("inf"):
+            raise ValueError(f"cost_ns must be finite and non-negative, got {cost_ns!r}")
         self.cost_ns = float(cost_ns)
 
     def arrive(self, rnd: Round) -> Generator:

@@ -158,6 +158,17 @@ class TestMultiDeviceLaunch:
         with pytest.raises(InvalidDevice):
             rt.run_host(host())
 
+    def test_repeated_device_rejected(self, dgx1):
+        rt = CudaRuntime.for_node(dgx1, gpu_count=2)
+
+        def host():
+            yield from rt.launch_cooperative_multi_device(
+                NullKernel("multi_device"), CFG, devices=[0, 0]
+            )
+
+        with pytest.raises(InvalidDevice, match="device 0 appears more than once"):
+            rt.run_host(host())
+
     def test_oversized_grid_rejected_on_any_device(self, dgx1):
         rt = CudaRuntime.for_node(dgx1, gpu_count=2)
         cfg = LaunchConfig(3 * dgx1.gpu.sm_count, 1024)

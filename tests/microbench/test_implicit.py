@@ -52,6 +52,22 @@ class TestFusionMethod:
         with pytest.raises(ValueError):
             measure_launch_overhead(v100_rt, "traditional", i_launches=3, j_launches=3)
 
+    @pytest.mark.parametrize(
+        "i, j, name", [(5, 0, "j_launches"), (-1, 1, "i_launches"), (2.5, 1, "i_launches")]
+    )
+    def test_launch_counts_below_one_rejected(self, i, j, name):
+        # A j burst of no launches would time a bare synchronize against
+        # i launches; a fractional count has no burst at all.
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            measure_launch_overhead(v100_rt, "traditional", i_launches=i, j_launches=j)
+
+    @pytest.mark.parametrize("launch_type", ["traditional", "cooperative"])
+    def test_devices_rejected_for_single_device_launch(self, launch_type):
+        # Single-device launches run on device 0 whatever the list says.
+        for measure in (measure_launch_overhead, measure_kernel_total_latency):
+            with pytest.raises(ValueError, match="multi_device launches only"):
+                measure(v100_rt, launch_type, devices=[1])
+
     def test_unsaturated_pipeline_overestimates(self):
         """The paper's warning: short kernels inflate the measured overhead
         because the dispatch pipeline is not hidden."""

@@ -112,6 +112,14 @@ class TestLaunchCalib:
         c = v100.launch_calib("multi_device")
         assert 230_000 < c.dispatch_for(8) < 270_000
 
+    @pytest.mark.parametrize("field", ["api_ns", "dispatch_ns", "exec_null_ns"])
+    @pytest.mark.parametrize("value", [-1.0, float("inf"), float("nan")])
+    def test_negative_or_non_finite_field_rejected(self, v100, field, value):
+        # The engine would reject such a delay mid-run; the host timeline
+        # replay would not, so the calibration refuses it up front.
+        with pytest.raises(ValueError, match=f"LaunchCalib.{field} must be finite"):
+            dataclasses.replace(v100.launch_calib("traditional"), **{field: value})
+
     def test_single_device_types_have_no_gpu_scaling(self, spec):
         c = spec.launch_calib("traditional")
         assert c.gap_for(4) == c.gap_ns

@@ -250,8 +250,9 @@ class TestStrategies:
             CooperativeBarrier(expected=1, release_delay_ns=-1.0)
         with pytest.raises(ValueError):
             SoftwareAtomicBarrier(expected=1, atomic_service_ns=1.0, poll_ns=0.0)
-        with pytest.raises(ValueError):
-            CpuBarrier(expected=1, cost_ns=-1.0)
+        for cost in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="cost_ns must be finite"):
+                CpuBarrier(expected=1, cost_ns=cost)
 
 
 class TestRuntimeFactories:
