@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.sanitize import SanitizerSession
 from repro.sanitize import events as ev
 from repro.sim.arch import V100
-from repro.sim.engine import DeadlockError
+from repro.sim.engine import DeadlockError, use_backend
 from repro.sync import GridGroup
 from repro.sync.scope import BarrierScope
 
@@ -26,9 +26,10 @@ from repro.sync.scope import BarrierScope
 _N_SYNCS = 1
 
 
-def _grid_sync(n_syncs: int = _N_SYNCS, backend=None):
-    group = GridGroup(V100, blocks_per_sm=2, threads_per_block=256, backend=backend)
-    result = group.simulate(n_syncs=n_syncs)
+def _grid_sync(n_syncs: int = _N_SYNCS, backend="auto"):
+    group = GridGroup(V100, blocks_per_sm=2, threads_per_block=256)
+    with use_backend(backend):
+        result = group.simulate(n_syncs=n_syncs)
     return result, group.engine.event_count
 
 

@@ -204,22 +204,19 @@ def grid_sync_heatmap(
     n_syncs: int = 1,
     strategy=None,
     strategy_knobs=None,
-    backend=None,
 ) -> Dict[Tuple[int, int], float]:
     """Fig 5: measured grid-sync latency (us) per launch configuration.
 
     ``strategy``/``strategy_knobs`` select the barrier strategy per cell
     (kind string or instance factory input, see :class:`repro.sync.GridGroup`)
-    — ``None`` keeps the cooperative default the paper measures.
-    ``backend`` routes every cell through one execution backend
-    (:data:`repro.sim.backends.BACKEND_CHOICES`); each cell's group owns
-    a private engine, so the analytic closed forms apply to all of them.
+    — ``None`` keeps the cooperative default the paper measures.  Each
+    cell's group owns a private engine, so the analytic closed forms
+    apply to all of them under the ``auto`` backend.
     """
     out = {}
     for b, t in heatmap_cells(spec):
         r = GridGroup(
-            spec, b, t, strategy=strategy, strategy_knobs=strategy_knobs,
-            backend=backend,
+            spec, b, t, strategy=strategy, strategy_knobs=strategy_knobs
         ).simulate(n_syncs=n_syncs)
         out[(b, t)] = r.latency_per_sync_us
     return out
@@ -231,14 +228,13 @@ def multigrid_sync_heatmap(
     n_syncs: int = 1,
     strategy=None,
     strategy_knobs=None,
-    backend=None,
 ) -> Dict[Tuple[int, int], float]:
     """Figs 7/8: measured multi-grid sync latency (us) per configuration."""
     out = {}
     for b, t in heatmap_cells(node.spec.gpu):
         r = MultiGridGroup(
             node, b, t, gpu_ids=gpu_ids, strategy=strategy,
-            strategy_knobs=strategy_knobs, backend=backend,
+            strategy_knobs=strategy_knobs,
         ).simulate(n_syncs=n_syncs)
         out[(b, t)] = r.latency_per_sync_us
     return out

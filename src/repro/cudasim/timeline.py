@@ -23,8 +23,7 @@ from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.cudasim.kernel import Kernel, LaunchConfig
 from repro.cudasim.runtime import CudaRuntime
-from repro.sanitize import events as _sanitize
-from repro.sim.engine import SimulationError
+from repro.sim.engine import SimulationError, shortcuts_allowed
 
 __all__ = ["HostTimeline", "run_host_program"]
 
@@ -66,12 +65,13 @@ class HostTimeline:
     @classmethod
     def of(cls, rt: CudaRuntime) -> Optional["HostTimeline"]:
         """A replay of ``rt``'s host thread, or ``None`` if the event path
-        must run: ``rt`` was handed its engine, the engine has run or holds
-        work, a stream has work committed, or a sanitizer monitor is
-        installed (it records the event path's signal fires)."""
+        must run: shortcuts are not allowed
+        (:func:`~repro.sim.engine.shortcuts_allowed`), ``rt`` was handed
+        its engine, the engine has run or holds work, or a stream has work
+        committed."""
         engine = rt.engine
         if (
-            _sanitize.MONITOR is None
+            shortcuts_allowed()
             and rt.owns_engine
             and engine.now == 0.0
             and not engine.pending_count

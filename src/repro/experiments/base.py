@@ -66,13 +66,9 @@ class ExperimentReport:
 
     ``scenario`` records the scenario the driver ran against (its
     ``to_dict`` form; a merged report carries one entry per point under
-    ``{"points": [...]}``).  ``backend`` is the requested backend when
-    the driver dispatched a barrier ladder under it, as measured by
-    :func:`repro.experiments.service.execute_point` (``None`` when none
-    was requested, so the ladders ran the default ``auto`` dispatch, or
-    when none dispatched under it).  Both are provenance only —
-    :meth:`render` does not display them, so the bookkeeping never
-    perturbs the rendered paper artifacts.
+    ``{"points": [...]}``), the requested backend included.  It is
+    provenance only — :meth:`render` does not display it, so the
+    bookkeeping never perturbs the rendered paper artifacts.
     """
 
     exp_id: str
@@ -81,7 +77,6 @@ class ExperimentReport:
     artifacts: List[str] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
     scenario: Optional[Dict[str, Any]] = None
-    backend: Optional[str] = None
     #: Sanitizer payload when the run was sanitized (mode, event counts,
     #: findings — :meth:`repro.sanitize.SanitizerSession.summary`); ``None``
     #: (omitted from JSON) on unsanitized runs.
@@ -124,11 +119,8 @@ class ExperimentReport:
             "mean_rel_err": self.mean_rel_err,
             "max_rel_err": self.max_rel_err,
         }
-        # Omitted when unset so default reports keep the bytes they had
-        # before the backend layer (same contract as scenario knobs).
-        if self.backend is not None:
-            data["backend"] = self.backend
-        # Same omit-when-unset contract for sanitizer findings.
+        # Omitted when unset so unsanitized reports keep their bytes (the
+        # same contract as scenario knobs).
         if self.sanitizer is not None:
             data["sanitizer"] = self.sanitizer
         return data
@@ -142,7 +134,6 @@ class ExperimentReport:
             artifacts=list(data.get("artifacts", ())),
             notes=list(data.get("notes", ())),
             scenario=data.get("scenario"),
-            backend=data.get("backend"),
             sanitizer=data.get("sanitizer"),
         )
 
@@ -222,9 +213,6 @@ def merge_reports(
     merged.scenario = {
         "points": [rep.scenario for rep in reports if rep.scenario is not None]
     }
-    backends = {rep.backend for rep in reports if rep.backend is not None}
-    if backends:
-        merged.backend = backends.pop() if len(backends) == 1 else "mixed"
     sanitized = [rep.sanitizer for rep in reports if rep.sanitizer is not None]
     if sanitized:
         modes = {s.get("mode") for s in sanitized}

@@ -110,10 +110,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
         help=(
-            "simulation execution backend for every selected experiment's "
-            "barrier ladders: engine (event-precise, the oracle) or auto "
-            "(analytic closed forms where eligible, engine otherwise; what "
-            "runs when unset); shorthand for --scenario backend=NAME"
+            "simulation execution backend for every selected experiment: "
+            "engine (every simulation on the event-precise engine, the "
+            "oracle) or auto (exact shortcuts where they apply, engine "
+            "otherwise; what runs when unset); shorthand for --scenario "
+            "backend=NAME"
         ),
     )
     parser.add_argument(

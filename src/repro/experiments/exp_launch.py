@@ -104,7 +104,6 @@ def run_fig9(scenario: Optional[Scenario] = None) -> ExperimentReport:
             MultiGridGroup(
                 node, b, t, gpu_ids=range(n),
                 strategy=strategy, strategy_knobs=knobs,
-                backend=scenario.backend,
             )
             .simulate()
             .latency_per_sync_us

@@ -200,10 +200,7 @@ def run_fig5(scenario: Optional[Scenario] = None) -> ExperimentReport:
         spec = specs[0]
         report = _heatmap_report(
             "fig5", f"Grid synchronization heat-map ({spec.name})",
-            grid_sync_heatmap(
-                spec, strategy=strategy, strategy_knobs=knobs,
-                backend=scenario.backend,
-            ),
+            grid_sync_heatmap(spec, strategy=strategy, strategy_knobs=knobs),
             paper_for(spec), spec.name,
         )
     else:
@@ -211,10 +208,7 @@ def run_fig5(scenario: Optional[Scenario] = None) -> ExperimentReport:
         for spec in specs:
             sub = _heatmap_report(
                 "fig5", "",
-                grid_sync_heatmap(
-                    spec, strategy=strategy, strategy_knobs=knobs,
-                    backend=scenario.backend,
-                ),
+                grid_sync_heatmap(spec, strategy=strategy, strategy_knobs=knobs),
                 paper_for(spec), spec.name,
             )
             report.rows.extend(sub.rows)
@@ -238,8 +232,7 @@ def run_fig7(scenario: Optional[Scenario] = None) -> ExperimentReport:
     for n in scenario.sweep_counts(sorted(FIG7_MULTIGRID_P100_US)):
         node = scenario.build_node(gpu_count=max(n, 1))
         measured = multigrid_sync_heatmap(
-            node, gpu_ids=range(n), strategy=strategy, strategy_knobs=knobs,
-            backend=scenario.backend,
+            node, gpu_ids=range(n), strategy=strategy, strategy_knobs=knobs
         )
         paper = (
             FIG7_MULTIGRID_P100_US.get(n, {}) if anchors_apply(scenario) else {}
@@ -269,8 +262,7 @@ def run_fig8(scenario: Optional[Scenario] = None) -> ExperimentReport:
             FIG8_MULTIGRID_V100_US.get(n, {}) if anchors_apply(scenario) else {}
         )
         measured = multigrid_sync_heatmap(
-            node, gpu_ids=range(n), strategy=strategy, strategy_knobs=knobs,
-            backend=scenario.backend,
+            node, gpu_ids=range(n), strategy=strategy, strategy_knobs=knobs
         )
         sub = _heatmap_report("fig8", "", measured, paper, f"{gpu_name} x{n}")
         report.rows.extend(sub.rows)
@@ -355,7 +347,7 @@ def run_sync_methods(scenario: Optional[Scenario] = None) -> ExperimentReport:
         series[kind] = [
             MultiGridGroup(
                 node, b, t, gpu_ids=range(n), strategy=kind,
-                strategy_knobs=kind_knobs, backend=scenario.backend,
+                strategy_knobs=kind_knobs,
             )
             .simulate()
             .latency_per_sync_us
@@ -423,7 +415,6 @@ def run_sync_methods(scenario: Optional[Scenario] = None) -> ExperimentReport:
                 MultiGridGroup(
                     node, b, t, gpu_ids=range(n_max),
                     strategy="atomic", strategy_knobs=scan_knobs,
-                    backend=scenario.backend,
                 )
                 .simulate()
                 .latency_per_sync_us

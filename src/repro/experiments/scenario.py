@@ -118,14 +118,16 @@ class Scenario:
         (:func:`canonicalize_extra_value`), so equal contents always hash
         equally.
     backend:
-        Simulation execution backend for the barrier ladders of the
-        scopes a driver builds with it (``engine`` or ``auto`` —
-        :data:`repro.sim.backends.BACKEND_CHOICES`).  ``None`` runs the
-        default dispatch, ``auto``: eligible uniform barrier workloads
-        take the analytic closed forms, bit-identical to the engine,
-        and the rest run on the engine.  Unset, it is left out of the
-        JSON, so content hashes and cache keys keep their bytes.  ``engine``
-        forces the event-precise oracle (see ``docs/backends.md``).
+        Simulation execution backend for the whole run (``engine`` or
+        ``auto`` — :data:`repro.sim.backends.BACKEND_CHOICES`), set as the
+        process-wide oracle switch around the driver
+        (:func:`repro.sim.engine.use_backend`).  ``None`` runs ``auto``:
+        exact shortcuts (analytic barrier ladders, pipe folds and replays,
+        host-timeline replays, the warp-reduce memo), bit-identical to the
+        engine, wherever they apply.  ``engine`` turns every one of them
+        off, so each simulation runs its events (the oracle; see
+        ``docs/backends.md``).  Unset, it is left out of the JSON, so
+        content hashes and cache keys keep their bytes.
     sanitize:
         Dynamic sync-checker mode for the run (``synccheck``, ``racecheck``,
         ``full`` — :data:`repro.sanitize.SANITIZE_MODES`).  ``None`` (and

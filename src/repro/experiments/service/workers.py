@@ -54,7 +54,13 @@ __all__ = [
 
 
 def _run_driver(spec: Any, scenario: Scenario) -> ExperimentReport:
-    """Invoke the driver, under a sanitizer session when the scenario asks.
+    """Invoke the driver under the scenario's backend, and under a
+    sanitizer session when the scenario asks.
+
+    ``scenario.backend`` (``None`` runs ``"auto"``) is the process-wide
+    oracle switch (:func:`repro.sim.engine.use_backend`) for the driver's
+    run and is restored afterwards, also when the driver raises, so it
+    holds per point in a pool worker as in-process.
 
     ``scenario.sanitize`` installs a :class:`repro.sanitize.SanitizerSession`
     around the driver call, so every instrumented engine/scope/memory hook
@@ -66,23 +72,25 @@ def _run_driver(spec: Any, scenario: Scenario) -> ExperimentReport:
     (which members diverged, at which round, in which scope) instead of
     just the list of hung processes.
     """
-    if scenario.sanitize is None:
-        return spec.driver(scenario)
-    from repro.sanitize import SanitizerSession, render_findings
-    from repro.sim.engine import DeadlockError
+    from repro.sim.engine import DeadlockError, use_backend
 
-    with SanitizerSession(scenario.sanitize) as session:
-        try:
-            report = spec.driver(scenario)
-        except DeadlockError as exc:
-            lines = render_findings(session.findings())
-            if lines:
-                exc.args = (
-                    str(exc)
-                    + "\nsanitizer findings:\n"
-                    + "\n".join(f"  {line}" for line in lines),
-                )
-            raise
+    with use_backend(scenario.backend or "auto"):
+        if scenario.sanitize is None:
+            return spec.driver(scenario)
+        from repro.sanitize import SanitizerSession, render_findings
+
+        with SanitizerSession(scenario.sanitize) as session:
+            try:
+                report = spec.driver(scenario)
+            except DeadlockError as exc:
+                lines = render_findings(session.findings())
+                if lines:
+                    exc.args = (
+                        str(exc)
+                        + "\nsanitizer findings:\n"
+                        + "\n".join(f"  {line}" for line in lines),
+                    )
+                raise
     report.sanitizer = session.summary()
     return report
 
@@ -123,13 +131,6 @@ def execute_point(
             return PointResult(
                 exp_id, scenario, report=report, cached=True, attempts=attempt
             )
-    choice = scenario.backend
-    if choice is not None:
-        # Imported only when a backend is named: a default run records
-        # no provenance and need not load the backends.
-        from repro.sim.backends import DISPATCHED
-
-        dispatched = DISPATCHED[choice]
     try:
         try:
             faults.apply_driver_faults(exp_id, desc, attempt)
@@ -145,16 +146,6 @@ def execute_point(
                 error_kind=KIND_ERROR, attempts=attempt,
             )
         report.scenario = scenario.to_dict()
-        if choice is not None:
-            # Provenance is measured: a point records the backend only if
-            # the driver dispatched a barrier ladder under it.
-            if DISPATCHED[choice] > dispatched:
-                report.backend = choice
-            else:
-                report.notes.append(
-                    f"backend={choice} requested but {exp_id} dispatched "
-                    "no barrier ladder under it"
-                )
         if use_cache:
             # A cache-store failure (read-only dir, full disk) must not
             # turn a finished report into a failed point — or, worse,

@@ -6,8 +6,9 @@ within one SM (the clock is local) — the paper uses it for warp-level
 instruction latencies and we additionally use it for the shared-memory
 proxy kernel of Section VII-B (Fig 10), whose measured bandwidth/latency
 feeds Table III.  The proxy is a capacity-1 pipe (the SM's load/store
-port): a lone warp replays its own arithmetic and equal saturating warps
-fold, exactly as the SM pipes of :mod:`repro.sim.sm` do.
+port): where shortcuts are allowed a lone warp replays its own arithmetic
+and equal saturating warps fold, exactly as the SM pipes of
+:mod:`repro.sim.sm` do.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from typing import Generator
 
 from repro.cudasim import instructions as ins
 from repro.sim.arch import GPUSpec
-from repro.sim.engine import Engine, Resource, Timeout
+from repro.sim.engine import Engine, Resource, Timeout, shortcuts_allowed
 from repro.sim.exec_thread import ThreadCtx, WarpExecutor
-from repro.sim.sm import _fold, _outlasts, _pipe_ns, _replay_lone
+from repro.sim.sm import _check_counts, _fold, _outlasts, _pipe_ns, _replay_lone
 
 __all__ = [
     "measure_instruction_latency_wong",
@@ -88,7 +89,6 @@ def measure_shared_bandwidth(
     spec: GPUSpec,
     n_threads: int,
     iterations: int = 64,
-    engine: Engine | None = None,
 ) -> SharedBandwidthResult:
     """Bandwidth of the Fig-10 proxy loop for a given thread count.
 
@@ -97,19 +97,16 @@ def measure_shared_bandwidth(
     byte throughput is capped by the architecture (Table III's 1024-thread
     row is port-bound; the 1-warp row is latency-bound).
 
-    With ``engine=None`` a lone warp replays its own arithmetic and equal
-    full warps whose port never idles fold, both exactly; a partial last
-    warp or a latency-bound multi-warp run goes on a fresh engine.
-    Passing an :class:`Engine` always runs the event-precise simulation on
-    it (the oracle the shortcuts are tested against).  A non-finite or
-    negative port time or chain latency, or a port throughput
-    (``shared_mem.sm_cap_bytes_per_cycle``) that is not finite and
-    positive, raises :class:`ValueError`.
+    Where shortcuts are allowed a lone warp replays its own arithmetic
+    and equal full warps whose port never idles fold, both exactly; every
+    other run is event-precise on a fresh engine.  A count that is not an
+    integer >= 1, a non-finite or negative port time or chain latency, or
+    a port throughput (``shared_mem.sm_cap_bytes_per_cycle``) that is not
+    finite and positive raises :class:`ValueError`.
     """
-    if n_threads < 1 or n_threads > spec.max_threads_per_block:
+    _check_counts(n_threads=n_threads, iterations=iterations)
+    if n_threads > spec.max_threads_per_block:
         raise ValueError(f"n_threads must be in [1,{spec.max_threads_per_block}]")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
 
     sm = spec.shared_mem
     if not 0.0 < sm.sm_cap_bytes_per_cycle < math.inf:
@@ -129,20 +126,19 @@ def measure_shared_bandwidth(
         for threads in warp_threads
     ]
     n_warps = len(warp_threads)
+    shortcut = shortcuts_allowed()
 
-    if engine is not None:
-        elapsed = _run_shared_bandwidth(engine, port_ns, iterations, chain_ns)
-    elif n_warps == 1:
+    if shortcut and n_warps == 1:
         elapsed = _replay_lone(port_ns[0], 1, iterations, chain_ns)
     # Saturated: round 1 drains at n_warps ports, after every warp's chain
     # latency has ended, and a warp is back within one chain latency of its
     # grant, before the other warps have each held the port once more.
-    elif not rem and _outlasts(
+    elif shortcut and not rem and _outlasts(
         n_warps, port_ns[0], chain_ns, n_warps * iterations * port_ns[0]
     ):
         elapsed = _fold(port_ns[0], n_warps * iterations)
     else:
-        elapsed = _run_shared_bandwidth(Engine(), port_ns, iterations, chain_ns)
+        elapsed = _run_shared_bandwidth(port_ns, iterations, chain_ns)
 
     total_bytes = n_threads * sm.element_bytes * iterations
     cycles = spec.ns_to_cycles(elapsed)
@@ -153,10 +149,10 @@ def measure_shared_bandwidth(
     )
 
 
-def _run_shared_bandwidth(
-    eng: Engine, port_ns: list[float], iterations: int, chain_ns: float
-) -> float:
-    """Event-precise proxy run, one process per warp; returns the clock advance."""
+def _run_shared_bandwidth(port_ns: list[float], iterations: int, chain_ns: float) -> float:
+    """Event-precise proxy run on a fresh engine, one process per warp;
+    returns its end (ns)."""
+    eng = Engine()
     port = Resource(eng, capacity=1, name="smem-port")
 
     def warp_proc(t_port: Timeout) -> Generator:
@@ -169,8 +165,6 @@ def _run_shared_bandwidth(
             if remaining > 0:
                 yield Timeout(remaining)
 
-    t0 = eng.now
     for i, ns in enumerate(port_ns):
         eng.process(warp_proc(Timeout(ns)), name=f"bw-warp{i}")
-    eng.run()
-    return eng.now - t0
+    return eng.run()

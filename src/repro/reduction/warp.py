@@ -37,8 +37,8 @@ from typing import Dict, Generator, Tuple
 import numpy as np
 
 from repro.cudasim import instructions as ins
-from repro.sanitize import events as _sanitize
 from repro.sim.arch import GPUSpec
+from repro.sim.engine import shortcuts_allowed
 from repro.sim.exec_thread import ThreadCtx, WarpExecutor
 
 __all__ = [
@@ -222,15 +222,16 @@ def _run_latency_cycles(spec: GPUSpec, method: str) -> float:
 def warp_reduce_latency_cycles(spec: GPUSpec, method: str) -> float:
     """Measured latency (cycles) to sum 32 doubles with one variant.
 
-    Memoized per ``(spec, method)``, except while a sanitizer monitor is
-    installed: then every call runs the warp, so the events the monitor
-    records do not depend on what ran earlier in the process.
+    Memoized per ``(spec, method)`` where shortcuts are allowed
+    (:func:`~repro.sim.engine.shortcuts_allowed`); otherwise every call
+    runs the warp, so a sanitizer monitor's events and an engine run's
+    work do not depend on what ran earlier in the process.
     """
     if method not in WARP_REDUCE_METHODS:
         raise ValueError(
             f"unknown method {method!r}; expected one of {WARP_REDUCE_METHODS}"
         )
-    if _sanitize.MONITOR is not None:
+    if not shortcuts_allowed():
         return _run_latency_cycles.__wrapped__(spec, method)
     return _run_latency_cycles(spec, method)
 

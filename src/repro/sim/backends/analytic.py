@@ -39,7 +39,6 @@ from __future__ import annotations
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-from repro.sanitize import events as _sanitize
 from repro.sync.strategies import (
     BarrierStrategy,
     CooperativeBarrier,
@@ -106,10 +105,6 @@ class AnalyticBackend:
             WarpGroup,
         )
 
-        # The closed forms emit no arrive/wait events, so an installed
-        # monitor must see the engine run the protocol.
-        if _sanitize.MONITOR is not None:
-            return "a sanitizer monitor needs the engine's barrier events"
         # Exact types only: a subclass may override the yield ladders the
         # closed forms were derived from.
         if type(scope) not in (

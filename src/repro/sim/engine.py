@@ -41,6 +41,17 @@ merges them by ``(time, seq)``, so FIFO ordering at equal timestamps is
 *exactly* the ordering a single heap would produce.  ``docs/engine.md``
 documents the invariants.
 
+The oracle switch
+-----------------
+Several callers stand in for the event loop with an exact shortcut: the
+analytic barrier ladders, the SM pipe folds and replays, the host-timeline
+replay and the warp-reduce latency memo.  Each consults one predicate,
+:func:`shortcuts_allowed`: the process-wide :data:`BACKEND` is ``"auto"``
+and no sanitizer monitor is installed.  :func:`use_backend` sets the
+choice around a block; ``"engine"`` turns every shortcut off, so the
+events run everywhere and serve as the oracle the shortcuts are checked
+against.
+
 Deadlock detection
 ------------------
 Section VIII-B of the paper observes real deadlocks when a *subset* of a grid
@@ -57,12 +68,16 @@ import heapq
 import itertools
 import math
 from collections import deque
+from contextlib import contextmanager
 from heapq import heappush as _heappush
-from typing import Any, Callable, Generator, Iterable, NamedTuple, Optional
+from typing import Any, Callable, Generator, Iterable, Iterator, NamedTuple, Optional
 
 from repro.sanitize import events as _sanitize
 
 __all__ = [
+    "BACKEND_CHOICES",
+    "shortcuts_allowed",
+    "use_backend",
     "Engine",
     "Process",
     "Signal",
@@ -614,3 +629,38 @@ class Engine:
             f"Engine(now={self.now:.1f}ns, pending={self.pending_count}, "
             f"live={len(self._live)})"
         )
+
+
+# -- the oracle switch ----------------------------------------------------------
+
+#: Names the backend choice accepts.
+BACKEND_CHOICES: tuple[str, ...] = ("engine", "auto")
+
+#: The process-wide backend choice: ``"auto"`` lets the exact shortcuts
+#: stand in for the event loop, ``"engine"`` turns every one of them off.
+#: Set it with :func:`use_backend`.
+BACKEND = "auto"
+
+
+def shortcuts_allowed() -> bool:
+    """Whether an exact shortcut may stand in for the event loop: the
+    backend is ``"auto"`` and no sanitizer monitor is installed (a monitor
+    records only what the event path does)."""
+    return BACKEND == "auto" and _sanitize.MONITOR is None
+
+
+@contextmanager
+def use_backend(choice: str) -> Iterator[None]:
+    """Run the ``with`` block under backend ``choice``, then restore the
+    previous choice, also when the block raises."""
+    global BACKEND
+    if choice not in BACKEND_CHOICES:
+        raise ValueError(
+            f"unknown backend {choice!r}; available: {', '.join(BACKEND_CHOICES)}"
+        )
+    previous = BACKEND
+    BACKEND = choice
+    try:
+        yield
+    finally:
+        BACKEND = previous

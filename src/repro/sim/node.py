@@ -79,7 +79,6 @@ class Node:
         return f"Node({self.spec.name!r}, gpus={self.gpu_count})"
 
 
-@lru_cache(maxsize=4096)
 def multigrid_local_latency_ns(
     spec: NodeSpec, blocks_per_sm: int, threads_per_block: int
 ) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.sim.arch import GPUSpec
 
@@ -41,17 +40,12 @@ def _warps_per_block(spec: GPUSpec, threads_per_block: int) -> int:
     return math.ceil(threads_per_block / spec.warp_size)
 
 
-@lru_cache(maxsize=4096)
 def blocks_per_sm(
     spec: GPUSpec,
     threads_per_block: int,
     shared_mem_per_block: int = 0,
 ) -> OccupancyResult:
     """Maximum co-resident blocks per SM for a block shape.
-
-    Memoized: specs are frozen and the result is a frozen value object,
-    and the sweep drivers ask for the same handful of shapes thousands
-    of times per figure.
 
     Raises
     ------

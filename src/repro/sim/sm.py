@@ -13,10 +13,11 @@ Two SM-scoped mechanisms drive the paper's single-GPU results:
   saturates at ``1/II`` once enough warps are in flight (the Table II
   throughput protocol: best over all thread/block configurations).
 
-Both are capacity-1 FIFO pipes.  Without a caller-supplied engine they
-resolve without the event loop wherever that is exact: a saturated pipe
-folds, the warp pipe replays its FIFO recurrence in every regime, and a
-lone block replays its one process.  The fold and the lone-customer
+Both are capacity-1 FIFO pipes.  Where the oracle switch allows
+shortcuts (:func:`repro.sim.engine.shortcuts_allowed`) they resolve
+without the event loop wherever that is exact: a saturated pipe folds,
+the warp pipe replays its FIFO recurrence in every regime, and a lone
+block replays its one process.  The fold and the lone-customer
 replay also serve the shared-memory proxy of
 :mod:`repro.microbench.intra_sm` (docs/engine.md, "Pipes without the
 event loop").
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
 from operator import add
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.sim.arch import GPUSpec
-from repro.sim.engine import Engine, Resource, Timeout
+from repro.sim.engine import Engine, Resource, Timeout, shortcuts_allowed
 from repro.sim.occupancy import blocks_per_sm as occ_blocks_per_sm
 
 __all__ = [
@@ -74,10 +75,18 @@ def block_sync_latency_cycles(spec: GPUSpec, warps: int) -> float:
 #   (``_warp_pipe_end``).
 #
 # docs/engine.md ("Pipes without the event loop") derives each case.  They
-# stand in only when nobody can observe the engine: a caller-supplied one
-# is the oracle seam (its clock and event count must move).  A sanitizer
-# monitor does not stop them: the event path fires no signal and crosses
-# no barrier, so the monitor records nothing from it either way.
+# stand in only where shortcuts_allowed() says so; otherwise the events run
+# on a fresh engine, the oracle the shortcuts are checked against.  The
+# event path fires no signal and crosses no barrier, so a sanitizer
+# monitor records nothing from either path.
+
+
+def _check_counts(**counts: int) -> None:
+    """Reject a count that is not an integer >= 1, before a path is picked
+    (a float would otherwise fail differently on each path, or not at all)."""
+    for name, count in counts.items():
+        if not isinstance(count, int) or count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
 
 
 def _pipe_ns(spec: GPUSpec, cycles: float, what: str) -> float:
@@ -167,7 +176,6 @@ def simulate_block_sync(
     warps_per_block: int,
     n_blocks: int,
     repeats: int = 8,
-    engine: Optional[Engine] = None,
 ) -> BlockSyncResult:
     """Run ``n_blocks`` blocks of ``warps_per_block`` warps, each executing
     ``repeats`` back-to-back block syncs, on a single SM with residency
@@ -176,20 +184,15 @@ def simulate_block_sync(
     Blocks beyond the occupancy limit queue and start as residents retire —
     the time-sharing regime of Fig 4's oversubscribed right-hand side.
 
-    With ``engine=None`` a barrier unit that provably never idles is
-    folded exactly, and a lone block replays its own arithmetic; only
-    several latency-bound blocks run on a fresh engine.  Passing an
-    :class:`Engine` always runs the event-precise simulation on it (the
-    oracle the shortcuts are tested against); the result then spans the
-    engine's clock advance.  A non-finite or negative service interval or
-    sync latency raises :class:`ValueError` on every path.
+    Where shortcuts are allowed, a barrier unit that provably never idles
+    is folded exactly and a lone block replays its own arithmetic; every
+    other run is event-precise on a fresh engine.  A count that is not an
+    integer >= 1, or a non-finite or negative service interval or sync
+    latency, raises :class:`ValueError` on every path.
     """
-    if warps_per_block < 1 or warps_per_block * spec.warp_size > spec.max_threads_per_block:
+    _check_counts(warps_per_block=warps_per_block, n_blocks=n_blocks, repeats=repeats)
+    if warps_per_block * spec.warp_size > spec.max_threads_per_block:
         raise ValueError(f"invalid warps_per_block={warps_per_block} for {spec.name}")
-    if n_blocks < 1:
-        raise ValueError("n_blocks must be >= 1")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
 
     occ = occ_blocks_per_sm(spec, warps_per_block * spec.warp_size)
     resident_cap = max(1, occ.blocks_per_sm)
@@ -203,32 +206,27 @@ def simulate_block_sync(
         "block_sync.base_latency_cycles + per_warp_latency_cycles * warps",
     )
     n_services = n_blocks * warps_per_block * repeats
+    shortcut = shortcuts_allowed()
 
-    if engine is not None:
-        total_ns = _run_block_sync(
-            engine, resident_cap, warps_per_block, n_blocks, repeats,
-            service_ns, latency_ns,
-        )
     # Saturated: the resident blocks take turns warp by warp, and a round
     # that spans at least (wpb-1)*resident+1 services already outlasts the
     # sync latency, so no block ever waits outside the unit.  Equal waves
     # (n_blocks a multiple of resident) keep every turn filled to the end.
-    elif n_blocks % resident == 0 and _outlasts(
+    if shortcut and n_blocks % resident == 0 and _outlasts(
         (warps_per_block - 1) * resident + 1,
         service_ns,
         latency_ns,
         n_services * service_ns,
     ):
         total_ns = _fold(service_ns, n_services)
-    elif n_blocks == 1:
+    elif shortcut and n_blocks == 1:
         total_ns = _replay_lone(service_ns, warps_per_block, repeats, latency_ns)
-    # Several latency-bound blocks: each re-queues at its own release, so
+    # Several latency-bound blocks (each re-queues at its own release, so
     # the unit's order of service is not round-robin and only the events
-    # know it.
+    # know it), or no shortcut allowed.
     else:
         total_ns = _run_block_sync(
-            Engine(), resident_cap, warps_per_block, n_blocks, repeats,
-            service_ns, latency_ns,
+            resident_cap, warps_per_block, n_blocks, repeats, service_ns, latency_ns
         )
 
     return BlockSyncResult(
@@ -244,7 +242,6 @@ def simulate_block_sync(
 
 
 def _run_block_sync(
-    eng: Engine,
     resident_cap: int,
     warps_per_block: int,
     n_blocks: int,
@@ -252,7 +249,8 @@ def _run_block_sync(
     service_ns: float,
     latency_ns: float,
 ) -> float:
-    """Event-precise block-sync run; returns the clock advance (ns)."""
+    """Event-precise block-sync run on a fresh engine; returns its end (ns)."""
+    eng = Engine()
     slots = Resource(eng, capacity=resident_cap, name="sm-block-slots")
     # All resident blocks share the SM's barrier unit: arrivals drain at one
     # service interval each, so per-warp throughput saturates at
@@ -274,11 +272,9 @@ def _run_block_sync(
                 yield Timeout(remaining)
         slots.release()
 
-    t0 = eng.now
     for b in range(n_blocks):
         eng.process(block_proc(), name=f"block{b}")
-    eng.run()
-    return eng.now - t0
+    return eng.run()
 
 
 @dataclass(frozen=True)
@@ -331,7 +327,6 @@ def simulate_warp_sync_throughput(
     group_size: int = 32,
     n_warps: int = 64,
     repeats: int = 64,
-    engine: Optional[Engine] = None,
 ) -> WarpSyncThroughputResult:
     """Drive ``n_warps`` warps through ``repeats`` dependent sync ops each.
 
@@ -340,17 +335,15 @@ def simulate_warp_sync_throughput(
     throughput therefore approaches ``min(n_warps/latency, 1/II)`` — the
     paper's "highest result" protocol reaches the ``1/II`` plateau.
 
-    With ``engine=None`` no engine is built: a pipeline that provably
-    never idles is folded, and any other replays the pipe's FIFO
-    recurrence, both exactly.  Passing an :class:`Engine` always runs the
-    event-precise simulation on it (the oracle the shortcuts are tested
-    against); the result then spans the engine's clock advance.  A
-    ``group_size`` outside ``[1, warp_size]``, or a non-finite or negative
-    latency or initiation interval, raises :class:`ValueError`.
+    Where shortcuts are allowed no engine is built: a pipeline that
+    provably never idles is folded, and any other replays the pipe's FIFO
+    recurrence, both exactly.  Otherwise the run is event-precise on a
+    fresh engine.  A count that is not an integer >= 1, a ``group_size``
+    above ``warp_size``, or a non-finite or negative latency or
+    initiation interval raises :class:`ValueError`.
     """
-    if n_warps < 1 or repeats < 1:
-        raise ValueError("n_warps and repeats must be >= 1")
-    if not 1 <= group_size <= spec.warp_size:
+    _check_counts(group_size=group_size, n_warps=n_warps, repeats=repeats)
+    if group_size > spec.warp_size:
         raise ValueError(f"group_size must be in [1, {spec.warp_size}], got {group_size}")
     latency_cy, ii_cy = warp_sync_params(spec, kind, group_size)
     kind_field = _warp_sync_field(spec, kind, group_size)
@@ -359,8 +352,8 @@ def simulate_warp_sync_throughput(
     tail_ns = spec.cycles_to_ns(max(0.0, latency_cy - ii_cy))
     n_ops = n_warps * repeats
 
-    if engine is not None:
-        total_ns = _run_warp_sync(engine, n_warps, repeats, ii_ns, tail_ns)
+    if not shortcuts_allowed():
+        total_ns = _run_warp_sync(n_warps, repeats, ii_ns, tail_ns)
     # Saturated: a warp leaving the pipe is back after tail_ns, before the
     # other n_warps-1 warps have each held it for one interval.
     elif _outlasts(n_warps - 1, ii_ns, tail_ns, n_ops * ii_ns + tail_ns):
@@ -397,10 +390,9 @@ def _warp_pipe_end(n_warps: int, repeats: int, ii_ns: float, tail_ns: float) -> 
     return release + tail_ns
 
 
-def _run_warp_sync(
-    eng: Engine, n_warps: int, repeats: int, ii_ns: float, tail_ns: float
-) -> float:
-    """Event-precise warp-sync pipeline run; returns the clock advance (ns)."""
+def _run_warp_sync(n_warps: int, repeats: int, ii_ns: float, tail_ns: float) -> float:
+    """Event-precise warp-sync pipeline run on a fresh engine; returns its end (ns)."""
+    eng = Engine()
     pipe = Resource(eng, capacity=1, name="warp-sync-pipe")
     t_ii = Timeout(ii_ns)
     t_tail = Timeout(tail_ns) if tail_ns else None
@@ -413,8 +405,6 @@ def _run_warp_sync(
             if t_tail is not None:
                 yield t_tail
 
-    t0 = eng.now
     for w in range(n_warps):
         eng.process(warp_proc(), name=f"warp{w}")
-    eng.run()
-    return eng.now - t0
+    return eng.run()

@@ -164,7 +164,6 @@ class WarpGroup(BarrierScope):
         engine: Optional[Engine] = None,
         strategy: StrategyArg = None,
         strategy_knobs: Optional[Mapping[str, float]] = None,
-        backend: Optional[str] = None,
     ):
         if not (1 <= size <= spec.warp_size):
             raise ValueError(f"warp group size must be in [1, {spec.warp_size}]")
@@ -177,7 +176,6 @@ class WarpGroup(BarrierScope):
             engine,
             _resolve_strategy(self, strategy, strategy_knobs)
             or self._build_strategy("cooperative", {}),
-            backend=backend,
         )
 
     def _build_strategy(
@@ -229,7 +227,6 @@ class BlockGroup(BarrierScope):
         engine: Optional[Engine] = None,
         strategy: StrategyArg = None,
         strategy_knobs: Optional[Mapping[str, float]] = None,
-        backend: Optional[str] = None,
     ):
         if warps_per_block < 1:
             raise ValueError("a block has at least one warp")
@@ -244,7 +241,6 @@ class BlockGroup(BarrierScope):
             engine,
             _resolve_strategy(self, strategy, strategy_knobs)
             or self._build_strategy("cooperative", {}),
-            backend=backend,
         )
 
     def _build_strategy(
@@ -306,7 +302,6 @@ class GridGroup(BarrierScope):
         sm_count: Optional[int] = None,
         strategy: StrategyArg = None,
         strategy_knobs: Optional[Mapping[str, float]] = None,
-        backend: Optional[str] = None,
     ):
         if blocks_per_sm < 1:
             raise ValueError("blocks_per_sm must be >= 1")
@@ -330,7 +325,6 @@ class GridGroup(BarrierScope):
             engine,
             _resolve_strategy(self, strategy, strategy_knobs)
             or self._build_strategy("cooperative", {}),
-            backend=backend,
         )
         self._release_ports = [
             Resource(self.engine, capacity=1, name=f"sm{j}-release")
@@ -475,7 +469,6 @@ class MultiGridGroup(BarrierScope):
         strategy: StrategyArg = None,
         strategy_knobs: Optional[Mapping[str, float]] = None,
         full_local_participation: bool = True,
-        backend: Optional[str] = None,
     ):
         from repro.sim.node import cross_gpu_latency_ns, multigrid_local_latency_ns
 
@@ -506,7 +499,6 @@ class MultiGridGroup(BarrierScope):
             engine,
             _resolve_strategy(self, strategy, strategy_knobs)
             or self._build_strategy("cooperative", {}),
-            backend=backend,
         )
 
     def _build_strategy(
@@ -640,7 +632,6 @@ class HostBarrierGroup(BarrierScope):
         engine: Optional[Engine] = None,
         strategy: StrategyArg = None,
         strategy_knobs: Optional[Mapping[str, float]] = None,
-        backend: Optional[str] = None,
     ):
         if n_threads < 1:
             raise ValueError("team needs at least one thread")
@@ -650,7 +641,6 @@ class HostBarrierGroup(BarrierScope):
             engine,
             _resolve_strategy(self, strategy, strategy_knobs)
             or self._build_strategy("cpu", {}),
-            backend=backend,
         )
         self._counters: dict = {}
 

@@ -43,6 +43,7 @@ from typing import (
 )
 
 from repro.sanitize import events as _sanitize
+from repro.sim import engine as _engine
 from repro.sim.engine import Engine, SimulationError
 
 from repro.sync.strategies import BarrierStrategy, Round
@@ -108,7 +109,7 @@ class BarrierScope:
     * ``sync`` = ``arrive`` + ``wait``;
     * :meth:`run_rounds`, the generic driver that records the release
       trace, from the analytic closed forms where the backend dispatcher
-      finds them eligible or from one engine process per member.
+      runs them or from one engine process per member.
     """
 
     #: Signal-name prefix for round releases (subclasses override).
@@ -116,16 +117,10 @@ class BarrierScope:
     #: Process-name format for :meth:`run_rounds` members.
     member_name = "member{}"
 
-    def __init__(
-        self,
-        engine: Optional[Engine],
-        strategy: BarrierStrategy,
-        backend: Optional[str] = None,
-    ):
+    def __init__(self, engine: Optional[Engine], strategy: BarrierStrategy):
         self.engine = engine or Engine()
         self.strategy = strategy
         self.strategy.bind(self.engine)
-        self.backend = backend
         self._rounds: Dict[int, Round] = {}
 
     # -- round state -----------------------------------------------------
@@ -201,10 +196,9 @@ class BarrierScope:
         """Drive ``n_syncs`` barrier rounds across ``members`` (default:
         all ``size`` participants) and return the release trace.
 
-        The scope's construction-time ``backend`` (``"engine"`` or
-        ``"auto"``) picks the path through the backend dispatcher.  When
-        it is unset the run dispatches as ``"auto"``: the closed forms
-        where eligible, the engine otherwise.
+        The backend dispatcher runs the closed forms where the oracle
+        switch allows shortcuts (:func:`repro.sim.engine.shortcuts_allowed`)
+        and the ladder is eligible, the engine otherwise.
         ``collect_trace=False`` lets the analytic backend skip building
         the per-member release map when only ``total_ns`` is wanted; the
         engine records the trace as a side effect either way.
@@ -223,18 +217,17 @@ class BarrierScope:
                 "create a fresh group per simulation"
             )
         ids = tuple(members) if members is not None else tuple(range(self.size))
-        choice = "auto" if self.backend is None else self.backend
         # Looked up at call time: perfbench's tracer patches it there.
         from repro.sim.backends import dispatch
 
-        return dispatch(self, n_syncs, ids, choice, collect_trace)
+        return dispatch(self, n_syncs, ids, _engine.BACKEND, collect_trace)
 
     def _run_rounds_engine(
         self, n_syncs: int, ids: Tuple[int, ...]
     ) -> ScopeRun:
         """The event-precise driver: one process per member on the shared
-        engine.  The backend dispatcher calls this for ``"engine"`` and
-        for every ladder the closed forms refuse."""
+        engine.  The backend dispatcher calls this for every ladder it
+        does not hand to the closed forms."""
         trace: Dict[Tuple[int, int], float] = {}
         t0 = self.engine.now
         for m in ids:

@@ -92,6 +92,7 @@ class TestSummary:
         """``--backend engine`` keeps every table8 barrier on the engine, and
         the engine run reports the same rows as the default one."""
         from repro.sim.backends import AnalyticBackend
+        from repro.sim.engine import use_backend
 
         default = run_summary()
 
@@ -99,7 +100,8 @@ class TestSummary:
             raise AssertionError("analytic backend ran under backend=engine")
 
         monkeypatch.setattr(AnalyticBackend, "run_rounds", refuse)
-        assert run_summary(Scenario(backend="engine")).rows == default.rows
+        with use_backend("engine"):
+            assert run_summary().rows == default.rows
 
 
 class TestSyncMethodsDriver:

@@ -319,74 +319,7 @@ class TestBackendCacheIsolation:
         )
         assert ana.ok and default.ok
         assert not default.cached  # computed fresh, not served from auto
-        assert ana.report.backend == "auto"
-        assert default.report.backend is None
+        assert ana.report.scenario["backend"] == "auto"
+        assert "backend" not in default.report.scenario
         # Same physics either way: the reports' rows agree bit-for-bit.
         assert ana.report.rows == default.report.rows
-
-    def test_engine_only_experiment_notes_fallback(self, cache_dir):
-        res = execute_point(
-            "table4", Scenario(gpus=("V100",), backend="auto"),
-            cache_dir=cache_dir,
-        )
-        assert res.ok
-        assert res.report.backend is None
-        assert res.report.notes[-1] == (
-            "backend=auto requested but table4 dispatched no barrier ladder "
-            "under it"
-        )
-
-
-def _dispatched_under(monkeypatch, choice):
-    """Run every default point under ``backend=choice`` with a spy on the
-    backend dispatcher, and return the experiments whose points dispatched
-    a barrier ladder under that choice.  Each point must record the
-    backend exactly when the spy saw it, and carry the note otherwise."""
-    from repro.sim import backends
-
-    seen = []
-    dispatch = backends.dispatch
-
-    def spy(scope, n_syncs, members, name, collect_trace=True):
-        seen.append(name)
-        return dispatch(scope, n_syncs, members, name, collect_trace)
-
-    monkeypatch.setattr(backends, "dispatch", spy)
-    dispatched = set()
-    for exp_id, spec in EXPERIMENTS.items():
-        for scenario in spec.default_scenarios:
-            seen.clear()
-            res = execute_point(
-                exp_id, replace(scenario, backend=choice), use_cache=False
-            )
-            assert res.ok, res.error
-            note = (
-                f"backend={choice} requested but {exp_id} dispatched no "
-                "barrier ladder under it"
-            )
-            if choice in seen:
-                dispatched.add(exp_id)
-                assert res.report.backend == choice, exp_id
-                assert note not in res.report.notes, exp_id
-            else:
-                assert res.report.backend is None, exp_id
-                assert note in res.report.notes, exp_id
-    return dispatched
-
-
-class TestBackendProvenance:
-    """``execute_point`` records the backend a point's ladders dispatched
-    under; the table is the one in ``docs/backends.md``."""
-
-    def test_closed_form_points_report_the_requested_backend(self, monkeypatch):
-        # deadlock's and pitfalls_sanitized's probes take no backend and
-        # dispatch auto, so they record it only when auto was requested.
-        assert _dispatched_under(monkeypatch, "auto") == {
-            "fig5", "fig7", "fig8", "fig9", "sync_methods",
-            "deadlock", "pitfalls_sanitized", "table8",
-        }
-
-    def test_engine_points_report_only_engine_ladders(self, monkeypatch):
-        assert _dispatched_under(monkeypatch, "engine") == {
-            "fig5", "fig7", "fig8", "fig9", "sync_methods", "table8",
-        }

@@ -4,11 +4,11 @@
 ``cpu_side_barrier_overhead`` of ``repro.microbench.implicit`` and
 ``measure_kernel_total_latency_host`` of ``repro.microbench.inter_sm`` run
 each sample's host program on a ``HostTimeline`` replay when the sample's
-runtime is fresh and made its own engine (docs/engine.md, "Host timelines
-without the event loop").  A runtime built with ``engine=Engine()`` keeps
-the event path, so patching the constructors the protocols call to pass
-one compares the replay with the oracle bit for bit (the result
-dataclasses compare every float).
+runtime is fresh and made its own engine, and shortcuts are allowed
+(docs/engine.md, "Host timelines without the event loop").  The ``engine``
+backend keeps the event path, so running a protocol under it compares the
+replay with the oracle bit for bit (the result dataclasses compare every
+float).
 """
 
 from __future__ import annotations
@@ -33,27 +33,12 @@ from repro.microbench import implicit, inter_sm
 from repro.microbench.harness import MeasurementConfig
 from repro.sanitize import SanitizerSession
 from repro.sim.arch import DGX1_V100, P100, P100_PCIE_NODE, V100, LaunchCalib
-from repro.sim.engine import Engine, SimulationError, Timeout
+from repro.sim.engine import Engine, SimulationError, Timeout, use_backend
 from repro.sim.exec_thread import UnsupportedInstruction
 
 ONE = MeasurementConfig(warmup=1, samples=2)
 CFG = LaunchConfig(grid_blocks=1, threads_per_block=32)
 LAUNCH_TYPES = ("traditional", "cooperative", "multi_device")
-
-
-@contextlib.contextmanager
-def _event_path():
-    """Runtimes built through ``single_gpu``/``for_node`` get a passed
-    ``Engine()``, so their host programs run on the event path."""
-    with pytest.MonkeyPatch.context() as m:
-        for name in ("single_gpu", "for_node"):
-            build = getattr(CudaRuntime, name)
-
-            def on_engine(cls, *args, _build=build, **kwargs):
-                return _build(*args, engine=Engine(), **kwargs)
-
-            m.setattr(CudaRuntime, name, classmethod(on_engine))
-        yield
 
 
 @contextlib.contextmanager
@@ -82,7 +67,7 @@ def _both_paths(call):
             return type(exc), str(exc)
 
     replayed = outcome()
-    with _event_path():
+    with use_backend("engine"):
         return replayed, outcome()
 
 
@@ -140,7 +125,7 @@ def test_every_shipped_configuration_matches_the_engine(
     for fn, kwargs in calls:
         with _runtimes_built() as replayed:
             replay = fn(**kwargs)
-        with _event_path(), _runtimes_built() as simulated:
+        with use_backend("engine"), _runtimes_built() as simulated:
             events = fn(**kwargs)
         assert replay == events
         assert replayed and all(rt.engine.event_count == 0 for rt in replayed)
@@ -224,17 +209,18 @@ def test_host_timeline_matches_engine(
 def test_a_shared_runtime_replays_its_first_sample_only():
     # The replay leaves the runtime where the event path would, so the
     # later samples continue on the engine from the same state.
-    def shared(engine=None):
-        rt = CudaRuntime.for_node(DGX1_V100, gpu_count=3, seed=7, engine=engine)
+    def shared():
+        rt = CudaRuntime.for_node(DGX1_V100, gpu_count=3, seed=7)
         return lambda: rt
 
     for fn, kwargs in [
         (implicit.measure_kernel_total_latency, dict(launch_type="multi_device")),
         (implicit.measure_launch_overhead, dict(launch_type="multi_device")),
     ]:
-        replay_factory, engine_factory = shared(), shared(Engine())
+        replay_factory, engine_factory = shared(), shared()
         replayed = fn(replay_factory, **kwargs)
-        assert fn(engine_factory, **kwargs) == replayed
+        with use_backend("engine"):
+            assert fn(engine_factory, **kwargs) == replayed
         assert replay_factory().engine.now == engine_factory().engine.now
 
 
@@ -283,13 +269,14 @@ def _two_streams(h):
     ids=["tied_completions", "two_streams"],
 )
 def test_host_programs_match_engine(gpu, jitter, program):
-    def run(engine):
+    def run():
         node = dataclasses.replace(DGX1_V100, gpu=gpu, host_clock_jitter_ns=jitter)
-        rt = CudaRuntime.for_node(node, gpu_count=2, seed=1, engine=engine)
+        rt = CudaRuntime.for_node(node, gpu_count=2, seed=1)
         return run_host_program(rt, program), rt.engine.now, rt.engine.event_count
 
-    value, now, events = run(None)
-    assert (value, now) == run(Engine())[:2]
+    value, now, events = run()
+    with use_backend("engine"):
+        assert (value, now) == run()[:2]
     assert events == 0
 
 
@@ -336,6 +323,12 @@ class TestEventPathConditions:
     def test_monitor_installed(self):
         rt = self._fresh()
         with SanitizerSession("full"):
+            assert HostTimeline.of(rt) is None
+        assert HostTimeline.of(rt) is not None
+
+    def test_engine_backend(self):
+        rt = self._fresh()
+        with use_backend("engine"):
             assert HostTimeline.of(rt) is None
         assert HostTimeline.of(rt) is not None
 

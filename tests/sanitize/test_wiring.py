@@ -12,7 +12,7 @@ from repro.reduction.warp import _run_latency_cycles, warp_reduce_latency_cycles
 from repro.sanitize import SanitizerSession
 from repro.sanitize import events as ev
 from repro.sim.arch import V100
-from repro.sim.engine import BlockedWaiter, DeadlockError, Engine, Timeout
+from repro.sim.engine import BlockedWaiter, DeadlockError, Engine, Timeout, use_backend
 from repro.sim.sm import simulate_warp_sync_throughput
 from repro.sync.groups import GridGroup
 
@@ -206,18 +206,17 @@ class TestEventStream:
 
 
 class TestShortcutsStepAside:
-    """Memos and the analytic backend must not hide simulation from an
-    installed monitor.
+    """An installed monitor turns every shortcut off, as the ``engine``
+    backend does: memos and the analytic backend must not hide simulation
+    from it.
 
     Otherwise a sanitized report's event counts would depend on what ran
     earlier in the same process (and, under --jobs, on which worker).
-    The saturated-pipe folds hide nothing: their event path records no
-    event, so they keep running under a monitor.
     """
 
     def test_saturated_pipe_fold_bypassed(self, monkeypatch):
-        # The workload saturates the pipe, so the fold runs without an
-        # engine, with or without a monitor installed.
+        # The workload saturates the pipe: the fold runs without a monitor
+        # and the events run under one.  They record no monitor event.
         from repro.sim import sm
 
         calls = {"fold": 0, "event_path": 0}
@@ -242,7 +241,7 @@ class TestShortcutsStepAside:
         folded = run()
         with SanitizerSession("full") as session:
             sanitized = run()
-        assert calls == {"fold": 2, "event_path": 0}
+        assert calls == {"fold": 1, "event_path": 1}
         assert sanitized == folded
         assert session.monitor.events == []
 
@@ -260,16 +259,20 @@ class TestShortcutsStepAside:
     @pytest.mark.parametrize("backend", [None, "auto"])
     def test_analytic_backend_bypassed(self, backend):
         def events(backend):
+            # One round: without a monitor the closed forms would take it.
+            group = GridGroup(V100, blocks_per_sm=2, threads_per_block=256)
             with SanitizerSession("full") as session:
-                GridGroup(
-                    V100, blocks_per_sm=2, threads_per_block=256, backend=backend
-                ).simulate(n_syncs=4)
+                if backend is None:
+                    group.simulate(n_syncs=1)
+                else:
+                    with use_backend(backend):
+                        group.simulate(n_syncs=1)
             return len(session.monitor.events)
 
-        # The default and auto fall back silently.
+        # The default switch and an explicit auto fall back silently.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             recorded = events(backend)
         # The closed forms fire only the round hooks; the engine records
         # every arrival, wait and release.
-        assert recorded == events("engine") == 1933
+        assert recorded == events("engine") == 484

@@ -8,8 +8,9 @@ drive random uniform workloads across every scope type, strategy and
 topology and compare float-for-float, with the event-precise engine as
 the oracle.
 
-Ineligible workloads must fall back to the engine, silently, under
-``auto`` (which is also what a scope with no backend set runs).  Every
+Ineligible workloads must fall back to the engine, silently, under the
+default ``auto`` backend; the ``engine`` backend
+(:func:`repro.sim.engine.use_backend`) runs every ladder on it.  Every
 ladder goes through :func:`repro.sim.backends.dispatch`, ``engine``
 included.
 """
@@ -26,7 +27,7 @@ from repro.experiments.scenario import Scenario
 from repro.sim import backends
 from repro.sim.arch import get_gpu_spec
 from repro.sim.backends import ANALYTIC, BACKEND_CHOICES
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, use_backend
 from repro.sim.occupancy import blocks_per_sm
 from repro.sync.groups import (
     BlockGroup,
@@ -53,10 +54,9 @@ def nodes():
 def assert_identical(make_group, n_syncs, members=None):
     """Run the same workload on both backends; everything must match."""
     g_eng = make_group()
-    g_eng.backend = "engine"
-    r_eng = g_eng.run_rounds(n_syncs, members=members)
+    with use_backend("engine"):
+        r_eng = g_eng.run_rounds(n_syncs, members=members)
     g_ana = make_group()
-    g_ana.backend = "auto"
     reason = ANALYTIC.ineligible_reason(
         g_ana, n_syncs, tuple(members) if members is not None else tuple(range(g_ana.size))
     )
@@ -130,9 +130,11 @@ class TestGridEquivalence:
         probe = GridGroup(spec, b, t, strategy=strategy)
         reason = ANALYTIC.ineligible_reason(probe, n_syncs, tuple(range(probe.size)))
         assert reason is not None and "rounds" in reason
-        auto = GridGroup(spec, b, t, strategy=strategy, backend="auto")
-        oracle = GridGroup(spec, b, t, strategy=strategy, backend="engine")
-        assert auto.run_rounds(n_syncs) == oracle.run_rounds(n_syncs)
+        auto = GridGroup(spec, b, t, strategy=strategy)
+        oracle = GridGroup(spec, b, t, strategy=strategy)
+        with use_backend("engine"):
+            oracle_run = oracle.run_rounds(n_syncs)
+        assert auto.run_rounds(n_syncs) == oracle_run
         assert auto.engine.now == oracle.engine.now
         assert auto.engine.event_count == oracle.engine.event_count > 0
 
@@ -250,15 +252,14 @@ class TestEligibilityAndFallback:
         class TweakedBarrier(CooperativeBarrier):
             pass
 
-        g = WarpGroup(V100, 8, strategy=TweakedBarrier(8, 10.0), backend="auto")
-        with warnings.catch_warnings(record=True) as caught:
+        g = WarpGroup(V100, 8, strategy=TweakedBarrier(8, 10.0))
+        with use_backend("auto"), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             run = g.run_rounds(1)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         # The fallback result is the engine result.
-        ref = WarpGroup(
-            V100, 8, strategy=TweakedBarrier(8, 10.0), backend="engine"
-        ).run_rounds(1)
+        with use_backend("engine"):
+            ref = WarpGroup(V100, 8, strategy=TweakedBarrier(8, 10.0)).run_rounds(1)
         assert run.total_ns == ref.total_ns
 
     def test_engine_scope_runs_through_dispatch(self, monkeypatch):
@@ -270,22 +271,26 @@ class TestEligibilityAndFallback:
             return dispatch(scope, n_syncs, members, choice, collect_trace)
 
         monkeypatch.setattr(backends, "dispatch", spy)
-        g = WarpGroup(V100, 8, backend="engine")
-        run = g.run_rounds(2)
+        g = WarpGroup(V100, 8)
+        with use_backend("engine"):
+            run = g.run_rounds(2)
         assert calls == [("WarpGroup", 2, tuple(range(8)), "engine")]
         assert g.engine.event_count > 0 and run.n_syncs == 2
 
     def test_unknown_backend_name_fails_listing_choices(self):
-        g = WarpGroup(V100, 8, backend="bogus")
         with pytest.raises(ValueError, match="available: engine, auto$"):
-            g.run_rounds(1)
+            with use_backend("bogus"):
+                pass
+        g = WarpGroup(V100, 8)
+        g.run_rounds(1)
+        assert g.engine.event_count == 0  # the switch stayed on auto
 
     def test_registry_names(self):
         assert BACKEND_CHOICES == ("engine", "auto")
 
 
 class TestDefaultBackend:
-    """A scope with no backend set dispatches as ``auto``."""
+    """Outside any :func:`use_backend` block a ladder dispatches as ``auto``."""
 
     @pytest.mark.parametrize(
         "make_group, n_syncs",
@@ -301,9 +306,9 @@ class TestDefaultBackend:
     )
     def test_eligible_scope_fires_no_events(self, nodes, make_group, n_syncs):
         default, oracle = make_group(nodes), make_group(nodes)
-        oracle.backend = "engine"
         run = default.run_rounds(n_syncs)
-        ref = oracle.run_rounds(n_syncs)
+        with use_backend("engine"):
+            ref = oracle.run_rounds(n_syncs)
         assert default.engine.event_count == 0 < oracle.engine.event_count
         assert run.total_ns == ref.total_ns  # bit-identical, no tolerance
         assert run.release_ns == ref.release_ns
@@ -313,10 +318,8 @@ class TestDefaultBackend:
         class TweakedBarrier(CooperativeBarrier):
             pass
 
-        def group(backend=None):
-            return WarpGroup(
-                V100, 8, strategy=TweakedBarrier(8, 10.0), backend=backend
-            )
+        def group():
+            return WarpGroup(V100, 8, strategy=TweakedBarrier(8, 10.0))
 
         default = group()
         with warnings.catch_warnings(record=True) as caught:
@@ -324,7 +327,8 @@ class TestDefaultBackend:
             run = default.run_rounds(2)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert default.engine.event_count > 0
-        assert run == group(backend="engine").run_rounds(2)
+        with use_backend("engine"):
+            assert run == group().run_rounds(2)
 
 
 class TestDriverLevelEquivalence:
@@ -342,13 +346,14 @@ class TestDriverLevelEquivalence:
         assert ana.rows == eng.rows
         assert ana.artifacts == eng.artifacts
         assert ana.notes == eng.notes
-        assert eng.backend == "engine" and ana.backend == "auto"
+        assert eng.scenario["backend"] == "engine" and ana.scenario["backend"] == "auto"
 
     def test_sync_methods_reports_identical(self):
         from repro.experiments.exp_sync import run_sync_methods
 
-        eng = run_sync_methods(Scenario(gpus=("V100",), backend="engine"))
-        ana = run_sync_methods(Scenario(gpus=("V100",), backend="auto"))
+        with use_backend("engine"):
+            eng = run_sync_methods(Scenario(gpus=("V100",)))
+        ana = run_sync_methods(Scenario(gpus=("V100",)))
         assert ana.rows == eng.rows
         assert ana.artifacts == eng.artifacts
         assert ana.notes == eng.notes

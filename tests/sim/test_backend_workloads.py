@@ -1,15 +1,14 @@
 """Engine-vs-auto backends: the paper's hot sync sweeps under each one.
 
 Each sweep runs once per execution backend on the V100, through
-``execute_point`` so that its report carries the backend provenance the
-sweep service measures.  Under ``auto`` the analytic closed forms leave a
-zero event count: eligible sweeps build their groups' engines but never
-enter the event loop.
+``execute_point``, which sets the scenario's backend as the oracle switch
+around the driver.  Under ``auto`` the exact shortcuts leave a zero event
+count: eligible sweeps build their groups' engines but never enter the
+event loop.  Under ``engine`` every simulation runs its events, and the
+rows stay bit-identical.
 
 Fig 4 dispatches no barrier ladder: its block-sync pipe resolves without
-the backend dispatcher (and, since its pipes skip the event loop, without
-engine events).  It rides along as the control: the backend knob changes
-nothing there, and its report says so instead of claiming a backend.
+the backend dispatcher.  Under ``engine`` its pipes run their events too.
 """
 
 from __future__ import annotations
@@ -23,16 +22,9 @@ from repro.sim.engine import Engine
 BACKENDS = ("engine", "auto")
 
 
-def _run(exp_id, backend):
-    res = execute_point(
-        exp_id, Scenario(gpus=("V100",), backend=backend), use_cache=False
-    )
-    assert res.ok, res.error
-    return res.report
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bench_fig5_backend(monkeypatch, backend):
+def _run(monkeypatch, exp_id, backend):
+    """``exp_id``'s V100 report under ``backend`` and the events its
+    engines ran."""
     engines = []
     engine_init = Engine.__init__
 
@@ -40,31 +32,37 @@ def test_bench_fig5_backend(monkeypatch, backend):
         engine_init(self, *args, **kwargs)
         engines.append(self)
 
-    monkeypatch.setattr(Engine, "__init__", recording_init)
-    report = _run("fig5", backend)
-    assert report.backend == backend
-    assert report.mean_rel_err < 0.10
-    # Every cell builds its group's engine; only the engine backend
-    # dispatches events on them.
-    assert engines
-    events = sum(e.event_count for e in engines)
-    if backend == "auto":
-        assert events == 0
-    else:
-        assert events > 0
+    with monkeypatch.context() as m:
+        m.setattr(Engine, "__init__", recording_init)
+        res = execute_point(
+            exp_id, Scenario(gpus=("V100",), backend=backend), use_cache=False
+        )
+    assert res.ok, res.error
+    assert res.report.scenario.get("backend") == backend
+    return res.report, sum(e.event_count for e in engines)
+
+
+def _check(monkeypatch, exp_id, backend):
+    report, events = _run(monkeypatch, exp_id, backend)
+    default, default_events = _run(monkeypatch, exp_id, None)
+    assert default_events == 0
+    assert (events > 0) == (backend == "engine")
+    assert report.rows == default.rows
+    assert report.artifacts == default.artifacts
+    assert report.notes == default.notes
+    return report
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_bench_sync_methods_backend(backend):
-    report = _run("sync_methods", backend)
-    assert report.backend == backend
+def test_bench_fig5_backend(monkeypatch, backend):
+    assert _check(monkeypatch, "fig5", backend).mean_rel_err < 0.10
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_bench_fig4_backend(backend):
-    report = _run("fig4", backend)
-    assert report.mean_rel_err < 0.05
-    assert report.backend is None
-    assert report.notes[-1] == (
-        f"backend={backend} requested but fig4 dispatched no barrier ladder under it"
-    )
+def test_bench_sync_methods_backend(monkeypatch, backend):
+    _check(monkeypatch, "sync_methods", backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_bench_fig4_backend(monkeypatch, backend):
+    assert _check(monkeypatch, "fig4", backend).mean_rel_err < 0.05

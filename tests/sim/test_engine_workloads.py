@@ -2,8 +2,9 @@
 
 Each check pins a fast path every reproduction runs through: the SIMT
 converged mode across barrier loops and its re-fuse after divergence,
-and the end-to-end Fig 4 / Fig 5 regenerations, Fig 5 forced onto the
-event engine (its default run takes the analytic closed forms).  Engine
+and the end-to-end Fig 4 / Fig 5 regenerations, forced onto the event
+engine by the ``engine`` backend (their default runs take the pipe fold
+and the analytic closed forms).  Engine
 throughput (events/ms) is measured by perfbench (``--trace 1`` reports
 ``engine.events_per_ms``).
 """
@@ -14,6 +15,7 @@ from repro.cudasim import instructions as ins
 from repro.experiments.exp_sync import run_fig4, run_fig5
 from repro.experiments.scenario import Scenario
 from repro.sim.arch import V100
+from repro.sim.engine import use_backend
 from repro.sim.exec_block import BlockExecutor
 
 _SIMT_ROUNDS = 40
@@ -75,11 +77,13 @@ def test_bench_engine_simt_divergence_refuse():
 
 
 def test_bench_engine_end_to_end_fig4():
-    """Fig 4 regenerated end to end (engine-dominated)."""
-    assert run_fig4().mean_rel_err < 0.05
+    """Fig 4 regenerated end to end on the engine's barrier unit."""
+    with use_backend("engine"):
+        assert run_fig4().mean_rel_err < 0.05
 
 
 def test_bench_engine_end_to_end_fig5():
     """Grid-sync heat-map regeneration on the engine: L2 atomic Resource
     contention."""
-    assert run_fig5(Scenario(backend="engine")).mean_rel_err < 0.10
+    with use_backend("engine"):
+        assert run_fig5(Scenario()).mean_rel_err < 0.10

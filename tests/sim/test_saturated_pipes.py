@@ -4,10 +4,10 @@
 ``repro.sim.sm`` and ``measure_shared_bandwidth`` of
 ``repro.microbench.intra_sm`` fold a saturated pipe, replay the warp
 pipe's FIFO recurrence, or replay a lone customer's arithmetic instead of
-simulating it, but only when they own their engine (docs/engine.md,
-"Pipes without the event loop").  Passing an ``Engine`` keeps the event
-path, so ``f(...) == f(..., engine=Engine())`` compares the shortcut with
-the oracle bit for bit (the result dataclasses compare every float).
+simulating it, but only where shortcuts are allowed (docs/engine.md,
+"Pipes without the event loop").  The ``engine`` backend turns them off,
+so ``f(...) == _on_engine(f, ...)`` compares the shortcut with the oracle
+bit for bit (the result dataclasses compare every float).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.microbench import intra_sm
 from repro.microbench.intra_sm import measure_shared_bandwidth
 from repro.sim import sm
 from repro.sim.arch import P100, V100
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, use_backend
 from repro.sim.sm import (
     block_sync_latency_cycles,
     simulate_block_sync,
@@ -62,12 +62,18 @@ def _exact(spec, **warp_sync):
     return _replace(dataclasses.replace(spec, freq_mhz=1000.0), "warp_sync", **warp_sync)
 
 
-class _CountingEngine(Engine):
-    built = 0
+def _on_engine(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` under the ``engine`` backend: the event path."""
+    with use_backend("engine"):
+        return fn(*args, **kwargs)
+
+
+class _RecordingEngine(Engine):
+    built: list = []
 
     def __init__(self, *args, **kwargs):
-        type(self).built += 1
         super().__init__(*args, **kwargs)
+        type(self).built.append(self)
 
 
 def _calls(monkeypatch, module, names, driver, spec):
@@ -88,13 +94,15 @@ def _calls(monkeypatch, module, names, driver, spec):
     return calls
 
 
-def _engines_built(monkeypatch, fn, kwargs) -> int:
-    _CountingEngine.built = 0
+def _engines_built(monkeypatch, fn, kwargs, backend="auto") -> list:
+    """The engines ``fn(**kwargs)`` builds under ``backend``."""
+    _RecordingEngine.built = []
     with monkeypatch.context() as m:
-        m.setattr(sm, "Engine", _CountingEngine)
-        m.setattr(intra_sm, "Engine", _CountingEngine)
-        fn(**kwargs)
-    return _CountingEngine.built
+        m.setattr(sm, "Engine", _RecordingEngine)
+        m.setattr(intra_sm, "Engine", _RecordingEngine)
+        with use_backend(backend):
+            fn(**kwargs)
+    return _RecordingEngine.built
 
 
 def _table3_and_table4(spec):
@@ -128,9 +136,9 @@ def test_every_shipped_configuration_matches_the_engine(
     ]
     assert len(calls) == n_configs
     for fn, kwargs in calls:
-        assert fn(**kwargs) == fn(**dict(kwargs, engine=Engine()))
+        assert fn(**kwargs) == _on_engine(fn, **kwargs)
         # Saturated, latency-bound or lone: none of them needs the events.
-        assert _engines_built(monkeypatch, fn, kwargs) == 0
+        assert _engines_built(monkeypatch, fn, kwargs) == []
 
 
 _WARP_KINDS = st.one_of(
@@ -152,9 +160,7 @@ def test_warp_sync_fold_matches_engine(spec, kind, n_warps, repeats):
     args = (spec, *kind)
     assert simulate_warp_sync_throughput(
         *args, n_warps=n_warps, repeats=repeats
-    ) == simulate_warp_sync_throughput(
-        *args, n_warps=n_warps, repeats=repeats, engine=Engine()
-    )
+    ) == _on_engine(simulate_warp_sync_throughput, *args, n_warps=n_warps, repeats=repeats)
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,8 +178,8 @@ def test_warp_pipe_with_tied_tails_matches_engine(
     # releases the pipe: the recurrence's max() meets its tie.
     spec = _exact(spec, tile_throughput=1.0 / ii, tile_latency=ii * (tail_intervals + 1))
     kwargs = dict(spec=spec, kind="tile", group_size=32, n_warps=n_warps, repeats=repeats)
-    assert simulate_warp_sync_throughput(**kwargs) == simulate_warp_sync_throughput(
-        **kwargs, engine=Engine()
+    assert simulate_warp_sync_throughput(**kwargs) == _on_engine(
+        simulate_warp_sync_throughput, **kwargs
     )
 
 
@@ -185,8 +191,8 @@ def test_warp_pipe_with_tied_tails_matches_engine(
     repeats=st.integers(1, 8),
 )
 def test_block_sync_fold_matches_engine(spec, wpb, n_blocks, repeats):
-    assert simulate_block_sync(spec, wpb, n_blocks, repeats) == simulate_block_sync(
-        spec, wpb, n_blocks, repeats, engine=Engine()
+    assert simulate_block_sync(spec, wpb, n_blocks, repeats) == _on_engine(
+        simulate_block_sync, spec, wpb, n_blocks, repeats
     )
 
 
@@ -202,8 +208,8 @@ def test_lone_block_matches_engine(spec, service, base, wpb, repeats):
     spec = _replace(
         spec, "block_sync", per_warp_service_cycles=service, base_latency_cycles=base
     )
-    assert simulate_block_sync(spec, wpb, 1, repeats) == simulate_block_sync(
-        spec, wpb, 1, repeats, engine=Engine()
+    assert simulate_block_sync(spec, wpb, 1, repeats) == _on_engine(
+        simulate_block_sync, spec, wpb, 1, repeats
     )
 
 
@@ -214,8 +220,8 @@ def test_lone_block_matches_engine(spec, service, base, wpb, repeats):
     iterations=st.integers(1, 64),
 )
 def test_shared_bandwidth_matches_engine(spec, n_threads, iterations):
-    assert measure_shared_bandwidth(spec, n_threads, iterations) == measure_shared_bandwidth(
-        spec, n_threads, iterations, engine=Engine()
+    assert measure_shared_bandwidth(spec, n_threads, iterations) == _on_engine(
+        measure_shared_bandwidth, spec, n_threads, iterations
     )
 
 
@@ -239,7 +245,7 @@ def test_warp_pipe_knife_edge(n_warps, repeats):
             spec = _exact(V100, tile_throughput=1.0 / ii, tile_latency=ii + tail)
             kwargs = dict(spec=spec, kind="tile", n_warps=n_warps, repeats=repeats)
             assert simulate_warp_sync_throughput(**kwargs) == (
-                simulate_warp_sync_throughput(**kwargs, engine=Engine())
+                _on_engine(simulate_warp_sync_throughput, **kwargs)
             ), (tail_intervals, tail)
 
 
@@ -255,7 +261,7 @@ def test_shared_bandwidth_knife_edge(spec, n_warps, iterations):
         edge = _replace(spec, "shared_mem", chain_latency_cycles=n_warps * port * (1 + rel))
         n_threads = n_warps * spec.warp_size
         assert measure_shared_bandwidth(edge, n_threads, iterations) == (
-            measure_shared_bandwidth(edge, n_threads, iterations, engine=Engine())
+            _on_engine(measure_shared_bandwidth, edge, n_threads, iterations)
         ), rel
 
 
@@ -267,26 +273,26 @@ def test_lone_block_knife_edge(spec, wpb):
     for rel in (-(2.0**-20), -(2.0**-46), 0.0, 2.0**-46, 2.0**-20):
         edge = _replace(spec, "block_sync", per_warp_service_cycles=latency / wpb * (1 + rel))
         assert simulate_block_sync(edge, wpb, 1, 5) == (
-            simulate_block_sync(edge, wpb, 1, 5, engine=Engine())
+            _on_engine(simulate_block_sync, edge, wpb, 1, 5)
         ), rel
 
 
 def test_slow_unit_lone_block_folds(monkeypatch):
     # One resident block whose round outlasts the latency.
     kwargs = dict(spec=SLOW_UNIT_V100, warps_per_block=8, n_blocks=1, repeats=4)
-    assert _engines_built(monkeypatch, simulate_block_sync, kwargs) == 0
-    assert simulate_block_sync(**kwargs) == simulate_block_sync(**kwargs, engine=Engine())
+    assert _engines_built(monkeypatch, simulate_block_sync, kwargs) == []
+    assert simulate_block_sync(**kwargs) == _on_engine(simulate_block_sync, **kwargs)
 
 
 def test_no_tail_pipe_folds(monkeypatch):
     kwargs = dict(spec=NO_TAIL_P100, kind="tile", group_size=32, n_warps=2, repeats=8)
-    assert _engines_built(monkeypatch, simulate_warp_sync_throughput, kwargs) == 0
-    assert simulate_warp_sync_throughput(**kwargs) == simulate_warp_sync_throughput(
-        **kwargs, engine=Engine()
+    assert _engines_built(monkeypatch, simulate_warp_sync_throughput, kwargs) == []
+    assert simulate_warp_sync_throughput(**kwargs) == _on_engine(
+        simulate_warp_sync_throughput, **kwargs
     )
 
 
-def test_passed_engine_runs_the_events():
+def test_engine_backend_runs_the_events(monkeypatch):
     # Saturated, latency-bound and lone pipes of all three functions.
     for fn, kwargs, n_services in [
         (simulate_warp_sync_throughput, dict(spec=V100, kind="tile", n_warps=64), 64 * 64),
@@ -300,8 +306,7 @@ def test_passed_engine_runs_the_events():
         (measure_shared_bandwidth, dict(spec=V100, n_threads=1024), 32 * 64),
         (measure_shared_bandwidth, dict(spec=V100, n_threads=1), 64),
     ]:
-        eng = Engine()
-        fn(**kwargs, engine=eng)
+        [eng] = _engines_built(monkeypatch, fn, kwargs, backend="engine")
         assert eng.event_count > n_services, (fn.__name__, kwargs)
 
 
@@ -349,7 +354,7 @@ _BAD_CALIBRATION = [
 ]
 
 
-@pytest.mark.parametrize("passed_engine", [False, True], ids=["own", "passed_engine"])
+@pytest.mark.parametrize("backend", ["auto", "engine"], ids=["own", "engine"])
 @pytest.mark.parametrize(
     "fn, kwargs, field",
     _BAD_CALIBRATION,
@@ -358,10 +363,45 @@ _BAD_CALIBRATION = [
         "block_infinite_service", "proxy_nan_chain", "proxy_negative_port",
     ],
 )
-def test_bad_calibration_is_rejected_on_every_path(fn, kwargs, field, passed_engine):
-    if passed_engine:
-        kwargs = dict(kwargs, engine=Engine())
-    with pytest.raises(ValueError, match=field):
+def test_bad_calibration_is_rejected_on_every_path(fn, kwargs, field, backend):
+    with use_backend(backend), pytest.raises(ValueError, match=field):
+        fn(**kwargs)
+
+
+# Each pipe checks its counts once at entry, before it picks a path: a float
+# count used to run on one path and fail with a different TypeError on another.
+
+_BAD_COUNTS = [
+    (simulate_block_sync, dict(spec=V100, warps_per_block=2.5, n_blocks=1), "warps_per_block"),
+    (simulate_block_sync, dict(spec=V100, warps_per_block=2, n_blocks=2.0), "n_blocks"),
+    (simulate_block_sync, dict(spec=V100, warps_per_block=2, n_blocks=1, repeats=0),
+     "repeats"),
+    (
+        simulate_warp_sync_throughput,
+        dict(spec=V100, kind="coalesced", group_size=2.5, n_warps=64, repeats=8),
+        "group_size",
+    ),
+    (simulate_warp_sync_throughput, dict(spec=V100, kind="tile", n_warps=2.5), "n_warps"),
+    (simulate_warp_sync_throughput, dict(spec=V100, kind="tile", repeats=-1), "repeats"),
+    (measure_shared_bandwidth, dict(spec=V100, n_threads=2.5), "n_threads"),
+    (measure_shared_bandwidth, dict(spec=V100, n_threads=32, iterations=1.0), "iterations"),
+]
+
+
+@pytest.mark.parametrize("backend", ["auto", "engine"])
+@pytest.mark.parametrize(
+    "fn, kwargs, name",
+    _BAD_COUNTS,
+    ids=[
+        "block_float_warps", "block_float_blocks", "block_zero_repeats",
+        "warp_float_group", "warp_float_warps", "warp_negative_repeats",
+        "proxy_float_threads", "proxy_float_iterations",
+    ],
+)
+def test_count_must_be_an_integer_at_least_one(fn, kwargs, name, backend):
+    with use_backend(backend), pytest.raises(
+        ValueError, match=rf"^{name} must be an integer >= 1, got "
+    ):
         fn(**kwargs)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.arch import DGX1_V100, DGX2_V100, V100
-from repro.sim.engine import Timeout
+from repro.sim.engine import Timeout, use_backend
 from repro.sim.memory import MemoryChannel
 from repro.sim.node import Node
 from repro.sync import (
@@ -189,11 +189,11 @@ class TestPerWaitTimeout:
             strategy=SoftwareAtomicBarrier(
                 expected=4, atomic_service_ns=s, poll_ns=p
             ),
-            backend="engine",
         )
         a = group._t_arrive.delay
         w = group._t_release.delay
-        run = group.run_rounds(n_syncs=3)
+        with use_backend("engine"):
+            run = group.run_rounds(n_syncs=3)
         round_ns = a + 5 * s + p / 2 + w
         for member in range(4):
             for r in range(3):
@@ -285,10 +285,10 @@ class TestContendedBarrierEndToEnd:
 
     def test_channel_accounts_detections(self):
         group = MultiGridGroup(
-            Node(DGX1_V100), 1, 32, gpu_ids=range(4), strategy="atomic",
-            backend="engine",
+            Node(DGX1_V100), 1, 32, gpu_ids=range(4), strategy="atomic"
         )
-        group.simulate(n_syncs=3)
+        with use_backend("engine"):
+            group.simulate(n_syncs=3)
         assert group.strategy.channel.detections == 4 * 3
 
 

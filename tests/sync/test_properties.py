@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.arch import DGX1_V100, P100, V100
+from repro.sim.engine import use_backend
 from repro.sim.node import Node
 from repro.sync import (
     BlockGroup,
@@ -74,8 +75,8 @@ class TestReleaseSemantics:
         self, kind, spec, participants, rounds
     ):
         scope = make_scope(kind, spec, participants)
-        scope.backend = "engine"
-        run = scope.run_rounds(n_syncs=rounds)
+        with use_backend("engine"):
+            run = scope.run_rounds(n_syncs=rounds)
         assert scope.rounds_released == rounds
         for member in run.members:
             releases = run.releases_of(member)
@@ -91,8 +92,8 @@ class TestReleaseSemantics:
     ):
         """No member may enter round r+1 before every member finished r."""
         scope = make_scope(kind, spec, participants)
-        scope.backend = "engine"
-        run = scope.run_rounds(n_syncs=rounds)
+        with use_backend("engine"):
+            run = scope.run_rounds(n_syncs=rounds)
         for r in range(rounds - 1):
             last_of_round = max(run.release_ns[(m, r)] for m in run.members)
             first_of_next = min(run.release_ns[(m, r + 1)] for m in run.members)

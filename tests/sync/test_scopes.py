@@ -7,7 +7,7 @@ import pytest
 from repro.cudasim.runtime import CudaRuntime
 from repro.sim.arch import DGX1_V100, P100, V100
 from repro.sim.device import grid_sync_latency_ns
-from repro.sim.engine import DeadlockError, SimulationError
+from repro.sim.engine import DeadlockError, SimulationError, use_backend
 from repro.sim.node import Node, cross_gpu_latency_ns, multigrid_local_latency_ns
 from repro.sim.sm import block_sync_latency_cycles
 from repro.sync import (
@@ -122,9 +122,8 @@ class TestGridGroup:
     def test_split_arrive_wait_compose(self):
         """Driving arrive/wait manually equals run_rounds' sync() path on
         the engine."""
-        driven = GridGroup(V100, 1, 32, sm_count=4, backend="engine").simulate(
-            n_syncs=2
-        )
+        with use_backend("engine"):
+            driven = GridGroup(V100, 1, 32, sm_count=4).simulate(n_syncs=2)
 
         group = GridGroup(V100, 1, 32, sm_count=4)
         eng = group.engine

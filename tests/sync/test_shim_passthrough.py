@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cudasim import CudaRuntime
-from repro.sim.engine import DeadlockError, Engine
+from repro.sim.engine import DeadlockError, Engine, use_backend
 from repro.sim.memory import MemoryChannel
 from repro.sim.node import Node
 from repro.sync import GridGroup, MultiGridGroup
@@ -54,9 +54,9 @@ MULTIGRID_CONFIGS = [
 def _assert_engine_parity(shim_group, scope_group, n_syncs=1):
     """Shim- and scope-built groups run on the engine give equal release
     traces and fire the same number of events."""
-    shim_group.backend = scope_group.backend = "engine"
-    shim = shim_group.run_rounds(n_syncs)
-    scope = scope_group.run_rounds(n_syncs)
+    with use_backend("engine"):
+        shim = shim_group.run_rounds(n_syncs)
+        scope = scope_group.run_rounds(n_syncs)
     assert shim == scope
     assert shim_group.engine.event_count == scope_group.engine.event_count > 0
 
