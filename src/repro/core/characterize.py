@@ -91,28 +91,6 @@ def measure_warp_sync_throughput_best(
     return best
 
 
-def warp_sync_size_sweep(spec: GPUSpec) -> Dict[str, Dict[int, float]]:
-    """Section V-A's exhaustive group-size sweep.
-
-    Tile sizes are the powers of two 1..32; coalesced sizes range 1..32.
-    The paper's findings, which the sweep reproduces:
-
-    * tile-group size influences neither latency nor throughput (the
-      concurrent tile syncs merge into one instruction);
-    * coalesced-group size does not matter on P100, but on V100 only the
-      full-warp group takes the fast path.
-    """
-    tile = {
-        size: measure_warp_sync_latency(spec, "tile", size)
-        for size in (1, 2, 4, 8, 16, 32)
-    }
-    coalesced = {
-        size: measure_warp_sync_latency(spec, "coalesced", size)
-        for size in range(1, 33)
-    }
-    return {"tile": tile, "coalesced": coalesced}
-
-
 def table2_rows(spec: GPUSpec) -> Dict[str, Dict[str, float]]:
     """Measure every Table II row on one architecture."""
     rows: Dict[str, Dict[str, float]] = {}
@@ -167,11 +145,24 @@ def block_sync_scan(
     Beyond the residency limit the extra warps come from queued blocks
     (time-sharing), which is where the latency curve kinks upward while
     throughput stays on its plateau.
+
+    Counts up to the block limit (``max_threads_per_block // warp_size``
+    warps) run as one block, larger ones as whole blocks of that size;
+    any other count, or none, raises :class:`ValueError`.
     """
+    limit = spec.max_threads_per_block // spec.warp_size
+    if not warp_counts:
+        raise ValueError("warp_counts must name at least one warp count")
+    for w in warp_counts:
+        if not isinstance(w, int) or w < 1 or (w > limit and w % limit):
+            raise ValueError(
+                f"warp_counts: {w!r} is not an integer >= 1 that is at most "
+                f"{spec.name}'s block limit of {limit} warps or a multiple of it"
+            )
     points = []
     for w in warp_counts:
-        wpb = min(w, spec.max_threads_per_block // spec.warp_size)
-        n_blocks = max(1, w // wpb)
+        wpb = min(w, limit)
+        n_blocks = w // wpb
         r = simulate_block_sync(spec, wpb, n_blocks, repeats=repeats)
         points.append(
             BlockSyncPoint(

@@ -4,7 +4,8 @@ Every table/figure of the paper has a driver returning an
 :class:`ExperimentReport`: comparison rows of *paper vs measured* plus any
 rendered artifacts (heat-maps, series).  The registry in
 :mod:`repro.experiments.registry` maps experiment ids to drivers; the CLI
-and EXPERIMENTS.md generation both walk it.
+walks it.  A report renders one way, :meth:`ExperimentReport.render`;
+``--json`` carries the same structure as data.
 
 Reports are **losslessly JSON-able** (:meth:`ExperimentReport.to_json` /
 :meth:`ExperimentReport.from_json`): floats round-trip exactly via their

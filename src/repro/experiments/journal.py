@@ -212,6 +212,9 @@ def load_journal(path: Path) -> JournalState:
     from a bad journal must fail loudly, not quietly run nothing.  A
     torn *final* line (crash mid-append) is tolerated; torn interior
     lines are corruption and raise.
+
+    A point's latest record decides whether it counts as failed: the
+    ``start`` of its next attempt, like a ``finish``, clears a ``fail``.
     """
     records = [rec for _, rec in _read_records(path)]
 
@@ -243,6 +246,7 @@ def load_journal(path: Path) -> JournalState:
             continue  # stale/foreign record: ignore rather than die
         if event == "start":
             state.started.add(index)
+            state.failed.pop(index, None)
         elif event == "finish":
             state.finished.add(index)
             state.failed.pop(index, None)

@@ -355,8 +355,9 @@ class GPUSpec:
     instructions: InstructionCalib
     warp_reduce: WarpReduceCalib
     # hash=False keeps the frozen spec hashable (dicts are not); equality
-    # still compares the launch table.  Hashability lets the occupancy
-    # and latency closed forms memoize per spec.
+    # still compares the launch table.  Hashability lets the warp-reduce
+    # latency memo (repro.reduction.warp) and the node's cross-GPU
+    # latency memo (repro.sim.node) key on a spec.
     launch: Dict[str, LaunchCalib] = field(hash=False)
 
     # -- convenience -----------------------------------------------------

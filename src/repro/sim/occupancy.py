@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.sim.arch import GPUSpec
 
-__all__ = ["OccupancyResult", "blocks_per_sm", "max_cooperative_blocks", "active_warps_per_sm"]
+__all__ = ["OccupancyResult", "blocks_per_sm", "max_cooperative_blocks"]
 
 
 @dataclass(frozen=True)
@@ -93,14 +93,3 @@ def max_cooperative_blocks(
     """Largest grid accepted by a cooperative launch on this GPU."""
     occ = blocks_per_sm(spec, threads_per_block, shared_mem_per_block)
     return occ.blocks_per_sm * spec.sm_count
-
-
-def active_warps_per_sm(
-    spec: GPUSpec,
-    threads_per_block: int,
-    resident_blocks: int,
-) -> int:
-    """Active warps when ``resident_blocks`` blocks occupy an SM (clamped)."""
-    occ = blocks_per_sm(spec, threads_per_block)
-    blocks = min(resident_blocks, occ.blocks_per_sm)
-    return blocks * occ.warps_per_block

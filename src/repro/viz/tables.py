@@ -1,16 +1,15 @@
-"""ASCII and markdown table rendering for experiment reports.
+"""ASCII table rendering for experiment reports.
 
-Both renderers consume the same JSON-able row structures the experiment
+The renderer consumes the same JSON-able row structures the experiment
 pipeline produces (:meth:`ExperimentReport.to_dict` rows), so the CLI's
-ASCII output, ``--json`` output and EXPERIMENTS.md are three views of one
-data shape.
+ASCII output and its ``--json`` output are two views of one data shape.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-__all__ = ["render_table", "render_markdown_table", "format_value"]
+__all__ = ["render_table", "format_value"]
 
 
 def format_value(v, precision: int = 2) -> str:
@@ -58,28 +57,4 @@ def render_table(
     for row in cells:
         out.append(fmt_row(row))
     out.append(line())
-    return "\n".join(out)
-
-
-def render_markdown_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[str]],
-    align: Optional[Sequence[str]] = None,
-) -> str:
-    """GitHub-flavoured markdown table from preformatted cells.
-
-    ``align`` entries are ``"left"`` or ``"right"`` per column (default
-    left).  Cells are used verbatim — callers format numbers themselves so
-    markdown and ASCII views can share one formatting policy.
-    """
-    aligns = list(align) if align is not None else ["left"] * len(headers)
-    if len(aligns) != len(headers):
-        raise ValueError("align must have one entry per header")
-    sep = ["---:" if a == "right" else "---" for a in aligns]
-    out = [
-        "| " + " | ".join(str(h) for h in headers) + " |",
-        "|" + "|".join(sep) + "|",
-    ]
-    for row in rows:
-        out.append("| " + " | ".join(str(c) for c in row) + " |")
     return "\n".join(out)

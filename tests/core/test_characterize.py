@@ -45,20 +45,32 @@ class TestWarpLatencies:
         )
 
 
+def _size_sweep(spec):
+    """Section V-A's exhaustive group-size sweep through the Table II
+    latency probe: tile sizes are the powers of two 1..32, coalesced
+    sizes range 1..32."""
+    return {
+        "tile": {
+            size: measure_warp_sync_latency(spec, "tile", size)
+            for size in (1, 2, 4, 8, 16, 32)
+        },
+        "coalesced": {
+            size: measure_warp_sync_latency(spec, "coalesced", size)
+            for size in range(1, 33)
+        },
+    }
+
+
 class TestSizeSweep:
     """Section V-A's exhaustive group-size study."""
 
     def test_tile_size_never_matters(self, spec):
-        from repro.core.characterize import warp_sync_size_sweep
-
-        tile = warp_sync_size_sweep(spec)["tile"]
+        tile = _size_sweep(spec)["tile"]
         assert max(tile.values()) - min(tile.values()) <= 1.0
 
     def test_coalesced_size_matters_only_on_volta(self, v100, p100):
-        from repro.core.characterize import warp_sync_size_sweep
-
-        v = warp_sync_size_sweep(v100)["coalesced"]
-        p = warp_sync_size_sweep(p100)["coalesced"]
+        v = _size_sweep(v100)["coalesced"]
+        p = _size_sweep(p100)["coalesced"]
         # V100: sizes 1..31 share the slow path, 32 is fast.
         partials = {s: l for s, l in v.items() if s < 32}
         assert max(partials.values()) - min(partials.values()) <= 1.0
@@ -67,9 +79,7 @@ class TestSizeSweep:
         assert max(p.values()) - min(p.values()) <= 1.0
 
     def test_best_coalesced_config_is_full_warp_on_volta(self, v100):
-        from repro.core.characterize import warp_sync_size_sweep
-
-        v = warp_sync_size_sweep(v100)["coalesced"]
+        v = _size_sweep(v100)["coalesced"]
         assert min(v, key=v.get) == 32
 
 
@@ -107,6 +117,22 @@ class TestFig4Scan:
     def test_latency_kinks_upward_past_limit(self, spec):
         pts = {p.warps_per_sm: p for p in block_sync_scan(spec)}
         assert pts[1024].latency_cycles > 4 * pts[64].latency_cycles
+
+    def test_counts_above_block_limit_run_as_whole_blocks(self, spec):
+        # 32 warps fill one block; 96 run as three such blocks.
+        pts = block_sync_scan(spec, warp_counts=(1, 8, 32, 64, 96))
+        assert [p.warps_per_sm for p in pts] == [1, 8, 32, 64, 96]
+        assert [p.active_warps for p in pts] == [1, 8, 32, 64, 64]
+
+    @pytest.mark.parametrize(
+        "warp_counts",
+        [(), (0,), (-4,), (40,), (8, 100), (2.0,)],
+        ids=["empty", "zero", "negative", "partial-block", "later-count",
+             "float"],
+    )
+    def test_counts_it_cannot_lay_out_rejected(self, spec, warp_counts):
+        with pytest.raises(ValueError, match="warp_counts"):
+            block_sync_scan(spec, warp_counts=warp_counts)
 
 
 class TestHeatmaps:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments.journal import (
     SweepJournal,
+    compact_journal,
     default_journal_path,
     load_journal,
 )
@@ -55,6 +56,25 @@ class TestRoundTrip:
         state = load_journal(path)
         assert state.finished == {0}
         assert state.failed == {}
+
+    def test_start_after_fail_clears_failure(self, tmp_path):
+        # A transient failure backs off while another point runs; the
+        # retry's start makes the point running again, not failed.
+        path = tmp_path / "sweep.jsonl"
+        journal = SweepJournal(path)
+        journal.sweep_start(POINTS, "v", jobs=1)
+        journal.point_start(0, "table4", 1)
+        journal.point_fail(0, "table4", 1, "transient", "flaky")
+        journal.point_start(1, "table4", 1)
+        journal.point_finish(1, "table4", 1, cached=False)
+        journal.point_start(0, "table4", 2)
+        journal.close()
+        state = load_journal(path)
+        assert state.failed == {}
+        assert state.finished == {1}
+        assert state.started == {0, 1}
+        compact_journal(path)
+        assert load_journal(path) == state
 
     def test_fail_records_last_error_line_only(self, tmp_path):
         path = tmp_path / "sweep.jsonl"

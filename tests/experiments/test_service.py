@@ -376,6 +376,24 @@ class TestStatusSubcommand:
         assert payload["jobs"] == 2
         assert payload["experiments"]["table4"]["points"] == 2
 
+    def test_status_json_counts_retried_point_as_running(
+        self, tmp_path, capsys
+    ):
+        # Point 0 failed transiently and its second attempt has started.
+        path = tmp_path / "sweep.jsonl"
+        journal = SweepJournal(path)
+        journal.sweep_start(POINTS[:2], "deadbeefdeadbeef", jobs=1)
+        journal.point_start(0, "table4", 1)
+        journal.point_fail(0, "table4", 1, "transient", "flaky")
+        journal.point_start(1, "table4", 1)
+        journal.point_finish(1, "table4", 1, cached=False)
+        journal.point_start(0, "table4", 2)
+        journal.close()
+        assert main(["status", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["finished"], payload["failed"], payload["running"],
+                payload["pending"]) == (1, 0, 1, 0)
+
     def test_status_bad_journal(self, tmp_path, capsys):
         assert main(["status", str(tmp_path / "absent.jsonl")]) == 2
         assert "cannot read sweep status" in capsys.readouterr().err

@@ -7,11 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.arch import P100, V100
-from repro.sim.occupancy import (
-    active_warps_per_sm,
-    blocks_per_sm,
-    max_cooperative_blocks,
-)
+from repro.sim.occupancy import blocks_per_sm, max_cooperative_blocks
+from repro.sim.sm import simulate_block_sync
 
 
 class TestBlocksPerSM:
@@ -82,8 +79,12 @@ class TestCooperativeLimit:
 
 
 class TestActiveWarps:
+    """The residency clamp behind Fig 4's "active" column."""
+
     def test_clamped_at_residency(self, spec):
-        assert active_warps_per_sm(spec, 1024, resident_blocks=10) == 64
+        run = simulate_block_sync(spec, warps_per_block=32, n_blocks=10)
+        assert run.active_warps == 64
 
     def test_below_residency_counts_all(self, spec):
-        assert active_warps_per_sm(spec, 256, resident_blocks=2) == 16
+        run = simulate_block_sync(spec, warps_per_block=8, n_blocks=2)
+        assert run.active_warps == 16
