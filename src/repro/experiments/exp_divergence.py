@@ -56,6 +56,11 @@ def run_divergence(scenario: Optional[Scenario] = None) -> ExperimentReport:
     arms = scenario.extra_int("arms", 1)
     threads = scenario.extra_int("threads_per_block", 128)
     divergent_every = scenario.extra_int("divergent_every", 2)
+    for name, value, low in (
+        ("phases", phases, 1), ("divergent_every", divergent_every, 0), ("arms", arms, 1),
+    ):
+        if value < low:
+            raise ValueError(f"extra.{name} must be >= {low}, got {value}")
     report = ExperimentReport(
         "divergence", "Divergence-heavy barrier-delimited phases"
     )

@@ -18,20 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.perfmodel import WorkerConfig, choose_workers, scenario_sync_cycles
-from repro.microbench.intra_sm import measure_shared_bandwidth
+from repro.core.perfmodel import _worker, choose_workers, scenario_sync_cycles
 from repro.sim.arch import GPUSpec
 
 __all__ = ["ReductionPlan", "choose_warp_or_thread", "choose_block_width", "recommend"]
-
-
-def _worker(spec: GPUSpec, n_threads: int, name: str) -> WorkerConfig:
-    bw = measure_shared_bandwidth(spec, n_threads)
-    return WorkerConfig(
-        name=name,
-        throughput=bw.bandwidth_bytes_per_cycle,
-        latency_cycles=bw.chain_latency_cycles,
-    )
 
 
 def choose_warp_or_thread(spec: GPUSpec, n_bytes: int) -> str:
@@ -41,8 +31,8 @@ def choose_warp_or_thread(spec: GPUSpec, n_bytes: int) -> str:
     input exceeds ~9 doubles; "it is better to compute 32 data points with
     a warp".
     """
-    basic = _worker(spec, 1, "thread")
-    more = _worker(spec, 32, "warp")
+    basic = _worker(spec, "thread", 1)
+    more = _worker(spec, "warp", 32)
     sync = scenario_sync_cycles(spec, "warp")
     return choose_workers(basic, more, sync, n_bytes).name
 
@@ -54,8 +44,8 @@ def choose_block_width(spec: GPUSpec, n_bytes: int) -> str:
     "there would be no benefit to compute 1024 data points with 1024
     threads per block".
     """
-    basic = _worker(spec, 32, "block32")
-    more = _worker(spec, 1024, "block1024")
+    basic = _worker(spec, "block32", 32)
+    more = _worker(spec, "block1024", 1024)
     sync = scenario_sync_cycles(spec, "block1024")
     return choose_workers(basic, more, sync, n_bytes).name
 

@@ -292,8 +292,6 @@ class InstructionCalib:
     shared_ld: float
     shared_st: float
     timer_read: float = 2.0
-    branch: float = 2.0
-    issue_cycles: float = 1.0
     # Serialized cost of one arm of a fully divergent 32-way branch ladder
     # (the Fig 17 protocol).  Fit so the Fig 18 start-timer staircase spans
     # the published range (~14k cycles on V100, ~9k on P100 across 32 arms).

@@ -3,73 +3,26 @@
 
 Extends the warp executor to whole thread blocks so that block-scope
 listings (the paper's Fig 12 ``block_reduce``) can run with exact CUDA
-semantics: per-warp shuffle/sync boards stay warp-local, shared memory is
-block-visible under the pending/committed model, and
-:class:`~repro.cudasim.instructions.BlockSync` is a cross-warp barrier that
-commits shared memory and costs the calibrated block-sync latency — on
+semantics: per-warp shuffle/sync boards stay warp-local, shared memory
+(1,024 slots of 8 bytes) is block-visible under the pending/committed
+model, and :class:`~repro.cudasim.instructions.BlockSync` counts on one
+:class:`BlockBarrier` that every warp shares (defined in
+:mod:`repro.sim.exec_thread`, since a lone warp builds a one-warp one).
+It commits shared memory and costs the calibrated block-sync latency — on
 *both* architectures (unlike warp barriers, ``__syncthreads`` blocks on
 Pascal too).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, Generator
+from typing import Callable, Generator
 
 from repro.sim.arch import GPUSpec
-from repro.sim.engine import Engine, Signal
-from repro.sim.exec_thread import ThreadCtx, WarpExecutor, WarpRunResult
+from repro.sim.engine import Engine
+from repro.sim.exec_thread import BlockBarrier, ThreadCtx, WarpExecutor, WarpRunResult
 from repro.sim.memory import SharedMemory
-from repro.sim.sm import block_sync_latency_cycles
 
 __all__ = ["BlockBarrier", "BlockExecutor"]
-
-
-class BlockBarrier:
-    """Round-keyed ``__syncthreads`` rendezvous across a block's threads."""
-
-    def __init__(self, engine: Engine, spec: GPUSpec, nthreads: int,
-                 shared: SharedMemory):
-        self.engine = engine
-        self.spec = spec
-        self.nthreads = nthreads
-        self.shared = shared
-        self.warps = math.ceil(nthreads / spec.warp_size)
-        self.latency_ns = spec.cycles_to_ns(
-            block_sync_latency_cycles(spec, self.warps)
-        )
-        self._rounds: Dict[int, dict] = {}
-        self._counters: Dict[int, int] = {}
-        self.rounds_completed = 0
-
-    def _round(self, idx: int) -> dict:
-        rnd = self._rounds.get(idx)
-        if rnd is None:
-            rnd = {
-                "arrived": 0,
-                "release": Signal(self.engine, name=f"syncthreads-{idx}"),
-            }
-            self._rounds[idx] = rnd
-        return rnd
-
-    def arrive_nowait(self, gtid: int) -> Signal:
-        """Count one arrival now; return the round's release signal.
-
-        The caller yields the signal to wait for the block.  A
-        thread-precise lane arrives for itself; the SIMT fast path
-        arrives a whole converged warp, or a virtual divergence region's
-        lanes at its join, from one warp process.  Every path shares this
-        bookkeeping, so arrival counting is identical everywhere.
-        """
-        idx = self._counters.get(gtid, 0)
-        self._counters[gtid] = idx + 1
-        rnd = self._round(idx)
-        rnd["arrived"] += 1
-        if rnd["arrived"] == self.nthreads:
-            self.shared.commit()
-            self.engine.schedule_fire(self.latency_ns, rnd["release"])
-            self.rounds_completed += 1
-        return rnd["release"]
 
 
 class BlockExecutor:
@@ -79,7 +32,6 @@ class BlockExecutor:
         self,
         spec: GPUSpec,
         nthreads: int = 128,
-        shared_slots: int = 1024,
         simt_fast_path: bool = True,
     ):
         if not (1 <= nthreads <= spec.max_threads_per_block):
@@ -89,7 +41,7 @@ class BlockExecutor:
         self.spec = spec
         self.nthreads = nthreads
         self.engine = Engine()
-        self.shared = SharedMemory(shared_slots)
+        self.shared = SharedMemory(1024)
         self.barrier = BlockBarrier(self.engine, spec, nthreads, self.shared)
         self.warps = []
         for offset in range(0, nthreads, spec.warp_size):

@@ -15,9 +15,12 @@ Divergent branch arms (:class:`~repro.cudasim.instructions.Diverge`) hold
 the issue port for the architecture's full arm cost, producing the paper's
 staircase timing.
 
-Warp barriers and shuffles are implemented as *round-keyed rendezvous*
-objects so that a program can sync in a loop: each thread's n-th arrival at
-a group joins round n.  On Pascal the rendezvous is bypassed entirely — the
+Warp syncs, shuffles and ``__syncthreads`` count arrivals on one kind of
+round-keyed board, so a program can sync in a loop: a thread's n-th
+arrival joins round n.  Warp syncs and shuffles keep a board per group of
+lanes; ``__syncthreads`` counts on the :class:`BlockBarrier`'s board over
+the block's threads, and a lone warp is a one-warp block with a barrier of
+its own.  On Pascal a warp rendezvous is bypassed entirely — the
 instruction costs one cycle, commits the thread's pending shared-memory
 writes (a fence, per Section VII-C) and does not wait.
 
@@ -34,29 +37,25 @@ single ``Timeout`` and the per-thread effects (shared-memory traffic,
 clock reads) are applied in tid order at the same engine time the
 thread-precise simulation would use.
 
-Rendezvous instructions no longer end the fast path.  A round where every
-live lane executes the *same* barrier — ``__syncthreads``, a blocking
-(Volta) warp sync whose groups are fully covered by the live lanes, or a
-shuffle — is executed converged: all arrivals are performed in tid order
-now, the scheduler waits on the release once, and the per-lane resume
-values are delivered at the release time the thread-precise simulation
-would use.  A uniform :class:`Diverge` ladder runs on per-lane virtual
+A round where every live lane executes the *same* rendezvous —
+``__syncthreads``, a blocking (Volta) warp sync whose groups are fully
+covered by the live lanes, or a shuffle — also runs converged: the
+arrivals are performed in tid order now and the scheduler waits on the
+release once.  A uniform :class:`Diverge` ladder runs on per-lane virtual
 clocks and *re-fuses* at the join that follows it — the next
 reconvergence rendezvous.  Any other non-uniform round (per-lane
 latencies, mixed instruction classes), or a virtual region that cannot
 join, drops the warp to thread-precise mode for the rest of the run: each
 lane becomes its own engine process, pending instruction included, so
 rendezvous arrival order, issue-port serialization and Pascal shuffle
-staleness stay bit-identical, and the warp's scheduler process ends (see
-``docs/engine.md`` for the protocol and ``tests/sim/test_exec_thread.py``
-for the equivalence property tests).
+staleness stay bit-identical (``docs/engine.md`` has the protocol).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
-
 
 from repro.cudasim import instructions as ins
 from repro.sim.arch import GPUSpec
@@ -65,7 +64,8 @@ from repro.sim.engine import Engine, Resource, Signal, SimulationError, Timeout,
 from repro.sim.memory import SharedMemory
 from repro.sim.sm import block_sync_latency_cycles, warp_sync_params
 
-__all__ = ["ThreadCtx", "WarpExecutor", "WarpRunResult", "UnsupportedInstruction"]
+__all__ = ["BlockBarrier", "ThreadCtx", "WarpExecutor", "WarpRunResult",
+           "UnsupportedInstruction"]
 
 
 class UnsupportedInstruction(SimulationError):
@@ -75,33 +75,73 @@ class UnsupportedInstruction(SimulationError):
 
 @dataclass
 class _Round:
-    """State of one rendezvous round for a sync/shuffle group."""
+    """State of one rendezvous round on a board."""
 
     expected: int
+    release: Signal
     arrived: int = 0
-    release: Optional[Signal] = None
     posted: Dict[int, float] = field(default_factory=dict)
-    last_arrival_ns: float = 0.0
 
 
 class _GroupBoard:
-    """Round-keyed rendezvous board for one (kind, member-set) group."""
+    """Round-keyed rendezvous board: a member's n-th arrival joins round n.
 
-    def __init__(self, engine: Engine, members: Tuple[int, ...], name: str):
+    The executor's one arrival record.  Warp syncs and shuffles keep one
+    board per ``(kind, members)`` group of lanes, and
+    :class:`BlockBarrier` one over the block's threads; round ``idx``
+    releases through the signal ``f"{name}{idx}"``.
+    """
+
+    def __init__(self, engine: Engine, members: Sequence[int], name: str):
         self.engine = engine
         self.members = members
         self.name = name
         self.rounds: Dict[int, _Round] = {}
+        # Member -> arrivals so far: the round its next arrival joins.
+        self.counters: Dict[int, int] = {}
         # Lane -> latest value it has ever posted (stale reads on Pascal).
         self.history: Dict[int, float] = {}
 
-    def round(self, idx: int) -> _Round:
+    def arrive(self, member: int) -> _Round:
+        """Count ``member``'s next arrival; return the round it joins."""
+        idx = self.counters.get(member, 0)
+        self.counters[member] = idx + 1
         rnd = self.rounds.get(idx)
         if rnd is None:
-            rnd = _Round(expected=len(self.members))
-            rnd.release = Signal(self.engine, name=f"{self.name}.r{idx}")
+            rnd = _Round(len(self.members), Signal(self.engine, f"{self.name}{idx}"))
             self.rounds[idx] = rnd
+        rnd.arrived += 1
         return rnd
+
+
+class BlockBarrier:
+    """``__syncthreads`` across a block's threads: one board over their
+    block-global tids, the calibrated block-sync latency and the
+    shared-memory commit."""
+
+    def __init__(self, engine: Engine, spec: GPUSpec, nthreads: int,
+                 shared: SharedMemory):
+        self.shared = shared
+        self.board = _GroupBoard(engine, range(nthreads), "syncthreads-")
+        self.latency_ns = spec.cycles_to_ns(
+            block_sync_latency_cycles(spec, math.ceil(nthreads / spec.warp_size))
+        )
+        self.rounds_completed = 0
+
+    def arrive_nowait(self, gtid: int) -> Signal:
+        """Count one arrival now; return the round's release signal.
+
+        The caller yields the signal to wait for the block.  A
+        thread-precise lane arrives for itself; the SIMT fast path
+        arrives a whole converged warp, or a virtual divergence region's
+        lanes at its join, from one warp process.
+        """
+        rnd = self.board.arrive(gtid)
+        if rnd.arrived == rnd.expected:
+            self.shared.commit()
+            self.board.engine.schedule_fire(self.latency_ns, rnd.release)
+            self.rounds_completed += 1
+        return rnd.release
 
 
 @dataclass
@@ -185,19 +225,19 @@ class WarpExecutor:
     nthreads:
         Number of live threads (1..32); the paper's latency protocol uses
         a full warp.
-    shared_slots:
-        Size of the block's shared memory in 8-byte slots.
+
+    A lone warp (no ``block_barrier``) is a one-warp block: it gets 64
+    shared-memory slots of 8 bytes and its own :class:`BlockBarrier`.
     """
 
     def __init__(
         self,
         spec: GPUSpec,
         nthreads: int = 32,
-        shared_slots: int = 64,
         engine: Optional[Engine] = None,
         shared: Optional[SharedMemory] = None,
         tid_offset: int = 0,
-        block_barrier: Optional["BlockBarrier"] = None,
+        block_barrier: Optional[BlockBarrier] = None,
         simt_fast_path: bool = True,
     ):
         if not (1 <= nthreads <= spec.warp_size):
@@ -208,13 +248,14 @@ class WarpExecutor:
         self.nthreads = nthreads
         self.engine = engine or Engine()
         self.clock = SMClock(self.engine, spec.freq_mhz)
-        self.shared = shared if shared is not None else SharedMemory(shared_slots)
+        self.shared = shared if shared is not None else SharedMemory(64)
         self.tid_offset = tid_offset
-        self.block_barrier = block_barrier
+        self.block_barrier = block_barrier or BlockBarrier(
+            self.engine, spec, nthreads, self.shared
+        )
         self.simt_fast_path = simt_fast_path
         self.issue_port = Resource(self.engine, capacity=1, name="warp-issue")
         self._boards: Dict[Tuple, _GroupBoard] = {}
-        self._round_counters: Dict[Tuple[int, Tuple], int] = {}
         self._members_memo: Dict[Tuple, Tuple[int, ...]] = {}
         self.shuffle_incorrect = False
 
@@ -253,18 +294,23 @@ class WarpExecutor:
         self._members_memo[key] = members
         return members
 
-    def _board(self, key: Tuple, members: Tuple[int, ...]) -> _GroupBoard:
+    def _board(self, tid: int, op: Any) -> Tuple[_GroupBoard, int]:
+        """The board lane ``tid``'s rendezvous ``op`` counts on, and the
+        lane's member id there: its block-global tid on the block
+        barrier's board, its lane index on a warp-local group's."""
+        cls = op.__class__
+        if cls is ins.BlockSync:
+            return self.block_barrier.board, self.tid_offset + tid
+        if cls is ins.WarpSync:
+            members = self._group_members(tid, op.kind, op.group_size, op.mask)
+            key: Tuple = ("sync", op.kind, members)
+        else:
+            members = self._group_members(tid, op.kind, op.width)
+            key = ("shfl", op.kind, members)
         board = self._boards.get(key)
         if board is None:
-            board = _GroupBoard(self.engine, members, name=str(key))
-            self._boards[key] = board
-        return board
-
-    def _next_round(self, tid: int, key: Tuple) -> int:
-        ctr_key = (tid, key)
-        idx = self._round_counters.get(ctr_key, 0)
-        self._round_counters[ctr_key] = idx + 1
-        return idx
+            board = self._boards[key] = _GroupBoard(self.engine, members, f"{key}.r")
+        return board, tid
 
     # -- latencies ----------------------------------------------------------
 
@@ -371,13 +417,9 @@ class WarpExecutor:
         both a thread-precise lane and the converged warp scheduler run
         the exact same arrival sequence.
         """
-        members = self._group_members(tid, op.kind, op.group_size, op.mask)
-        latency = warp_sync_params(self.spec, op.kind, len(members))[0]
-        key = ("sync", op.kind, members)
-        board = self._board(key, members)
-        rnd = board.round(self._next_round(tid, key))
-        rnd.arrived += 1
-        rnd.last_arrival_ns = self.engine.now
+        board, _ = self._board(tid, op)
+        latency = warp_sync_params(self.spec, op.kind, len(board.members))[0]
+        rnd = board.arrive(tid)
         if rnd.arrived == rnd.expected:
             self.shared.commit()
             self.engine.schedule_fire(self.spec.cycles_to_ns(latency), rnd.release)
@@ -395,14 +437,12 @@ class WarpExecutor:
         the Pascal stale-read semantics when the partner has not posted
         this round.
         """
-        members = self._group_members(tid, op.kind, op.width)
+        board, _ = self._board(tid, op)
+        members = board.members
         latency = warp_sync_params(self.spec, "shuffle_" + op.kind, op.width)[0]
-        key = ("shfl", op.kind, members)
-        board = self._board(key, members)
-        rnd = board.round(self._next_round(tid, key))
+        rnd = board.arrive(tid)
         rnd.posted[tid] = op.value
         board.history[tid] = op.value
-        rnd.arrived += 1
         src = tid + op.delta
 
         def finish() -> Any:
@@ -438,22 +478,8 @@ class WarpExecutor:
         return finish()
 
     def _block_sync_arrive(self, tid: int) -> Signal:
-        """Arrival half of ``__syncthreads``; returns the round's release.
-
-        Cross-warp when block-attached, warp-wide otherwise.
-        """
-        if self.block_barrier is not None:
-            return self.block_barrier.arrive_nowait(self.tid_offset + tid)
-        members = tuple(range(self.nthreads))
-        latency = block_sync_latency_cycles(self.spec, warps=1)
-        key = ("blocksync", members)
-        board = self._board(key, members)
-        rnd = board.round(self._next_round(tid, key))
-        rnd.arrived += 1
-        if rnd.arrived == rnd.expected:
-            self.shared.commit()
-            self.engine.schedule_fire(self.spec.cycles_to_ns(latency), rnd.release)
-        return rnd.release
+        """Arrival half of ``__syncthreads``; returns the round's release."""
+        return self.block_barrier.arrive_nowait(self.tid_offset + tid)
 
     def _interpret(self, tid: int, op: Any) -> Generator:
         """Dispatch one instruction; yields engine yieldables, returns value."""
@@ -532,47 +558,51 @@ class WarpExecutor:
             return None
         op0 = ops[live[0]]
         cls = op0.__class__
-        if cls is ins.BlockSync:
-            release = None
-            for i in live:
-                release = self._block_sync_arrive(i)
-            return release, None
-        blocking = self.spec.warp_sync.blocking
-        if cls is ins.WarpSync and blocking:
+        if cls is ins.WarpSync and not self.spec.warp_sync.blocking:
+            return None
+        if cls is not ins.BlockSync:
             # Every group must be completed by this round's arrivals —
             # a mask selecting absent (retired or straggling) lanes, or a
             # lane excluded from its own group, cannot release now and
             # takes the thread-precise path instead.
             live_set = set(live)
             for i in live:
-                members = self._group_members(i, op0.kind, op0.group_size, op0.mask)
+                members = self._board(i, ops[i])[0].members
                 if i not in members or not set(members) <= live_set:
                     return None
-            release = None
-            for i in live:
-                sig = self._warp_sync_arrive(i, ops[i])
-                if release is None:
-                    release = sig
-            # Tile partitions release as separate signals, but every group
-            # schedules the same (size-independent tile) latency from the
-            # same timestamp, so one wait stands in for all of them.
-            return release, None
-        if cls is ins.ShuffleDown:
-            live_set = set(live)
-            for i in live:
-                members = self._group_members(i, op0.kind, op0.width)
-                if i not in members or not set(members) <= live_set:
-                    return None
-            release = None
-            finishes: Dict[int, Callable[[], Any]] = {}
-            for i in live:
+        release, finishes = self._arrive_all(live, ops)
+        if release is None:  # Pascal shuffle: non-blocking, pure latency
+            release = Timeout(self._pascal_shuffle_latency_ns(op0))
+        return release, finishes
+
+    def _arrive_all(
+        self, order: List[int], ops: Any
+    ) -> Tuple[Optional[Signal], Optional[Dict[int, Callable[[], Any]]]]:
+        """Arrive each lane of ``order``, in that order, at its uniform
+        rendezvous ``ops[i]``: a converged round's arrivals and a virtual
+        join's share this one loop.
+
+        Returns ``(release, finishes)``: the first lane's release (None on
+        a Pascal shuffle) and, for a shuffle, each lane's post-release
+        read.  Tile partitions release as separate signals, but every
+        group schedules the same (size-independent tile) latency from the
+        same timestamp, so one wait stands in for all of them.
+        """
+        cls = ops[order[0]].__class__
+        finishes: Optional[Dict[int, Callable[[], Any]]] = (
+            {} if cls is ins.ShuffleDown else None
+        )
+        release = None
+        for i in order:
+            if finishes is not None:
                 sig, finishes[i] = self._shuffle_arrive(i, ops[i])
-                if release is None:
-                    release = sig
-            if release is None:  # Pascal: non-blocking, pure latency
-                release = Timeout(self._pascal_shuffle_latency_ns(op0))
-            return release, finishes
-        return None
+            elif cls is ins.WarpSync:
+                sig = self._warp_sync_arrive(i, ops[i])
+            else:
+                sig = self._block_sync_arrive(i)
+            if release is None:
+                release = sig
+        return release, finishes
 
     # -- staggered (virtual) divergence regions --------------------------------
 
@@ -656,24 +686,7 @@ class WarpExecutor:
         max_t = t[order[-1]]
         if max_t > engine.now:
             yield WakeAt(max_t)
-        op0 = pend[order[0]]
-        cls = op0.__class__
-        finishes: Optional[Dict[int, Callable[[], Any]]] = None
-        release: Any = None
-        if cls is ins.BlockSync:
-            for i in order:
-                release = self._block_sync_arrive(i)
-        elif cls is ins.WarpSync:
-            for i in order:
-                sig = self._warp_sync_arrive(i, pend[i])
-                if release is None:
-                    release = sig
-        else:  # ShuffleDown
-            finishes = {}
-            for i in order:
-                sig, finishes[i] = self._shuffle_arrive(i, pend[i])
-                if release is None:
-                    release = sig
+        release, finishes = self._arrive_all(order, pend)
         yield release
         vals = {
             i: (finishes[i]() if finishes is not None else None) for i in order
@@ -696,49 +709,20 @@ class WarpExecutor:
         """
         if any(pend[i].__class__ is StopIteration for i in live):
             return None
-        op0 = pend[live[0]]
         if not self._ops_uniform(live, pend):
             return None
-        cls = op0.__class__
-        if cls is ins.BlockSync:
-            if self.block_barrier is not None:
-                off = self.tid_offset
-                counters = self.block_barrier._counters
-                idx0 = counters.get(off + live[0], 0)
-                if any(counters.get(off + i, 0) != idx0 for i in live[1:]):
-                    return None
-            else:
-                key = ("blocksync", tuple(range(self.nthreads)))
-                idx0 = self._round_counters.get((live[0], key), 0)
-                if any(
-                    self._round_counters.get((i, key), 0) != idx0
-                    for i in live[1:]
-                ):
-                    return None
-        elif cls is ins.WarpSync and self.spec.warp_sync.blocking:
-            members = self._group_members(
-                live[0], op0.kind, op0.group_size, op0.mask
-            )
-            if set(members) != set(live):
-                return None
-            key = ("sync", op0.kind, members)
-            idx0 = self._round_counters.get((live[0], key), 0)
-            if any(
-                self._round_counters.get((i, key), 0) != idx0 for i in live[1:]
-            ):
-                return None
-        elif cls is ins.ShuffleDown and self.spec.warp_sync.blocking:
-            members = self._group_members(live[0], op0.kind, op0.width)
-            if set(members) != set(live):
-                return None
-            key = ("shfl", op0.kind, members)
-            idx0 = self._round_counters.get((live[0], key), 0)
-            if any(
-                self._round_counters.get((i, key), 0) != idx0 for i in live[1:]
-            ):
-                return None
-        else:
+        op0 = pend[live[0]]
+        warp_local = op0.__class__ is not ins.BlockSync
+        if warp_local and not self.spec.warp_sync.blocking:
             return None
+        board, member = self._board(live[0], op0)
+        if warp_local and set(board.members) != set(live):
+            return None
+        idx = board.counters.get(member, 0)  # every lane must join this round
+        for i in live[1:]:
+            other, member = self._board(i, pend[i])
+            if other is not board or board.counters.get(member, 0) != idx:
+                return None
         # Arrival-time order; exact ties would need event-sequence-number
         # ordering the virtual clocks cannot reconstruct, so ties abort.
         order = sorted(live, key=t.__getitem__)

@@ -472,6 +472,8 @@ class MultiGridGroup(BarrierScope):
     ):
         from repro.sim.node import cross_gpu_latency_ns, multigrid_local_latency_ns
 
+        if blocks_per_sm < 1:
+            raise ValueError("blocks_per_sm must be >= 1")
         ids = tuple(gpu_ids) if gpu_ids is not None else tuple(range(node.gpu_count))
         if not ids:
             raise ValueError("gpu_ids must not be empty")

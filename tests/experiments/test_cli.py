@@ -330,10 +330,16 @@ class TestScenarioUsage:
         assert "poll_ns=nan for MultiGridGroup must be finite" in capsys.readouterr().err
 
     def test_negative_divergence_arms_fails_the_point(self, capsys):
-        # The divergence driver builds ``Diverge(arms=...)`` from the
-        # scenario; a negative count fails the point at construction.
+        # ``run_divergence`` checks its extras at entry; a negative
+        # arm count fails the point before any ladder is built.
         assert main(["divergence", "--scenario", "extra.arms=-1", "--no-cache"]) == 1
-        assert "Diverge arms must be non-negative" in capsys.readouterr().err
+        assert "extra.arms must be >= 1, got -1" in capsys.readouterr().err
+
+    def test_nonpositive_blocks_per_sm_fails_the_point(self, capsys):
+        # With no block per SM there is no multi-grid barrier to price.
+        argv = ["sync_methods", "--no-cache", "--scenario", "extra.blocks_per_sm=0"]
+        assert main(argv) == 1
+        assert "blocks_per_sm must be >= 1" in capsys.readouterr().err
 
 
 class TestBackendUsage:

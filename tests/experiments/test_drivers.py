@@ -6,7 +6,9 @@ claims plus quantitative error bounds against its published values.
 
 from __future__ import annotations
 
+import pytest
 
+from repro.experiments.exp_divergence import run_divergence
 from repro.experiments.exp_launch import run_fig9
 from repro.experiments.exp_model import run_table3, run_validation
 from repro.experiments.exp_reduction import run_fig15, run_fig16, run_table6
@@ -164,6 +166,31 @@ class TestSyncMethodsDriver:
         # Overridden machine room: anchors suppressed, sweep still runs.
         assert not xbar.rows
         assert mesh.artifacts[0] != xbar.artifacts[0]
+
+
+class TestDivergenceDriver:
+    """``run_divergence`` checks its extras before it builds a program."""
+
+    @staticmethod
+    def _run(key, value):
+        return run_divergence(Scenario(gpus=("V100",), extras=((key, value),)))
+
+    @pytest.mark.parametrize("phases", ["0", "-2"])
+    def test_phases_below_one_rejected(self, phases):
+        # With no phase there is no per-phase table to report.
+        with pytest.raises(ValueError, match=r"extra\.phases must be >= 1"):
+            self._run("phases", phases)
+
+    def test_negative_divergent_every_rejected(self):
+        # A negative period diverges in every phase while the report
+        # counts none, so the re-convergence row cannot hold.
+        with pytest.raises(ValueError, match=r"extra\.divergent_every must be >= 0"):
+            self._run("divergent_every", "-1")
+
+    def test_zero_arms_rejected(self):
+        # A ladder without arms has nothing to re-converge from.
+        with pytest.raises(ValueError, match=r"extra\.arms must be >= 1"):
+            self._run("arms", "0")
 
 
 class TestExplicitCooperativeKeepsAnchors:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from repro.cudasim import instructions as ins
 from repro.sim.arch import P100, V100
+from repro.sim.engine import DeadlockError
 from repro.sim.exec_block import BlockExecutor
+from repro.sim.exec_thread import WarpExecutor
 from repro.sim.sm import block_sync_latency_cycles
 from tests.sim.test_exec_thread import MIX_KINDS, mix_program
 
@@ -345,6 +347,55 @@ class TestBlockReconvergence:
         assume(not _memory_after_virtual_block_join(script))
         spec = V100 if volta else P100
         self._compare(spec, mix_program(script), nthreads=nthreads)
+
+
+class TestLoneWarpIsOneWarpBlock:
+    """A warp built without a block barrier makes its own one-warp
+    :class:`~repro.sim.exec_block.BlockBarrier`, so it runs every program
+    exactly as a one-warp block does, ``__syncthreads`` included."""
+
+    @given(
+        st.lists(st.sampled_from(MIX_KINDS), min_size=1, max_size=10),
+        st.integers(min_value=1, max_value=32),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_randomized_instruction_mix_identical(
+        self, script, nthreads, volta, fast_path
+    ):
+        spec = V100 if volta else P100
+        program = mix_program(script)
+        lone = WarpExecutor(spec, nthreads, simt_fast_path=fast_path).run(program)
+        block = BlockExecutor(spec, nthreads, simt_fast_path=fast_path).run(program)
+        assert lone.duration_ns == block.duration_ns
+        assert lone.start_ns == block.start_ns
+        assert lone.end_ns == block.end_ns
+        assert lone.records == block.records
+        assert lone.returns == block.returns
+        assert lone.shared.races == block.shared.races
+        assert lone.shuffle_incorrect == block.shuffle_incorrect
+        for counter in ("fused_rounds", "defuse_count", "refuse_count"):
+            assert getattr(lone, counter) == getattr(block, counter)
+        # The lone warp's slots are the ones both touch.
+        slots = lone.shared.slots
+        assert lone.shared.committed == block.shared.committed[:slots]
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_early_return_deadlock_names_the_block_round(self, v100, fast_path):
+        # Lane 0 returns before __syncthreads: the other lanes wait on
+        # round 0 of the warp's own block barrier, named as in any block.
+        def program(ctx):
+            yield ins.Compute(1.0)
+            if ctx.lane == 0:
+                return
+            yield ins.BlockSync()
+
+        with pytest.raises(DeadlockError) as err:
+            WarpExecutor(v100, nthreads=4, simt_fast_path=fast_path).run(program)
+        assert err.value.blocked
+        for blocked in err.value.blocked:
+            assert blocked.endswith("waiting on signal(syncthreads-0)")
 
 
 class TestPascalFenceCommitsGlobalTid:

@@ -186,6 +186,14 @@ class TestMultiGridGroup:
         with pytest.raises(ValueError, match=r"repeat GPU\(s\) \[0\]"):
             MultiGridGroup(node, 1, 128, gpu_ids=[0, 0, 1])
 
+    @pytest.mark.parametrize("blocks_per_sm", [0, -1])
+    def test_nonpositive_blocks_per_sm_rejected(self, blocks_per_sm):
+        # As in GridGroup: with no block per SM there is no barrier to
+        # price, and a negative count makes the cross-GPU term complex.
+        node = Node(DGX1_V100, gpu_count=4)
+        with pytest.raises(ValueError, match="blocks_per_sm must be >= 1"):
+            MultiGridGroup(node, blocks_per_sm, 32)
+
 
 class TestHostBarrierGroup:
     def test_rounds_and_cost(self):
