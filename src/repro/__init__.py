@@ -25,10 +25,14 @@ Quickstart::
 
 The names below are imported on first access (PEP 562), so ``import
 repro`` — which every ``repro.*`` import runs first — loads no simulator.
+:func:`lazy_getattr` builds that ``__getattr__`` here and for the
+subpackages ``repro.core``, ``repro.cudasim``, ``repro.microbench`` and
+``repro.sanitize``, whose submodules likewise load only when one of
+their names is read.
 """
 
 from importlib import import_module
-from typing import Any
+from typing import Any, Callable, Mapping
 
 __version__ = "1.0.0"
 
@@ -39,25 +43,44 @@ _EXPORTS = {
     "DGX1_V100": "repro.sim.arch",
     "P100_PCIE_NODE": "repro.sim.arch",
     "Node": "repro.sim.node",
-    "CudaRuntime": "repro.cudasim",
-    "LaunchConfig": "repro.cudasim",
-    "NullKernel": "repro.cudasim",
-    "SleepKernel": "repro.cudasim",
-    "WorkKernel": "repro.cudasim",
-    "KernelEnv": "repro.core",
-    "tiled_partition": "repro.core",
-    "coalesced_threads": "repro.core",
-    "this_thread_block": "repro.core",
-    "this_grid": "repro.core",
-    "this_multi_grid": "repro.core",
+    "CudaRuntime": "repro.cudasim.runtime",
+    "LaunchConfig": "repro.cudasim.kernel",
+    "NullKernel": "repro.cudasim.kernel",
+    "SleepKernel": "repro.cudasim.kernel",
+    "WorkKernel": "repro.cudasim.kernel",
+    "KernelEnv": "repro.core.groups",
+    "tiled_partition": "repro.core.groups",
+    "coalesced_threads": "repro.core.groups",
+    "this_thread_block": "repro.core.groups",
+    "this_grid": "repro.core.groups",
+    "this_multi_grid": "repro.core.groups",
 }
 
 __all__ = [*_EXPORTS, "__version__"]
 
 
-def __getattr__(name: str) -> Any:
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
-    return getattr(import_module(module), name)
+def lazy_getattr(package: str, exports: Mapping[str, str]) -> Callable[[str], Any]:
+    """A package's PEP 562 ``__getattr__``: each name in ``exports``
+    resolves to the attribute of the module it maps to, imported on
+    access.
+
+    Nothing is cached in the package, so every read sees the defining
+    module's current binding; a name that is not exported (a submodule
+    not yet imported included) raises ``AttributeError``, which also
+    lets ``from package import submodule`` fall through to the import
+    system.
+    """
+
+    def __getattr__(name: str) -> Any:
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        return getattr(import_module(module), name)
+
+    return __getattr__
+
+
+__getattr__ = lazy_getattr(__name__, _EXPORTS)

@@ -1,91 +1,53 @@
 """The paper's primary contribution: synchronization characterization,
-cooperative-groups API, performance model, and pitfall analyses."""
+cooperative-groups API, performance model, and pitfall analyses.
 
-from repro.core.advisor import (
-    SyncAdvice,
-    advise_block,
-    advise_device,
-    advise_multi_gpu,
-    advise_warp,
-)
-from repro.core.characterize import (
-    BlockSyncPoint,
-    block_sync_scan,
-    grid_sync_heatmap,
-    heatmap_cells,
-    measure_shuffle_latency,
-    measure_warp_sync_latency,
-    measure_warp_sync_throughput_best,
-    multigrid_sync_heatmap,
-    table2_rows,
-)
-from repro.core.groups import (
-    VALID_TILE_SIZES,
-    KernelEnv,
-    coalesced_threads,
-    this_grid,
-    this_multi_grid,
-    this_thread_block,
-    tiled_partition,
-)
-from repro.core.perfmodel import (
-    SwitchingPoints,
-    WorkerConfig,
-    choose_workers,
-    completion_time_cycles,
-    little_concurrency,
-    scenario_sync_cycles,
-    switching_points,
-    table3_rows,
-    table4_rows,
-)
-from repro.core.pitfalls import (
-    DeadlockMatrix,
-    WarpBlockingTrace,
-    partial_sync_deadlock_matrix,
-    shuffle_divergent_works,
-    warp_sync_blocking_trace,
-)
+Every name below is imported from its defining module on first access
+(:func:`repro.lazy_getattr`), so importing one submodule, as a
+``--tags sync`` run imports :mod:`~repro.core.characterize`, loads none
+of its siblings.  Code under ``src`` imports from the defining module.
+"""
 
-__all__ = [
-    # advisor
-    "SyncAdvice",
-    "advise_warp",
-    "advise_block",
-    "advise_device",
-    "advise_multi_gpu",
-    # groups
-    "KernelEnv",
-    "tiled_partition",
-    "coalesced_threads",
-    "this_thread_block",
-    "this_grid",
-    "this_multi_grid",
-    "VALID_TILE_SIZES",
-    # characterization
-    "measure_warp_sync_latency",
-    "measure_shuffle_latency",
-    "measure_warp_sync_throughput_best",
-    "table2_rows",
-    "BlockSyncPoint",
-    "block_sync_scan",
-    "heatmap_cells",
-    "grid_sync_heatmap",
-    "multigrid_sync_heatmap",
-    # performance model
-    "WorkerConfig",
-    "SwitchingPoints",
-    "little_concurrency",
-    "completion_time_cycles",
-    "switching_points",
-    "choose_workers",
-    "scenario_sync_cycles",
-    "table3_rows",
-    "table4_rows",
-    # pitfalls
-    "WarpBlockingTrace",
-    "warp_sync_blocking_trace",
-    "shuffle_divergent_works",
-    "DeadlockMatrix",
-    "partial_sync_deadlock_matrix",
-]
+from repro import lazy_getattr
+
+# Public name -> the module it is imported from on first access.
+_EXPORTS = {
+    "SyncAdvice": "repro.core.advisor",
+    "advise_warp": "repro.core.advisor",
+    "advise_block": "repro.core.advisor",
+    "advise_device": "repro.core.advisor",
+    "advise_multi_gpu": "repro.core.advisor",
+    "KernelEnv": "repro.core.groups",
+    "tiled_partition": "repro.core.groups",
+    "coalesced_threads": "repro.core.groups",
+    "this_thread_block": "repro.core.groups",
+    "this_grid": "repro.core.groups",
+    "this_multi_grid": "repro.core.groups",
+    "VALID_TILE_SIZES": "repro.core.groups",
+    "measure_warp_sync_latency": "repro.core.characterize",
+    "measure_shuffle_latency": "repro.core.characterize",
+    "measure_warp_sync_throughput_best": "repro.core.characterize",
+    "table2_rows": "repro.core.characterize",
+    "BlockSyncPoint": "repro.core.characterize",
+    "block_sync_scan": "repro.core.characterize",
+    "heatmap_cells": "repro.core.characterize",
+    "grid_sync_heatmap": "repro.core.characterize",
+    "multigrid_sync_heatmap": "repro.core.characterize",
+    "WorkerConfig": "repro.core.perfmodel",
+    "SwitchingPoints": "repro.core.perfmodel",
+    "little_concurrency": "repro.core.perfmodel",
+    "completion_time_cycles": "repro.core.perfmodel",
+    "switching_points": "repro.core.perfmodel",
+    "choose_workers": "repro.core.perfmodel",
+    "scenario_sync_cycles": "repro.core.perfmodel",
+    "table3_rows": "repro.core.perfmodel",
+    "table4_rows": "repro.core.perfmodel",
+    "WarpBlockingTrace": "repro.core.pitfalls",
+    "warp_sync_blocking_trace": "repro.core.pitfalls",
+    "shuffle_divergent_works": "repro.core.pitfalls",
+    "DeadlockMatrix": "repro.core.pitfalls",
+    "partial_sync_deadlock_matrix": "repro.core.pitfalls",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_getattr(__name__, _EXPORTS)

@@ -1,26 +1,29 @@
-"""CUDA-like runtime substrate: kernels, streams, launch functions."""
+"""CUDA-like runtime substrate: kernels, streams, launch functions.
 
-from repro.cudasim.errors import (
-    CooperativeLaunchTooLarge,
-    CudaError,
-    InvalidConfiguration,
-    InvalidDevice,
-)
-from repro.cudasim.kernel import Kernel, LaunchConfig, NullKernel, SleepKernel, WorkKernel
-from repro.cudasim.runtime import CudaRuntime
-from repro.cudasim.stream import LaunchRecord, Stream
+Every name below is imported from its defining module on first access
+(:func:`repro.lazy_getattr`), so importing one submodule, as the SIMT
+executor imports :mod:`~repro.cudasim.instructions`, loads none of its
+siblings.  Code under ``src`` imports from the defining module.
+"""
 
-__all__ = [
-    "CudaError",
-    "InvalidConfiguration",
-    "CooperativeLaunchTooLarge",
-    "InvalidDevice",
-    "Kernel",
-    "LaunchConfig",
-    "NullKernel",
-    "SleepKernel",
-    "WorkKernel",
-    "CudaRuntime",
-    "Stream",
-    "LaunchRecord",
-]
+from repro import lazy_getattr
+
+# Public name -> the module it is imported from on first access.
+_EXPORTS = {
+    "CudaError": "repro.cudasim.errors",
+    "InvalidConfiguration": "repro.cudasim.errors",
+    "CooperativeLaunchTooLarge": "repro.cudasim.errors",
+    "InvalidDevice": "repro.cudasim.errors",
+    "Kernel": "repro.cudasim.kernel",
+    "LaunchConfig": "repro.cudasim.kernel",
+    "NullKernel": "repro.cudasim.kernel",
+    "SleepKernel": "repro.cudasim.kernel",
+    "WorkKernel": "repro.cudasim.kernel",
+    "CudaRuntime": "repro.cudasim.runtime",
+    "Stream": "repro.cudasim.stream",
+    "LaunchRecord": "repro.cudasim.stream",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_getattr(__name__, _EXPORTS)

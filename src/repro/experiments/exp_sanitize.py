@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from repro.experiments.base import ExperimentReport
 from repro.experiments.scenario import PAPER_SCENARIO, Scenario
-from repro.sanitize import Finding, SanitizerSession, render_findings
+from repro.sanitize.checker import Finding, SanitizerSession, render_findings
 from repro.sim.engine import DeadlockError
 from repro.sim.memory import SharedMemory
 from repro.sync.groups import GridGroup, MultiGridGroup, WarpGroup

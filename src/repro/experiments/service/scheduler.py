@@ -36,11 +36,9 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-import traceback
-from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.base import ExperimentReport
 from repro.experiments.journal import SweepJournal
@@ -60,6 +58,9 @@ from repro.experiments.service.queue import (
     PointResult,
 )
 from repro.experiments.service.workers import WorkerPool, WorkItem, execute_point
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import Future
 
 __all__ = ["NO_RETRY", "RetryPolicy", "SweepService", "SweepStats"]
 
@@ -249,6 +250,8 @@ class SweepService:
         except BrokenProcessPool:
             return True
         except Exception:
+            import traceback  # only a failed point formats one
+
             self._fail(job, KIND_ERROR, traceback.format_exc())
             return False
         if reply.exp_id != job.exp_id:
@@ -282,6 +285,10 @@ class SweepService:
 
     def _collect(self, pool: WorkerPool, now: float) -> None:
         """Wait for the in-flight futures and settle what they report."""
+        # Imported here, like the pool itself: an in-process sweep waits on
+        # no future.
+        from concurrent.futures import FIRST_COMPLETED, wait
+
         # Wake on the first completion, the earliest deadline, or the
         # earliest backoff expiry — whichever comes first.  Only *future*
         # backoff expiries matter here: a pending point that is already
@@ -312,6 +319,8 @@ class SweepService:
     def _handle_broken(
         self, pool: WorkerPool, casualties: List[Job], now: float
     ) -> None:
+        from concurrent.futures import wait
+
         # The pool is dead.  Drain the rest: futures that finished
         # before the crash still carry real results.
         wait(list(self._inflight), timeout=5.0)

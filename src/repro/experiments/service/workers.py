@@ -20,8 +20,6 @@ import os
 import sys
 import threading
 import time
-import traceback
-from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional
@@ -39,7 +37,7 @@ from repro.experiments.service.queue import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 __all__ = [
     "WorkItem",
@@ -77,7 +75,7 @@ def _run_driver(spec: Any, scenario: Scenario) -> ExperimentReport:
     with use_backend(scenario.backend or "auto"):
         if scenario.sanitize is None:
             return spec.driver(scenario)
-        from repro.sanitize import SanitizerSession, render_findings
+        from repro.sanitize.checker import SanitizerSession, render_findings
 
         with SanitizerSession(scenario.sanitize) as session:
             try:
@@ -135,15 +133,13 @@ def execute_point(
         try:
             faults.apply_driver_faults(exp_id, desc, attempt)
             report = _run_driver(spec, scenario)
-        except TransientPointError:
+        except Exception as exc:
+            import traceback  # only a failed point formats one
+
+            kind = KIND_TRANSIENT if isinstance(exc, TransientPointError) else KIND_ERROR
             return PointResult(
                 exp_id, scenario, error=traceback.format_exc(),
-                error_kind=KIND_TRANSIENT, attempts=attempt,
-            )
-        except Exception:
-            return PointResult(
-                exp_id, scenario, error=traceback.format_exc(),
-                error_kind=KIND_ERROR, attempts=attempt,
+                error_kind=kind, attempts=attempt,
             )
         report.scenario = scenario.to_dict()
         if use_cache:

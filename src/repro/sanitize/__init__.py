@@ -13,58 +13,50 @@ Two layers, mirroring ``compute-sanitizer``'s tool split:
   an AST linter for sync-API misuse in drivers and simulator code, with a
   committed baseline so CI fails only on *new* violations.
 
-The whole package is stdlib-only at import time: the instrumented modules
-(``repro.sim.engine`` among them) import it during ``repro``'s own package
-initialization, so importing anything from the simulator here would cycle.
-See ``docs/sanitize.md`` for the event schema and rule catalog.
+Importing the package loads none of its submodules: the names below are
+imported from their defining modules on first access
+(:func:`repro.lazy_getattr`), and the mode names are defined here, so
+the CLI and ``Scenario`` validate ``--sanitize`` without loading the
+checker.  The instrumented modules (``repro.sim.engine`` among them)
+import :mod:`~repro.sanitize.events`, which therefore stays stdlib-only:
+importing anything from the simulator there would cycle.  The monitor
+itself is not exported: read ``events.MONITOR`` or call
+:func:`~repro.sanitize.events.current_monitor`, which see the session's
+installation.  See ``docs/sanitize.md`` for the event schema and rule
+catalog.
 """
 
-from repro.sanitize.checker import (
-    CHECK_MODES,
-    Finding,
-    RULE_ANCHORS,
-    SANITIZE_MODES,
-    SanitizerSession,
-    check_deadlock,
-    check_races,
-    check_sync,
-    render_findings,
-    run_checks,
-    session,
-)
-from repro.sanitize.events import (
-    EVENT_KINDS,
-    MONITOR,
-    ScopeInfo,
-    SyncEvent,
-    SyncMonitor,
-    current_monitor,
-    install,
-    uninstall,
-)
-from repro.sanitize.hb import Race, VectorClock, find_races
+from repro import lazy_getattr
 
-__all__ = [
-    "SANITIZE_MODES",
-    "CHECK_MODES",
-    "Finding",
-    "RULE_ANCHORS",
-    "SanitizerSession",
-    "session",
-    "check_sync",
-    "check_races",
-    "check_deadlock",
-    "run_checks",
-    "render_findings",
-    "EVENT_KINDS",
-    "MONITOR",
-    "SyncEvent",
-    "ScopeInfo",
-    "SyncMonitor",
-    "install",
-    "uninstall",
-    "current_monitor",
-    "Race",
-    "VectorClock",
-    "find_races",
-]
+#: Scenario/CLI-facing mode names.  ``off`` is the default everywhere and
+#: normalizes to "no sanitizer" (scenarios drop it so content hashes and
+#: cached artifacts stay byte-identical to the unsanitized pipeline).
+CHECK_MODES = ("synccheck", "racecheck", "full")
+SANITIZE_MODES = ("off",) + CHECK_MODES
+
+# Public name -> the module it is imported from on first access.
+_EXPORTS = {
+    "Finding": "repro.sanitize.checker",
+    "RULE_ANCHORS": "repro.sanitize.checker",
+    "SanitizerSession": "repro.sanitize.checker",
+    "session": "repro.sanitize.checker",
+    "check_sync": "repro.sanitize.checker",
+    "check_races": "repro.sanitize.checker",
+    "check_deadlock": "repro.sanitize.checker",
+    "run_checks": "repro.sanitize.checker",
+    "render_findings": "repro.sanitize.checker",
+    "EVENT_KINDS": "repro.sanitize.events",
+    "SyncEvent": "repro.sanitize.events",
+    "ScopeInfo": "repro.sanitize.events",
+    "SyncMonitor": "repro.sanitize.events",
+    "install": "repro.sanitize.events",
+    "uninstall": "repro.sanitize.events",
+    "current_monitor": "repro.sanitize.events",
+    "Race": "repro.sanitize.hb",
+    "VectorClock": "repro.sanitize.hb",
+    "find_races": "repro.sanitize.hb",
+}
+
+__all__ = ["SANITIZE_MODES", "CHECK_MODES", *_EXPORTS]
+
+__getattr__ = lazy_getattr(__name__, _EXPORTS)

@@ -35,13 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.sanitize import CHECK_MODES, SANITIZE_MODES
 from repro.sanitize import events as _events
 from repro.sanitize.events import ScopeInfo, SyncMonitor
 from repro.sanitize.hb import find_races
 
 __all__ = [
-    "SANITIZE_MODES",
-    "CHECK_MODES",
     "Finding",
     "RULE_ANCHORS",
     "check_sync",
@@ -52,12 +51,6 @@ __all__ = [
     "SanitizerSession",
     "session",
 ]
-
-#: Scenario/CLI-facing mode names.  ``off`` is the default everywhere and
-#: normalizes to "no sanitizer" (scenarios drop it so content hashes and
-#: cached artifacts stay byte-identical to the unsanitized pipeline).
-CHECK_MODES = ("synccheck", "racecheck", "full")
-SANITIZE_MODES = ("off",) + CHECK_MODES
 
 #: Docs anchor per rule id (``docs/sanitize.md`` rule catalog).
 RULE_ANCHORS = {

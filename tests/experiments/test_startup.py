@@ -3,10 +3,12 @@
 A warm ``repro-experiments`` run reads cached reports and renders them;
 it must not pay for the simulator.  Drivers are named by module in the
 registry and imported on first call, ``import repro`` resolves its
-public names on first access, and the pool path imports the sweep's
-driver modules once in the parent before forking.  A run imports only
-what it executes: the synchronization study never loads numpy, and a
-serial sweep never loads the process pool.
+public names on first access, as do ``repro.core``, ``repro.cudasim``,
+``repro.microbench`` and ``repro.sanitize``, and the pool path imports
+the sweep's driver modules once in the parent before forking.  A run
+imports only what it executes: the synchronization study never loads
+numpy or a module it does not run, and only a pooled sweep loads the
+process pool or ``concurrent.futures``.
 """
 
 from __future__ import annotations
@@ -94,6 +96,42 @@ def test_sync_study_imports_no_numpy(mode):
     assert _loaded_after(args, ["numpy"]) == [0, []]
 
 
+# Modules a synchronization study never executes; only an eager package
+# export or a module-level import in the sweep service would load them.
+_SYNC_UNUSED = [
+    "repro.core.advisor",
+    "repro.core.perfmodel",
+    "repro.core.pitfalls",
+    "repro.cudasim.runtime",
+    "repro.cudasim.timeline",
+    "repro.microbench.implicit",
+    "repro.microbench.inter_sm",
+    "repro.sanitize.checker",
+    "repro.sanitize.hb",
+    "concurrent.futures",
+    "traceback",
+]
+
+
+@pytest.mark.parametrize("backend", ["auto", "engine"])
+def test_sync_study_imports_only_what_it_runs(backend):
+    args = ["--tags", "sync", "--no-cache", "--json", "--backend", backend]
+    assert _loaded_after(args, _SYNC_UNUSED) == [0, []]
+
+
+def test_warm_run_imports_no_pool_or_checker(tmp_path):
+    args = ["table4", "--json", "--cache-dir", str(tmp_path)]
+    assert _loaded_after(args, []) == [0, []]  # primes the cache
+    watched = [
+        "concurrent.futures",
+        "logging",
+        "traceback",
+        "repro.sanitize.checker",
+        "repro.sanitize.hb",
+    ]
+    assert _loaded_after(args, watched) == [0, []]
+
+
 def test_serial_sweep_imports_no_process_pool():
     args = ["table4", "--jobs", "1", "--no-cache", "--json"]
     watched = ["multiprocessing", "concurrent.futures.process"]
@@ -121,6 +159,43 @@ def test_load_drivers_sees_through_wrappers(monkeypatch):
     )
     load_drivers(["fig8", "table4", "fig8"])
     assert loaded == ["run_fig8"]
+
+
+# load_drivers over the whole registry, then every default point run
+# in-process, as a forked pool worker runs them; prints the repro modules
+# the points imported after load_drivers.
+_AFTER_LOAD_DRIVERS = """
+import json, sys
+from repro.experiments.registry import EXPERIMENTS, load_drivers
+from repro.experiments.service.workers import execute_point
+load_drivers(EXPERIMENTS)
+before = set(sys.modules)
+for exp_id, spec in EXPERIMENTS.items():
+    for scen in spec.default_scenarios:
+        assert execute_point(exp_id, scen, use_cache=False).ok, exp_id
+print(json.dumps(sorted(m for m in set(sys.modules) - before if m.startswith("repro"))))
+"""
+
+
+def test_workers_import_nothing_after_load_drivers():
+    # A driver module that defers one of its imports to call time, or a
+    # lazy package a driver's function resolves only when called, would
+    # be imported again in every forked worker.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("REPRO_FAULT_PLAN", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _AFTER_LOAD_DRIVERS],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # BarrierScope.run_rounds imports the backend dispatcher at call
+    # time, so a tracer can patch repro.sim.backends.dispatch.
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        "repro.sim.backends",
+        "repro.sim.backends.analytic",
+        "repro.sim.backends.base",
+    ]
 
 
 def test_pool_imports_drivers_before_forking(monkeypatch, tmp_path):

@@ -172,6 +172,17 @@ class TestSession:
             assert ev.MONITOR is outer.monitor
         assert ev.MONITOR is None
 
+    def test_package_exports_no_stale_monitor(self):
+        # The package used to re-export MONITOR by value: None forever,
+        # whatever a session installed.
+        import repro.sanitize
+
+        assert "MONITOR" not in repro.sanitize.__all__
+        with SanitizerSession("full") as sess:
+            assert ev.current_monitor() is ev.MONITOR is sess.monitor
+            with pytest.raises(AttributeError):
+                repro.sanitize.MONITOR
+
     def test_monitor_uninstalled_on_exception(self):
         with pytest.raises(RuntimeError):
             with SanitizerSession("full"):

@@ -312,7 +312,7 @@ class TestBlockReconvergence:
     @pytest.mark.xfail(
         strict=True,
         reason="virtual joins at __syncthreads resume warp by warp, the "
-        "reference resumes lanes in arrival order (ROADMAP item 4)",
+        "reference resumes lanes in arrival order (ROADMAP item 2)",
     )
     def test_overlapping_virtual_joins_keep_cross_warp_order(self, spec):
         # Known gap: both warps join their Diverge ladders at the barrier
