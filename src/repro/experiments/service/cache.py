@@ -132,19 +132,22 @@ def cache_load(path: Path) -> Optional[ExperimentReport]:
 
 def cache_store(
     path: Path, report: ExperimentReport, exp_id: str = "", scenario_desc: str = ""
-) -> None:
+) -> str:
+    """Publish ``report`` at ``path``; returns the JSON text written."""
     faults.maybe_fail_cache_write(exp_id, scenario_desc)
     path.parent.mkdir(parents=True, exist_ok=True)
+    text = report.to_json()
     # Write-then-rename so concurrent workers never observe a torn file.
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(report.to_json())
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return text
 
 
 # -- concurrent-safe claim/publish ---------------------------------------

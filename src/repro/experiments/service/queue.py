@@ -77,6 +77,9 @@ class PointResult:
     crashes: int = 0
     timeouts: int = 0
     error_kind: Optional[str] = None  # KIND_* of the *final* failure
+    # The report's JSON text when this attempt wrote it to the cache: a
+    # pool worker ships it instead of serializing the report again.
+    report_json: Optional[str] = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:

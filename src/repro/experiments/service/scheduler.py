@@ -14,21 +14,28 @@ failed one backs off.
 
 Supervision invariants of the pool:
 
-* at most ``workers`` futures are in flight, so every in-flight future
-  is actually *running* — which is what lets the per-point deadline
-  start at submit time;
-* a ``BrokenProcessPool`` affects only the in-flight points (finished
-  futures keep their results) and restarts the pool;
+* without a timeout, up to two futures per worker are in flight: one
+  running and one waiting in the executor's call queue, so a worker that
+  finishes takes its next point without a round trip through this
+  loop.  With a timeout, at most ``workers`` are in flight, so every
+  in-flight future is actually *running* — which is what lets the
+  per-point deadline start at submit time;
+* a ``BrokenProcessPool`` fails every in-flight future, running or
+  queued (finished futures keep their results), and restarts the pool;
 * crash *attribution* is exact: when several points were in flight, the
   executor cannot say whose worker died, so none is charged an attempt
-  — all casualties become **suspects** and re-run one at a time, with
-  normal dispatch paused.  A point that breaks the pool while running
-  alone is unambiguously the culprit: it is charged a ``crash`` attempt
-  and retried/failed under the policy;
+  — all casualties, queued ones included, become **suspects** and re-run
+  one at a time, with normal dispatch paused.  A point that breaks the
+  pool while in flight alone is unambiguously the culprit: it is charged
+  a ``crash`` attempt and retried/failed under the policy;
 * a future past its deadline kills the pool (a stuck worker cannot be
   cancelled), records a timeout for that point — the expired future is
   known, so timeout attribution is always exact — and requeues innocent
   in-flight victims without charging them.
+
+A journal ``start`` record marks a dispatch: on a pool without a
+timeout, a point may still wait in the call queue when its ``start`` is
+written.
 """
 
 from __future__ import annotations
@@ -278,7 +285,10 @@ class SweepService:
             if not self._inflight and self._suspects[0].ready_at <= now:
                 self._submit(pool, self._suspects.pop(0))
             return
-        free = pool.max_workers - len(self._inflight)
+        # One point queued behind each running one, unless a deadline
+        # (which starts at submit) needs every in-flight point running.
+        depth = pool.max_workers * (1 if self.timeout is not None else 2)
+        free = depth - len(self._inflight)
         if free > 0:
             for job in self._ready(now)[:free]:
                 self._submit(pool, job)
@@ -292,7 +302,7 @@ class SweepService:
         # Wake on the first completion, the earliest deadline, or the
         # earliest backoff expiry — whichever comes first.  Only *future*
         # backoff expiries matter here: a pending point that is already
-        # ready just needs a worker slot, which only a completion can
+        # ready just needs an in-flight slot, which only a completion can
         # free — so it must not clamp the wait to zero.
         horizon = [
             dl - now for (_, dl) in self._inflight.values() if dl is not None
@@ -420,7 +430,11 @@ class SweepService:
                 wake = self._next_wake()
                 if wake is not None:
                     time.sleep(max(0.0, wake - time.monotonic()))
-        finally:
+        except BaseException:
+            # A stuck worker must not hang Ctrl-C or an error's way out.
             if pool is not None:
-                pool.shutdown()
+                pool.kill()
+            raise
+        if pool is not None:
+            pool.shutdown()
         return [job.result for job in self.queue if job.result is not None]

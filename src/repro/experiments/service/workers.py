@@ -142,6 +142,7 @@ def execute_point(
                 error_kind=kind, attempts=attempt,
             )
         report.scenario = scenario.to_dict()
+        report_json: Optional[str] = None
         if use_cache:
             # A cache-store failure (read-only dir, full disk) must not
             # turn a finished report into a failed point — or, worse,
@@ -150,13 +151,16 @@ def execute_point(
             # merged report/JSON output; the cache is an optimization, so
             # degrade to uncached and warn.
             try:
-                cache.cache_store(path, report, exp_id, desc)
+                report_json = cache.cache_store(path, report, exp_id, desc)
             except OSError as exc:
                 print(
                     f"warning: could not write result cache entry {path}: {exc}",
                     file=sys.stderr,
                 )
-        return PointResult(exp_id, scenario, report=report, attempts=attempt)
+        return PointResult(
+            exp_id, scenario, report=report, attempts=attempt,
+            report_json=report_json,
+        )
     finally:
         if claim is not None:
             claim.release()
@@ -215,8 +219,11 @@ def worker_main(item: WorkItem) -> WorkerReply:
         )
     # Ship the JSON form: ExperimentReport is plain data either way, and
     # JSON keeps the parent <-> worker contract identical to the cache.
+    # A computed point ships the text just written to the cache.
     return WorkerReply(
-        result.exp_id, report_json=result.report.to_json(), cached=result.cached
+        result.exp_id,
+        report_json=result.report_json or result.report.to_json(),
+        cached=result.cached,
     )
 
 
@@ -294,4 +301,11 @@ class WorkerPool:
         self._pool = self._new_pool()
 
     def shutdown(self) -> None:
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        """End a pool whose futures have all settled, and wait for it.
+
+        Waiting joins the executor's manager thread here.  Left running
+        (``wait=False``), it may still be closing its wake-up pipe when
+        the interpreter's exit hook writes to that pipe, which prints an
+        ``OSError`` traceback at exit.
+        """
+        self._pool.shutdown(wait=True)

@@ -43,6 +43,7 @@ from typing import (
 )
 
 from repro.sanitize import events as _sanitize
+from repro.sim import backends
 from repro.sim import engine as _engine
 from repro.sim.engine import Engine, SimulationError
 
@@ -217,10 +218,8 @@ class BarrierScope:
                 "create a fresh group per simulation"
             )
         ids = tuple(members) if members is not None else tuple(range(self.size))
-        # Looked up at call time: perfbench's tracer patches it there.
-        from repro.sim.backends import dispatch
-
-        return dispatch(self, n_syncs, ids, _engine.BACKEND, collect_trace)
+        # Read at call time: a tracer may patch ``backends.dispatch``.
+        return backends.dispatch(self, n_syncs, ids, _engine.BACKEND, collect_trace)
 
     def _run_rounds_engine(
         self, n_syncs: int, ids: Tuple[int, ...]

@@ -10,10 +10,15 @@ produces byte-identical reports to in-process execution, and the
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import threading
+from collections import deque
+from concurrent.futures import Future
 
 import pytest
 
+from repro.experiments import faults
 from repro.experiments.base import ExperimentReport
 from repro.experiments.cli import main
 from repro.experiments.journal import (
@@ -36,6 +41,7 @@ from repro.experiments.service.queue import (
     KIND_TRANSIENT,
     PointResult,
 )
+from repro.experiments.service.workers import WorkerReply, WorkItem, worker_main
 
 POINTS = [
     ("table4", Scenario(gpus=("V100",))),
@@ -187,6 +193,116 @@ class TestPooledSweep:
             SweepService(jobs=0)
         with pytest.raises(ValueError, match="timeout"):
             SweepService(timeout=0)
+
+    def test_pool_is_joined_when_the_sweep_returns(self, tmp_path):
+        # A manager thread still running at interpreter exit can race the
+        # exit hook on its wake-up pipe and print an OSError traceback.
+        before = set(threading.enumerate())
+        SweepService(jobs=2, cache_dir=tmp_path).run(POINTS)
+        managers = [
+            t for t in threading.enumerate()
+            if t not in before and type(t).__module__.startswith("concurrent.futures")
+        ]
+        assert managers == []
+
+    def test_interrupted_sweep_kills_its_pool(self, monkeypatch, tmp_path):
+        # Waiting for a stuck worker would hang Ctrl-C.
+        calls = []
+
+        class Pool:
+            max_workers = 2
+
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, item):
+                raise KeyboardInterrupt
+
+            def kill(self):
+                calls.append("kill")
+
+            def shutdown(self):
+                calls.append("shutdown")
+
+        monkeypatch.setattr(scheduler, "WorkerPool", Pool)
+        with pytest.raises(KeyboardInterrupt):
+            SweepService(jobs=2, cache_dir=tmp_path).run(POINTS)
+        assert calls == ["kill"]
+
+
+@pytest.fixture
+def outstanding(monkeypatch):
+    """A pool of fake workers that run nothing until the sweep waits.
+
+    Each wait finishes the oldest submitted point, as the first free
+    worker would.  Returns the number of unfinished futures after each
+    submit.
+    """
+    queued = deque()
+    counts = []
+
+    class LazyPool:
+        def __init__(self, max_workers, initializer=None):
+            pass
+
+        def submit(self, fn, item):
+            fut = Future()
+            queued.append((fut, item))
+            counts.append(len(queued))
+            return fut
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    real_wait = concurrent.futures.wait
+
+    def wait(fs, timeout=None, return_when=concurrent.futures.ALL_COMPLETED):
+        if queued:
+            fut, item = queued.popleft()
+            report = ExperimentReport(item.exp_id, "t")
+            fut.set_result(WorkerReply(item.exp_id, report_json=report.to_json()))
+        return real_wait(fs, timeout=timeout, return_when=return_when)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LazyPool)
+    monkeypatch.setattr(concurrent.futures, "wait", wait)
+    return counts
+
+
+class TestDispatchDepth:
+    """How many points a pool of two workers holds in flight."""
+
+    def test_one_point_queued_behind_each_running_one(self, outstanding, tmp_path):
+        results = SweepService(jobs=2, cache_dir=tmp_path).run(POINTS * 2)
+        assert all(r.ok for r in results)
+        assert max(outstanding) == 4
+
+    def test_timeout_keeps_every_in_flight_point_running(self, outstanding, tmp_path):
+        # A deadline starts at submit, so no point may wait in a queue.
+        results = SweepService(jobs=2, cache_dir=tmp_path, timeout=60.0).run(POINTS * 2)
+        assert all(r.ok for r in results)
+        assert max(outstanding) == 2
+
+
+class TestWorkerReply:
+    def test_computed_point_ships_the_cached_text(self, tmp_path, monkeypatch):
+        # The report is serialized once, for the cache; the reply reuses
+        # that text.
+        monkeypatch.setattr(faults, "IN_WORKER", False)  # worker_main sets it
+        serialized = []
+        to_json = ExperimentReport.to_json
+
+        def counted(self, indent=None):
+            serialized.append(self.exp_id)
+            return to_json(self, indent)
+
+        monkeypatch.setattr(ExperimentReport, "to_json", counted)
+        reply = worker_main(WorkItem(
+            exp_id="table4", scenario=Scenario(gpus=("V100",)).to_dict(),
+            cache_dir=str(tmp_path),
+        ))
+        [path] = tmp_path.glob("table4-*.json")
+        assert serialized == ["table4"]
+        assert reply.report_json == path.read_text()
 
 
 class TestLegacyShardedJournal:

@@ -128,6 +128,7 @@ def test_warm_run_imports_no_pool_or_checker(tmp_path):
         "traceback",
         "repro.sanitize.checker",
         "repro.sanitize.hb",
+        "repro.sim.backends",
     ]
     assert _loaded_after(args, watched) == [0, []]
 
@@ -189,13 +190,7 @@ def test_workers_import_nothing_after_load_drivers():
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    # BarrierScope.run_rounds imports the backend dispatcher at call
-    # time, so a tracer can patch repro.sim.backends.dispatch.
-    assert json.loads(proc.stdout.splitlines()[-1]) == [
-        "repro.sim.backends",
-        "repro.sim.backends.analytic",
-        "repro.sim.backends.base",
-    ]
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_pool_imports_drivers_before_forking(monkeypatch, tmp_path):

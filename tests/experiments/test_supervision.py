@@ -102,6 +102,22 @@ class TestCrashIsolation:
         crashed = [r for r in results if r.crashes]
         assert all(r.attempts > 1 for r in crashed)
 
+    def test_queued_casualties_are_never_charged(self, inject_faults, cache_dir):
+        # Up to four points are in flight on two workers, so the kill also
+        # fails points still waiting in the call queue.  They re-run alone
+        # as suspects; only the culprit is charged, once.
+        inject_faults(FaultRule(kind="kill", match="table4", scenario="P100", attempts=1))
+        points = [
+            ("table4", V100), ("table4", P100), ("table1", V100), ("table2", V100),
+            ("table2", P100), ("table5", V100), ("table5", P100),
+        ]
+        results = SweepService(jobs=2, cache_dir=cache_dir, retry=FAST).run(points)
+        assert [(r.exp_id, r.scenario) for r in results] == points
+        assert all(r.ok for r in results)
+        culprit = results.pop(1)
+        assert (culprit.attempts, culprit.crashes) == (2, 1)
+        assert all((r.attempts, r.crashes) == (1, 0) for r in results)
+
     def test_unrecoverable_crash_fails_with_kind_crash(self, inject_faults, cache_dir):
         # The worker dies on *every* attempt: the point fails with kind
         # "crash" after exhausting the policy, and healthy siblings from
