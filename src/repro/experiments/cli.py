@@ -441,9 +441,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"bad --scenario override: {exc}", file=sys.stderr)
             return 2
 
-    results = service.run(points)
-    if journal is not None:
-        journal.close()
+    try:
+        results = service.run(points)
+    finally:
+        if journal is not None:
+            journal.close()  # the journal's one fsync
 
     exit_code = 0
     for res in results:

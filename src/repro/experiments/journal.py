@@ -10,6 +10,14 @@ from that file: the point list is reconstructed from the header, points
 with a ``finish`` record are served from the result cache (their driver
 is not re-invoked), and only unfinished or failed points execute again.
 
+Each record is flushed to the operating system as it is written, so a
+killed sweep loses none of them; the file is fsynced once, when the
+sweep closes it.  A per-record fsync would not make a crash of the
+whole machine lose less work: the cache entries a ``finish`` vouches
+for are written and renamed without one, and ``--resume`` sends every
+point through the cache lookup whatever its records say, so a lost
+``finish`` costs one lookup.
+
 Records are one JSON object per line.  Only the sweep's parent process
 writes (pool workers never touch the journal), so lines are never
 interleaved; a crash mid-write can at worst tear the final line, which
@@ -97,7 +105,6 @@ class SweepJournal:
         try:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
             fh.flush()
-            os.fsync(fh.fileno())
         except (OSError, ValueError) as exc:
             self._dead = True
             print(
@@ -152,12 +159,24 @@ class SweepJournal:
         )
 
     def close(self) -> None:
-        if self._fh is not None:
+        """End the sweep's journal: its one fsync, then close the file."""
+        fh, self._fh = self._fh, None
+        if fh is None:
+            return
+        try:
+            if not self._dead:
+                os.fsync(fh.fileno())
+        except OSError as exc:
+            print(
+                f"warning: sweep journal sync failed ({exc}); "
+                "its last records may not survive a crash of the machine",
+                file=sys.stderr,
+            )
+        finally:
             try:
-                self._fh.close()
+                fh.close()
             except OSError:
                 pass
-            self._fh = None
 
 
 @dataclass

@@ -4,10 +4,16 @@ The policy layer of the sweep service.  :class:`SweepService` keeps a
 sweep's points as a plain list of
 :class:`~repro.experiments.service.queue.Job`, in input order, and runs
 them to completion in one loop.  Without a timeout, a ``jobs=1`` or
-one-point sweep runs its points in this process; any other sweep runs on
-one :class:`~repro.experiments.service.workers.WorkerPool`.  Both record
-every attempt through the same bookkeeping: the journal's ``start``,
-``finish`` and ``fail`` records, the retry backoff, and the result
+one-point sweep runs its points in this process.  Any other sweep first
+serves every point whose cache entry exists in this process, and then
+starts one :class:`~repro.experiments.service.workers.WorkerPool` only
+for the misses that need one: two or more without a timeout, any under
+a timeout, whose deadline needs a process to kill.  A pool costs a fork
+and the import of every driver it may run, so a sweep pays for one
+only when it has points to compute there.  Every attempt, in this
+process or on the pool, goes through the same bookkeeping: the
+journal's ``start``, ``finish`` and ``fail`` records, the retry
+backoff, and the result
 callback into the :class:`~repro.experiments.service.aggregate.ReportAggregator`.
 Ready jobs dispatch in input order, so a healthy point runs while a
 failed one backs off.
@@ -391,34 +397,82 @@ class SweepService:
                 self._suspects.append(job)
         pool.restart()
 
+    # -- in this process ---------------------------------------------------
+
+    def _run_here(self, job: Job) -> None:
+        """One attempt of ``job`` in this process."""
+        self._start(job)
+        self._settle(job, execute_point(
+            job.exp_id, job.scenario, use_cache=self.use_cache,
+            cache_dir=self.cache_dir, attempt=job.attempt,
+        ))
+
+    def _serve_hits(self) -> List[Job]:
+        """Serve every point whose cache entry exists here; return the rest.
+
+        A hit is an attempt like any other, through ``execute_point``,
+        which parses the entry once.  Under a timeout an entry counts only
+        if ``cache_load`` reads it: that read quarantines a corrupt entry,
+        so its point is recomputed on the pool, under its deadline, and
+        never here.
+        """
+        if self.use_cache:
+            cdir = (
+                Path(self.cache_dir) if self.cache_dir is not None
+                else cache.default_cache_dir()
+            )
+            for job in self.queue:
+                path = cache.cache_path(cdir, job.exp_id, job.scenario)
+                if self.timeout is None:
+                    hit = path.exists()
+                else:
+                    hit = cache.cache_load(path) is not None
+                if hit:
+                    self._run_here(job)
+        return [job for job in self.queue if not job.settled]
+
+    def _pool_size(self, points: int) -> int:
+        """Workers a pool for ``points`` points gets; 0 runs them here.
+
+        A deadline needs a process to kill, so under a timeout even one
+        point gets a pool.
+        """
+        workers = min(self.jobs, points)
+        if points and (self.timeout is not None or workers > 1):
+            return workers
+        return 0
+
     # -- entry ---------------------------------------------------------------
 
     def run(self, points: Sequence[Tuple[str, Scenario]]) -> List[PointResult]:
-        """Execute points (in-process or on the supervised pool), in input order."""
+        """Execute points (in-process or on the supervised pool), in input order.
+
+        A sweep that could use a pool serves its cache hits here first and
+        starts the pool only for the misses that need one, with at most one
+        worker per miss; the pool imports only the misses' drivers.
+        """
         points = list(points)
         if self.journal is not None:
             self.journal.sweep_start(points, cache.code_version(), self.jobs)
         self.queue = [Job(i, exp_id, scen) for i, (exp_id, scen) in enumerate(points)]
         pool: Optional[WorkerPool] = None
-        if points and (self.timeout is not None or min(self.jobs, len(points)) > 1):
-            self._version = cache.code_version()
-            # Drivers are imported on first call; import this sweep's now,
-            # so the forked workers inherit them instead of each importing
-            # numpy.
-            load_drivers(job.exp_id for job in self.queue)
-            pool = WorkerPool(min(self.jobs, len(points)))
+        if self._pool_size(len(points)):
+            misses = self._serve_hits()
+            workers = self._pool_size(len(misses))
+            if workers:
+                self._version = cache.code_version()
+                # Drivers are imported on first call; import the misses'
+                # now, so the forked workers inherit them instead of each
+                # importing numpy.
+                load_drivers(job.exp_id for job in misses)
+                pool = WorkerPool(workers)
         try:
             while any(not job.settled for job in self.queue):
                 now = time.monotonic()
                 if pool is None:
                     ready = self._ready(now)
                     if ready:
-                        job = ready[0]
-                        self._start(job)
-                        self._settle(job, execute_point(
-                            job.exp_id, job.scenario, use_cache=self.use_cache,
-                            cache_dir=self.cache_dir, attempt=job.attempt,
-                        ))
+                        self._run_here(ready[0])
                         continue
                 else:
                     self._dispatch(pool, now)

@@ -20,7 +20,9 @@ SAN104    wall-clock reads (``time.time``, ``perf_counter``,
           driver output must be a pure function of the scenario or the
           content-addressed result cache is poisoned.
 SAN105    unseeded ``random``/``np.random`` module calls under
-          ``src/repro`` — same cache-poisoning hazard as SAN104.
+          ``src/repro`` — same cache-poisoning hazard as SAN104.  A
+          generator constructor (``random.Random``, ``default_rng``,
+          ``SeedSequence``, ``Generator``) passes when given a seed.
 SAN106    ``scenario.extra("extra.foo")`` — extras keys are stored with
           the ``extra.`` namespace already stripped, so a prefixed
           lookup can never match and silently returns the default.
@@ -107,9 +109,10 @@ _WALL_CLOCK = {
     "datetime": {"now", "utcnow", "today"},
 }
 _RANDOM_RECEIVERS = frozenset({"random"})
-#: Seeded-generator constructors: deterministic by construction, exempt
-#: from SAN105 (``np.random.default_rng(seed)`` is the *fix*, not the bug).
-_SEEDED_RANDOM_OK = frozenset({"default_rng", "SeedSequence", "Generator"})
+#: Generator constructors, exempt from SAN105 when the call passes a seed
+#: (``np.random.default_rng(seed)`` is the *fix*, not the bug).  Called
+#: without one, each seeds itself from the OS and still fires.
+_SEEDED_RANDOM_OK = frozenset({"default_rng", "SeedSequence", "Generator", "Random"})
 
 
 class LintViolation:
@@ -236,15 +239,20 @@ class _Checker(ast.NodeVisitor):
                 )
             if (
                 self.ctx["src"]
-                and attr not in _SEEDED_RANDOM_OK
+                and not (attr in _SEEDED_RANDOM_OK and (node.args or node.keywords))
                 and (
                     head in _RANDOM_RECEIVERS
                     or (len(chain) >= 3 and chain[-2] == "random")
                 )
             ):
+                source = (
+                    "seeds itself from the OS without a seed argument"
+                    if attr in _SEEDED_RANDOM_OK
+                    else "draws from global random state"
+                )
                 self._add(
                     "SAN105", node,
-                    f"'{'.'.join(chain)}' draws from global random state; "
+                    f"'{'.'.join(chain)}' {source}; "
                     f"thread a seeded generator through instead",
                 )
             if attr in ("extra", "extra_float", "extra_int") and node.args:

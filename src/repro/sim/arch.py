@@ -17,7 +17,8 @@ the measurements against the published values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Dict, Tuple
 
 __all__ = [
@@ -352,11 +353,16 @@ class GPUSpec:
     hbm: HBMCalib
     instructions: InstructionCalib
     warp_reduce: WarpReduceCalib
-    # hash=False keeps the frozen spec hashable (dicts are not); equality
-    # still compares the launch table.  Hashability lets the warp-reduce
-    # latency memo (repro.reduction.warp) and the node's cross-GPU
-    # latency memo (repro.sim.node) key on a spec.
-    launch: Dict[str, LaunchCalib] = field(hash=False)
+    # A mapping, which the generated hash cannot take, so the spec defines
+    # its own __hash__ that folds in the table's items: equality compares
+    # the launch table, and specs that differ only there must not share one
+    # hash.  Hashability lets the warp-reduce latency memo
+    # (repro.reduction.warp) and the node's cross-GPU latency memo
+    # (repro.sim.node) key on a spec.
+    launch: Dict[str, LaunchCalib]
+
+    def __hash__(self) -> int:
+        return hash((_gpu_spec_fields(self), tuple(sorted(self.launch.items()))))
 
     # -- convenience -----------------------------------------------------
 
@@ -379,6 +385,10 @@ class GPUSpec:
                 f"unknown launch type {launch_type!r}; "
                 f"expected one of {sorted(self.launch)}"
             ) from None
+
+
+#: Every GPUSpec field but ``launch``, as one tuple, for its __hash__.
+_gpu_spec_fields = attrgetter(*(f.name for f in fields(GPUSpec) if f.name != "launch"))
 
 
 @dataclass(frozen=True)

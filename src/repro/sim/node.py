@@ -56,8 +56,11 @@ class Node:
     def __init__(self, spec: NodeSpec, gpu_count: Optional[int] = None):
         n = gpu_count if gpu_count is not None else spec.gpu_count
         if not (1 <= n <= spec.gpu_count):
+            # Not spec.name: a scenario's gpu_count override keeps the
+            # name ("DGX-1 (8x V100, NVLink)") of a node it has shrunk.
             raise ValueError(
-                f"gpu_count must be in [1, {spec.gpu_count}] for {spec.name}"
+                f"gpu_count must be in [1, {spec.gpu_count}] for a "
+                f"{spec.gpu_count}-GPU node, got {n}"
             )
         self.spec = spec
         self.devices: List[Device] = [Device(spec.gpu, i) for i in range(n)]

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+from repro.experiments.cli import main
 from repro.experiments.journal import (
     SweepJournal,
     compact_journal,
@@ -84,6 +86,46 @@ class TestRoundTrip:
         journal.close()
         last = json.loads(path.read_text().splitlines()[-1])
         assert last["error"] == "Boom: bad"
+
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """Record every ``os.fsync`` call, then make it."""
+    calls = []
+    fsync = os.fsync
+
+    def recorded(fd):
+        calls.append(fd)
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recorded)
+    return calls
+
+
+class TestDurability:
+    def test_records_are_flushed_live_and_synced_once_at_close(self, tmp_path, fsyncs):
+        # A killed sweep loses nothing it flushed; the disk sync waits
+        # for the end of the sweep.
+        path = tmp_path / "sweep.jsonl"
+        journal = SweepJournal(path)
+        journal.sweep_start(POINTS, "v", jobs=2)
+        journal.point_start(0, "table4", 1)
+        journal.point_finish(0, "table4", 1, cached=False)
+        journal.point_start(1, "table4", 1)
+        journal.point_fail(1, "table4", 1, "crash", "worker died")
+        state = load_journal(path)
+        assert (state.finished, state.failed, state.started) == ({0}, {1: "crash"}, {0, 1})
+        assert fsyncs == []
+        journal.close()
+        assert len(fsyncs) == 1
+        journal.close()  # a second close syncs nothing
+        assert len(fsyncs) == 1
+
+    def test_a_sweep_syncs_its_journal_once(self, tmp_path, fsyncs, capsys):
+        assert main(["table4", "--cache-dir", str(tmp_path)]) == 0
+        records = (tmp_path / "sweep-journal.jsonl").read_text().splitlines()
+        assert len(records) == 5  # the header, then start and finish per point
+        assert len(fsyncs) == 1
 
 
 class TestGenerations:

@@ -230,6 +230,126 @@ class TestPooledSweep:
         assert calls == ["kill"]
 
 
+class NoPool(Exception):
+    pass
+
+
+def _refuse(*args):
+    raise NoPool
+
+
+def _journal_records(path):
+    """A journal's records, with the header's ``jobs`` dropped."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[0].pop("jobs")
+    return records
+
+
+class TestCacheHitsBeforePool:
+    """A sweep that could use a pool serves its cache hits first, here."""
+
+    def test_cached_sweep_starts_no_pool(self, tmp_path, monkeypatch):
+        assert all(r.ok for r in SweepService(cache_dir=tmp_path).run(POINTS))
+        serial = SweepService(cache_dir=tmp_path, journal=SweepJournal(tmp_path / "1"))
+        serial_results = serial.run(POINTS)
+        serial.journal.close()
+
+        monkeypatch.setattr(scheduler, "load_drivers", _refuse)
+        monkeypatch.setattr(scheduler, "WorkerPool", _refuse)
+        parsed = []
+        from_json = ExperimentReport.from_json.__func__
+
+        def counted(cls, text):
+            parsed.append(text)
+            return from_json(cls, text)
+
+        monkeypatch.setattr(ExperimentReport, "from_json", classmethod(counted))
+        pooled = SweepService(jobs=2, cache_dir=tmp_path, journal=SweepJournal(tmp_path / "2"))
+        results = pooled.run(POINTS)
+        pooled.journal.close()
+        assert len(parsed) == len(POINTS)  # each entry parsed once
+        assert [(r.exp_id, r.cached, r.attempts) for r in results] == [
+            (r.exp_id, r.cached, r.attempts) for r in serial_results
+        ]
+        assert all(r.cached for r in results)
+        assert [r.report.to_json() for r in results] == [
+            r.report.to_json() for r in serial_results
+        ]
+        assert _journal_records(tmp_path / "2") == _journal_records(tmp_path / "1")
+
+    def test_one_miss_runs_in_process(self, tmp_path, monkeypatch):
+        SweepService(cache_dir=tmp_path).run(POINTS[1:])
+        monkeypatch.setattr(scheduler, "load_drivers", _refuse)
+        monkeypatch.setattr(scheduler, "WorkerPool", _refuse)
+        results = SweepService(jobs=2, cache_dir=tmp_path).run(POINTS)
+        assert [(r.ok, r.cached) for r in results] == [(True, False)] + [(True, True)] * 3
+
+    def test_one_miss_under_timeout_runs_on_one_worker(self, tmp_path, monkeypatch):
+        SweepService(cache_dir=tmp_path).run(POINTS[1:])
+        calls = []
+        load, pool = scheduler.load_drivers, scheduler.WorkerPool
+
+        def loaded(ids):
+            ids = list(ids)
+            calls.append(("load", ids))
+            load(ids)
+
+        def sized(workers):
+            calls.append(("pool", workers))
+            return pool(workers)
+
+        monkeypatch.setattr(scheduler, "load_drivers", loaded)
+        monkeypatch.setattr(scheduler, "WorkerPool", sized)
+        results = SweepService(jobs=2, cache_dir=tmp_path, timeout=60.0).run(POINTS)
+        assert [(r.ok, r.cached) for r in results] == [(True, False)] + [(True, True)] * 3
+        assert calls == [("load", ["table4"]), ("pool", 1)]
+
+    def test_pool_loads_only_the_misses_drivers(self, tmp_path, monkeypatch):
+        SweepService(cache_dir=tmp_path).run(POINTS[:2])  # table4 is cached
+        calls = []
+
+        def pool(workers):
+            calls.append(("pool", workers))
+            raise NoPool
+
+        monkeypatch.setattr(
+            scheduler, "load_drivers", lambda ids: calls.append(("load", list(ids)))
+        )
+        monkeypatch.setattr(scheduler, "WorkerPool", pool)
+        service = SweepService(jobs=4, cache_dir=tmp_path)
+        with pytest.raises(NoPool):
+            service.run(POINTS)
+        assert calls == [("load", ["table5", "table5"]), ("pool", 2)]
+        assert [job.state for job in service.queue[:2]] == [DONE, DONE]
+
+    def test_corrupt_entry_under_timeout_is_recomputed_on_the_pool(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        SweepService(cache_dir=tmp_path).run(POINTS[:2])
+        entry = cache.cache_path(tmp_path, *POINTS[0])
+        entry.write_text("{not json")
+        here = []
+        run_here, pool = scheduler.execute_point, scheduler.WorkerPool
+        sizes = []
+
+        def recorded(exp_id, scenario, **kwargs):
+            here.append((exp_id, scenario))
+            return run_here(exp_id, scenario, **kwargs)
+
+        def sized(workers):
+            sizes.append(workers)
+            return pool(workers)
+
+        monkeypatch.setattr(scheduler, "execute_point", recorded)
+        monkeypatch.setattr(scheduler, "WorkerPool", sized)
+        results = SweepService(jobs=2, cache_dir=tmp_path, timeout=60.0).run(POINTS[:2])
+        assert [(r.ok, r.cached) for r in results] == [(True, False), (True, True)]
+        assert here == [POINTS[1]] and sizes == [1]
+        assert entry.with_name(entry.name + ".corrupt").exists()
+        assert "corrupt result cache entry" in capsys.readouterr().err
+        assert entry.exists()  # the pool's worker stored the recomputed report
+
+
 @pytest.fixture
 def outstanding(monkeypatch):
     """A pool of fake workers that run nothing until the sweep waits.

@@ -5,10 +5,11 @@ it must not pay for the simulator.  Drivers are named by module in the
 registry and imported on first call, ``import repro`` resolves its
 public names on first access, as do ``repro.core``, ``repro.cudasim``,
 ``repro.microbench`` and ``repro.sanitize``, and the pool path imports
-the sweep's driver modules once in the parent before forking.  A run
-imports only what it executes: the synchronization study never loads
-numpy or a module it does not run, and only a pooled sweep loads the
-process pool or ``concurrent.futures``.
+the driver modules of the points that miss the cache once in the parent
+before forking.  A run imports only what it executes: the
+synchronization study never loads numpy or a module it does not run,
+and only a sweep that computes on a pool loads the process pool or
+``concurrent.futures``.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ print(json.dumps([rc, sorted(set(json.loads(sys.argv[2])) & set(sys.modules))]),
 """
 
 
-def _loaded_after(cli_args, watched):
+def _run_watching(cli_args, watched):
+    """Run the CLI in a fresh interpreter: its process and [exit code, loaded]."""
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("REPRO_FAULT_PLAN", None)
@@ -83,7 +85,11 @@ def _loaded_after(cli_args, watched):
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stderr.splitlines()[-1])
+    return proc, json.loads(proc.stderr.splitlines()[-1])
+
+
+def _loaded_after(cli_args, watched):
+    return _run_watching(cli_args, watched)[1]
 
 
 @pytest.mark.parametrize(
@@ -131,6 +137,20 @@ def test_warm_run_imports_no_pool_or_checker(tmp_path):
         "repro.sim.backends",
     ]
     assert _loaded_after(args, watched) == [0, []]
+
+
+def test_warm_pooled_run_starts_no_pool(tmp_path):
+    # Every point is a cache hit, served before any pool would start, so
+    # neither the drivers (numpy) nor the pool's modules load.
+    args = ["table4", "table5", "--json", "--cache-dir", str(tmp_path)]
+    assert _loaded_after(args, []) == [0, []]  # primes the cache
+    watched = ["numpy", "multiprocessing", "concurrent.futures.process"]
+    proc, loaded = _run_watching([*args, "--jobs", "2"], watched)
+    assert loaded == [0, []]
+    reports = json.loads(proc.stdout)
+    assert [r["exp_id"] for r in reports] == ["table4", "table5"]
+    for report in reports:
+        assert report["execution"]["cached"] == report["execution"]["points"] > 0
 
 
 def test_serial_sweep_imports_no_process_pool():

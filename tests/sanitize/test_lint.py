@@ -76,6 +76,19 @@ class TestSAN105:
     def test_quiet_on_seeded_generator(self):
         assert _rules("import numpy as np\nr = np.random.default_rng(7)\n") == []
 
+    @pytest.mark.parametrize("call", ["random.Random(7)", "random.Random(seed)"])
+    def test_quiet_on_seeded_random_instance(self, call):
+        assert _rules(f"import random\ndef f(seed):\n    return {call}\n") == []
+
+    @pytest.mark.parametrize(
+        "source",
+        ["import random\nr = random.Random()\n",
+         "import numpy as np\nr = np.random.default_rng()\n"],
+        ids=["Random", "default_rng"],
+    )
+    def test_fires_on_generator_without_a_seed(self, source):
+        assert _rules(source) == ["SAN105"]
+
     def test_quiet_outside_src(self):
         assert _rules("import random\nx = random.random()\n", TEST) == []
 

@@ -126,6 +126,26 @@ class TestLaunchCalib:
         assert c.dispatch_for(4) == c.dispatch_ns
 
 
+class TestSpecHash:
+    """Specs are memo keys, so equal specs hash equal and unequal ones apart."""
+
+    def test_launch_variants_hash_apart(self, v100):
+        base = v100.launch_calib("traditional")
+        variants = [
+            dataclasses.replace(v100, launch={
+                **v100.launch,
+                "traditional": dataclasses.replace(base, api_ns=base.api_ns + i),
+            })
+            for i in range(300)
+        ]
+        assert len({hash(spec) for spec in variants}) == 300
+
+    def test_copy_with_an_equal_launch_table_hashes_equal(self, spec):
+        copy = dataclasses.replace(spec, launch=dict(reversed(spec.launch.items())))
+        assert copy is not spec and copy.launch is not spec.launch
+        assert copy == spec and hash(copy) == hash(spec)
+
+
 class TestDerivedCalib:
     def test_grid_sync_atomic_contention_grows(self, spec):
         gs = spec.grid_sync

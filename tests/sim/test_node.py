@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,14 @@ class TestNode:
             Node(dgx1, gpu_count=0)
         with pytest.raises(ValueError):
             Node(dgx1, gpu_count=9)
+
+    def test_gpu_count_error_names_the_nodes_actual_size(self, dgx1):
+        # A scenario's gpu_count override shrinks the spec but keeps its
+        # name, "DGX-1 (8x V100, NVLink)".
+        shrunk = dataclasses.replace(dgx1, gpu_count=3)
+        with pytest.raises(ValueError) as info:
+            Node(shrunk, gpu_count=4)
+        assert str(info.value) == "gpu_count must be in [1, 3] for a 3-GPU node, got 4"
 
     def test_device_index_validated(self, dgx1):
         node = Node(dgx1, gpu_count=2)
